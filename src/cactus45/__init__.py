@@ -88,7 +88,6 @@ from .rewrite import (
     RewriteBudget,
     RewriteBudgetExceeded,
     canonical_form,
-    rewrite_neighbors,
     sphere,
     words_equal,
 )

@@ -250,7 +250,7 @@ def mirror_generator(name: str) -> str:
     return _MIRROR4[name]
 
 
-def push_s14_right(w: Word) -> Tuple[Word, int]:
+def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     """Rewrite a J_4 word as (word with no s14) · s14^parity.
 
     Single left-to-right scan: each s14 toggles a parity flag, and any
@@ -258,13 +258,24 @@ def push_s14_right(w: Word) -> Tuple[Word, int]:
     mirrored interval.  Adjacent s14 pairs cancel through the parity
     flag, so |output| + parity <= |input|.  The group element is
     unchanged (same symmetric-group image, same J_4 class).
+
+    A list passed as `trace` receives the scan as relator moves on w:
+    ("swap", i, (s14, x, s14, x')) turns s14 x at position i into x' s14
+    and ("delete", i, (s14, s14)) cancels a pair.
     """
     target = j4prime_presentation().alphabet
     parity = 0
     out = []
     for name, _exp in w.letters:
         if name == "s14":
+            if parity and trace is not None:
+                trace.append(("delete", len(out), ("s14", "s14")))
             parity ^= 1
+        elif parity:
+            mirrored = _MIRROR4[name]
+            if trace is not None:
+                trace.append(("swap", len(out), ("s14", name, "s14", mirrored)))
+            out.append((mirrored, 1))
         else:
-            out.append((_MIRROR4[name] if parity else name, 1))
+            out.append((name, 1))
     return Word(target, out), parity

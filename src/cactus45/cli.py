@@ -7,7 +7,12 @@ certificate-checked isomorphism verification, SVG figures, and the
 thirteen-point verification registry.  Reports serialize as
 deterministic JSON (stable key order, no timestamps) or as plain-text
 tables; exit codes are 0 for success, 1 for a failed check, 2 for an
-inconclusive (budget-limited) outcome, and 64 for usage errors.
+inconclusive isomorphism check, and 64 for usage errors.
+
+Sizes are capped so every run stays bounded: `sphere --length` at
+most 12 (231,840 elements in J4') and `complex --radius` at most 8;
+larger values are usage errors.  `--budget-slack` is accepted and
+echoed in the report, but the word problem is exact and ignores it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .grouptheory import (
     tietze_eliminate,
     verify_mutual_inverse,
 )
-from .rewrite import DEFAULT_BUDGET, RewriteBudget, RewriteBudgetExceeded, sphere
+from .rewrite import DEFAULT_BUDGET, RewriteBudget, sphere
 from .verify import run_all
 from .words import Presentation
 
@@ -50,6 +55,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+
+MAX_SPHERE_LENGTH = 12
+MAX_BALL_RADIUS = 8
 
 try:
     VERSION = metadata.version("artifact")
@@ -157,7 +165,13 @@ def _budget_from(args) -> RewriteBudget:
         raise UsageError(str(exc))
 
 
+def _check_limit(flag: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise UsageError(f"{flag} {value} is above the limit of {limit}")
+
+
 def _cmd_sphere(args) -> Tuple[dict, dict, int]:
+    _check_limit("--length", args.length, MAX_SPHERE_LENGTH)
     budget = _budget_from(args)
     P = j4prime_presentation() if args.group == "j4p" else j4_presentation()
     words = sphere(P, args.length, budget)
@@ -195,6 +209,7 @@ def _cmd_pure(args) -> Tuple[dict, dict, int]:
 
 
 def _cmd_complex(args) -> Tuple[dict, dict, int]:
+    _check_limit("--radius", args.radius, MAX_BALL_RADIUS)
     budget = _budget_from(args)
     P = j4prime_presentation()
     ball = build_ball(P, args.radius, budget)
@@ -652,7 +667,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sphere", parents=[common], help="enumerate one sphere")
     p.add_argument("--group", choices=("j4", "j4p"), default="j4p")
     p.add_argument("--length", type=_nonnegative_int, required=True)
-    p.add_argument("--budget-slack", type=int, default=None)
+    p.add_argument(
+        "--budget-slack", type=int, default=None, help="accepted and echoed; changes nothing"
+    )
 
     sub.add_parser(
         "pure", parents=[common], help="list the twenty short pure elements"
@@ -662,7 +679,9 @@ def build_parser() -> _Parser:
         "complex", parents=[common], help="build and check a Cayley ball"
     )
     p.add_argument("--radius", type=_positive_int, default=3)
-    p.add_argument("--budget-slack", type=int, default=None)
+    p.add_argument(
+        "--budget-slack", type=int, default=None, help="accepted and echoed; changes nothing"
+    )
 
     sub.add_parser(
         "dirichlet",
@@ -715,9 +734,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"cactus45 {args.command}: error: {exc}\n")
         return EXIT_USAGE
-    except RewriteBudgetExceeded as exc:
-        sys.stderr.write(f"cactus45 {args.command}: inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
     wall = time.perf_counter() - start
 
     report = RunReport(

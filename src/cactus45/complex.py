@@ -118,21 +118,17 @@ def _relator_rotations(system) -> List[Tuple[int, ...]]:
 def build_ball(
     P: Presentation, radius: int, budget: RewriteBudget = DEFAULT_BUDGET
 ) -> CayleyBall:
+    """Ball of the given radius around the identity; `budget` changes
+    nothing (the rewrite layer is exact)."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sys = system_for(P)
-    # sphere enumeration honours the caller's budget; incidence
-    # canonicalisation runs length-non-increasing (slack 0), which the
-    # sphere-stability property shows is equivalent here and keeps the
-    # larger balls fast
     vertices: Dict[Word, int] = {}
     tuples: Dict[Tuple[int, ...], int] = {}
     for L in range(radius + 1):
-        for v in sphere(P, L, budget):
+        for v in sphere(P, L):
             vertices[v] = L
             tuples[sys.encode(v)] = L
-
-    canon = lambda t: sys.dcanon(t, max_states=budget.max_states)
 
     neighbor: Dict[Word, Dict[str, Word]] = {}
     edge_set = set()
@@ -140,7 +136,7 @@ def build_ball(
         tv = sys.encode(v)
         nbrs: Dict[str, Word] = {}
         for g in range(sys.n):
-            c = canon(tv + (g,))
+            c = sys.normal_form(tv + (g,))
             if c in tuples:
                 wc = sys.decode(c)
                 nbrs[sys.names[g]] = wc
@@ -159,7 +155,7 @@ def build_ball(
             inside = True
             cur = tv
             for g in rot:
-                cur = canon(cur + (g,))
+                cur = sys.normal_form(cur + (g,))
                 if cur not in tuples:
                     inside = False
                     break

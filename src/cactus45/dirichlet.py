@@ -34,8 +34,8 @@ from .action import (
 from .cactus import j4prime_presentation
 from .complex import build_ball
 from .geometry import HPolygon, embed_ball
-from .rewrite import RewriteBudget, canonical_form
-from .words import Word, invert, shortlex_key
+from .rewrite import RewriteBudget, canonical_form, system_for
+from .words import Word, shortlex_key
 
 __all__ = [
     "LabeledPolygon",
@@ -49,9 +49,8 @@ __all__ = [
     "vertex_cycles",
 ]
 
-# the monotone rewriting tier is exact on every word this module
-# touches (verified against the slack tier over the enumerated
-# spheres), and the construction re-validates its output shape
+# the budget passed down to the rewrite layer; that layer is exact, so
+# the value changes no result
 EXACT_BUDGET = RewriteBudget(slack=0)
 
 _FIFTH = math.pi / 5
@@ -160,14 +159,15 @@ def _orbit_sites(budget: RewriteBudget) -> List[Word]:
     return list(seen.values())
 
 
-def _voronoi_keeps(ball, sites: Sequence[Word], budget: RewriteBudget):
-    P = ball.presentation
+def _voronoi_keeps(ball, sites: Sequence[Word]):
+    """Vertices v with |w^-1 v| >= |v| for every site w; the generators
+    are involutions, so w^-1 v is spelled by reverse(w) followed by v."""
+    sys = system_for(ball.presentation)
+    reversed_sites = [sys.encode(w)[::-1] for w in sites]
     keep = set()
     for v in ball.vertices:
-        lv = len(v)
-        if all(
-            len(canonical_form(invert(w) * v, P, budget)) >= lv for w in sites
-        ):
+        tv = sys.encode(v)
+        if all(len(sys.geodesic(s + tv)) >= len(tv) for s in reversed_sites):
             keep.add(v)
     return keep
 
@@ -183,7 +183,7 @@ def dirichlet_polygon(budget: RewriteBudget = EXACT_BUDGET) -> LabeledPolygon:
     P = j4prime_presentation()
     ball = build_ball(P, 4, budget)
     emb = embed_ball(ball)
-    keep = _voronoi_keeps(ball, _orbit_sites(budget), budget)
+    keep = _voronoi_keeps(ball, _orbit_sites(budget))
 
     # classify the square cells against the kept vertex set
     full_cells = []

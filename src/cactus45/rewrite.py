@@ -1,48 +1,60 @@
-"""Bounded rewriting over involutive presentations: equality oracle,
-canonical forms, and geodesic spheres.
+"""Exact word problem for the four-strand cactus group J4 and its
+five-generator subgroup J4': geodesics, shortlex normal forms, word
+equality with replayable certificates, and geodesic spheres.
 
-Moves are derived from the stored relators:
+The Cayley graph of J4' is the 1-skeleton of the {4,5} tiling, a CAT(0)
+square complex (every vertex link is a 5-cycle), so it is a median
+graph (Chepoi 2000).  Two exact operations on words follow:
 
-  * squares x·x sanction deletion or insertion of an adjacent equal
-    pair (length -2 / +2);
-  * each cyclic rotation y1 y2 y3 y4 of a length-4 relator sanctions
-    replacing the adjacent pair (y1, y2) by (y4, y3) in place
-    (length-preserving "swap").
+  * geodesic: append letters one at a time to a geodesic.  The new
+    letter sinks leftward, crossing at each pair (w[i], g) the unique
+    square on that pair (a relator rotation y1 y2 y3 y4 turns y1 y2 into
+    y4 y3).  It cancels when it meets its equal; the word grows by the
+    letter when a pair carries no square.
+  * normal form: the shortlex-least geodesic is read off greedily, each
+    letter being the least left descent of what remains (Niblo-Reeves
+    1998).  A letter is a left descent when, sunk rightward through the
+    geodesic, it cancels.
 
-Canonical forms come in two exact tiers.  The slack-0 tier is a
-descending closure: explore the swap-closure component at the current
-length, recurse through every deletion, never insert; the result is
-the shortlex-least word so reachable, and it is constant on each
-swap-component, which makes the memo sound.  For slack > 0 the search
-additionally inserts pairs subject to an absolute length cap
-(start length + slack); that reachable set is constant on rewrite
-classes sharing the cap, so results are cached per (slack-0 canonical,
-cap).  Equality under a budget compares these canonical forms, which
-decides cap-bounded connectivity exactly; "false" therefore means
-not-found-within-budget unless the symmetric-group image already
-separates the words.
+Two words are equal exactly when their normal forms agree, and two
+different normal forms are the witness of an inequality.  Every step
+above is a relator move: a square crossing is a "swap", a cancellation
+a "delete".  An equality certificate sinks both words to geodesics,
+flips the first geodesic into the second letter by letter, and appends
+the second word's moves inverted (a deletion becomes an "insert").
+`EqualityCertificate.verify` accepts only moves sanctioned by the
+presentation's stored relators.
+
+J4 adds the full reversal s14, whose link with the other generators has
+triangles, so its Cayley complex is not CAT(0).  Its elements split as
+u · s14^p with u in J4' (`cactus.push_s14_right`); the length is
+|u| + p, and s14 is a left descent exactly when p = 1.
+
+The budget types remain from the bounded search this module once ran.
+They are still accepted and validated, but no budget changes a result.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Presentation, Word
+from .words import Presentation, Word, invert, rotations
 from . import cactus
 
 PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
-NOT_FOUND = "NOT-FOUND-WITHIN-BUDGET"
 EQUAL = "EQUAL"
 
 
 class RewriteBudgetExceeded(RuntimeError):
-    pass
+    """Never raised by the exact engine; kept for callers that catch it."""
 
 
 @dataclass(frozen=True)
 class RewriteBudget:
+    """Search limits of the former bounded engine.  Validated and
+    accepted everywhere a budget is, but no result depends on them."""
+
     slack: int = 2
     max_states: int = 200_000
 
@@ -63,6 +75,8 @@ class Move:
     kind 'swap' uses a length-4 relator rotation y1 y2 y3 y4 to replace
     the pair (y1, y2) by (y4, y3); 'delete' removes an adjacent equal
     pair matching the square relator; 'insert' inserts that pair.
+    `apply` checks only that the move fits the word; whether `relator`
+    is a relator at all is checked by `EqualityCertificate.replay`.
     """
 
     position: int
@@ -103,38 +117,63 @@ class Move:
         return Move(self.position, self.relator, "delete")
 
 
+def _sanctioned(P: Presentation):
+    """Letter tuples a move may use: every rotation of a stored
+    length-4 relator or of its reverse (swaps), and the stored squares
+    (deletions and insertions)."""
+    swaps, squares = set(), set()
+    for r in P.relators:
+        if len(r) == 4:
+            for base in (r, invert(r)):
+                swaps.update(rot.letters for rot in rotations(base))
+        elif len(r) == 2 and r.letters[0] == r.letters[1]:
+            squares.add(r.letters)
+    return swaps, squares
+
+
 @dataclass(frozen=True)
 class EqualityCertificate:
     moves: Tuple[Move, ...]
 
-    def replay(self, w: Word) -> Word:
+    def replay(self, P: Presentation, w: Word) -> Word:
+        """Apply the moves to w; ValueError on a move that does not fit
+        the word or whose relator P does not store."""
+        swaps, squares = _sanctioned(P)
         for m in self.moves:
+            allowed = swaps if m.kind == "swap" else squares
+            if m.relator.letters not in allowed:
+                raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
             w = m.apply(w)
         return w
 
-    def verify(self, w1: Word, w2: Word) -> bool:
+    def verify(self, P: Presentation, w1: Word, w2: Word) -> bool:
         try:
-            return self.replay(w1) == w2
+            return self.replay(P, w1) == w2
         except ValueError:
             return False
 
 
 @dataclass(frozen=True)
 class EqualityResult:
+    """`certificate` is set for EQUAL when one was asked for; `witness`
+    holds the two distinct normal forms of a PROVEN-UNEQUAL pair."""
+
     equal: bool
     status: str
     certificate: Optional[EqualityCertificate] = None
+    witness: Optional[Tuple[Word, Word]] = None
 
     def __bool__(self) -> bool:
         return self.equal
 
 
-def _tuple_key(t: Tuple[int, ...]) -> Tuple:
-    return (len(t), t)
+# A trace collects the moves of a computation as (kind, position,
+# relator letter names); it is only built when a certificate is wanted.
+Trace = Optional[List[Tuple[str, int, Tuple[str, ...]]]]
 
 
-class RewriteSystem:
-    """Per-presentation engine working on tuples of generator indices."""
+class _Codec:
+    """Words <-> tuples of generator indices over one presentation."""
 
     def __init__(self, P: Presentation):
         alphabet = P.alphabet
@@ -144,47 +183,7 @@ class RewriteSystem:
         self.alphabet = alphabet
         self.n = len(alphabet)
         self.names = alphabet.names()
-        # squares present as stored relators, per generator index
-        self.squares = set()
-        # (a, b) -> tuple of ((c, d), rotation-as-index-tuple)
-        self.pair_map: Dict[Tuple[int, int], Tuple] = {}
-        pair_map: Dict[Tuple[int, int], List] = {}
-        for r in P.relators:
-            idx = tuple(alphabet.index(nm) for nm, _ in r.letters)
-            if len(idx) == 2:
-                if idx[0] != idx[1]:
-                    raise ValueError(f"unexpected length-2 relator {r}")
-                self.squares.add(idx[0])
-                continue
-            if len(idx) != 4:
-                raise ValueError(
-                    f"rewrite layer expects relators of length 2 or 4, got {r}"
-                )
-            rots = {idx[i:] + idx[:i] for i in range(4)}
-            for rot in rots:
-                if rot[::-1] not in rots:
-                    raise ValueError(f"relator {r} is not reversal-closed")
-                pair_map.setdefault((rot[0], rot[1]), []).append(
-                    ((rot[3], rot[2]), rot)
-                )
-        self.pair_map = {k: tuple(v) for k, v in pair_map.items()}
-        if len(self.squares) != self.n:
-            raise ValueError("every generator needs its square relator")
-        # symmetric-group projection, if the names parse as intervals
-        self.sym_n: Optional[int] = None
-        try:
-            bounds = [cactus._parse_interval_name(nm) for nm in self.names]
-            self.sym_n = max(q for _, q in bounds)
-            self._gen_perms = [
-                cactus.reversal_permutation(self.sym_n, p, q) for p, q in bounds
-            ]
-        except (ValueError, IndexError):
-            self._gen_perms = []
-        self._dcanon: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        self._xcanon: Dict[Tuple, Tuple[int, ...]] = {}
-        self._spheres: Dict[Tuple[int, int], Tuple] = {}
-
-    # -- encoding ---------------------------------------------------------
+        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     def encode(self, w: Word) -> Tuple[int, ...]:
         if w.alphabet != self.alphabet:
@@ -194,210 +193,162 @@ class RewriteSystem:
     def decode(self, t: Sequence[int]) -> Word:
         return Word(self.alphabet, [(self.names[i], 1) for i in t])
 
-    def project(self, t: Sequence[int]) -> cactus.Permutation:
-        perm = cactus.Permutation.identity(self.sym_n)
-        for i in t:
-            perm = perm.then(self._gen_perms[i])
-        return perm
+    def move(self, step) -> Move:
+        kind, pos, names = step
+        return Move(pos, Word(self.alphabet, [(nm, 1) for nm in names]), kind)
 
-    # -- raw moves --------------------------------------------------------
 
-    def swap_neighbors(self, t):
-        for pos in range(len(t) - 1):
-            entries = self.pair_map.get((t[pos], t[pos + 1]))
-            if entries:
-                for (c, d), _rot in entries:
-                    yield t[:pos] + (c, d) + t[pos + 2 :]
+class RewriteSystem(_Codec):
+    """Exact engine for an involutive presentation whose Cayley complex
+    is a CAT(0) square complex: relators are squares x·x and words of
+    length 4, no pair of letters lies on two squares, and the link (one
+    edge per pair that lies on a square) has no triangle."""
 
-    def delete_neighbors(self, t):
-        for pos in range(len(t) - 1):
-            if t[pos] == t[pos + 1]:
-                yield t[:pos] + t[pos + 2 :]
-
-    def insert_neighbors(self, t):
-        for pos in range(len(t) + 1):
-            for g in range(self.n):
-                yield t[:pos] + (g, g) + t[pos:]
-
-    def moves_from(self, t, allow_insert: bool):
-        """(neighbor, move descriptor) pairs; descriptors are
-        (kind, position, payload) with payload the rotation for swaps
-        or the generator index for delete/insert."""
-        for pos in range(len(t) - 1):
-            entries = self.pair_map.get((t[pos], t[pos + 1]))
-            if entries:
-                for (c, d), rot in entries:
-                    yield t[:pos] + (c, d) + t[pos + 2 :], ("swap", pos, rot)
-            if t[pos] == t[pos + 1]:
-                yield t[:pos] + t[pos + 2 :], ("delete", pos, t[pos])
-        if allow_insert:
-            for pos in range(len(t) + 1):
-                for g in range(self.n):
-                    yield t[:pos] + (g, g) + t[pos:], ("insert", pos, g)
-
-    def descriptor_to_move(self, desc) -> Move:
-        kind, pos, payload = desc
-        if kind == "swap":
-            rel = self.decode(payload)
-        else:
-            rel = self.decode((payload, payload))
-        return Move(pos, rel, kind)
-
-    # -- canonical forms --------------------------------------------------
-
-    def dcanon(self, t: Tuple[int, ...], counter: Optional[List[int]] = None,
-               max_states: int = DEFAULT_BUDGET.max_states) -> Tuple[int, ...]:
-        """Slack-0 canonical form: shortlex-least word reachable by
-        swaps and deletions (descending closure)."""
-        cached = self._dcanon.get(t)
-        if cached is not None:
-            return cached
-        if counter is None:
-            counter = [0]
-        comp = {t}
-        stack = [t]
-        children = set()
-        hit = None
-        while stack and hit is None:
-            x = stack.pop()
-            counter[0] += 1
-            if counter[0] > max_states:
-                raise RewriteBudgetExceeded(
-                    f"canonical form exceeded {max_states} states"
+    def __init__(self, P: Presentation):
+        super().__init__(P)
+        # (y1, y2) -> (y4, y3) for every rotation y1 y2 y3 y4 of a relator
+        self.swap: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        squares = set()
+        for r in P.relators:
+            idx = tuple(self.alphabet.index(nm) for nm, _ in r.letters)
+            if len(idx) == 2 and idx[0] == idx[1]:
+                squares.add(idx[0])
+                continue
+            if len(idx) != 4:
+                raise ValueError(
+                    f"rewrite layer expects relators of length 2 or 4, got {r}"
                 )
-            for y in self.swap_neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    cached = self._dcanon.get(y)
-                    if cached is not None:
-                        hit = cached
-                        break
-                    stack.append(y)
-            for y in self.delete_neighbors(x):
-                children.add(y)
-        if hit is not None:
-            best = hit
-        else:
-            best = min(comp)
-            for ch in children:
-                v = self.dcanon(ch, counter, max_states)
-                if _tuple_key(v) < _tuple_key(best):
-                    best = v
-        for x in comp:
-            self._dcanon[x] = best
-        return best
+            for base in (idx, idx[::-1]):
+                for i in range(4):
+                    y = base[i:] + base[:i]
+                    if y[0] == y[1] or self.swap.setdefault(y[:2], (y[3], y[2])) != (y[3], y[2]):
+                        raise ValueError(f"letters {y[:2]} lie on two squares or a degenerate one")
+        if len(squares) != self.n:
+            raise ValueError("every generator needs its square relator")
+        link = {a: {b for (x, b) in self.swap if x == a} for a in range(self.n)}
+        for a, b in self.swap:
+            if link[a] & link[b]:
+                raise ValueError("the link has a triangle: not a CAT(0) square complex")
 
-    def xcanon(self, t: Tuple[int, ...], cap: int,
-               max_states: int = DEFAULT_BUDGET.max_states) -> Tuple[int, ...]:
-        """Shortlex-least word reachable with intermediate length <= cap.
-
-        The reachable set under an absolute cap is the same from every
-        member of the class that fits under the cap, so the value is
-        cached per (slack-0 canonical, cap)."""
-        c0 = self.dcanon(t, max_states=max_states)
-        key = (c0, cap)
-        cached = self._xcanon.get(key)
-        if cached is not None:
-            return cached
-        best = c0
-        visited = {c0}
-        queue = deque([c0])
-        count = 0
-        while queue:
-            x = queue.popleft()
-            count += 1
-            if count > max_states:
-                raise RewriteBudgetExceeded(
-                    f"canonical form exceeded {max_states} states at cap {cap}"
-                )
-            neighbors = list(self.swap_neighbors(x))
-            neighbors.extend(self.delete_neighbors(x))
-            if len(x) + 2 <= cap:
-                neighbors.extend(self.insert_neighbors(x))
-            for y in neighbors:
-                if y not in visited:
-                    visited.add(y)
-                    queue.append(y)
-                    if _tuple_key(y) < _tuple_key(best):
-                        best = y
-        self._xcanon[key] = best
-        return best
-
-    def canonical(self, t: Tuple[int, ...], budget: RewriteBudget) -> Tuple[int, ...]:
-        if budget.slack == 0:
-            return self.dcanon(t, max_states=budget.max_states)
-        return self.xcanon(t, len(t) + budget.slack, budget.max_states)
-
-    # -- paths and certificates ------------------------------------------
-
-    def find_path(self, t1, t2, cap: int, max_states: int):
-        """Moves connecting t1 to t2 with intermediate length <= cap,
-        by bidirectional BFS; None if the budget runs out first."""
-        if t1 == t2:
-            return []
-        sides = (
-            {t1: None},  # state -> (parent, descriptor)
-            {t2: None},
-        )
-        queues = (deque([t1]), deque([t2]))
-        count = 0
-        meet = None
-        while (queues[0] or queues[1]) and meet is None:
-            side = 0 if len(queues[0]) <= len(queues[1]) and queues[0] else 1
-            frontier = queues[side]
-            for _ in range(len(frontier)):
-                x = frontier.popleft()
-                count += 1
-                if count > max_states:
-                    return None
-                for y, desc in self.moves_from(x, allow_insert=True):
-                    if len(y) > cap or y in sides[side]:
-                        continue
-                    sides[side][y] = (x, desc)
-                    frontier.append(y)
-                    if y in sides[1 - side]:
-                        meet = y
-                        break
-                if meet is not None:
+    def geodesic(self, t: Sequence[int], trace: Trace = None) -> List[int]:
+        """A geodesic spelling of t, by sinking each letter leftward."""
+        swap, names = self.swap, self.names
+        w: List[int] = []
+        for g in t:
+            mark = len(trace) if trace is not None else 0
+            cur, moved, i = g, [], len(w) - 1
+            while i >= 0 and w[i] != cur:
+                sq = swap.get((w[i], cur))
+                if sq is None:
                     break
-        if meet is None:
-            return None
+                if trace is not None:
+                    trace.append(("swap", i, tuple(names[x] for x in (w[i], cur) + sq[::-1])))
+                cur = sq[0]
+                moved.append(sq[1])
+                i -= 1
+            if i >= 0 and w[i] == cur:
+                if trace is not None:
+                    trace.append(("delete", i, (names[cur],) * 2))
+                w[i:] = moved[::-1]
+            else:  # no cancellation: the squares crossed are not used
+                if trace is not None:
+                    del trace[mark:]
+                w.append(g)
+        return w
 
-        def trail(side_map, state):
-            moves = []
-            while side_map[state] is not None:
-                parent, desc = side_map[state]
-                moves.append(desc)
-                state = parent
-            moves.reverse()
-            return moves
+    def _lift(self, w: List[int], k: int, x: int, trace: Trace) -> bool:
+        """If x is a left descent of the geodesic w[k:], flip squares so
+        that w[k] == x and return True; else leave w alone."""
+        swap, cur, j = self.swap, x, k
+        while j < len(w) and w[j] != cur:
+            sq = swap.get((cur, w[j]))
+            if sq is None:
+                return False
+            cur = sq[1]
+            j += 1
+        if j == len(w):
+            return False
+        # the squares crossed by the sink, flipped from the right
+        for i in range(j - 1, k - 1, -1):
+            a, b = w[i], w[i + 1]
+            c, d = swap[(a, b)]
+            if trace is not None:
+                trace.append(("swap", i, tuple(self.names[y] for y in (a, b, d, c))))
+            w[i], w[i + 1] = c, d
+        return True
 
-        forward = [self.descriptor_to_move(d) for d in trail(sides[0], meet)]
-        backward = [self.descriptor_to_move(d) for d in trail(sides[1], meet)]
-        return forward + [m.inverted() for m in reversed(backward)]
+    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
+        """The shortlex-least geodesic: at each position the least left
+        descent of what remains."""
+        w = self.geodesic(t)
+        for k in range(len(w)):
+            x = 0
+            while not self._lift(w, k, x, None):
+                x += 1  # stops at w[k] at the latest, which cancels at once
+        return tuple(w)
+
+    def paths(self, t1: Sequence[int], t2: Sequence[int]):
+        """Traces from t1 and from t2 to one common word, for t1 and t2
+        spelling the same element: both sink to geodesics, and the first
+        is flipped into the second letter by letter.  Each flip reorders
+        two hyperplanes that the geodesics cross in opposite orders, so
+        the flips between them are as few as possible."""
+        forward, backward = [], []
+        g1 = self.geodesic(t1, forward)
+        for k, x in enumerate(self.geodesic(t2, backward)):
+            self._lift(g1, k, x, forward)
+        return forward, backward
 
 
-_SYSTEMS: Dict[Presentation, RewriteSystem] = {}
+class SplitSystem(_Codec):
+    """J4 through the split g = u · s14^p with u in J4'."""
+
+    def __init__(self, P: Presentation):
+        super().__init__(P)
+        self.inner = system_for(cactus.j4prime_presentation())
+        self.reversal = self.alphabet.index("s14")
+        inner_names = self.inner.names
+        self._outer = [self.alphabet.index(nm) for nm in inner_names]
+        self._mirror = [inner_names.index(cactus.mirror_generator(nm)) for nm in inner_names]
+
+    def _split(self, t: Sequence[int], trace: Trace = None):
+        u, p = cactus.push_s14_right(self.decode(t), trace)
+        return self.inner.encode(u), p
+
+    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
+        u, p = self._split(t)
+        w = self.inner.normal_form(u)
+        outer = self._outer
+        if not p:
+            return tuple(outer[x] for x in w)
+        # s14 is a left descent of u · s14 throughout, and w[k] is the
+        # least descent of w[k:]; s14 comes once w[k] sorts after it,
+        # and s14 · v = mirror(v) · s14 for the rest v
+        k = 0
+        while k < len(w) and outer[w[k]] < self.reversal:
+            k += 1
+        rest = self.inner.normal_form([self._mirror[x] for x in w[k:]])
+        return tuple(outer[x] for x in w[:k]) + (self.reversal,) + tuple(outer[x] for x in rest)
+
+    def paths(self, t1: Sequence[int], t2: Sequence[int]):
+        # equal elements share p, so after the splits only the J4' words
+        # u1 and u2 differ, and their moves leave the trailing s14 alone
+        forward, backward = [], []
+        u1, _ = self._split(t1, forward)
+        u2, _ = self._split(t2, backward)
+        f, b = self.inner.paths(u1, u2)
+        return forward + f, backward + b
 
 
-def system_for(P: Presentation) -> RewriteSystem:
+_SYSTEMS: Dict[Presentation, _Codec] = {}
+
+
+def system_for(P: Presentation):
     sys = _SYSTEMS.get(P)
     if sys is None:
-        sys = RewriteSystem(P)
+        sys = SplitSystem(P) if P == cactus.j4_presentation() else RewriteSystem(P)
         _SYSTEMS[P] = sys
     return sys
-
-
-def rewrite_neighbors(w: Word, P: Presentation, slack: int = DEFAULT_BUDGET.slack):
-    """All words one move away: swaps, pair deletions, and (when slack
-    allows a +2 excursion) pair insertions."""
-    sys = system_for(P)
-    t = sys.encode(w)
-    out = set()
-    for y, _desc in sys.moves_from(t, allow_insert=slack >= 2):
-        if y != t:
-            out.add(sys.decode(y))
-    return out
 
 
 def words_equal(
@@ -407,72 +358,55 @@ def words_equal(
     budget: RewriteBudget = DEFAULT_BUDGET,
     certificate: bool = False,
 ) -> EqualityResult:
-    """Budgeted equality in the presented group.
+    """Exact equality in the presented group.
 
-    True verdicts are sound (a rewrite path exists under the budget's
-    length cap); false verdicts are PROVEN-UNEQUAL when the
-    symmetric-group projection differs, otherwise
-    NOT-FOUND-WITHIN-BUDGET.
+    EQUAL when the normal forms agree, with a replay-checked
+    certificate if asked for; otherwise PROVEN-UNEQUAL with the two
+    normal forms as witness.  `budget` changes nothing.
     """
     sys = system_for(P)
     t1, t2 = sys.encode(w1), sys.encode(w2)
-    if sys.sym_n is not None and sys.project(t1).images != sys.project(t2).images:
-        return EqualityResult(False, PROVEN_UNEQUAL)
-    try:
-        c1 = sys.dcanon(t1, max_states=budget.max_states)
-        c2 = sys.dcanon(t2, max_states=budget.max_states)
-        equal = c1 == c2
-        if not equal and budget.slack > 0:
-            cap = max(len(t1), len(t2)) + budget.slack
-            equal = sys.xcanon(t1, cap, budget.max_states) == sys.xcanon(
-                t2, cap, budget.max_states
-            )
-    except RewriteBudgetExceeded:
-        return EqualityResult(False, NOT_FOUND)
-    if not equal:
-        return EqualityResult(False, NOT_FOUND)
+    c1, c2 = sys.normal_form(t1), sys.normal_form(t2)
+    if c1 != c2:
+        return EqualityResult(False, PROVEN_UNEQUAL, witness=(sys.decode(c1), sys.decode(c2)))
     if not certificate:
         return EqualityResult(True, EQUAL)
-    cap = max(len(t1), len(t2)) + budget.slack
-    path = sys.find_path(t1, t2, cap, budget.max_states)
-    if path is None:
-        return EqualityResult(True, EQUAL, None)
-    cert = EqualityCertificate(tuple(path))
-    if not cert.verify(w1, w2):
+    forward, backward = sys.paths(t1, t2)
+    moves = [sys.move(s) for s in forward]
+    moves += [sys.move(s).inverted() for s in reversed(backward)]
+    cert = EqualityCertificate(tuple(moves))
+    if not cert.verify(P, w1, w2):
         raise AssertionError("internal error: certificate failed to replay")
     return EqualityResult(True, EQUAL, cert)
 
 
 def canonical_form(w: Word, P: Presentation, budget: RewriteBudget = DEFAULT_BUDGET) -> Word:
+    """The shortlex-least geodesic spelling of w; `budget` changes nothing."""
     sys = system_for(P)
-    return sys.decode(sys.canonical(sys.encode(w), budget))
+    return sys.decode(sys.normal_form(sys.encode(w)))
+
+
+def _sphere_tuples(sys, L: int) -> Tuple[Tuple[int, ...], ...]:
+    cached = sys._spheres.get(L)
+    if cached is None:
+        if L == 0:
+            cached = ((),)
+        else:
+            found = set()
+            for t in _sphere_tuples(sys, L - 1):
+                for g in range(sys.n):
+                    c = sys.normal_form(t + (g,))
+                    if len(c) == L:
+                        found.add(c)
+            cached = tuple(sorted(found))
+        sys._spheres[L] = cached
+    return cached
 
 
 def sphere(P: Presentation, L: int, budget: RewriteBudget = DEFAULT_BUDGET):
     """Canonical representatives of the elements of geodesic length
-    exactly L, sorted shortlex."""
+    exactly L, sorted shortlex; `budget` changes nothing."""
     if L < 0:
         raise ValueError("L must be >= 0")
     sys = system_for(P)
-    key = (budget.slack, L)
-    cached = sys._spheres.get(key)
-    if cached is None:
-        if L == 0:
-            reps = ((),)
-        else:
-            prev = sphere(P, L - 1, budget)
-            found = set()
-            for w in prev:
-                t = sys.encode(w)
-                for g in range(sys.n):
-                    c = sys.canonical(t + (g,), budget)
-                    if len(c) == L:
-                        found.add(c)
-            reps = tuple(sorted(found, key=_tuple_key))
-        sys._spheres[key] = reps
-        cached = reps
-    return [sys.decode(t) for t in cached]
-
-
-def ball_counts(P: Presentation, radius: int, budget: RewriteBudget = DEFAULT_BUDGET):
-    return [len(sphere(P, L, budget)) for L in range(radius + 1)]
+    return [sys.decode(t) for t in _sphere_tuples(sys, L)]

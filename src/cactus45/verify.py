@@ -169,7 +169,7 @@ def _check_sphere_tables(tol: float) -> str:
     res = words_equal(first, second, P, certificate=True)
     _require(res.equal, "alternative spelling pair not equal")
     _require(
-        res.certificate is not None and res.certificate.verify(first, second),
+        res.certificate is not None and res.certificate.verify(P, first, second),
         "alternative spelling certificate does not replay",
     )
     return (
@@ -216,7 +216,7 @@ def _check_pure_enumeration(tol: float) -> str:
         res = words_equal(prod, identity, P, certificate=True)
         _require(res.equal, f"short words {i} and {j} are not inverse")
         _require(
-            res.certificate is not None and res.certificate.verify(prod, identity),
+            res.certificate is not None and res.certificate.verify(P, prod, identity),
             f"inverse certificate for pair ({i}, {j}) does not replay",
         )
     return (
@@ -264,8 +264,11 @@ def _check_reversal_conjugation(tol: float) -> str:
     for i in range(1, 13):
         lhs = P4.word("s14 " + ref.SHORT_PURE_WORDS[i])
         rhs = P4.word(ref.SHORT_PURE_WORDS[13 - i] + " s14")
-        res = words_equal(lhs, rhs, P4)
-        _require(res.equal, f"conjugation identity fails at index {i}")
+        res = words_equal(lhs, rhs, P4, certificate=True)
+        _require(
+            res.equal and res.certificate.verify(P4, lhs, rhs),
+            f"conjugation identity fails at index {i}",
+        )
     return (
         "full reversal conjugates short word i to short word 13-i for all "
         "12 listed indices, certified in the six-generator group"

@@ -1,0 +1,151 @@
+"""Reference oracle for the rewrite layer: the budgeted closure search
+that `cactus45.rewrite` ran before its exact engine.
+
+Moves come from the stored relators: a square x·x deletes or inserts an
+adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
+relator replaces the adjacent pair (y1, y2) by (y4, y3).  The slack-0
+canonical form is the shortlex-least word reachable by swaps and
+deletions (a descending closure, memoised per swap component); with
+slack s > 0 the search may also insert pairs while the length stays at
+most |w| + s.  Exponential in the word length, so only short words are
+fed to it; the tests compare the exact engine against it.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, Tuple
+
+from cactus45.words import Presentation, Word
+
+
+def _key(t):
+    return (len(t), t)
+
+
+class ClosureOracle:
+    def __init__(self, P: Presentation):
+        self.alphabet = P.alphabet
+        self.names = P.alphabet.names()
+        self.n = len(self.names)
+        # (y1, y2) -> the pairs (y4, y3) over the relator rotations y1 y2 y3 y4
+        self.flips: Dict[Tuple[int, int], list] = {}
+        for r in P.relators:
+            idx = tuple(self.alphabet.index(nm) for nm, _ in r.letters)
+            if len(idx) == 4:
+                for i in range(4):
+                    rot = idx[i:] + idx[:i]
+                    for y in (rot, rot[::-1]):
+                        flips = self.flips.setdefault(y[:2], [])
+                        if (y[3], y[2]) not in flips:
+                            flips.append((y[3], y[2]))
+        self._dcanon: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self._xcanon: Dict[Tuple, Tuple[int, ...]] = {}
+        self._spheres: Dict[Tuple[int, int], Tuple] = {}
+
+    def encode(self, w: Word) -> Tuple[int, ...]:
+        return tuple(self.alphabet.index(nm) for nm, _ in w.letters)
+
+    def decode(self, t) -> Word:
+        return Word(self.alphabet, [(self.names[i], 1) for i in t])
+
+    def swap_neighbors(self, t):
+        for pos in range(len(t) - 1):
+            for new in self.flips.get(t[pos : pos + 2], ()):
+                yield t[:pos] + new + t[pos + 2 :]
+
+    def delete_neighbors(self, t):
+        for pos in range(len(t) - 1):
+            if t[pos] == t[pos + 1]:
+                yield t[:pos] + t[pos + 2 :]
+
+    def insert_neighbors(self, t):
+        for pos in range(len(t) + 1):
+            for g in range(self.n):
+                yield t[:pos] + (g, g) + t[pos:]
+
+    def dcanon(self, t):
+        """Shortlex-least word reachable by swaps and deletions."""
+        cached = self._dcanon.get(t)
+        if cached is not None:
+            return cached
+        comp, stack, children, hit = {t}, [t], set(), None
+        while stack and hit is None:
+            x = stack.pop()
+            for y in self.swap_neighbors(x):
+                if y not in comp:
+                    comp.add(y)
+                    hit = self._dcanon.get(y)
+                    if hit is not None:
+                        break
+                    stack.append(y)
+            children.update(self.delete_neighbors(x))
+        if hit is not None:
+            best = hit
+        else:
+            best = min(comp)
+            for ch in children:
+                v = self.dcanon(ch)
+                if _key(v) < _key(best):
+                    best = v
+        for x in comp:
+            self._dcanon[x] = best
+        return best
+
+    def xcanon(self, t, cap):
+        """Shortlex-least word reachable with every length <= cap."""
+        c0 = self.dcanon(t)
+        key = (c0, cap)
+        if key not in self._xcanon:
+            best, visited, queue = c0, {c0}, deque([c0])
+            while queue:
+                x = queue.popleft()
+                nbrs = list(self.swap_neighbors(x)) + list(self.delete_neighbors(x))
+                if len(x) + 2 <= cap:
+                    nbrs.extend(self.insert_neighbors(x))
+                for y in nbrs:
+                    if y not in visited:
+                        visited.add(y)
+                        queue.append(y)
+                        if _key(y) < _key(best):
+                            best = y
+            self._xcanon[key] = best
+        return self._xcanon[key]
+
+    def canonical(self, t, slack=2):
+        return self.dcanon(t) if slack == 0 else self.xcanon(t, len(t) + slack)
+
+    def sphere(self, L, slack=2):
+        """Canonical forms of geodesic length exactly L, shortlex sorted."""
+        key = (slack, L)
+        if key not in self._spheres:
+            found = {()} if L == 0 else {
+                c
+                for t in self.sphere(L - 1, slack)
+                for g in range(self.n)
+                for c in [self.canonical(t + (g,), slack)]
+                if len(c) == L
+            }
+            self._spheres[key] = tuple(sorted(found))
+        return self._spheres[key]
+
+
+_ORACLES: Dict[Presentation, ClosureOracle] = {}
+
+
+def oracle_for(P: Presentation) -> ClosureOracle:
+    if P not in _ORACLES:
+        _ORACLES[P] = ClosureOracle(P)
+    return _ORACLES[P]
+
+
+def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):
+    """All words one move away: swaps, pair deletions and, when slack
+    allows a +2 excursion, pair insertions."""
+    o = oracle_for(P)
+    t = o.encode(w)
+    out = set(o.swap_neighbors(t)) | set(o.delete_neighbors(t))
+    if slack >= 2:
+        out |= set(o.insert_neighbors(t))
+    out.discard(t)
+    return {o.decode(y) for y in out}

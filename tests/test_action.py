@@ -87,8 +87,10 @@ def test_unknown_generator_name():
 
 def test_split_form_certified(gens):
     for name in ("g1", "g2", "g9"):
-        res = gens[name].certify_split()
+        g = gens[name]
+        res = g.certify_split()
         assert res.equal and res.certificate is not None
+        assert res.certificate.verify(J4, g.word, embed_with_reversal(g.j4p_form, g.parity))
 
 
 def test_from_word_roundtrip(gens):

@@ -10,6 +10,8 @@ from cactus45.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_BALL_RADIUS,
+    MAX_SPHERE_LENGTH,
     RunReport,
     emit_report,
     main,
@@ -56,6 +58,26 @@ def test_sphere_negative_length_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sphere", "--length", "13"), "--length 13"),
+        (("sphere", "--group", "j4", "--length", "40"), "--length 40"),
+        (("complex", "--radius", "9"), "--radius 9"),
+    ],
+)
+def test_oversized_requests_are_usage_errors(capsys, argv, flag):
+    # sphere --length is capped at 12 and complex --radius at 8
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag} is above the limit" in err
+
+
+def test_size_limits_are_the_documented_ones():
+    assert (MAX_SPHERE_LENGTH, MAX_BALL_RADIUS) == (12, 8)
 
 
 def test_sphere_bad_budget_slack_is_usage_error(capsys):

@@ -1,21 +1,30 @@
+import itertools
 import random
 
 import pytest
 
-from cactus45.cactus import j4_presentation, j4prime_presentation, project_to_symmetric
+from cactus45.cactus import (
+    cactus_presentation,
+    j4_presentation,
+    j4prime_presentation,
+    project_to_symmetric,
+)
 from cactus45.rewrite import (
     DEFAULT_BUDGET,
     EQUAL,
-    NOT_FOUND,
     PROVEN_UNEQUAL,
+    EqualityCertificate,
+    Move,
     RewriteBudget,
-    RewriteBudgetExceeded,
+    RewriteSystem,
     canonical_form,
-    rewrite_neighbors,
     sphere,
+    system_for,
     words_equal,
 )
 from cactus45.words import Word
+
+from rewrite_oracle import oracle_for, rewrite_neighbors
 
 from fixtures import (
     A_INVERSE_PAIRS,
@@ -85,9 +94,14 @@ def test_canonical_form_constant_on_class():
             assert canonical_form(n, PP) == c
 
 
-def test_canonical_form_budget_exhaustion_flagged():
-    with pytest.raises(RewriteBudgetExceeded):
-        canonical_form(pw(A_WORDS[1] + " " + A_WORDS[2]), PP, RewriteBudget(slack=2, max_states=5))
+def test_canonical_form_of_long_word_is_exact():
+    # a 10^3-letter spelling of a known length-8 normal form, built by
+    # relator moves; a tiny budget changes nothing
+    rng = random.Random(5)
+    target = sphere(PP, 8)[1234]
+    word = relator_walk(PP, target, 1000, rng)
+    assert len(word) >= 1000
+    assert canonical_form(word, PP, RewriteBudget(slack=2, max_states=5)) == target
 
 
 def test_sphere_counts():
@@ -145,8 +159,8 @@ def test_equal_with_certificate_replays():
     res = words_equal(w1, w2, PP, certificate=True)
     assert res.equal and res.status == EQUAL
     assert res.certificate is not None
-    assert res.certificate.verify(w1, w2)
-    assert res.certificate.replay(w1) == w2
+    assert res.certificate.verify(PP, w1, w2)
+    assert res.certificate.replay(PP, w1) == w2
 
 
 def test_unequal_by_projection_is_proven():
@@ -156,18 +170,20 @@ def test_unequal_by_projection_is_proven():
 
 
 def test_unequal_same_projection_is_not_found():
-    # same symmetric-group image but different elements
+    # same symmetric-group image but different elements: the distinct
+    # normal forms decide it and are the witness
     w1, w2 = pw(A_WORDS[1]), pw(A_WORDS[3])
     assert project_to_symmetric(w1, 4).images == project_to_symmetric(w2, 4).images
     res = words_equal(w1, w2, PP)
     assert not res.equal
-    assert res.status == NOT_FOUND
+    assert res.status == PROVEN_UNEQUAL
+    assert res.witness == (canonical_form(w1, PP), canonical_form(w2, PP))
 
 
 def test_inverse_pair_collapses_to_identity():
     res = words_equal(pw(A_WORDS[1] + " " + A_WORDS[17]), pw("e"), PP, certificate=True)
     assert res.equal
-    assert res.certificate.verify(pw(A_WORDS[1] + " " + A_WORDS[17]), pw("e"))
+    assert res.certificate.verify(PP, pw(A_WORDS[1] + " " + A_WORDS[17]), pw("e"))
 
 
 def test_full_group_equality_with_fourth_generator():
@@ -188,7 +204,7 @@ def test_inverse_table():
         prod = pw(A_WORDS[i] + " " + A_WORDS[j])
         res = words_equal(prod, pw("e"), PP, certificate=True)
         assert res.equal, (i, j)
-        assert res.certificate is not None and res.certificate.verify(prod, pw("e"))
+        assert res.certificate is not None and res.certificate.verify(PP, prod, pw("e"))
 
 
 def test_certificates_preserve_projection():
@@ -230,3 +246,133 @@ def test_rewrite_layer_rejects_noninvolutive_alphabet():
     P = Presentation(free, [Word.parse(free, "a a a")])
     with pytest.raises(ValueError):
         canonical_form(Word.parse(free, "a"), P)
+
+
+# ---------------------------------------------------------------------------
+# the exact engine against the closure oracle, and on long random words
+
+
+def flip_at_random(P, t, count, rng):
+    """`count` attempts at a square flip at a random position of the
+    index list t, in place."""
+    o = oracle_for(P)
+    for _ in range(count):
+        p = rng.randrange(max(len(t) - 1, 1))
+        flips = o.flips.get(tuple(t[p : p + 2]))
+        if flips:
+            t[p : p + 2] = rng.choice(flips)
+
+
+def relator_walk(P, w, length, rng):
+    """A spelling of w's element with at least `length` letters, reached
+    by random relator moves: square insertions, each followed by a few
+    square flips, and a round of flips at the end."""
+    o = oracle_for(P)
+    t = list(o.encode(w))
+    while len(t) < length:
+        p, g = rng.randrange(len(t) + 1), rng.randrange(o.n)
+        t[p:p] = [g, g]
+        flip_at_random(P, t, 8, rng)
+    flip_at_random(P, t, len(t), rng)
+    return o.decode(t)
+
+
+def random_word(P, length, rng):
+    names = P.alphabet.names()
+    return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])
+
+
+def test_normal_form_matches_closure_oracle_on_all_short_words():
+    sys, o = system_for(PP), oracle_for(PP)
+    count = 0
+    for L in range(8):
+        for t in itertools.product(range(5), repeat=L):
+            assert sys.normal_form(t) == o.dcanon(t), t
+            count += 1
+    assert count == 97656
+
+
+def test_full_group_spheres_match_closure_oracle():
+    o = oracle_for(P4)
+    for L in range(5):
+        assert sphere(P4, L) == [o.decode(t) for t in o.sphere(L)]
+    assert [len(sphere(P4, L)) for L in range(6)] == [1, 6, 20, 55, 145, 380]
+
+
+@pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
+@pytest.mark.parametrize("length", [40, 200])
+def test_certificates_of_random_relator_walks_replay(P, length):
+    rng = random.Random(length)
+    for _ in range(5):
+        u = random_word(P, length, rng)
+        v = relator_walk(P, u, length + 20, rng)
+        res = words_equal(u, v, P, certificate=True)
+        assert res.equal and res.status == EQUAL
+        assert res.certificate.verify(P, u, v)
+        assert {m.kind for m in res.certificate.moves} <= {"swap", "delete", "insert"}
+
+
+def flip_distance(P, u, v):
+    """Fewest square flips from u to v, by breadth-first search."""
+    o = oracle_for(P)
+    start, goal = o.encode(u), o.encode(v)
+    layer, seen, d = {start}, {start}, 0
+    while goal not in layer:
+        layer = {y for x in layer for y in o.swap_neighbors(x)} - seen
+        seen |= layer
+        d += 1
+    return d
+
+
+def test_certificate_between_geodesics_is_a_shortest_flip_path():
+    rng = random.Random(9)
+    o = oracle_for(PP)
+    for u in rng.sample(sphere(PP, 8), 30):
+        t = list(o.encode(u))
+        flip_at_random(PP, t, 4, rng)
+        v = o.decode(t)
+        res = words_equal(u, v, PP, certificate=True)
+        assert len(res.certificate.moves) == flip_distance(PP, u, v)
+
+
+def test_normal_form_is_invariant_under_square_flips():
+    rng = random.Random(8)
+    o = oracle_for(PP)
+    for _ in range(40):
+        w = random_word(PP, rng.randrange(5, 60), rng)
+        t = list(o.encode(w))
+        flip_at_random(PP, t, 3 * len(t), rng)
+        assert canonical_form(o.decode(t), PP) == canonical_form(w, PP)
+
+
+def test_sphere_sizes_follow_the_growth_recurrence():
+    # rational growth a_L = 3 a_{L-1} - a_{L-2} (Cannon 1984)
+    sizes = [len(sphere(PP, L)) for L in range(10)]
+    assert sizes[3:] == [40, 105, 275, 720, 1885, 4935, 12920]
+    for L in range(3, 10):
+        assert sizes[L] == 3 * sizes[L - 1] - sizes[L - 2]
+
+
+def test_planted_fake_relator_is_rejected():
+    # s12 s13 s24 s34 is no relator, and the two words differ
+    w1, w2 = pw("s12 s13"), pw("s34 s24")
+    fake = EqualityCertificate((Move(0, pw("s12 s13 s24 s34"), "swap"),))
+    assert not fake.verify(PP, w1, w2)
+    with pytest.raises(ValueError):
+        fake.replay(PP, w1)
+    assert words_equal(w1, w2, PP).status == PROVEN_UNEQUAL
+    # a deletion or insertion must use a stored square
+    assert not EqualityCertificate((Move(0, pw("s12 s13"), "delete"),)).verify(PP, w1, pw("e"))
+    assert not EqualityCertificate((Move(0, pw("s12 s13"), "insert"),)).verify(PP, pw("e"), w1)
+    # a genuine relator rotation and its reverse are accepted
+    real = EqualityCertificate((Move(0, pw("s12 s34 s12 s34"), "swap"),))
+    assert real.verify(PP, pw("s12 s34"), pw("s34 s12"))
+    back = EqualityCertificate((Move(0, pw("s13 s12 s13 s23"), "swap").inverted(),))
+    assert back.verify(PP, pw("s23 s13"), pw("s13 s12"))
+
+
+def test_engine_rejects_complexes_that_are_not_cat0():
+    with pytest.raises(ValueError, match="triangle"):
+        RewriteSystem(P4)  # the full reversal's link has triangles
+    with pytest.raises(ValueError):
+        canonical_form(Word.parse(cactus_presentation(5).alphabet, "s12"), cactus_presentation(5))
