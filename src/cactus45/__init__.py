@@ -62,7 +62,6 @@ from .dirichlet import (
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     GroupHom,
-    SearchBudget,
     SearchResult,
     TrivialityCertificate,
     WellDefinedVerdict,
@@ -81,12 +80,9 @@ from .grouptheory import (
     word_problem_search,
 )
 from .rewrite import (
-    DEFAULT_BUDGET,
     EqualityCertificate,
     EqualityResult,
     Move,
-    RewriteBudget,
-    RewriteBudgetExceeded,
     canonical_form,
     sphere,
     words_equal,

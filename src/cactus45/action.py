@@ -20,14 +20,7 @@ from .cactus import (
     project_to_symmetric,
     push_s14_right,
 )
-from .rewrite import (
-    DEFAULT_BUDGET,
-    EqualityResult,
-    RewriteBudget,
-    canonical_form,
-    sphere,
-    words_equal,
-)
+from .rewrite import EqualityResult, canonical_form, sphere, words_equal
 from .words import Word, invert
 
 _J4 = j4_presentation()
@@ -56,22 +49,20 @@ class PureElement:
     parity: int  # 1 when a trailing full reversal is present
 
     @classmethod
-    def from_word(cls, w: Word, budget: RewriteBudget = DEFAULT_BUDGET) -> "PureElement":
+    def from_word(cls, w: Word) -> "PureElement":
         if project_to_symmetric(w, 4) != _ID4:
             raise ValueError(f"{w} is not pure: nontrivial strand permutation")
         j4p_raw, parity = push_s14_right(w)
-        return cls(w, canonical_form(j4p_raw, _J4P, budget), parity)
+        return cls(w, canonical_form(j4p_raw, _J4P), parity)
 
     @classmethod
-    def from_vertex(
-        cls, vertex: Word, parity: int, budget: RewriteBudget = DEFAULT_BUDGET
-    ) -> "PureElement":
+    def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":
         word = embed_with_reversal(vertex, parity)
         if project_to_symmetric(word, 4) != _ID4:
             raise ValueError(
                 f"{vertex} with reversal parity {parity} is not pure"
             )
-        return cls(word, canonical_form(vertex, _J4P, budget), parity)
+        return cls(word, canonical_form(vertex, _J4P), parity)
 
     @classmethod
     def identity(cls) -> "PureElement":
@@ -84,49 +75,44 @@ class PureElement:
     def __mul__(self, other: "PureElement") -> "PureElement":
         return self.compose(other)
 
-    def compose(
-        self, other: "PureElement", budget: RewriteBudget = DEFAULT_BUDGET
-    ) -> "PureElement":
+    def compose(self, other: "PureElement") -> "PureElement":
         moved = mirror_word(other.j4p_form) if self.parity else other.j4p_form
         return PureElement(
             self.word * other.word,
-            canonical_form(self.j4p_form * moved, _J4P, budget),
+            canonical_form(self.j4p_form * moved, _J4P),
             (self.parity + other.parity) % 2,
         )
 
-    def inverse(self, budget: RewriteBudget = DEFAULT_BUDGET) -> "PureElement":
+    def inverse(self) -> "PureElement":
         # (v · s14^p)^-1 = mirror^p(v^-1) · s14^p
         j4p_inv = invert(self.j4p_form)
         if self.parity:
             j4p_inv = mirror_word(j4p_inv)
         return PureElement(
             invert(self.word),
-            canonical_form(j4p_inv, _J4P, budget),
+            canonical_form(j4p_inv, _J4P),
             self.parity,
         )
 
-    def certify_split(self, budget: RewriteBudget = DEFAULT_BUDGET) -> EqualityResult:
+    def certify_split(self) -> EqualityResult:
         """Certificate that the stored spelling equals the split form."""
         return words_equal(
             self.word,
             embed_with_reversal(self.j4p_form, self.parity),
             _J4,
-            budget,
             certificate=True,
         )
 
 
-def gamma(
-    g: PureElement, h: Word, budget: RewriteBudget = DEFAULT_BUDGET
-) -> Word:
+def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
     moved = mirror_word(h) if g.parity else h
-    return canonical_form(g.j4p_form * moved, _J4P, budget)
+    return canonical_form(g.j4p_form * moved, _J4P)
 
 
-def orbit_point(g: PureElement, budget: RewriteBudget = DEFAULT_BUDGET) -> Word:
+def orbit_point(g: PureElement) -> Word:
     """Image of the identity vertex under g."""
-    return gamma(g, Word(_J4P.alphabet, ()), budget)
+    return gamma(g, Word(_J4P.alphabet, ()))
 
 
 # translation generators of the pure subgroup: five-generator component
@@ -148,25 +134,23 @@ GENERATOR_TABLE: Dict[str, tuple] = {
 GENERATOR_NAMES = tuple(GENERATOR_TABLE)
 
 
-def standard_generators(budget: RewriteBudget = DEFAULT_BUDGET) -> Dict[str, PureElement]:
+def standard_generators() -> Dict[str, PureElement]:
     out = {}
     for name, (text, parity) in GENERATOR_TABLE.items():
-        out[name] = PureElement.from_vertex(_J4P.word(text), parity, budget)
+        out[name] = PureElement.from_vertex(_J4P.word(text), parity)
     return out
 
 
-def standard_generator(name: str, budget: RewriteBudget = DEFAULT_BUDGET) -> PureElement:
+def standard_generator(name: str) -> PureElement:
     base = name[:-3] if name.endswith("^-1") else name
     if base not in GENERATOR_TABLE:
         raise KeyError(f"unknown pure generator {name!r}")
     text, parity = GENERATOR_TABLE[base]
-    g = PureElement.from_vertex(_J4P.word(text), parity, budget)
-    return g.inverse(budget) if base != name else g
+    g = PureElement.from_vertex(_J4P.word(text), parity)
+    return g.inverse() if base != name else g
 
 
-def pure_elements_within(
-    max_dist: int, budget: RewriteBudget = DEFAULT_BUDGET
-) -> List[PureElement]:
+def pure_elements_within(max_dist: int) -> List[PureElement]:
     """Nontrivial pure elements whose orbit point lies within max_dist
     of the identity vertex, via the central-image filter on spheres."""
     if max_dist < 0:
@@ -175,14 +159,14 @@ def pure_elements_within(
         raise ValueError(
             "enumeration is supported up to distance 4; odd distances "
             "are excluded by the parity law and larger even ones are "
-            "outside the verified budget"
+            "outside the verified range"
         )
     found: List[PureElement] = []
     for L in range(1, max_dist + 1):
-        for v in sphere(_J4P, L, budget):
+        for v in sphere(_J4P, L):
             p = project_to_symmetric(v, 4)
             if p == _ID4:
-                found.append(PureElement.from_vertex(v, 0, budget))
+                found.append(PureElement.from_vertex(v, 0))
             elif p == _FULL_REVERSAL:
-                found.append(PureElement.from_vertex(v, 1, budget))
+                found.append(PureElement.from_vertex(v, 1))
     return found

@@ -6,13 +6,14 @@ corner cycles, the induced presentation and its one-relator reduction,
 certificate-checked isomorphism verification, SVG figures, and the
 thirteen-point verification registry.  Reports serialize as
 deterministic JSON (stable key order, no timestamps) or as plain-text
-tables; exit codes are 0 for success, 1 for a failed check, 2 for an
-inconclusive isomorphism check, and 64 for usage errors.
+tables; exit codes are 0 for success, 1 for a failed check (including
+a refuted isomorphism check), and 64 for usage errors.  Every word
+problem the pipeline asks is decided exactly, so an isomorphism check
+is either verified or refuted.
 
 Sizes are capped so every run stays bounded: `sphere --length` at
 most 12 (231,840 elements in J4') and `complex --radius` at most 8;
-larger values are usage errors.  `--budget-slack` is accepted and
-echoed in the report, but the word problem is exact and ignores it.
+larger values are usage errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .action import standard_generators
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
 from .dirichlet import (
-    EXACT_BUDGET,
     classify_identified_surface,
     dirichlet_polygon,
     poincare_presentation,
@@ -47,13 +47,12 @@ from .grouptheory import (
     tietze_eliminate,
     verify_mutual_inverse,
 )
-from .rewrite import DEFAULT_BUDGET, RewriteBudget, sphere
+from .rewrite import sphere
 from .verify import run_all
 from .words import Presentation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 MAX_SPHERE_LENGTH = 12
@@ -155,16 +154,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
 # subcommand handlers; each returns (parameters, results, exit code)
 
 
-def _budget_from(args) -> RewriteBudget:
-    slack = getattr(args, "budget_slack", None)
-    if slack is None:
-        return DEFAULT_BUDGET
-    try:
-        return RewriteBudget(slack=slack)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _check_limit(flag: str, value: int, limit: int) -> None:
     if value > limit:
         raise UsageError(f"{flag} {value} is above the limit of {limit}")
@@ -172,14 +161,9 @@ def _check_limit(flag: str, value: int, limit: int) -> None:
 
 def _cmd_sphere(args) -> Tuple[dict, dict, int]:
     _check_limit("--length", args.length, MAX_SPHERE_LENGTH)
-    budget = _budget_from(args)
     P = j4prime_presentation() if args.group == "j4p" else j4_presentation()
-    words = sphere(P, args.length, budget)
-    params = {
-        "group": args.group,
-        "length": args.length,
-        "budget_slack": budget.slack,
-    }
+    words = sphere(P, args.length)
+    params = {"group": args.group, "length": args.length}
     results = {
         "count": len(words),
         "words": [str(w) for w in words],
@@ -210,9 +194,8 @@ def _cmd_pure(args) -> Tuple[dict, dict, int]:
 
 def _cmd_complex(args) -> Tuple[dict, dict, int]:
     _check_limit("--radius", args.radius, MAX_BALL_RADIUS)
-    budget = _budget_from(args)
     P = j4prime_presentation()
-    ball = build_ball(P, args.radius, budget)
+    ball = build_ball(P, args.radius)
     histogram: Dict[str, int] = {}
     for _, dist in ball.vertices.items():
         histogram[str(dist)] = histogram.get(str(dist), 0) + 1
@@ -235,8 +218,7 @@ def _cmd_complex(args) -> Tuple[dict, dict, int]:
         }
         if not report.ok:
             code = EXIT_CHECK_FAILED
-    params = {"radius": args.radius, "budget_slack": budget.slack}
-    return params, results, code
+    return {"radius": args.radius}, results, code
 
 
 def _dirichlet_results() -> dict:
@@ -319,12 +301,10 @@ def _cmd_isocheck(args) -> Tuple[dict, dict, int]:
     backward = hom_well_defined(g)
     round_trips = verify_mutual_inverse(f, g)
     verdicts = [forward.verdict, backward.verdict, round_trips.verdict]
-    if any(v == "refuted" for v in verdicts):
-        overall, code = "refuted", EXIT_CHECK_FAILED
-    elif any(v == "inconclusive" for v in verdicts):
-        overall, code = "inconclusive", EXIT_INCONCLUSIVE
-    else:
+    if all(v == "verified" for v in verdicts):
         overall, code = "verified", EXIT_OK
+    else:
+        overall, code = "refuted", EXIT_CHECK_FAILED
     results = {
         "which": args.which,
         "verdict": overall,
@@ -342,11 +322,11 @@ _PALETTE = [f"hsl({i * 36}, 70%, 45%)" for i in range(10)]
 
 def _render_layers(what: str) -> List[dict]:
     P = j4prime_presentation()
-    ball = build_ball(P, 4, EXACT_BUDGET)
+    ball = build_ball(P, 4)
     emb = embed_ball(ball)
     identity = ball.identity()
     if what == "ball":
-        inner = build_ball(P, 3, EXACT_BUDGET)
+        inner = build_ball(P, 3)
         return [
             {
                 "kind": "segments",
@@ -667,9 +647,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sphere", parents=[common], help="enumerate one sphere")
     p.add_argument("--group", choices=("j4", "j4p"), default="j4p")
     p.add_argument("--length", type=_nonnegative_int, required=True)
-    p.add_argument(
-        "--budget-slack", type=int, default=None, help="accepted and echoed; changes nothing"
-    )
 
     sub.add_parser(
         "pure", parents=[common], help="list the twenty short pure elements"
@@ -679,9 +656,6 @@ def build_parser() -> _Parser:
         "complex", parents=[common], help="build and check a Cayley ball"
     )
     p.add_argument("--radius", type=_positive_int, default=3)
-    p.add_argument(
-        "--budget-slack", type=int, default=None, help="accepted and echoed; changes nothing"
-    )
 
     sub.add_parser(
         "dirichlet",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .rewrite import DEFAULT_BUDGET, RewriteBudget, sphere, system_for
+from .rewrite import sphere, system_for
 from .words import Presentation, Word, shortlex_key
 
 
@@ -115,11 +115,8 @@ def _relator_rotations(system) -> List[Tuple[int, ...]]:
     return sorted(rots)
 
 
-def build_ball(
-    P: Presentation, radius: int, budget: RewriteBudget = DEFAULT_BUDGET
-) -> CayleyBall:
-    """Ball of the given radius around the identity; `budget` changes
-    nothing (the rewrite layer is exact)."""
+def build_ball(P: Presentation, radius: int) -> CayleyBall:
+    """Ball of the given radius around the identity."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sys = system_for(P)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +35,7 @@ from .action import (
 from .cactus import j4prime_presentation
 from .complex import build_ball
 from .geometry import HPolygon, embed_ball
-from .rewrite import RewriteBudget, canonical_form, system_for
+from .rewrite import canonical_form, system_for
 from .words import Word, shortlex_key
 
 __all__ = [
@@ -48,10 +49,6 @@ __all__ = [
     "side_pairings",
     "vertex_cycles",
 ]
-
-# the budget passed down to the rewrite layer; that layer is exact, so
-# the value changes no result
-EXACT_BUDGET = RewriteBudget(slack=0)
 
 _FIFTH = math.pi / 5
 _ANGLE_TOL = 1e-6
@@ -141,19 +138,19 @@ class SurfaceClass:
 # polygon construction
 
 
-def _orbit_sites(budget: RewriteBudget) -> List[Word]:
+def _orbit_sites() -> List[Word]:
     """Orbit points that decide the word-metric Voronoi cell.
 
     The twenty shortest pure elements are listed first so the common
     exclusions short-circuit; their pairwise products (graph distance
     six or eight) settle the remaining length-four ties.
     """
-    shorts = pure_elements_within(4, budget)
+    shorts = pure_elements_within(4)
     seen: Dict[str, Word] = {}
     for g in shorts:
         seen.setdefault(str(g.j4p_form), g.j4p_form)
     for g, h in _iproduct(shorts, shorts):
-        w = g.compose(h, budget).j4p_form
+        w = g.compose(h).j4p_form
         if len(w):
             seen.setdefault(str(w), w)
     return list(seen.values())
@@ -172,18 +169,13 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
     return keep
 
 
-_CACHE: Dict[RewriteBudget, "LabeledPolygon"] = {}
-
-
-def dirichlet_polygon(budget: RewriteBudget = EXACT_BUDGET) -> LabeledPolygon:
+@lru_cache(maxsize=None)
+def dirichlet_polygon() -> LabeledPolygon:
     """Cell-adapted fundamental 20-gon around the identity vertex."""
-    if budget in _CACHE:
-        return _CACHE[budget]
-
     P = j4prime_presentation()
-    ball = build_ball(P, 4, budget)
+    ball = build_ball(P, 4)
     emb = embed_ball(ball)
-    keep = _voronoi_keeps(ball, _orbit_sites(budget))
+    keep = _voronoi_keeps(ball, _orbit_sites())
 
     # classify the square cells against the kept vertex set
     full_cells = []
@@ -271,25 +263,21 @@ def dirichlet_polygon(budget: RewriteBudget = EXACT_BUDGET) -> LabeledPolygon:
     if sorted(fifths) != [2] * 5 + [3] * 10 + [4] * 5:
         raise ValueError(f"unexpected angle classes {sorted(fifths)}")
 
-    result = LabeledPolygon(poly, labels, tuple(fifths), kinds)
-    _CACHE[budget] = result
-    return result
+    return LabeledPolygon(poly, labels, tuple(fifths), kinds)
 
 
 # ---------------------------------------------------------------------------
 # side pairings
 
 
-def side_pairings(
-    D: LabeledPolygon, budget: RewriteBudget = EXACT_BUDGET
-) -> List[SidePairing]:
+def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     """The ten generator rows carrying one boundary side onto another."""
     side_set = {frozenset(s) for s in D.sides()}
     pairings: List[SidePairing] = []
     used: Counter = Counter()
     for name in GENERATOR_NAMES:
-        g = standard_generator(name, budget)
-        images = {w: gamma(g, w, budget) for w in D.labels}
+        g = standard_generator(name)
+        images = {w: gamma(g, w) for w in D.labels}
         rows = []
         for u, v in D.sides():
             iu, iv = images[u], images[v]
@@ -338,7 +326,6 @@ def _walk_cycle(
     roles: Dict[frozenset, Tuple[str, SidePairing]],
     start_corner: Word,
     start_side: frozenset,
-    budget: RewriteBudget,
 ) -> Tuple[List[str], List[Word]]:
     sides_at: Dict[Word, List[frozenset]] = {}
     for s in D.sides():
@@ -353,8 +340,8 @@ def _walk_cycle(
         verts.append(corner)
         name, row = roles[side]
         gens.append(name)
-        g = standard_generator(name, budget)
-        image = gamma(g, corner, budget)
+        g = standard_generator(name)
+        image = gamma(g, corner)
         partner = frozenset(row.target)
         others = [s for s in sides_at[image] if s != partner]
         if image not in D.labels or len(others) != 1:
@@ -367,9 +354,7 @@ def _walk_cycle(
 
 
 def vertex_cycles(
-    D: LabeledPolygon,
-    pairings: Sequence[SidePairing],
-    budget: RewriteBudget = EXACT_BUDGET,
+    D: LabeledPolygon, pairings: Sequence[SidePairing]
 ) -> List[VertexCycle]:
     """Partition of the twenty corners into pairing cycles."""
     P = j4prime_presentation()
@@ -377,10 +362,8 @@ def vertex_cycles(
 
     # deterministic anchor: the length-3 corner and side that make the
     # five-letter relator come out in the documented generator order
-    anchor = canonical_form(P.word("s13 s24 s23"), P, budget)
-    anchor_side = frozenset(
-        (anchor, canonical_form(P.word("s13 s24"), P, budget))
-    )
+    anchor = canonical_form(P.word("s13 s24 s23"), P)
+    anchor_side = frozenset((anchor, canonical_form(P.word("s13 s24"), P)))
     a_idx = D.corner_index(anchor)
     a_sides = {frozenset(D.side_words(a_idx - 1)), frozenset(D.side_words(a_idx))}
     if anchor_side not in a_sides:
@@ -406,7 +389,7 @@ def vertex_cycles(
         for corner, side in queue:
             if corner in visited:
                 continue
-            gens, verts = _walk_cycle(D, roles, corner, side, budget)
+            gens, verts = _walk_cycle(D, roles, corner, side)
             for v in verts:
                 visited.add(v)
             fifths = tuple(D.angle_fifths[D.corner_index(v)] for v in verts)
@@ -426,8 +409,8 @@ def vertex_cycles(
     for c in anchored:
         total = None
         for name in c.generators:
-            g = standard_generator(name, budget)
-            total = g if total is None else g.compose(total, budget)
+            g = standard_generator(name)
+            total = g if total is None else g.compose(total)
         if total is None or not total.is_identity:
             raise ValueError(
                 f"cycle {c.generators} does not compose to the identity"

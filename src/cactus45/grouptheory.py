@@ -1,16 +1,18 @@
 """Presentation-level reasoning for the polygon quotient group.
 
 Tietze eliminations shrink the ten-generator presentation read off the
-fundamental polygon to a single relator on five generators; a bounded
-word-problem search and a greedy small-cancellation reduction (for
-presentations whose pieces are short enough) decide triviality with
-replayable certificates; and homomorphism verdicts chain those oracles
-to certify the isomorphisms with the two companion one-relator groups.
+fundamental polygon to a single relator on five generators.  All three
+one-relator groups here have piece ratio 1/10 < 1/6, so Dehn's greedy
+small-cancellation reduction decides their word problem exactly
+(Greendlinger's lemma; Lyndon-Schupp, Combinatorial Group Theory,
+Ch. V): an empty reduction comes with a replayable certificate, a
+nonempty one is the witness of nontriviality.  Homomorphism verdicts
+chain that decider to certify the isomorphisms with the two companion
+one-relator groups.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -33,7 +35,6 @@ __all__ = [
     "CertMove",
     "GroupHom",
     "STANDARD_ELIMINATIONS",
-    "SearchBudget",
     "SearchResult",
     "TrivialityCertificate",
     "WellDefinedVerdict",
@@ -388,90 +389,57 @@ def dehn_reduce(
 
 
 # ---------------------------------------------------------------------------
-# bounded word-problem search
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_length_factor: int = 3
-    max_depth: int = 40
-    max_states: int = 1_000_000
+# exact word problem
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a bounded triviality search.
+    """Exact verdict of `word_problem_search`.
 
-    status is "TRIVIAL" (with certificate) or "NOT-FOUND"; nontrivial
-    is set when the exponent vector already rules triviality out, so
-    NOT-FOUND with the flag is a refutation, without it inconclusive.
+    status is "TRIVIAL", with a replay-checked certificate, or
+    "NONTRIVIAL", with the nonempty Dehn-reduced word as witness;
+    oracle names the route taken, "dehn" or "tietze+dehn".
     """
 
     status: str
     certificate: Optional[TrivialityCertificate] = None
-    nontrivial: bool = False
-    reason: str = ""
+    witness: Optional[Word] = None
+    oracle: str = "dehn"
+
+    @property
+    def nontrivial(self) -> bool:
+        return self.status == "NONTRIVIAL"
 
 
-def word_problem_search(
-    w: Word, P: Presentation, budget: SearchBudget = SearchBudget()
-) -> SearchResult:
-    """Shortest-first search for a triviality certificate.
+def _dehn_decide(w: Word, P: Presentation, oracle: str) -> SearchResult:
+    reduced, moves = dehn_reduce(w, P, with_moves=True)
+    if len(reduced):
+        return SearchResult("NONTRIVIAL", witness=reduced, oracle=oracle)
+    cert = TrivialityCertificate(w, moves)
+    if not cert.check(P):
+        raise RuntimeError("reduction produced an unreplayable certificate")
+    return SearchResult("TRIVIAL", cert, oracle=oracle)
 
-    States are freely reduced words, expanded by splicing a cyclic
-    relator form at each position; intermediate words longer than
-    max_length_factor times the input are pruned.  Words whose
-    exponent vector lies outside the relators' integer row span are
-    refuted up front without searching.
+
+def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> SearchResult:
+    """Decide whether w is trivial in P.
+
+    Words of the ten-generator presentation are expanded through the
+    standard Tietze eliminations into the five-generator one-relator
+    group ("tietze+dehn"); oracle="tietze" accepts only such words.
+    Any other presentation must have piece ratio below 1/6: there
+    Dehn's algorithm decides the word problem (Greendlinger's lemma),
+    so a nonempty reduced word proves w nontrivial.  ValueError for a
+    presentation with no such decider.
     """
-    start = free_reduce(w)
-    if not len(start):
-        return SearchResult("TRIVIAL", TrivialityCertificate(w, ()))
-    rel_vectors = [exponent_vector(r) for r in P.relators]
-    if not in_integer_row_span(exponent_vector(start), rel_vectors):
-        return SearchResult(
-            "NOT-FOUND", None, True, "exponent vector outside relator span"
-        )
-
-    forms = sorted(_symmetrized_forms(P))
-    max_len = budget.max_length_factor * len(start)
-    heap: List[Tuple[int, int, Tuple]] = [(len(start), 0, start.letters)]
-    counter = 0
-    parents: Dict[Tuple, Tuple[Optional[Tuple], Optional[CertMove], int]] = {
-        start.letters: (None, None, 0)
-    }
-    popped = 0
-    while heap:
-        _, _, letters = heapq.heappop(heap)
-        popped += 1
-        if popped > budget.max_states:
-            return SearchResult("NOT-FOUND", None, False, "state budget exhausted")
-        depth = parents[letters][2]
-        if depth >= budget.max_depth:
-            continue
-        for form in forms:
-            for pos in range(len(letters) + 1):
-                child = free_reduce(
-                    Word(P.alphabet, letters[:pos] + form + letters[pos:])
-                )
-                cl = child.letters
-                if len(cl) > max_len or cl in parents:
-                    continue
-                parents[cl] = (letters, CertMove("insert", pos, form), depth + 1)
-                if not cl:
-                    moves: List[CertMove] = []
-                    cur: Tuple = cl
-                    while parents[cur][0] is not None:
-                        prev, mv, _ = parents[cur]
-                        moves.append(mv)
-                        cur = prev
-                    return SearchResult(
-                        "TRIVIAL",
-                        TrivialityCertificate(w, tuple(reversed(moves))),
-                    )
-                counter += 1
-                heapq.heappush(heap, (len(cl), counter, cl))
-    return SearchResult("NOT-FOUND", None, False, "search space exhausted")
+    if oracle not in ("auto", "tietze"):
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if P == ten_generator_presentation():
+        image = free_reduce(substitute(w, standard_expansion_images()))
+        return _dehn_decide(image, one_relator_presentation(), "tietze+dehn")
+    if oracle == "tietze":
+        raise ValueError("the tietze oracle decides ten-generator words")
+    return _dehn_decide(w, P, "dehn")
 
 
 # ---------------------------------------------------------------------------
@@ -555,114 +523,54 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class WellDefinedVerdict:
-    """verdict is "verified", "inconclusive", or "refuted"; each detail
-    row is (checked word, oracle used, status)."""
+    """verdict is "verified" or "refuted"; each detail row is
+    (checked word, oracle used, status)."""
 
     verdict: str
     details: Tuple[Tuple[str, str, str], ...]
     certificates: Tuple[Optional[TrivialityCertificate], ...]
 
 
-def _decide_trivial(
-    w: Word, P: Presentation, oracle: str, budget: SearchBudget
-) -> Tuple[str, Optional[TrivialityCertificate], str]:
-    """(status, checked certificate, oracle label) for one query.
-
-    status is "TRIVIAL", "NONTRIVIAL" (abelianization witness), or
-    "NOT-FOUND"; every certificate is replayed before being returned.
-    """
-    if oracle == "auto":
-        return _decide_trivial(
-            w, P, "dehn" if dehn_applicable(P) else "search", budget
-        )
-    if oracle == "dehn":
-        reduced, moves = dehn_reduce(w, P, with_moves=True)
-        if len(reduced):
-            if not in_integer_row_span(
-                exponent_vector(free_reduce(w)),
-                [exponent_vector(r) for r in P.relators],
-            ):
-                return "NONTRIVIAL", None, "dehn"
-            return "NOT-FOUND", None, "dehn"
-        cert = TrivialityCertificate(w, moves)
-        if not cert.check(P):
-            raise RuntimeError("reduction produced an unreplayable certificate")
-        return "TRIVIAL", cert, "dehn"
-    if oracle == "search":
-        res = word_problem_search(w, P, budget)
-        if res.certificate is not None and not res.certificate.check(P):
-            raise RuntimeError("search produced an unreplayable certificate")
-        if res.status == "TRIVIAL":
-            return "TRIVIAL", res.certificate, "search"
-        return ("NONTRIVIAL" if res.nontrivial else "NOT-FOUND"), None, "search"
-    if oracle == "tietze":
-        ten = ten_generator_presentation()
-        if w.alphabet != ten.alphabet:
-            raise ValueError("the tietze oracle decides ten-generator words")
-        image = free_reduce(substitute(w, standard_expansion_images()))
-        status, cert, label = _decide_trivial(
-            image, one_relator_presentation(), "auto", budget
-        )
-        return status, cert, f"tietze+{label}"
-    raise ValueError(f"unknown oracle {oracle!r}")
-
-
-def _verdict(statuses: Sequence[str]) -> str:
-    if all(s == "TRIVIAL" for s in statuses):
-        return "verified"
-    if any(s == "NONTRIVIAL" for s in statuses):
-        return "refuted"
-    return "inconclusive"
-
-
-def hom_well_defined(
-    h: GroupHom, oracle: str = "auto", budget: SearchBudget = SearchBudget()
-) -> WellDefinedVerdict:
-    """Certify that every source relator maps to a trivial target word."""
-    details = []
-    certs: List[Optional[TrivialityCertificate]] = []
-    for r in h.source.relators:
-        status, cert, label = _decide_trivial(h.apply(r), h.target, oracle, budget)
-        details.append((str(r), label, status))
-        certs.append(cert)
+def _verdict(rows: Sequence[Tuple[str, SearchResult]]) -> WellDefinedVerdict:
     return WellDefinedVerdict(
-        _verdict([d[2] for d in details]), tuple(details), tuple(certs)
+        "verified" if all(r.status == "TRIVIAL" for _, r in rows) else "refuted",
+        tuple((label, r.oracle, r.status) for label, r in rows),
+        tuple(r.certificate for _, r in rows),
+    )
+
+
+def hom_well_defined(h: GroupHom, oracle: str = "auto") -> WellDefinedVerdict:
+    """Certify that every source relator maps to a trivial target word."""
+    return _verdict(
+        [
+            (str(r), word_problem_search(h.apply(r), h.target, oracle))
+            for r in h.source.relators
+        ]
     )
 
 
 def verify_mutual_inverse(
-    f: GroupHom,
-    g: GroupHom,
-    oracle: str = "auto",
-    budget: SearchBudget = SearchBudget(),
-    both_directions: bool = True,
+    f: GroupHom, g: GroupHom, oracle: str = "auto"
 ) -> WellDefinedVerdict:
     """Certify g(f(x)) x^-1 trivial for every generator x (both ways)."""
     if f.target.alphabet != g.source.alphabet:
         raise ValueError("f.target and g.source do not match")
     if g.target.alphabet != f.source.alphabet:
         raise ValueError("g.target and f.source do not match")
-    details = []
-    certs: List[Optional[TrivialityCertificate]] = []
-
-    def run(first: GroupHom, second: GroupHom) -> None:
+    rows = []
+    for first, second in ((f, g), (g, f)):
         a = first.name or "first"
         b = second.name or "second"
         for name in first.source.alphabet.names():
             x = Word.parse(first.source.alphabet, name)
             round_trip = free_reduce(second.apply(first.apply(x)) * invert(x))
-            status, cert, label = _decide_trivial(
-                round_trip, second.target, oracle, budget
+            rows.append(
+                (
+                    f"{b}({a}({name}))",
+                    word_problem_search(round_trip, second.target, oracle),
+                )
             )
-            details.append((f"{b}({a}({name}))", label, status))
-            certs.append(cert)
-
-    run(f, g)
-    if both_directions:
-        run(g, f)
-    return WellDefinedVerdict(
-        _verdict([d[2] for d in details]), tuple(details), tuple(certs)
-    )
+    return _verdict(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ triangles, so its Cayley complex is not CAT(0).  Its elements split as
 u · s14^p with u in J4' (`cactus.push_s14_right`); the length is
 |u| + p, and s14 is a left descent exactly when p = 1.
 
-The budget types remain from the bounded search this module once ran.
-They are still accepted and validated, but no budget changes a result.
+Every answer is exact: no operation is cut off by a search limit.
 """
 
 from __future__ import annotations
@@ -46,14 +45,11 @@ PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
 EQUAL = "EQUAL"
 
 
-class RewriteBudgetExceeded(RuntimeError):
-    """Never raised by the exact engine; kept for callers that catch it."""
-
-
 @dataclass(frozen=True)
 class RewriteBudget:
-    """Search limits of the former bounded engine.  Validated and
-    accepted everywhere a budget is, but no result depends on them."""
+    """Search limits of the former bounded engine.  Only `sphere`
+    accepts one, and ignores it; kept because `perfbench/passrun.py`
+    passes one to `sphere`."""
 
     slack: int = 2
     max_states: int = 200_000
@@ -63,9 +59,6 @@ class RewriteBudget:
             raise ValueError("slack must be a nonnegative even integer")
         if self.max_states <= 0:
             raise ValueError("max_states must be positive")
-
-
-DEFAULT_BUDGET = RewriteBudget()
 
 
 @dataclass(frozen=True)
@@ -352,17 +345,13 @@ def system_for(P: Presentation):
 
 
 def words_equal(
-    w1: Word,
-    w2: Word,
-    P: Presentation,
-    budget: RewriteBudget = DEFAULT_BUDGET,
-    certificate: bool = False,
+    w1: Word, w2: Word, P: Presentation, *, certificate: bool = False
 ) -> EqualityResult:
     """Exact equality in the presented group.
 
     EQUAL when the normal forms agree, with a replay-checked
     certificate if asked for; otherwise PROVEN-UNEQUAL with the two
-    normal forms as witness.  `budget` changes nothing.
+    normal forms as witness.
     """
     sys = system_for(P)
     t1, t2 = sys.encode(w1), sys.encode(w2)
@@ -380,8 +369,8 @@ def words_equal(
     return EqualityResult(True, EQUAL, cert)
 
 
-def canonical_form(w: Word, P: Presentation, budget: RewriteBudget = DEFAULT_BUDGET) -> Word:
-    """The shortlex-least geodesic spelling of w; `budget` changes nothing."""
+def canonical_form(w: Word, P: Presentation) -> Word:
+    """The shortlex-least geodesic spelling of w."""
     sys = system_for(P)
     return sys.decode(sys.normal_form(sys.encode(w)))
 
@@ -403,9 +392,10 @@ def _sphere_tuples(sys, L: int) -> Tuple[Tuple[int, ...], ...]:
     return cached
 
 
-def sphere(P: Presentation, L: int, budget: RewriteBudget = DEFAULT_BUDGET):
+def sphere(P: Presentation, L: int, budget: Optional[RewriteBudget] = None):
     """Canonical representatives of the elements of geodesic length
-    exactly L, sorted shortlex; `budget` changes nothing."""
+    exactly L, sorted shortlex.  `budget` is ignored; it is accepted
+    only because `perfbench/passrun.py` passes one."""
     if L < 0:
         raise ValueError("L must be >= 0")
     sys = system_for(P)

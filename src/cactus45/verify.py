@@ -32,7 +32,6 @@ from .action import gamma, orbit_point, pure_elements_within, standard_generator
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling, vertex_link
 from .dirichlet import (
-    EXACT_BUDGET,
     classify_identified_surface,
     dirichlet_polygon,
     poincare_presentation,
@@ -101,23 +100,18 @@ def _embedding():
 
 
 @lru_cache(maxsize=None)
-def _polygon():
-    return dirichlet_polygon()
-
-
-@lru_cache(maxsize=None)
 def _pairings():
-    return side_pairings(_polygon())
+    return side_pairings(dirichlet_polygon())
 
 
 @lru_cache(maxsize=None)
 def _cycles():
-    return vertex_cycles(_polygon(), _pairings())
+    return vertex_cycles(dirichlet_polygon(), _pairings())
 
 
 def _canon(text: str) -> Word:
     P = _subgroup()
-    return canonical_form(P.word(text), P, EXACT_BUDGET)
+    return canonical_form(P.word(text), P)
 
 
 def _short_word(index: int) -> Word:
@@ -351,7 +345,7 @@ def _check_geometry_metrics(tol: float) -> str:
 
 
 def _check_fundamental_polygon(tol: float) -> str:
-    poly = _polygon()
+    poly = dirichlet_polygon()
     _require(poly.n_sides == 20, f"{poly.n_sides} sides")
     _require(
         len(poly.labels) == 20 and len(set(poly.labels)) == 20,
@@ -404,7 +398,7 @@ def _check_side_pairings(tol: float) -> str:
         sorted(rows) == sorted(ref.SIDE_PAIRING_TABLE),
         "pairing generators differ",
     )
-    gens = standard_generators(EXACT_BUDGET)
+    gens = standard_generators()
     for name, (src_texts, tgt_texts) in ref.SIDE_PAIRING_TABLE.items():
         row = rows[name]
         want = {_canon(s): _canon(t) for s, t in zip(src_texts, tgt_texts)}
@@ -412,7 +406,7 @@ def _check_side_pairings(tol: float) -> str:
         _require(got == want, f"pairing row {name} differs from the table")
         for source_word, target_word in zip(row.source, row.target):
             _require(
-                gamma(gens[name], source_word, EXACT_BUDGET) == target_word,
+                gamma(gens[name], source_word) == target_word,
                 f"{name} does not carry its source corner to its target",
             )
     return (
@@ -567,7 +561,7 @@ def _check_isomorphisms(tol: float) -> str:
 
 
 def _check_surface_classification(tol: float) -> str:
-    sc = classify_identified_surface(_polygon(), _pairings())
+    sc = classify_identified_surface(dirichlet_polygon(), _pairings())
     _require(
         sc.euler_characteristic == -3,
         f"Euler characteristic {sc.euler_characteristic}",
@@ -590,23 +584,20 @@ def _check_surface_classification(tol: float) -> str:
 
 def _check_action_properties(tol: float) -> str:
     P = _subgroup()
-    B = EXACT_BUDGET
-    gens = standard_generators(B)
+    gens = standard_generators()
     twenty = dict(gens)
     for name, g in gens.items():
-        twenty[name + "^-1"] = g.inverse(B)
+        twenty[name + "^-1"] = g.inverse()
 
     ball = [v for L in range(4) for v in sphere(P, L)]
     _require(len(ball) == 61, f"radius-3 ball has {len(ball)} vertices")
     for name, g in twenty.items():
         for h in ball:
-            _require(
-                gamma(g, h, B) != h, f"{name} fixes the vertex {h}"
-            )
+            _require(gamma(g, h) != h, f"{name} fixes the vertex {h}")
 
     for g in twenty.values():
         _require(
-            len(orbit_point(g, B)) % 2 == 0,
+            len(orbit_point(g)) % 2 == 0,
             "orbit distance of a short element is odd",
         )
 
@@ -615,19 +606,19 @@ def _check_action_properties(tol: float) -> str:
     small_sphere = sphere(P, 2)
     for _ in range(12):
         g, gp = rng.choice(items), rng.choice(items)
-        prod = g.compose(gp, B)
+        prod = g.compose(gp)
         _require(
             len(prod.j4p_form) % 2 == 0,
             "orbit distance of a product is odd",
         )
         for h in small_sphere:
             _require(
-                gamma(prod, h, B) == gamma(g, gamma(gp, h, B), B),
+                gamma(prod, h) == gamma(g, gamma(gp, h)),
                 "action law fails on a sampled pair",
             )
 
     def graph_distance(u: Word, v: Word) -> int:
-        return len(canonical_form(invert(u) * v, P, B))
+        return len(canonical_form(invert(u) * v, P))
 
     inner = [v for L in range(3) for v in sphere(P, L)]
     for g in twenty.values():
@@ -635,7 +626,7 @@ def _check_action_properties(tol: float) -> str:
             h1, h2 = rng.choice(inner), rng.choice(inner)
             _require(
                 graph_distance(h1, h2)
-                == graph_distance(gamma(g, h1, B), gamma(g, h2, B)),
+                == graph_distance(gamma(g, h1), gamma(g, h2)),
                 "action does not preserve the graph metric",
             )
     return (

@@ -6,7 +6,13 @@ command drives the same registry, so this file and the CLI agree by
 construction.
 """
 
+import importlib
+import inspect
+import pkgutil
+
+import cactus45
 import cactus45.reference as ref
+from cactus45 import cli
 from cactus45.verify import CRITERIA, run_criterion
 
 import fixtures
@@ -109,3 +115,39 @@ def test_reference_tables_agree_with_test_fixtures():
         assert mine["vertices"] == tuple(theirs["vertices"])
         assert list(mine["fifths"]) == theirs["fifths"]
     assert list(ref.CYCLE_RELATORS) == fixtures.TEN_GEN_RELATORS
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(cactus45.__path__):
+        module = importlib.import_module(f"cactus45.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(inspect.unwrap(obj)):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{info.name}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member) and not (
+                        attr.startswith("_") and attr != "__init__"
+                    ):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_no_search_budgets_or_inconclusive_verdicts():
+    # every verdict is exact: the one budget parameter left is the one
+    # sphere ignores, kept for the benchmark's growth pass
+    with_budget = []
+    for qualname, fn in _public_callables():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            continue
+        if "budget" in params:
+            with_budget.append(qualname)
+    assert with_budget == ["rewrite.sphere"]
+    exit_codes = {n: v for n, v in vars(cli).items() if n.startswith("EXIT_")}
+    assert not any("INCONCLUSIVE" in n for n in exit_codes)
+    assert sorted(exit_codes.values()) == [0, 1, 64]

@@ -7,7 +7,6 @@ import pytest
 
 from cactus45.cli import (
     EXIT_CHECK_FAILED,
-    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     MAX_BALL_RADIUS,
@@ -38,11 +37,7 @@ def test_sphere_length_three(capsys):
     code, report, _ = run_json(capsys, "sphere", "--length", "3")
     assert code == EXIT_OK
     assert report["command"] == "sphere"
-    assert report["parameters"] == {
-        "group": "j4p",
-        "length": 3,
-        "budget_slack": 2,
-    }
+    assert report["parameters"] == {"group": "j4p", "length": 3}
     assert report["results"]["count"] == 40
     assert len(report["results"]["words"]) == 40
 
@@ -81,6 +76,8 @@ def test_size_limits_are_the_documented_ones():
 
 
 def test_sphere_bad_budget_slack_is_usage_error(capsys):
+    # the flag is gone: an old invocation fails loudly instead of
+    # running with a setting it no longer has
     code, _, err = run(capsys, "sphere", "--length", "2", "--budget-slack", "1")
     assert code == EXIT_USAGE
     assert "error" in err

@@ -6,7 +6,6 @@ import pytest
 
 from cactus45 import j4prime_presentation
 from cactus45.dirichlet import (
-    EXACT_BUDGET,
     classify_identified_surface,
     dirichlet_polygon,
     poincare_presentation,
@@ -34,7 +33,7 @@ FIFTH = math.pi / 5
 
 
 def canon(text):
-    return canonical_form(P.word(text), P, EXACT_BUDGET)
+    return canonical_form(P.word(text), P)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +114,7 @@ def test_no_length3_vertex_strictly_interior(polygon):
     from cactus45.complex import build_ball
     from cactus45.geometry import embed_ball
 
-    ball = build_ball(P, 4, EXACT_BUDGET)
+    ball = build_ball(P, 4)
     emb = embed_ball(ball)
     for text in TABLE_LENGTH3:
         w = canon(text)
@@ -125,12 +124,12 @@ def test_no_length3_vertex_strictly_interior(polygon):
 def test_word_metric_membership(polygon):
     # every corner is at least as close to the identity as to each of
     # the twenty short orbit points, in the graph metric, exactly
-    shorts = standard_generators(EXACT_BUDGET)
+    shorts = standard_generators()
     orbit = [g.j4p_form for g in shorts.values()]
     orbit += [invert(w) for w in orbit]
     for corner in polygon.labels:
         for site in orbit:
-            d = len(canonical_form(invert(site) * corner, P, EXACT_BUDGET))
+            d = len(canonical_form(invert(site) * corner, P))
             assert len(corner) <= d
 
 
@@ -160,12 +159,12 @@ def test_pairings_match_reference_table(pairings):
 
 def test_pairings_certified_by_gamma(pairings):
     for row in pairings:
-        g = standard_generator(row.generator, EXACT_BUDGET)
+        g = standard_generator(row.generator)
         for source_word, target_word in zip(row.source, row.target):
-            assert gamma(g, source_word, EXACT_BUDGET) == target_word
-        back = standard_generator(row.generator + "^-1", EXACT_BUDGET)
+            assert gamma(g, source_word) == target_word
+        back = standard_generator(row.generator + "^-1")
         for source_word, target_word in zip(row.source, row.target):
-            assert gamma(back, target_word, EXACT_BUDGET) == source_word
+            assert gamma(back, target_word) == source_word
 
 
 def test_pairing_reversal(pairings):
@@ -181,7 +180,7 @@ def test_translates_touch_along_sides(polygon, pairings):
     # paired side, so the twenty signed translates surround the polygon
     for row in pairings:
         assert frozenset(row.source) != frozenset(row.target)
-        g = standard_generator(row.generator, EXACT_BUDGET)
+        g = standard_generator(row.generator)
         assert len(g.j4p_form) == 4  # translate center stays off-polygon
 
 
@@ -223,8 +222,8 @@ def test_cycles_compose_to_identity(cycles):
     for c in cycles:
         total = None
         for name in c.generators:
-            g = standard_generator(name, EXACT_BUDGET)
-            total = g if total is None else g.compose(total, EXACT_BUDGET)
+            g = standard_generator(name)
+            total = g if total is None else g.compose(total)
         assert total.is_identity
 
 
@@ -234,8 +233,8 @@ def test_cycle_walk_traverses_vertices(cycles):
         for name, expected_next in zip(
             c.generators, c.vertices[1:] + c.vertices[:1]
         ):
-            g = standard_generator(name, EXACT_BUDGET)
-            vertex = gamma(g, vertex, EXACT_BUDGET)
+            g = standard_generator(name)
+            vertex = gamma(g, vertex)
             assert vertex == expected_next
 
 

@@ -8,7 +8,6 @@ import pytest
 from cactus45.grouptheory import (
     STANDARD_ELIMINATIONS,
     CertMove,
-    SearchBudget,
     TrivialityCertificate,
     abelianization_invariants,
     alt_isomorphism_pair,
@@ -51,6 +50,7 @@ from fixtures import (
     SURFACE_RELATOR,
     TEN_GEN_RELATORS,
 )
+from search_oracle import SearchBudget, bounded_search
 
 TEN = ten_generator_presentation()
 FIVE = one_relator_presentation()
@@ -194,7 +194,7 @@ def test_dehn_reduce_long_image():
 
 
 # ---------------------------------------------------------------------------
-# bounded search
+# exact decider
 
 
 def test_search_deletes_own_relator():
@@ -211,22 +211,50 @@ def test_search_freely_trivial_word():
     assert res.certificate.moves == ()
 
 
-def test_search_refutes_g2_by_abelianization():
-    res = word_problem_search(Word.parse(FIVE.alphabet, "g2"), FIVE)
-    assert res.status == "NOT-FOUND"
-    assert res.nontrivial
-    assert "exponent" in res.reason
+def test_search_refutes_g2_with_witness():
+    g2 = Word.parse(FIVE.alphabet, "g2")
+    res = word_problem_search(g2, FIVE)
+    assert res.status == "NONTRIVIAL" and res.nontrivial
+    assert res.witness == g2
+    assert res.certificate is None
+    assert res.oracle == "dehn"
 
 
-def test_search_budget_exhaustion_is_inconclusive():
-    # same exponent vector as the relator (so the fast path passes)
-    # but scrambled; with a tight length cap nothing is reachable
+def test_scrambled_relator_is_nontrivial_with_witness():
+    # same exponent vector as the relator, so abelianization cannot
+    # refute it; Dehn's algorithm does
     w = Word.parse(FIVE.alphabet, "g2 g9 g10^-1 g4 g8^-1 g9 g2 g8^-1 g10 g4^-1")
-    res = word_problem_search(
-        w, FIVE, SearchBudget(max_length_factor=1, max_depth=2, max_states=50)
-    )
-    assert res.status == "NOT-FOUND"
-    assert not res.nontrivial
+    res = word_problem_search(w, FIVE)
+    assert res.status == "NONTRIVIAL" and res.nontrivial
+    assert res.witness == dehn_reduce(w, FIVE)
+    assert len(res.witness) > 0
+
+
+def test_ten_generator_word_goes_through_tietze():
+    res = word_problem_search(TEN.relators[0], TEN)
+    assert res.oracle == "tietze+dehn"
+    assert res.status == "TRIVIAL"
+    assert res.certificate.check(FIVE)
+    res = word_problem_search(Word.parse(TEN.alphabet, "g1"), TEN)
+    assert res.oracle == "tietze+dehn"
+    assert res.status == "NONTRIVIAL"
+
+
+def test_search_rejects_presentation_without_decider():
+    # the commutator relator has piece ratio 1/4, not below 1/6
+    P = small_presentation(["x", "y"], ["x y x^-1 y^-1"])
+    assert piece_ratio(P) >= Fraction(1, 6)
+    with pytest.raises(ValueError):
+        word_problem_search(Word.parse(P.alphabet, "x"), P)
+
+
+def test_search_rejects_unknown_oracles():
+    g2 = Word.parse(FIVE.alphabet, "g2")
+    for oracle in ("search", "dehn"):
+        with pytest.raises(ValueError):
+            word_problem_search(g2, FIVE, oracle)
+    with pytest.raises(ValueError):
+        word_problem_search(g2, FIVE, "tietze")
 
 
 def test_search_finds_alt_relator_image():
@@ -384,13 +412,15 @@ def test_refuted_hom():
     assert v.verdict == "refuted"
 
 
-def test_inconclusive_hom():
-    # x^2 maps into the relator span but is not certifiably trivial
-    # within a tiny budget, so the verdict must stay open
+def test_order_two_map_into_surface_is_refuted():
+    # x^2 maps into the relator span, so no abelian witness exists; the
+    # Dehn-reduced image is nonempty, which refutes the map
     P = small_presentation(["x"], ["x x"])
     h = GroupHom(P, SURF, {"x": Word.parse(SURF.alphabet, "a1 a2 a3 a4 a5")})
-    v = hom_well_defined(h, oracle="search", budget=SearchBudget(2, 2, 40))
-    assert v.verdict == "inconclusive"
+    v = hom_well_defined(h)
+    assert v.verdict == "refuted"
+    assert v.details == ((str(P.relators[0]), "dehn", "NONTRIVIAL"),)
+    assert v.certificates == (None,)
 
 
 def test_mutual_inverse_alphabet_mismatch():
@@ -409,6 +439,7 @@ def test_hom_requires_all_images():
 
 
 def test_dehn_and_search_agree_on_random_words():
+    # the exact decider against the bounded reference search
     rng = random.Random(48151623)
     letters = [(n, e) for n in SURF.alphabet.names() for e in (1, -1)]
     budget = SearchBudget(max_length_factor=3, max_depth=6, max_states=200)
@@ -418,8 +449,8 @@ def test_dehn_and_search_agree_on_random_words():
         w = free_reduce(
             Word(SURF.alphabet, [rng.choice(letters) for _ in range(length)])
         )
-        by_dehn = dehn_reduce(w, SURF).is_identity()
-        res = word_problem_search(w, SURF, budget)
+        by_dehn = word_problem_search(w, SURF).status == "TRIVIAL"
+        res = bounded_search(w, SURF, budget)
         if by_dehn:
             assert res.status == "TRIVIAL"
             assert res.certificate.check(SURF)

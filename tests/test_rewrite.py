@@ -10,7 +10,6 @@ from cactus45.cactus import (
     project_to_symmetric,
 )
 from cactus45.rewrite import (
-    DEFAULT_BUDGET,
     EQUAL,
     PROVEN_UNEQUAL,
     EqualityCertificate,
@@ -56,7 +55,6 @@ def test_budget_validation():
         RewriteBudget(slack=-2)
     with pytest.raises(ValueError):
         RewriteBudget(max_states=0)
-    assert DEFAULT_BUDGET.slack == 2 and DEFAULT_BUDGET.max_states == 200_000
 
 
 def test_neighbors_of_commuting_pair():
@@ -96,12 +94,12 @@ def test_canonical_form_constant_on_class():
 
 def test_canonical_form_of_long_word_is_exact():
     # a 10^3-letter spelling of a known length-8 normal form, built by
-    # relator moves; a tiny budget changes nothing
+    # relator moves
     rng = random.Random(5)
     target = sphere(PP, 8)[1234]
     word = relator_walk(PP, target, 1000, rng)
     assert len(word) >= 1000
-    assert canonical_form(word, PP, RewriteBudget(slack=2, max_states=5)) == target
+    assert canonical_form(word, PP) == target
 
 
 def test_sphere_counts():
@@ -109,8 +107,8 @@ def test_sphere_counts():
 
 
 def test_sphere_stability_between_slack_levels():
-    # length-preserving moves plus deletions already connect everything
-    # equal at these lengths: slack 0 and slack 2 agree as sets
+    # sphere still accepts the budget the benchmark's growth pass
+    # passes, and no budget changes its result
     for L in range(5):
         s0 = sphere(PP, L, RewriteBudget(slack=0))
         s2 = sphere(PP, L, RewriteBudget(slack=2))
@@ -154,13 +152,18 @@ def test_length4_table_covers_all_but_one_element():
 
 
 def test_equal_with_certificate_replays():
-    w1 = pw("s34 s13 s23 s24")
-    w2 = pw("s34 s13 s24 s34")  # the noted respelling
-    res = words_equal(w1, w2, PP, certificate=True)
-    assert res.equal and res.status == EQUAL
-    assert res.certificate is not None
-    assert res.certificate.verify(PP, w1, w2)
-    assert res.certificate.replay(PP, w1) == w2
+    pairs = [
+        (pw("s34 s13 s23 s24"), pw("s34 s13 s24 s34")),  # the noted respelling
+        (pw("s34 s12"), pw("s12 s34")),
+        (pw("s13 s12"), pw("s23 s13")),
+        (pw(A_WORDS[16]), pw("s34 s13 s24 s34")),
+    ]
+    for w1, w2 in pairs:
+        res = words_equal(w1, w2, PP, certificate=True)
+        assert res.equal and res.status == EQUAL
+        assert res.certificate is not None
+        assert res.certificate.verify(PP, w1, w2)
+        assert res.certificate.replay(PP, w1) == w2
 
 
 def test_unequal_by_projection_is_proven():
@@ -224,19 +227,6 @@ def test_certificates_preserve_projection():
             project_to_symmetric(word, 4).images
             == project_to_symmetric(c, 4).images
         )
-
-
-def test_monotone_budget_on_equal_pairs():
-    # enlarging slack never loses an equality verdict
-    pairs = [
-        (pw("s34 s12"), pw("s12 s34")),
-        (pw("s13 s12"), pw("s23 s13")),
-        (pw(A_WORDS[16]), pw("s34 s13 s24 s34")),
-    ]
-    for w1, w2 in pairs:
-        assert words_equal(w1, w2, PP, RewriteBudget(slack=0)).equal
-        assert words_equal(w1, w2, PP, RewriteBudget(slack=2)).equal
-        assert words_equal(w1, w2, PP, RewriteBudget(slack=4)).equal
 
 
 def test_rewrite_layer_rejects_noninvolutive_alphabet():
