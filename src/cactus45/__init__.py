@@ -15,7 +15,6 @@ from .words import (
     normalize_relator,
     same_relator_class,
     shortlex_key,
-    shortlex_less,
     substitute,
 )
 from .cactus import (

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 from importlib import metadata
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -70,16 +69,11 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunReport:
-    """One command execution: inputs, results, and bookkeeping.
-
-    ``wall_time`` is informational only and never serialized, so
-    reports for identical arguments are byte-identical.
-    """
+    """One command execution: its inputs and results."""
 
     command: str
     parameters: dict
     results: object
-    wall_time: float
     version: str
 
 
@@ -702,19 +696,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     handler = _HANDLERS[args.command]
-    start = time.perf_counter()
     try:
         parameters, results, code = handler(args)
     except UsageError as exc:
         sys.stderr.write(f"cactus45 {args.command}: error: {exc}\n")
         return EXIT_USAGE
-    wall = time.perf_counter() - start
 
     report = RunReport(
         command=args.command,
         parameters=parameters,
         results=results,
-        wall_time=wall,
         version=VERSION,
     )
     payload = emit_report(report, args.format)

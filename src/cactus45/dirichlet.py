@@ -83,9 +83,6 @@ class LabeledPolygon:
     def sides(self) -> List[Tuple[Word, Word]]:
         return [self.side_words(i) for i in range(len(self.labels))]
 
-    def angle_at(self, label: Word) -> float:
-        return self.angle_fifths[self.corner_index(label)] * _FIFTH
-
 
 @dataclass(frozen=True)
 class SidePairing:

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complex import CayleyBall
 from .words import Word
 
-POINT_TOL = 1e-9
 EMBED_TOL = 1e-6
 
 

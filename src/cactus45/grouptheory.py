@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .words import (
@@ -41,7 +42,6 @@ __all__ = [
     "abelianization_invariants",
     "alt_isomorphism_pair",
     "alt_one_relator_presentation",
-    "dehn_applicable",
     "dehn_reduce",
     "exponent_vector",
     "hom_well_defined",
@@ -197,17 +197,27 @@ def in_integer_row_span(vector: Sequence[int], rows: Sequence[Sequence[int]]) ->
 
 
 def abelianization_invariants(P: Presentation) -> Tuple[int, Tuple[int, ...]]:
-    """(free rank, torsion orders) of the abelianized group."""
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
+    """(free rank, torsion orders) of the abelianized group.
 
-    n = len(P.alphabet)
-    if not P.relators:
-        return n, ()
-    m = Matrix([list(exponent_vector(r)) for r in P.relators])
-    snf = smith_normal_form(m)
-    diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i] != 0]
-    return n - len(diag), tuple(d for d in diag if d > 1)
+    Row echelon steps on the relator exponent matrix and on its
+    transpose, in turn, keep the quotient lattice up to isomorphism and
+    end in a diagonal matrix (the top-left entry shrinks until it
+    divides the rest of its row and column).  Pairwise gcd/lcm puts the
+    diagonal in divisibility order: those are the invariant factors,
+    and each generator beyond them adds a free Z.
+    """
+    rows = [list(exponent_vector(r)) for r in P.relators]
+    while True:
+        rows = _integer_row_echelon(rows)
+        if all(sum(1 for x in row if x) == 1 for row in rows):
+            break
+        rows = [list(col) for col in zip(*rows)]
+    diag = [abs(next(x for x in row if x)) for row in rows]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return len(P.alphabet) - len(diag), tuple(d for d in diag if d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +327,6 @@ def piece_ratio(P: Presentation) -> Fraction:
         default=0,
     )
     return Fraction(best, min_len)
-
-
-def dehn_applicable(P: Presentation) -> bool:
-    return bool(P.relators) and piece_ratio(P) < Fraction(1, 6)
 
 
 def _cyclic_forms(P: Presentation) -> List[Tuple[Tuple[str, int], ...]]:
@@ -435,7 +441,7 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
     if oracle not in ("auto", "tietze"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if P == ten_generator_presentation():
-        image = free_reduce(substitute(w, standard_expansion_images()))
+        image = substitute(w, standard_expansion_images())
         return _dehn_decide(image, one_relator_presentation(), "tietze+dehn")
     if oracle == "tietze":
         raise ValueError("the tietze oracle decides ten-generator words")
@@ -486,14 +492,9 @@ def tietze_eliminate(
         new_alphabet = Alphabet(current.alphabet.generator(n) for n in survivors)
         image_map = {n: Word.parse(new_alphabet, n) for n in survivors}
         image_map[gen_name] = Word(new_alphabet, expanded.letters)
-        new_relators = []
-        for r in current.relators:
-            letters: List[Tuple[str, int]] = []
-            for name, exp in r:
-                img = image_map[name]
-                letters.extend(img.letters if exp == 1 else invert(img).letters)
-            new_relators.append(free_reduce(Word(new_alphabet, letters)))
-        current = Presentation(new_alphabet, new_relators)
+        current = Presentation(
+            new_alphabet, [substitute(r, image_map) for r in current.relators]
+        )
     return current
 
 
@@ -518,7 +519,7 @@ class GroupHom:
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source.alphabet:
             raise ValueError("word is not over the source alphabet")
-        return free_reduce(substitute(w, self.images))
+        return substitute(w, self.images)
 
 
 @dataclass(frozen=True)

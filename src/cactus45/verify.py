@@ -80,18 +80,8 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _subgroup():
-    return j4prime_presentation()
-
-
-@lru_cache(maxsize=None)
-def _full_group():
-    return j4_presentation()
-
-
-@lru_cache(maxsize=None)
 def _ball(radius: int):
-    return build_ball(_subgroup(), radius)
+    return build_ball(j4prime_presentation(), radius)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +100,7 @@ def _cycles():
 
 
 def _canon(text: str) -> Word:
-    P = _subgroup()
+    P = j4prime_presentation()
     return canonical_form(P.word(text), P)
 
 
@@ -123,7 +113,7 @@ def _short_word(index: int) -> Word:
 
 
 def _check_sphere_tables(tol: float) -> str:
-    P = _subgroup()
+    P = j4prime_presentation()
     counts = [len(sphere(P, L)) for L in range(5)]
     _require(counts == [1, 5, 15, 40, 105], f"sphere sizes {counts}")
 
@@ -178,7 +168,7 @@ def _check_sphere_tables(tol: float) -> str:
 
 
 def _check_pure_enumeration(tol: float) -> str:
-    P = _subgroup()
+    P = j4prime_presentation()
     gens = standard_generators()
     twenty = pure_elements_within(4)
     _require(len(twenty) == 20, f"expected 20 elements, got {len(twenty)}")
@@ -224,7 +214,7 @@ def _check_pure_enumeration(tol: float) -> str:
 
 
 def _check_central_images(tol: float) -> str:
-    P = _subgroup()
+    P = j4prime_presentation()
     for i, expected in ref.CENTRAL_IMAGES.items():
         img = str(project_to_symmetric(P.word(ref.SHORT_PURE_WORDS[i]), 4))
         _require(
@@ -254,7 +244,7 @@ def _check_central_images(tol: float) -> str:
 
 
 def _check_reversal_conjugation(tol: float) -> str:
-    P4 = _full_group()
+    P4 = j4_presentation()
     for i in range(1, 13):
         lhs = P4.word("s14 " + ref.SHORT_PURE_WORDS[i])
         rhs = P4.word(ref.SHORT_PURE_WORDS[13 - i] + " s14")
@@ -583,7 +573,7 @@ def _check_surface_classification(tol: float) -> str:
 
 
 def _check_action_properties(tol: float) -> str:
-    P = _subgroup()
+    P = j4prime_presentation()
     gens = standard_generators()
     twenty = dict(gens)
     for name, g in gens.items():

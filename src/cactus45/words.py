@@ -217,12 +217,6 @@ def shortlex_key(w: Word) -> Tuple:
     )
 
 
-def shortlex_less(w1: Word, w2: Word) -> bool:
-    if w1.alphabet != w2.alphabet:
-        raise ValueError("shortlex compares words over one alphabet")
-    return shortlex_key(w1) < shortlex_key(w2)
-
-
 def rotations(w: Word) -> list[Word]:
     """All cyclic rotations (length |w| list; duplicates kept)."""
     letters = w.letters

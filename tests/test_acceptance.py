@@ -6,9 +6,14 @@ command drives the same registry, so this file and the CLI agree by
 construction.
 """
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import cactus45
 import cactus45.reference as ref
@@ -151,3 +156,36 @@ def test_no_search_budgets_or_inconclusive_verdicts():
     exit_codes = {n: v for n, v in vars(cli).items() if n.startswith("EXIT_")}
     assert not any("INCONCLUSIVE" in n for n in exit_codes)
     assert sorted(exit_codes.values()) == [0, 1, 64]
+
+
+def test_package_imports_only_the_stdlib():
+    outside = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from cactus45.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['tietze'])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    src = str(Path(cactus45.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.stdout.split() == ["0", "False"], done.stderr

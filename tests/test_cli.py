@@ -132,13 +132,13 @@ def test_json_reports_exclude_timing(capsys):
 
 
 def test_emit_report_empty():
-    empty = RunReport("", {}, {}, 0.0, "")
+    empty = RunReport("", {}, {}, "")
     assert emit_report(empty, "json") == b"{}\n"
     assert emit_report(empty, "text") == b""
 
 
 def test_emit_report_rejects_unknown_format():
-    report = RunReport("sphere", {}, {"count": 1}, 0.0, "0")
+    report = RunReport("sphere", {}, {"count": 1}, "0")
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
 

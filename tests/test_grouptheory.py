@@ -1,5 +1,7 @@
 """Tietze reduction, triviality oracles, and the companion isomorphisms."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +14,6 @@ from cactus45.grouptheory import (
     abelianization_invariants,
     alt_isomorphism_pair,
     alt_one_relator_presentation,
-    dehn_applicable,
     dehn_reduce,
     exponent_vector,
     hom_well_defined,
@@ -132,6 +133,66 @@ def test_abelianization_invariants():
     assert abelianization_invariants(free2) == (2, ())
     order2 = small_presentation(["a"], ["a a"])
     assert abelianization_invariants(order2) == (0, (2,))
+    # invariant factors, not prime powers: Z/2 + Z/3 is Z/6
+    z6 = small_presentation(["x", "y"], ["x x", "y y y", "x y x^-1 y^-1"])
+    assert abelianization_invariants(z6) == (0, (6,))
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _determinantal_invariants(rows, n):
+    """Free rank and torsion from d_k, the gcd of the k x k minors."""
+    divisors = [1]
+    for k in range(1, min(len(rows), n) + 1):
+        d = 0
+        for ri in itertools.combinations(range(len(rows)), k):
+            for ci in itertools.combinations(range(n), k):
+                d = math.gcd(d, _det([[rows[i][j] for j in ci] for i in ri]))
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return n - len(factors), tuple(f for f in factors if f > 1)
+
+
+def _matrix_presentation(rows, n):
+    """Generators x0, x1, ... and one relator x0^e0 x1^e1 ... per row."""
+    alphabet = Alphabet(Generator(f"x{j}") for j in range(n))
+    relators = []
+    for row in rows:
+        letters = []
+        for j, e in enumerate(row):
+            letters += [(f"x{j}", 1 if e > 0 else -1)] * abs(e)
+        relators.append(Word(alphabet, letters))
+    return Presentation(alphabet, relators)
+
+
+def test_abelianization_matches_determinantal_divisors():
+    rng = random.Random(2024)
+    deficient = 0
+    for trial in range(320):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if trial % 40 == 0:
+            rows = [[0] * n for _ in range(m)]
+        elif trial % 4 == 0 and m >= 3:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        expected = _determinantal_invariants(rows, n)
+        rank = n - expected[0]
+        deficient += rank < min(m, n)
+        P = _matrix_presentation(rows, n)
+        assert {exponent_vector(r) for r in P.relators} == {
+            tuple(r) for r in rows if any(r)
+        }
+        assert abelianization_invariants(P) == expected, rows
+    assert deficient >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +206,6 @@ def test_piece_ratio_values():
     assert piece_ratio(FIVE) == Fraction(1, 10)
     assert piece_ratio(ALT) == Fraction(1, 10)
     assert piece_ratio(TEN) == Fraction(1, 3)
-
-
-def test_dehn_routing():
-    assert dehn_applicable(SURF)
-    assert dehn_applicable(FIVE)
-    assert dehn_applicable(ALT)
-    assert not dehn_applicable(TEN)
 
 
 def test_dehn_reduce_relator_to_identity():
