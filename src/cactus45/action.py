@@ -10,7 +10,7 @@ is absorbed by the mirror relabeling — followed by canonicalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .cactus import (
     Permutation,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Tuple
 
-from .words import Alphabet, Generator, Presentation, Word, free_reduce
+from .words import Alphabet, Generator, Presentation, Word
 
 
 @dataclass(frozen=True)

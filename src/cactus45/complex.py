@@ -10,8 +10,8 @@ all of its faces are present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Tuple
 
 from .rewrite import sphere, system_for
 from .words import Presentation, Word, shortlex_key

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .words import (
     Alphabet,
@@ -26,8 +27,6 @@ from .words import (
     cyclic_reduce,
     free_reduce,
     invert,
-    normalize_relator,
-    rotations,
     same_relator_class,
     substitute,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "standard_expansion_images",
     "surface_isomorphism_pair",
     "surface_presentation",
-    "surface_to_ten_hom",
     "ten_generator_presentation",
     "tietze_eliminate",
     "verify_mutual_inverse",
@@ -239,23 +237,13 @@ class CertMove:
     letters: Tuple[Tuple[str, int], ...] = ()
 
 
-def _symmetrized_forms(P: Presentation) -> frozenset:
-    """Letter tuples of all rotations of all relators and inverses."""
-    forms = set()
-    for r in P.relators:
-        for base in (r, invert(r)):
-            for rot in rotations(base):
-                forms.add(rot.letters)
-    return frozenset(forms)
-
-
 @dataclass(frozen=True)
 class TrivialityCertificate:
     word: Word
     moves: Tuple[CertMove, ...]
 
     def replay(self, P: Presentation) -> Word:
-        forms = _symmetrized_forms(P)
+        forms = frozenset(_rotation_list(P.relators))
         current = free_reduce(self.word)
         for mv in self.moves:
             if mv.kind == "shift":
@@ -294,104 +282,118 @@ class TrivialityCertificate:
 # small-cancellation machinery
 
 
+Letters = Tuple[Tuple[str, int], ...]
+
+
+def _rotation_list(words: Iterable[Word]) -> List[Letters]:
+    """Every rotation of each word and of its inverse, sorted.  A word
+    whose rotation class is already listed (as an earlier word or its
+    inverse) adds nothing, and neither does the empty word; a proper
+    power keeps its repeated rotations."""
+    listed: List[Letters] = []
+    classes = set()
+    for w in words:
+        for base in (w.letters, invert(w).letters):
+            rots = [base[i:] + base[:i] for i in range(len(base))]
+            if rots and min(rots) not in classes:
+                classes.add(min(rots))
+                listed.extend(rots)
+    return sorted(listed)
+
+
+def _relator_forms(P: Presentation) -> List[Letters]:
+    # an involution square cyclically reduces to the empty word: it is
+    # trivial in the free product of the letters, and has no rotation
+    return _rotation_list(map(cyclic_reduce, P.relators))
+
+
+def _common_prefix(a: Letters, b: Letters) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def piece_ratio(P: Presentation) -> Fraction:
     """Longest piece length over shortest relator length.
 
     A piece is a subword occurring at two or more distinct positions,
     a position being a (cyclic relator, offset) pair ranging over the
     cyclically reduced relators and their inverses (duplicates up to
-    rotation collapse first).  Proper subwords only: a candidate is
-    never as long as the shortest relator.
+    rotation collapse first).  Proper subwords only: a piece is never
+    as long as the shortest relator.  A position starts a rotation, so
+    the longest piece is the longest common prefix of sorted neighbours.
     """
-    if not P.relators:
+    forms = _relator_forms(P)
+    if not forms:
         return Fraction(0, 1)
-    necklaces: List[Tuple[Tuple[str, int], ...]] = []
-    seen = set()
-    for r in P.relators:
-        base = cyclic_reduce(r)
-        for variant in (base, invert(base)):
-            key = normalize_relator(variant).letters
-            if key not in seen:
-                seen.add(key)
-                necklaces.append(variant.letters)
-    min_len = min(len(n) for n in necklaces)
-    positions: Dict[Tuple, set] = {}
-    for ni, neck in enumerate(necklaces):
-        doubled = neck + neck
-        for offset in range(len(neck)):
-            for length in range(1, min(min_len, len(neck))):
-                sub = doubled[offset : offset + length]
-                positions.setdefault(sub, set()).add((ni, offset))
-    best = max(
-        (len(sub) for sub, where in positions.items() if len(where) >= 2),
-        default=0,
-    )
-    return Fraction(best, min_len)
+    shortest = min(map(len, forms))
+    best = max(map(_common_prefix, forms, forms[1:]), default=0)
+    return Fraction(min(best, shortest - 1), shortest)
 
 
-def _cyclic_forms(P: Presentation) -> List[Tuple[Tuple[str, int], ...]]:
-    forms: List[Tuple[Tuple[str, int], ...]] = []
-    seen = set()
-    for r in P.relators:
-        base = cyclic_reduce(r)
-        for variant in (base, invert(base)):
-            for rot in rotations(variant):
-                if rot.letters not in seen:
-                    seen.add(rot.letters)
-                    forms.append(rot.letters)
-    return forms
-
-
-def dehn_reduce(
-    w: Word, P: Presentation, with_moves: bool = False
-) -> Union[Word, Tuple[Word, Tuple[CertMove, ...]]]:
-    """Greedy shortening by more-than-half relator matches.
-
-    Requires every piece shorter than one sixth of the relators; then
-    a nontrivial freely reduced word always contains such a match, so
-    the result is empty exactly when w represents the identity.
-    """
+@lru_cache(maxsize=8)
+def _dehn_rules(P: Presentation):
+    """(rules, their key lengths, letter inverses) for P: rules maps
+    the shortest more-than-half prefix of each relator form (the
+    reducer meets no longer one first) to the inverse form, rotated to
+    cancel it.  Piece ratio below 1/6 keeps the prefixes distinct."""
     ratio = piece_ratio(P)
     if ratio >= Fraction(1, 6):
         raise ValueError(
             f"piece ratio {ratio} is not below 1/6; the greedy reduction "
             "is not a decision procedure here"
         )
-    forms = _cyclic_forms(P)
+    rules: Dict[Letters, Letters] = {}
+    for form in _relator_forms(P):
+        inv = invert(Word(P.alphabet, form)).letters
+        take = len(form) // 2 + 1
+        rules[form[:take]] = inv[-take:] + inv[:-take]
+    inverse = {
+        (g.name, e): (g.name, 1 if g.involutive else -e) for g in P.alphabet for e in (1, -1)
+    }
+    return rules, {len(k) for k in rules}, inverse
+
+
+def dehn_reduce(
+    w: Word, P: Presentation, with_moves: bool = False
+) -> Union[Word, Tuple[Word, Tuple[CertMove, ...]]]:
+    """Dehn's algorithm in linear time (Domanski and Anshel, 1985).
+
+    Letters move from a pending list onto a freely reduced stack.  A
+    stack ending in more than half of a relator form is cut back, and
+    the shorter rest of the relator goes onto the pending list, first
+    cancelled against its head: stack + pending stays freely reduced,
+    so each cut is an insert at an index into the replayed word.
+    Requires every piece shorter than one sixth of the relators
+    (ValueError otherwise); then a nontrivial freely reduced word
+    always holds such a match (Greendlinger's lemma), so the result is
+    empty exactly when w represents the identity.
+    """
+    rules, lengths, inverse = _dehn_rules(P)
     moves: List[CertMove] = []
-    current = free_reduce(w)
-    changed = True
-    while changed:
-        changed = False
-        letters = current.letters
-        for form in forms:
-            n = len(form)
-            for take in range(n, n // 2, -1):
-                chunk = form[:take]
-                for i in range(len(letters) - take + 1):
-                    if letters[i : i + take] != chunk:
-                        continue
-                    # splice in the inverted form, rotated so that it
-                    # cancels the matched chunk and leaves the shorter
-                    # complement in its place
-                    inv_form = invert(Word(current.alphabet, form)).letters
-                    rotated = inv_form[-take:] + inv_form[:-take]
-                    moves.append(CertMove("insert", i + take, rotated))
-                    current = free_reduce(
-                        Word(
-                            current.alphabet,
-                            letters[: i + take] + rotated + letters[i + take :],
-                        )
-                    )
-                    changed = True
-                    break
-                if changed:
-                    break
-            if changed:
-                break
+    stack: List[Tuple[str, int]] = []
+    pending = list(reversed(free_reduce(w).letters))
+    while pending:
+        letter = pending.pop()
+        if stack and stack[-1] == inverse[letter]:
+            stack.pop()
+            continue
+        stack.append(letter)
+        # every earlier stack was checked, so a match ends at this letter
+        for take in lengths:
+            splice = rules.get(tuple(stack[-take:])) if take <= len(stack) else None
+            if splice is None:
+                continue
+            moves.append(CertMove("insert", len(stack), splice))
+            del stack[-take:]
+            rest = list(splice[take:])
+            while rest and pending and pending[-1] == inverse[rest[-1]]:
+                rest.pop()
+                pending.pop()
+            pending.extend(reversed(rest))
+            break
+    reduced = Word(w.alphabet, stack)
     if with_moves:
-        return current, tuple(moves)
-    return current
+        return reduced, tuple(moves)
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -646,19 +648,3 @@ def surface_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
     )
     return f, g
 
-
-def surface_to_ten_hom() -> GroupHom:
-    """The surface-group map stated over the ten-generator target; its
-    images expand to those of surface_isomorphism_pair()[0]."""
-    return _hom(
-        surface_presentation(),
-        ten_generator_presentation(),
-        {
-            "a1": "g1^-1",
-            "a2": "g2 g10 g5^-1 g8 g3^-1",
-            "a3": "g4",
-            "a4": "g9 g10^-1",
-            "a5": "g8^-1 g6",
-        },
-        "f10",
-    )

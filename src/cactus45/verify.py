@@ -511,8 +511,8 @@ def _check_isomorphisms(tol: float) -> str:
         )
         _replay_all(report, h.target)
 
-    surface_report = hom_well_defined(g_sur)
-    methods = {row[1] for row in surface_report.details}
+    # the loop ends on g_sur, whose images land in the surface group
+    methods = {row[1] for row in report.details}
     _require(
         methods == {"dehn"},
         f"surface-side images decided by {methods}, not greedy reduction",

@@ -13,7 +13,7 @@ trailing ``^-1``, the empty word written ``e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 Letter = Tuple[str, int]
 

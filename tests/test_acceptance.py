@@ -158,6 +158,25 @@ def test_no_search_budgets_or_inconclusive_verdicts():
     assert sorted(exit_codes.values()) == [0, 1, 64]
 
 
+def test_package_modules_use_every_import():
+    unused = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {
+                    alias.asname or alias.name.split(".")[0] for alias in node.names
+                }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def test_package_imports_only_the_stdlib():
     outside = []
     for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):

@@ -11,7 +11,6 @@ from cactus45 import (
     sphere,
 )
 from cactus45.action import (
-    GENERATOR_TABLE,
     PureElement,
     embed_with_reversal,
     gamma,

@@ -6,7 +6,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from cactus45.cli import (
-    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     MAX_BALL_RADIUS,

@@ -1,7 +1,6 @@
 import pytest
 
 from cactus45 import (
-    CayleyBall,
     PartialLinkError,
     build_ball,
     canonical_form,

@@ -13,7 +13,7 @@ from cactus45.dirichlet import (
     vertex_cycles,
 )
 from cactus45.action import gamma, standard_generator, standard_generators
-from cactus45.geometry import edge_length_45, hyp_distance
+from cactus45.geometry import edge_length_45
 from cactus45.rewrite import canonical_form
 from cactus45.words import invert, same_relator_class
 

@@ -7,9 +7,7 @@ import pytest
 
 from cactus45 import build_ball, canonical_form, j4prime_presentation, vertex_link
 from cactus45.geometry import (
-    Geodesic,
     HPoint,
-    HPolygon,
     Mobius,
     edge_length_45,
     embed_ball,

@@ -23,19 +23,21 @@ from cactus45.grouptheory import (
     standard_expansion_images,
     surface_isomorphism_pair,
     surface_presentation,
-    surface_to_ten_hom,
     ten_generator_presentation,
     tietze_eliminate,
     verify_mutual_inverse,
     word_problem_search,
     GroupHom,
 )
+from cactus45.cactus import j4prime_presentation
 from cactus45.words import (
     Alphabet,
     Generator,
     Presentation,
     Word,
+    cyclic_reduce,
     free_reduce,
+    invert,
     same_relator_class,
 )
 
@@ -51,6 +53,7 @@ from fixtures import (
     SURFACE_RELATOR,
     TEN_GEN_RELATORS,
 )
+import dehn_oracle
 from search_oracle import SearchBudget, bounded_search
 
 TEN = ten_generator_presentation()
@@ -451,6 +454,21 @@ def test_surface_pair_mutual_inverse():
     assert all(status == "TRIVIAL" for _, _, status in v.details)
 
 
+def surface_to_ten_hom():
+    """The surface-group map stated over the ten-generator target; its
+    images expand to those of surface_isomorphism_pair()[0]."""
+    images = {
+        "a1": "g1^-1",
+        "a2": "g2 g10 g5^-1 g8 g3^-1",
+        "a3": "g4",
+        "a4": "g9 g10^-1",
+        "a5": "g8^-1 g6",
+    }
+    return GroupHom(
+        SURF, TEN, {k: Word.parse(TEN.alphabet, v) for k, v in images.items()}, "f10"
+    )
+
+
 def test_surface_to_ten_variant():
     h = surface_to_ten_hom()
     assert {k: str(v) for k, v in h.images.items()} == SURFACE_F_IMAGES_TEN
@@ -512,3 +530,124 @@ def test_dehn_and_search_agree_on_random_words():
             assert res.status == "NOT-FOUND"
             if res.nontrivial:
                 assert not in_integer_row_span(exponent_vector(w), [rel_vec])
+
+
+# ---------------------------------------------------------------------------
+# the stack reducer against the rescanning reference reducer
+
+
+def test_involution_square_is_skipped_not_divided_by():
+    # s12 s12 cyclically reduces to the empty word: it is skipped, and
+    # J4' (pieces of three letters in four-letter relators) has no Dehn
+    # decider, which is a ValueError, not a ZeroDivisionError
+    J4P = j4prime_presentation()
+    assert piece_ratio(J4P) == Fraction(3, 4)
+    w = J4P.relators[0]
+    for call in (dehn_reduce, word_problem_search):
+        with pytest.raises(ValueError):
+            call(w, J4P)
+    alphabet = Alphabet([Generator("x", involutive=True), Generator("y")])
+    P = Presentation(alphabet, [Word.parse(alphabet, "x x")])
+    assert piece_ratio(P) == 0
+    assert str(dehn_reduce(Word.parse(alphabet, "y x x y^-1 x"), P)) == "x"
+
+
+def _letters(P):
+    return [(n, e) for n in P.alphabet.names() for e in (1, -1)]
+
+
+def _planted(P, rng, n):
+    """A product of conjugated rotations of the relator or its inverse,
+    freely reduced; trivial by construction."""
+    (r,) = P.relators
+    letters = []
+    while len(letters) < n:
+        u = Word(P.alphabet, [rng.choice(_letters(P)) for _ in range(rng.randint(0, 4))])
+        rel = (r if rng.random() < 0.5 else invert(r)).letters
+        k = rng.randrange(len(rel))
+        letters += u.letters + rel[k:] + rel[:k] + invert(u).letters
+    return free_reduce(Word(P.alphabet, letters))
+
+
+def _contains_rule_key(w, P):
+    """Whether w contains more than half of a cyclic relator form."""
+    text = w.letters
+    for form in dehn_oracle._cyclic_forms(P):
+        take = len(form) // 2 + 1
+        for i in range(len(text) - take + 1):
+            if text[i : i + take] == form[:take]:
+                return True
+    return False
+
+
+def _check_reduction(w, P, trivial):
+    """The verdict, then a witness with no match or a certificate that
+    replays (replay is quadratic, so only up to 3,000 letters)."""
+    reduced, moves = dehn_reduce(w, P, with_moves=True)
+    assert (len(reduced) == 0) == trivial
+    if len(reduced):
+        assert not _contains_rule_key(reduced, P)
+    elif len(w) <= 3000:
+        assert TrivialityCertificate(w, moves).check(P)
+
+
+@pytest.mark.parametrize(
+    "P, seed", [(FIVE, 1), (ALT, 2), (SURF, 3)], ids=["five", "alt", "surface"]
+)
+def test_stack_reducer_agrees_with_oracle(P, seed):
+    rng = random.Random(seed)
+    for n in (100, 1000):
+        for _ in range(2):
+            planted = _planted(P, rng, n)
+            # dropping one letter x of a trivial word leaves a conjugate
+            # of x^-1, which is nontrivial
+            i = rng.randrange(len(planted))
+            dropped = free_reduce(
+                Word(P.alphabet, planted.letters[:i] + planted.letters[i + 1 :])
+            )
+            random_word = free_reduce(
+                Word(P.alphabet, [rng.choice(_letters(P)) for _ in range(n)])
+            )
+            for w, known in ((planted, True), (dropped, False), (random_word, None)):
+                verdict = len(dehn_oracle.dehn_reduce(w, P)) == 0
+                assert known in (None, verdict)
+                _check_reduction(w, P, verdict)
+    # 10^4 letters: the rescanning oracle needs ~20 s for a planted
+    # word, so those verdicts are checked against their construction
+    random_word = free_reduce(
+        Word(P.alphabet, [rng.choice(_letters(P)) for _ in range(10_000)])
+    )
+    _check_reduction(random_word, P, len(dehn_oracle.dehn_reduce(random_word, P)) == 0)
+    planted = _planted(P, rng, 10_000)
+    assert len(planted) >= 9_000
+    _check_reduction(planted, P, True)
+    _check_reduction(free_reduce(Word(P.alphabet, planted.letters[1:])), P, False)
+
+
+def _random_presentation(rng):
+    gens = [Generator(f"x{i}", involutive=rng.random() < 0.3) for i in range(rng.randint(1, 3))]
+    alphabet = Alphabet(gens)
+    letters = [(g.name, e) for g in gens for e in (1, -1)]
+    relators = []
+    for _ in range(rng.randint(1, 3)):
+        base = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
+        # proper powers and involution squares come up on purpose
+        power = rng.choice((1, 1, 1, 2, 3))
+        relators.append(Word(alphabet, base * power))
+    return Presentation(alphabet, relators)
+
+
+def _is_proper_power(w):
+    n = len(w)
+    return any(n % d == 0 and w.letters == w.letters[d:] + w.letters[:d] for d in range(1, n))
+
+
+def test_piece_ratio_matches_subword_table():
+    rng = random.Random(6174)
+    powers = involutive = 0
+    for _ in range(2000):
+        P = _random_presentation(rng)
+        assert piece_ratio(P) == dehn_oracle.piece_ratio(P), P
+        involutive += any(g.involutive for g in P.alphabet)
+        powers += any(_is_proper_power(cyclic_reduce(r)) for r in P.relators)
+    assert involutive >= 500 and powers >= 300, (involutive, powers)
