@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .cactus import (
+    J4P_MIRROR,
     Permutation,
     j4_presentation,
     j4prime_presentation,
-    mirror_generator,
     project_to_symmetric,
     push_s14_right,
 )
@@ -31,15 +31,14 @@ _FULL_REVERSAL = Permutation((4, 3, 2, 1))
 
 def mirror_word(w: Word) -> Word:
     """Letterwise mirror relabeling (conjugation by the full reversal)."""
-    return Word(w.alphabet, [(mirror_generator(nm), e) for nm, e in w.letters])
+    if w.alphabet != _J4P.alphabet:
+        raise ValueError("mirror_word takes words over the J_4' alphabet")
+    return Word._from_codes(w.alphabet, [J4P_MIRROR[c] for c in w.codes])
 
 
 def embed_with_reversal(vertex: Word, parity: int) -> Word:
     """The six-generator word vertex · s14^parity."""
-    letters = [(nm, e) for nm, e in vertex.letters]
-    if parity:
-        letters.append(("s14", 1))
-    return Word(_J4.alphabet, letters)
+    return Word(_J4.alphabet, list(vertex) + [("s14", 1)] * parity)
 
 
 @dataclass(frozen=True)

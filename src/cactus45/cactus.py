@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from .words import Alphabet, Generator, Presentation, Word
 
@@ -231,10 +231,14 @@ def _parse_interval_name(name: str) -> Tuple[int, int]:
 def project_to_symmetric(w: Word, n: int) -> Permutation:
     """Image of a cactus word in the symmetric group; letters compose
     left to right (first letter acts first)."""
+    gens = w.alphabet.generators
+    images = {
+        c: reversal_permutation(n, *_parse_interval_name(gens[c].name))
+        for c in set(w.codes)
+    }
     perm = Permutation.identity(n)
-    for name, _exp in w.letters:
-        p, q = _parse_interval_name(name)
-        perm = perm.then(reversal_permutation(n, p, q))
+    for c in w.codes:
+        perm = perm.then(images[c])
     return perm
 
 
@@ -250,6 +254,15 @@ def mirror_generator(name: str) -> str:
     return _MIRROR4[name]
 
 
+# letter codes of J_4 and J_4' follow the order of interval_generators
+_J4_NAMES = tuple(g.name for g in interval_generators(4))
+_J4P_NAMES = tuple(g.name for g in interval_generators(4, {2, 3}))
+S14 = _J4_NAMES.index("s14")
+J4P_TO_J4 = tuple(_J4_NAMES.index(nm) for nm in _J4P_NAMES)
+J4P_MIRROR = tuple(_J4P_NAMES.index(_MIRROR4[nm]) for nm in _J4P_NAMES)
+_J4_TO_J4P = {c: i for i, c in enumerate(J4P_TO_J4)}
+
+
 def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     """Rewrite a J_4 word as (word with no s14) · s14^parity.
 
@@ -259,23 +272,24 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     flag, so |output| + parity <= |input|.  The group element is
     unchanged (same symmetric-group image, same J_4 class).
 
-    A list passed as `trace` receives the scan as relator moves on w:
-    ("swap", i, (s14, x, s14, x')) turns s14 x at position i into x' s14
-    and ("delete", i, (s14, s14)) cancels a pair.
+    A list passed as `trace` receives the scan as relator moves on w,
+    in J_4 letter codes: ("swap", i, (s14, x, s14, x')) turns s14 x at
+    position i into x' s14 and ("delete", i, (s14, s14)) cancels a pair.
     """
-    target = j4prime_presentation().alphabet
+    if w.alphabet != j4_presentation().alphabet:
+        raise ValueError("push_s14_right takes words over the J_4 alphabet")
     parity = 0
-    out = []
-    for name, _exp in w.letters:
-        if name == "s14":
+    out: List[int] = []
+    for c in w.codes:
+        if c == S14:
             if parity and trace is not None:
-                trace.append(("delete", len(out), ("s14", "s14")))
+                trace.append(("delete", len(out), (S14, S14)))
             parity ^= 1
         elif parity:
-            mirrored = _MIRROR4[name]
+            mirrored = J4P_MIRROR[_J4_TO_J4P[c]]
             if trace is not None:
-                trace.append(("swap", len(out), ("s14", name, "s14", mirrored)))
-            out.append((mirrored, 1))
+                trace.append(("swap", len(out), (S14, c, S14, J4P_TO_J4[mirrored])))
+            out.append(mirrored)
         else:
-            out.append((name, 1))
-    return Word(target, out), parity
+            out.append(_J4_TO_J4P[c])
+    return Word._from_codes(j4prime_presentation().alphabet, out), parity

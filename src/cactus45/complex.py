@@ -11,10 +11,11 @@ all of its faces are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from .rewrite import sphere, system_for
-from .words import Presentation, Word, shortlex_key
+from .words import Presentation, Word, rotations, shortlex_key
 
 
 class PartialLinkError(ValueError):
@@ -105,55 +106,54 @@ class CayleyBall:
         )
 
 
-def _relator_rotations(system) -> List[Tuple[int, ...]]:
+def _relator_rotations(P: Presentation) -> List[Tuple[int, ...]]:
     rots = set()
-    for r in system.presentation.relators:
-        idx = tuple(system.alphabet.index(nm) for nm, _ in r.letters)
-        if len(idx) == 4:
-            for i in range(4):
-                rots.add(idx[i:] + idx[:i])
+    for r in P.relators:
+        if len(r) == 4:
+            rots.update(rot.codes for rot in rotations(r))
     return sorted(rots)
 
 
+@lru_cache(maxsize=8)
 def build_ball(P: Presentation, radius: int) -> CayleyBall:
-    """Ball of the given radius around the identity."""
+    """Ball of the given radius around the identity.  Built once per
+    (presentation, radius); a CayleyBall is never mutated."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sys = system_for(P)
     vertices: Dict[Word, int] = {}
-    tuples: Dict[Tuple[int, ...], int] = {}
+    words: Dict[Tuple[int, ...], Word] = {}
     for L in range(radius + 1):
         for v in sphere(P, L):
             vertices[v] = L
-            tuples[sys.encode(v)] = L
+            words[v.codes] = v
 
     neighbor: Dict[Word, Dict[str, Word]] = {}
     edge_set = set()
+    names = P.alphabet.names()
     for v in vertices:
-        tv = sys.encode(v)
         nbrs: Dict[str, Word] = {}
         for g in range(sys.n):
-            c = sys.normal_form(tv + (g,))
-            if c in tuples:
-                wc = sys.decode(c)
-                nbrs[sys.names[g]] = wc
+            wc = words.get(sys.normal_form(v.codes + (g,)))
+            if wc is not None:
+                nbrs[names[g]] = wc
                 a, b = sorted((v, wc), key=shortlex_key)
-                edge_set.add((a, b, sys.names[g]))
+                edge_set.add((a, b, names[g]))
         neighbor[v] = nbrs
 
-    rotations = _relator_rotations(sys)
+    squares = _relator_rotations(P)
     faces_by_set: Dict[FrozenSet[Word], Face] = {}
     interior = set()
     for v in vertices:
-        tv = sys.encode(v)
+        tv = v.codes
         all_inside = True
-        for rot in rotations:
+        for rot in squares:
             cycle_t = [tv]
             inside = True
             cur = tv
             for g in rot:
                 cur = sys.normal_form(cur + (g,))
-                if cur not in tuples:
+                if cur not in words:
                     inside = False
                     break
                 cycle_t.append(cur)
@@ -162,7 +162,7 @@ def build_ball(P: Presentation, radius: int) -> CayleyBall:
                 continue
             if cycle_t[4] != tv:
                 raise AssertionError(f"relator trace failed to close at {v}")
-            cycle = [sys.decode(t) for t in cycle_t[:4]]
+            cycle = [words[t] for t in cycle_t[:4]]
             if len(set(cycle)) == 4:
                 f = Face.from_cycle(cycle)
                 faces_by_set.setdefault(f.vertex_set, f)

@@ -143,24 +143,22 @@ def _orbit_sites() -> List[Word]:
     six or eight) settle the remaining length-four ties.
     """
     shorts = pure_elements_within(4)
-    seen: Dict[str, Word] = {}
-    for g in shorts:
-        seen.setdefault(str(g.j4p_form), g.j4p_form)
+    seen = dict.fromkeys(g.j4p_form for g in shorts)
     for g, h in _iproduct(shorts, shorts):
         w = g.compose(h).j4p_form
         if len(w):
-            seen.setdefault(str(w), w)
-    return list(seen.values())
+            seen.setdefault(w)
+    return list(seen)
 
 
 def _voronoi_keeps(ball, sites: Sequence[Word]):
     """Vertices v with |w^-1 v| >= |v| for every site w; the generators
     are involutions, so w^-1 v is spelled by reverse(w) followed by v."""
     sys = system_for(ball.presentation)
-    reversed_sites = [sys.encode(w)[::-1] for w in sites]
+    reversed_sites = [w.codes[::-1] for w in sites]
     keep = set()
     for v in ball.vertices:
-        tv = sys.encode(v)
+        tv = v.codes
         if all(len(sys.geodesic(s + tv)) >= len(tv) for s in reversed_sites):
             keep.add(v)
     return keep
@@ -426,18 +424,11 @@ def poincare_presentation(
     """Ten-generator presentation read off the pairing cycles."""
     from .words import Alphabet, Generator, Presentation
 
-    names = [row.generator for row in pairings]
-    alphabet = Alphabet(Generator(n) for n in names)
-    relators = []
-    for c in cycles:
-        letters = []
-        for name in reversed(c.generators):
-            if name.endswith("^-1"):
-                letters.append((name[:-3], -1))
-            else:
-                letters.append((name, 1))
-        relators.append(Word(alphabet, letters * c.nu))
-    return Presentation(alphabet, relators)
+    alphabet = Alphabet(Generator(row.generator) for row in pairings)
+    return Presentation(
+        alphabet,
+        [Word.parse(alphabet, " ".join(reversed(c.generators * c.nu))) for c in cycles],
+    )
 
 
 def _surface_word_from_pairings(

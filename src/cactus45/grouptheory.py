@@ -119,14 +119,9 @@ STANDARD_ELIMINATIONS: Tuple[Tuple[str, str], ...] = (
 
 def _expand_partial(w: Word, partial: Mapping[str, Word]) -> Word:
     """Substitute only the generators present in the partial map."""
-    letters: List[Tuple[str, int]] = []
-    for name, exp in w:
-        if name in partial:
-            img = partial[name]
-            letters.extend(img.letters if exp == 1 else invert(img).letters)
-        else:
-            letters.append((name, exp))
-    return free_reduce(Word(w.alphabet, letters))
+    images = {n: Word.parse(w.alphabet, n) for n in w.alphabet.names()}
+    images.update(partial)
+    return substitute(w, images)
 
 
 def standard_expansion_images() -> Dict[str, Word]:
@@ -148,10 +143,13 @@ def standard_expansion_images() -> Dict[str, Word]:
 
 def exponent_vector(w: Word) -> Tuple[int, ...]:
     """Exponent sum of each alphabet generator, in alphabet order."""
-    sums = {name: 0 for name in w.alphabet.names()}
-    for name, exp in w:
-        sums[name] += exp
-    return tuple(sums[name] for name in w.alphabet.names())
+    sums = [0] * len(w.alphabet)
+    for c in w.codes:
+        if c >= 0:
+            sums[c] += 1
+        else:
+            sums[~c] -= 1
+    return tuple(sums)
 
 
 def _integer_row_echelon(rows: List[List[int]]) -> List[List[int]]:
@@ -243,57 +241,73 @@ class TrivialityCertificate:
     moves: Tuple[CertMove, ...]
 
     def replay(self, P: Presentation) -> Word:
-        forms = frozenset(_rotation_list(P.relators))
-        current = free_reduce(self.word)
+        """Apply the moves to the freely reduced word; the result is
+        freely reduced.  An insert must splice in a rotation of a
+        cyclically reduced relator or its inverse, the forms Dehn's
+        algorithm uses; ValueError on any other move.  The word is held
+        as the codes left of the cursor and, reversed, those right of
+        it: a freely reduced form spliced into a freely reduced word
+        cancels outward from its two seams only."""
+        alphabet = P.alphabet
+        if self.word.alphabet != alphabet:
+            raise ValueError("word over a different alphabet")
+        inverse = alphabet.inverse
+        forms = {Word._from_codes(alphabet, f).letters: f for f in _relator_forms(P)}
+        left, right = list(free_reduce(self.word).codes), []
         for mv in self.moves:
             if mv.kind == "shift":
-                k = mv.position % max(len(current), 1)
-                current = Word(
-                    current.alphabet, current.letters[k:] + current.letters[:k]
-                )
+                k = mv.position % max(len(left) + len(right), 1)
+                codes = left + right[::-1]
+                left, right = codes[k:], codes[:k][::-1]
             elif mv.kind == "insert":
-                if mv.letters not in forms:
+                form = forms.get(mv.letters)
+                if form is None:
                     raise ValueError("move splices in a non-relator word")
-                if not 0 <= mv.position <= len(current):
+                if not 0 <= mv.position <= len(left) + len(right):
                     raise ValueError("insertion position out of range")
-                current = free_reduce(
-                    Word(
-                        current.alphabet,
-                        current.letters[: mv.position]
-                        + mv.letters
-                        + current.letters[mv.position :],
-                    )
-                )
+                while len(left) > mv.position:
+                    right.append(left.pop())
+                while len(left) < mv.position:
+                    left.append(right.pop())
+                for c in form:
+                    if left and left[-1] == inverse[c]:
+                        left.pop()
+                    else:
+                        left.append(c)
             else:
                 raise ValueError(f"unknown move kind {mv.kind!r}")
-        return current
+            while left and right and left[-1] == inverse[right[-1]]:
+                left.pop()
+                right.pop()
+        return Word._from_codes(alphabet, left + right[::-1])
 
     def check(self, P: Presentation) -> bool:
-        """Replay to the empty word, then re-check the abelian invariant."""
+        """Replay to the empty word, then re-check the abelian invariant
+        (an involutive generator has order two there)."""
         if len(self.replay(P)):
             return False
-        return in_integer_row_span(
-            exponent_vector(free_reduce(self.word)),
-            [exponent_vector(r) for r in P.relators],
-        )
+        n = len(P.alphabet)
+        rows = [exponent_vector(r) for r in P.relators]
+        rows += [[2 * (j == i) for j in range(n)] for i, g in enumerate(P.alphabet) if g.involutive]
+        return in_integer_row_span(exponent_vector(free_reduce(self.word)), rows)
 
 
 # ---------------------------------------------------------------------------
 # small-cancellation machinery
 
 
-Letters = Tuple[Tuple[str, int], ...]
+Codes = Tuple[int, ...]
 
 
-def _rotation_list(words: Iterable[Word]) -> List[Letters]:
+def _rotation_list(words: Iterable[Word]) -> List[Codes]:
     """Every rotation of each word and of its inverse, sorted.  A word
     whose rotation class is already listed (as an earlier word or its
     inverse) adds nothing, and neither does the empty word; a proper
     power keeps its repeated rotations."""
-    listed: List[Letters] = []
+    listed: List[Codes] = []
     classes = set()
     for w in words:
-        for base in (w.letters, invert(w).letters):
+        for base in (w.codes, invert(w).codes):
             rots = [base[i:] + base[:i] for i in range(len(base))]
             if rots and min(rots) not in classes:
                 classes.add(min(rots))
@@ -301,13 +315,13 @@ def _rotation_list(words: Iterable[Word]) -> List[Letters]:
     return sorted(listed)
 
 
-def _relator_forms(P: Presentation) -> List[Letters]:
+def _relator_forms(P: Presentation) -> List[Codes]:
     # an involution square cyclically reduces to the empty word: it is
     # trivial in the free product of the letters, and has no rotation
     return _rotation_list(map(cyclic_reduce, P.relators))
 
 
-def _common_prefix(a: Letters, b: Letters) -> int:
+def _common_prefix(a: Codes, b: Codes) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
@@ -331,25 +345,23 @@ def piece_ratio(P: Presentation) -> Fraction:
 
 @lru_cache(maxsize=8)
 def _dehn_rules(P: Presentation):
-    """(rules, their key lengths, letter inverses) for P: rules maps
-    the shortest more-than-half prefix of each relator form (the
-    reducer meets no longer one first) to the inverse form, rotated to
-    cancel it.  Piece ratio below 1/6 keeps the prefixes distinct."""
+    """(rules, their key lengths) for P: rules maps the shortest
+    more-than-half prefix of each relator form (the reducer meets no
+    longer one first) to the inverse form, rotated to cancel it.  Piece
+    ratio below 1/6 keeps the prefixes distinct."""
     ratio = piece_ratio(P)
     if ratio >= Fraction(1, 6):
         raise ValueError(
             f"piece ratio {ratio} is not below 1/6; the greedy reduction "
             "is not a decision procedure here"
         )
-    rules: Dict[Letters, Letters] = {}
+    inverse = P.alphabet.inverse
+    rules: Dict[Codes, Codes] = {}
     for form in _relator_forms(P):
-        inv = invert(Word(P.alphabet, form)).letters
+        inv = tuple(inverse[c] for c in reversed(form))
         take = len(form) // 2 + 1
         rules[form[:take]] = inv[-take:] + inv[:-take]
-    inverse = {
-        (g.name, e): (g.name, 1 if g.involutive else -e) for g in P.alphabet for e in (1, -1)
-    }
-    return rules, {len(k) for k in rules}, inverse
+    return rules, {len(k) for k in rules}
 
 
 def dehn_reduce(
@@ -367,10 +379,13 @@ def dehn_reduce(
     always holds such a match (Greendlinger's lemma), so the result is
     empty exactly when w represents the identity.
     """
-    rules, lengths, inverse = _dehn_rules(P)
+    if w.alphabet != P.alphabet:
+        raise ValueError("word over a different alphabet")
+    rules, lengths = _dehn_rules(P)
+    inverse = P.alphabet.inverse
     moves: List[CertMove] = []
-    stack: List[Tuple[str, int]] = []
-    pending = list(reversed(free_reduce(w).letters))
+    stack: List[int] = []
+    pending = list(reversed(free_reduce(w).codes))
     while pending:
         letter = pending.pop()
         if stack and stack[-1] == inverse[letter]:
@@ -382,7 +397,9 @@ def dehn_reduce(
             splice = rules.get(tuple(stack[-take:])) if take <= len(stack) else None
             if splice is None:
                 continue
-            moves.append(CertMove("insert", len(stack), splice))
+            if with_moves:
+                letters = Word._from_codes(P.alphabet, splice).letters
+                moves.append(CertMove("insert", len(stack), letters))
             del stack[-take:]
             rest = list(splice[take:])
             while rest and pending and pending[-1] == inverse[rest[-1]]:
@@ -390,7 +407,7 @@ def dehn_reduce(
                 pending.pop()
             pending.extend(reversed(rest))
             break
-    reduced = Word(w.alphabet, stack)
+    reduced = Word._from_codes(w.alphabet, stack)
     if with_moves:
         return reduced, tuple(moves)
     return reduced
@@ -490,9 +507,8 @@ def tietze_eliminate(
             partial[k] = _expand_partial(partial[k], single)
         partial[gen_name] = expanded
 
-        survivors = [n for n in current.alphabet.names() if n != gen_name]
-        new_alphabet = Alphabet(current.alphabet.generator(n) for n in survivors)
-        image_map = {n: Word.parse(new_alphabet, n) for n in survivors}
+        new_alphabet = Alphabet(g for g in current.alphabet if g.name != gen_name)
+        image_map = {n: Word.parse(new_alphabet, n) for n in new_alphabet.names()}
         image_map[gen_name] = Word(new_alphabet, expanded.letters)
         current = Presentation(
             new_alphabet, [substitute(r, image_map) for r in current.relators]

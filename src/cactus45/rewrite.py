@@ -36,6 +36,7 @@ Every answer is exact: no operation is cut off by a search limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import Presentation, Word, invert, rotations
@@ -77,50 +78,44 @@ class Move:
     kind: str
 
     def apply(self, w: Word) -> Word:
-        ls = w.letters
-        pos = self.pos_check(w)
-        rl = self.relator.letters
+        cs, rc, pos = w.codes, self.relator.codes, self.position
+        limit = len(cs) if self.kind == "insert" else len(cs) - 2
+        if not 0 <= pos <= max(limit, 0):
+            raise ValueError(f"move position {pos} out of range for {w}")
         if self.kind == "swap":
-            if ls[pos : pos + 2] != rl[0:2]:
+            if cs[pos : pos + 2] != rc[0:2]:
                 raise ValueError(f"swap mismatch at {pos}: {w}")
-            new = ls[:pos] + (rl[3], rl[2]) + ls[pos + 2 :]
+            new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
         elif self.kind == "delete":
-            if ls[pos : pos + 2] != rl[0:2]:
+            if cs[pos : pos + 2] != rc[0:2]:
                 raise ValueError(f"delete mismatch at {pos}: {w}")
-            new = ls[:pos] + ls[pos + 2 :]
+            new = cs[:pos] + cs[pos + 2 :]
         elif self.kind == "insert":
-            new = ls[:pos] + rl[0:2] + ls[pos:]
+            new = cs[:pos] + rc[0:2] + cs[pos:]
         else:
             raise ValueError(f"unknown move kind {self.kind!r}")
-        return Word(w.alphabet, new)
-
-    def pos_check(self, w: Word) -> int:
-        limit = len(w.letters) if self.kind == "insert" else len(w.letters) - 2
-        if not 0 <= self.position <= max(limit, 0):
-            raise ValueError(f"move position {self.position} out of range for {w}")
-        return self.position
+        return Word._from_codes(w.alphabet, new)
 
     def inverted(self) -> "Move":
         if self.kind == "swap":
-            rl = self.relator.letters
-            back = Word(self.relator.alphabet, (rl[3], rl[2], rl[1], rl[0]))
-            return Move(self.position, back, "swap")
+            r = self.relator
+            return Move(self.position, Word._from_codes(r.alphabet, r.codes[::-1]), "swap")
         if self.kind == "delete":
             return Move(self.position, self.relator, "insert")
         return Move(self.position, self.relator, "delete")
 
 
 def _sanctioned(P: Presentation):
-    """Letter tuples a move may use: every rotation of a stored
-    length-4 relator or of its reverse (swaps), and the stored squares
+    """Code tuples a move may use: every rotation of a stored length-4
+    relator or of its reverse (swaps), and the stored squares
     (deletions and insertions)."""
     swaps, squares = set(), set()
     for r in P.relators:
         if len(r) == 4:
             for base in (r, invert(r)):
-                swaps.update(rot.letters for rot in rotations(base))
-        elif len(r) == 2 and r.letters[0] == r.letters[1]:
-            squares.add(r.letters)
+                swaps.update(rot.codes for rot in rotations(base))
+        elif len(r) == 2 and r.codes[0] == r.codes[1]:
+            squares.add(r.codes)
     return swaps, squares
 
 
@@ -131,10 +126,12 @@ class EqualityCertificate:
     def replay(self, P: Presentation, w: Word) -> Word:
         """Apply the moves to w; ValueError on a move that does not fit
         the word or whose relator P does not store."""
+        if w.alphabet != P.alphabet:
+            raise ValueError("word over a different alphabet")
         swaps, squares = _sanctioned(P)
         for m in self.moves:
             allowed = swaps if m.kind == "swap" else squares
-            if m.relator.letters not in allowed:
+            if m.relator.alphabet != P.alphabet or m.relator.codes not in allowed:
                 raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
             w = m.apply(w)
         return w
@@ -161,49 +158,27 @@ class EqualityResult:
 
 
 # A trace collects the moves of a computation as (kind, position,
-# relator letter names); it is only built when a certificate is wanted.
-Trace = Optional[List[Tuple[str, int, Tuple[str, ...]]]]
+# relator letter codes); it is only built when a certificate is wanted.
+Trace = Optional[List[Tuple[str, int, Tuple[int, ...]]]]
 
 
-class _Codec:
-    """Words <-> tuples of generator indices over one presentation."""
-
-    def __init__(self, P: Presentation):
-        alphabet = P.alphabet
-        if not all(g.involutive for g in alphabet):
-            raise ValueError("rewrite layer handles involutive alphabets only")
-        self.presentation = P
-        self.alphabet = alphabet
-        self.n = len(alphabet)
-        self.names = alphabet.names()
-        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-
-    def encode(self, w: Word) -> Tuple[int, ...]:
-        if w.alphabet != self.alphabet:
-            raise ValueError("word over a different alphabet")
-        return tuple(self.alphabet.index(nm) for nm, _ in w.letters)
-
-    def decode(self, t: Sequence[int]) -> Word:
-        return Word(self.alphabet, [(self.names[i], 1) for i in t])
-
-    def move(self, step) -> Move:
-        kind, pos, names = step
-        return Move(pos, Word(self.alphabet, [(nm, 1) for nm in names]), kind)
-
-
-class RewriteSystem(_Codec):
+class RewriteSystem:
     """Exact engine for an involutive presentation whose Cayley complex
     is a CAT(0) square complex: relators are squares x·x and words of
     length 4, no pair of letters lies on two squares, and the link (one
     edge per pair that lies on a square) has no triangle."""
 
     def __init__(self, P: Presentation):
-        super().__init__(P)
+        if not all(g.involutive for g in P.alphabet):
+            raise ValueError("rewrite layer handles involutive alphabets only")
+        self.presentation = P
+        self.n = len(P.alphabet)
+        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         # (y1, y2) -> (y4, y3) for every rotation y1 y2 y3 y4 of a relator
         self.swap: Dict[Tuple[int, int], Tuple[int, int]] = {}
         squares = set()
         for r in P.relators:
-            idx = tuple(self.alphabet.index(nm) for nm, _ in r.letters)
+            idx = r.codes
             if len(idx) == 2 and idx[0] == idx[1]:
                 squares.add(idx[0])
                 continue
@@ -225,7 +200,7 @@ class RewriteSystem(_Codec):
 
     def geodesic(self, t: Sequence[int], trace: Trace = None) -> List[int]:
         """A geodesic spelling of t, by sinking each letter leftward."""
-        swap, names = self.swap, self.names
+        swap = self.swap
         w: List[int] = []
         for g in t:
             mark = len(trace) if trace is not None else 0
@@ -235,13 +210,13 @@ class RewriteSystem(_Codec):
                 if sq is None:
                     break
                 if trace is not None:
-                    trace.append(("swap", i, tuple(names[x] for x in (w[i], cur) + sq[::-1])))
+                    trace.append(("swap", i, (w[i], cur) + sq[::-1]))
                 cur = sq[0]
                 moved.append(sq[1])
                 i -= 1
             if i >= 0 and w[i] == cur:
                 if trace is not None:
-                    trace.append(("delete", i, (names[cur],) * 2))
+                    trace.append(("delete", i, (cur, cur)))
                 w[i:] = moved[::-1]
             else:  # no cancellation: the squares crossed are not used
                 if trace is not None:
@@ -266,7 +241,7 @@ class RewriteSystem(_Codec):
             a, b = w[i], w[i + 1]
             c, d = swap[(a, b)]
             if trace is not None:
-                trace.append(("swap", i, tuple(self.names[y] for y in (a, b, d, c))))
+                trace.append(("swap", i, (a, b, d, c)))
             w[i], w[i + 1] = c, d
         return True
 
@@ -293,35 +268,33 @@ class RewriteSystem(_Codec):
         return forward, backward
 
 
-class SplitSystem(_Codec):
+class SplitSystem:
     """J4 through the split g = u · s14^p with u in J4'."""
 
     def __init__(self, P: Presentation):
-        super().__init__(P)
+        self.presentation = P
+        self.n = len(P.alphabet)
+        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.inner = system_for(cactus.j4prime_presentation())
-        self.reversal = self.alphabet.index("s14")
-        inner_names = self.inner.names
-        self._outer = [self.alphabet.index(nm) for nm in inner_names]
-        self._mirror = [inner_names.index(cactus.mirror_generator(nm)) for nm in inner_names]
 
     def _split(self, t: Sequence[int], trace: Trace = None):
-        u, p = cactus.push_s14_right(self.decode(t), trace)
-        return self.inner.encode(u), p
+        u, p = cactus.push_s14_right(Word._from_codes(self.presentation.alphabet, t), trace)
+        return u.codes, p
 
     def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
         u, p = self._split(t)
         w = self.inner.normal_form(u)
-        outer = self._outer
+        outer = cactus.J4P_TO_J4
         if not p:
             return tuple(outer[x] for x in w)
         # s14 is a left descent of u · s14 throughout, and w[k] is the
         # least descent of w[k:]; s14 comes once w[k] sorts after it,
         # and s14 · v = mirror(v) · s14 for the rest v
         k = 0
-        while k < len(w) and outer[w[k]] < self.reversal:
+        while k < len(w) and outer[w[k]] < cactus.S14:
             k += 1
-        rest = self.inner.normal_form([self._mirror[x] for x in w[k:]])
-        return tuple(outer[x] for x in w[:k]) + (self.reversal,) + tuple(outer[x] for x in rest)
+        rest = self.inner.normal_form([cactus.J4P_MIRROR[x] for x in w[k:]])
+        return tuple(outer[x] for x in w[:k]) + (cactus.S14,) + tuple(outer[x] for x in rest)
 
     def paths(self, t1: Sequence[int], t2: Sequence[int]):
         # equal elements share p, so after the splits only the J4' words
@@ -329,19 +302,21 @@ class SplitSystem(_Codec):
         forward, backward = [], []
         u1, _ = self._split(t1, forward)
         u2, _ = self._split(t2, backward)
-        f, b = self.inner.paths(u1, u2)
-        return forward + f, backward + b
+        for trace, inner in zip((forward, backward), self.inner.paths(u1, u2)):
+            trace += [(kind, pos, tuple(cactus.J4P_TO_J4[x] for x in r)) for kind, pos, r in inner]
+        return forward, backward
 
 
-_SYSTEMS: Dict[Presentation, _Codec] = {}
-
-
+@lru_cache(maxsize=8)
 def system_for(P: Presentation):
-    sys = _SYSTEMS.get(P)
-    if sys is None:
-        sys = SplitSystem(P) if P == cactus.j4_presentation() else RewriteSystem(P)
-        _SYSTEMS[P] = sys
-    return sys
+    """The exact engine for P, built once per presentation."""
+    return SplitSystem(P) if P == cactus.j4_presentation() else RewriteSystem(P)
+
+
+def _codes(w: Word, P: Presentation) -> Tuple[int, ...]:
+    if w.alphabet != P.alphabet:
+        raise ValueError("word over a different alphabet")
+    return w.codes
 
 
 def words_equal(
@@ -354,15 +329,19 @@ def words_equal(
     normal forms as witness.
     """
     sys = system_for(P)
-    t1, t2 = sys.encode(w1), sys.encode(w2)
+    t1, t2 = _codes(w1, P), _codes(w2, P)
     c1, c2 = sys.normal_form(t1), sys.normal_form(t2)
     if c1 != c2:
-        return EqualityResult(False, PROVEN_UNEQUAL, witness=(sys.decode(c1), sys.decode(c2)))
+        witness = (Word._from_codes(P.alphabet, c1), Word._from_codes(P.alphabet, c2))
+        return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
     if not certificate:
         return EqualityResult(True, EQUAL)
     forward, backward = sys.paths(t1, t2)
-    moves = [sys.move(s) for s in forward]
-    moves += [sys.move(s).inverted() for s in reversed(backward)]
+    moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
+    moves += [
+        Move(pos, Word._from_codes(P.alphabet, r), kind).inverted()
+        for kind, pos, r in reversed(backward)
+    ]
     cert = EqualityCertificate(tuple(moves))
     if not cert.verify(P, w1, w2):
         raise AssertionError("internal error: certificate failed to replay")
@@ -371,8 +350,7 @@ def words_equal(
 
 def canonical_form(w: Word, P: Presentation) -> Word:
     """The shortlex-least geodesic spelling of w."""
-    sys = system_for(P)
-    return sys.decode(sys.normal_form(sys.encode(w)))
+    return Word._from_codes(P.alphabet, system_for(P).normal_form(_codes(w, P)))
 
 
 def _sphere_tuples(sys, L: int) -> Tuple[Tuple[int, ...], ...]:
@@ -398,5 +376,4 @@ def sphere(P: Presentation, L: int, budget: Optional[RewriteBudget] = None):
     only because `perfbench/passrun.py` passes one."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    sys = system_for(P)
-    return [sys.decode(t) for t in _sphere_tuples(sys, L)]
+    return [Word._from_codes(P.alphabet, t) for t in _sphere_tuples(system_for(P), L)]

@@ -80,13 +80,8 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _ball(radius: int):
-    return build_ball(j4prime_presentation(), radius)
-
-
-@lru_cache(maxsize=None)
 def _embedding():
-    return embed_ball(_ball(4))
+    return embed_ball(build_ball(j4prime_presentation(), 4))
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +259,7 @@ def _check_reversal_conjugation(tol: float) -> str:
 
 
 def _check_complex_structure(tol: float) -> str:
-    ball2 = _ball(2)
+    ball2 = build_ball(j4prime_presentation(), 2)
     _require(len(ball2.edges) == 25, f"radius-2 ball has {len(ball2.edges)} edges")
     expected_faces = {
         frozenset(_canon(x) for x in row) for row in ref.IDENTITY_FACES
@@ -275,7 +270,7 @@ def _check_complex_structure(tol: float) -> str:
         len(ball2.faces) == 5, "radius-2 ball should close no other face"
     )
 
-    ball3 = _ball(3)
+    ball3 = build_ball(j4prime_presentation(), 3)
     for v in ball3.interior:
         link = vertex_link(ball3, v)
         _require(
@@ -309,7 +304,7 @@ def _check_geometry_metrics(tol: float) -> str:
     _require(abs(R - 1.253739) < tol, f"edge length {R:.6f}")
 
     emb = _embedding()
-    ball = _ball(4)
+    ball = build_ball(j4prime_presentation(), 4)
     worst_edge = max(
         abs(hyp_distance(emb[u], emb[v]) - R) for u, v, _ in ball.edges
     )

@@ -6,6 +6,13 @@ with exponent +1 and a pair of equal involutive letters cancels freely.
 This layer only knows free cancellation and shortlex order -- group
 equality modulo relators lives in the rewrite layer.
 
+Inside, a word is a tuple of letter codes, and this module alone fixes
+the code: generator i of the alphabet is i at exponent +1 and ~i
+(= -i-1) at exponent -1, and an involutive generator is always i.  The
+other layers compute on codes; (name, exponent) letters are read and
+written only at the API boundary: `Word(alphabet, letters)`,
+`Word.letters`, iteration, indexing, `parse` and `str`.
+
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``.
 """
@@ -13,7 +20,7 @@ trailing ``^-1``, the empty word written ``e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Letter = Tuple[str, int]
 
@@ -29,9 +36,13 @@ class Generator:
 
 
 class Alphabet:
-    """An ordered tuple of generators; declaration order fixes shortlex."""
+    """An ordered tuple of generators; declaration order fixes shortlex.
 
-    __slots__ = ("generators", "_index")
+    `inverse[c]` is the code of the inverse of the letter with code c,
+    and `_letters[c]` its (name, exponent) pair: codes 0..n-1 index
+    both tables from the start, codes ~0..~(n-1) from the end."""
+
+    __slots__ = ("generators", "_index", "inverse", "_letters")
 
     def __init__(self, generators: Iterable[Generator]):
         self.generators = tuple(generators)
@@ -42,15 +53,24 @@ class Alphabet:
             if g.name in self._index:
                 raise ValueError(f"duplicate generator name {g.name!r}")
             self._index[g.name] = i
+        gens = self.generators
+        self.inverse = tuple(i if g.involutive else ~i for i, g in enumerate(gens))
+        self.inverse += tuple(reversed(range(len(gens))))
+        self._letters = tuple((g.name, 1) for g in gens)
+        self._letters += tuple((g.name, -1) for g in reversed(gens))
 
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def generator(self, name: str) -> Generator:
-        try:
-            return self.generators[self._index[name]]
-        except KeyError:
-            raise KeyError(f"generator {name!r} not in alphabet") from None
+    def _code(self, letter: Letter) -> int:
+        """The code of a (name, exponent) letter, checked."""
+        name, exp = letter
+        i = self._index.get(name)
+        if i is None:
+            raise KeyError(f"generator {name!r} not in alphabet")
+        if exp not in (1, -1):
+            raise ValueError(f"exponent must be +1 or -1, got {exp}")
+        return i if exp == 1 or self.generators[i].involutive else ~i
 
     def names(self) -> Tuple[str, ...]:
         return tuple(g.name for g in self.generators)
@@ -65,7 +85,9 @@ class Alphabet:
         return len(self.generators)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.generators == other.generators
+        return self is other or (
+            isinstance(other, Alphabet) and self.generators == other.generators
+        )
 
     def __hash__(self) -> int:
         return hash(self.generators)
@@ -77,20 +99,26 @@ class Alphabet:
 class Word:
     """Immutable word; not automatically reduced (use free_reduce)."""
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "codes")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()):
-        norm = []
-        for name, exp in letters:
-            gen = alphabet.generator(name)
-            if exp not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {exp}")
-            norm.append((name, 1) if gen.involutive else (name, exp))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", tuple(norm))
+        object.__setattr__(self, "codes", tuple(map(alphabet._code, letters)))
+
+    @classmethod
+    def _from_codes(cls, alphabet: Alphabet, codes: Iterable[int]) -> "Word":
+        """A word from letter codes that are already valid for alphabet."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "codes", tuple(codes))
+        return w
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Word is immutable")
+
+    @property
+    def letters(self) -> Tuple[Letter, ...]:
+        return tuple(map(self.alphabet._letters.__getitem__, self.codes))
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
@@ -106,7 +134,7 @@ class Word:
         return cls(alphabet, letters)
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return "e"
         return " ".join(n if e == 1 else f"{n}^-1" for n, e in self.letters)
 
@@ -114,74 +142,68 @@ class Word:
         return f"Word({str(self)})"
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.alphabet, self.letters[i])
-        return self.letters[i]
+            return Word._from_codes(self.alphabet, self.codes[i])
+        return self.alphabet._letters[self.codes[i]]
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._from_codes(self.alphabet, self.codes + other.codes)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
+            and self.codes == other.codes
             and self.alphabet == other.alphabet
-            and self.letters == other.letters
         )
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.codes)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
 
-def _inv_letter(alphabet: Alphabet, letter: Letter) -> Letter:
-    name, exp = letter
-    if alphabet.generator(name).involutive:
-        return (name, 1)
-    return (name, -exp)
+def _free(codes: Iterable[int], inverse) -> List[int]:
+    """Cancel each code against a left neighbour equal to its inverse."""
+    stack: List[int] = []
+    for c in codes:
+        if stack and stack[-1] == inverse[c]:
+            stack.pop()
+        else:
+            stack.append(c)
+    return stack
 
 
-def _cancels(alphabet: Alphabet, a: Letter, b: Letter) -> bool:
-    if a[0] != b[0]:
-        return False
-    if alphabet.generator(a[0]).involutive:
-        return True
-    return a[1] == -b[1]
+def _cyclic(codes: Iterable[int], inverse) -> List[int]:
+    """Free reduction, then strip first/last codes that cancel."""
+    stack = _free(codes, inverse)
+    i, j = 0, len(stack)
+    while j - i >= 2 and stack[i] == inverse[stack[j - 1]]:
+        i, j = i + 1, j - 1
+    return stack[i:j]
 
 
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
-    stack: list[Letter] = []
-    for let in w.letters:
-        if stack and _cancels(w.alphabet, stack[-1], let):
-            stack.pop()
-        else:
-            stack.append(let)
-    return Word(w.alphabet, stack)
+    return Word._from_codes(w.alphabet, _free(w.codes, w.alphabet.inverse))
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Freely reduce, then strip cancelling first/last letters."""
-    r = free_reduce(w)
-    letters = list(r.letters)
-    while len(letters) >= 2 and _cancels(w.alphabet, letters[0], letters[-1]):
-        letters = letters[1:-1]
-    return Word(w.alphabet, letters)
+    return Word._from_codes(w.alphabet, _cyclic(w.codes, w.alphabet.inverse))
 
 
 def invert(w: Word) -> Word:
-    return Word(
-        w.alphabet, [_inv_letter(w.alphabet, l) for l in reversed(w.letters)]
-    )
+    inverse = w.alphabet.inverse
+    return Word._from_codes(w.alphabet, [inverse[c] for c in reversed(w.codes)])
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
@@ -197,58 +219,38 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
             target = img.alphabet
         elif img.alphabet != target:
             raise ValueError("substitution images span different alphabets")
-    out: list[Letter] = []
-    for name, exp in w.letters:
-        if name not in images:
-            raise KeyError(f"no image for generator {name!r}")
-        img = images[name]
-        out.extend(img.letters if exp == 1 else invert(img).letters)
+    table: Dict[int, Tuple[int, ...]] = {}
+    out: List[int] = []
+    for c in w.codes:
+        if c not in table:
+            name = w.alphabet.generators[c if c >= 0 else ~c].name
+            if name not in images:
+                raise KeyError(f"no image for generator {name!r}")
+            img = images[name]
+            table[c] = img.codes if c >= 0 else invert(img).codes
+        out.extend(table[c])
     if target is None:
         target = w.alphabet
-    return free_reduce(Word(target, out))
+    return Word._from_codes(target, _free(out, target.inverse))
 
 
 def shortlex_key(w: Word) -> Tuple:
     """Sort key: length first, then letters by (alphabet index, sign)."""
-    alph = w.alphabet
-    return (
-        len(w.letters),
-        tuple((alph.index(n), 0 if e == 1 else 1) for n, e in w.letters),
-    )
+    return (len(w.codes), tuple(2 * c if c >= 0 else 2 * ~c + 1 for c in w.codes))
 
 
 def rotations(w: Word) -> list[Word]:
     """All cyclic rotations (length |w| list; duplicates kept)."""
-    letters = w.letters
+    codes = w.codes
     return [
-        Word(w.alphabet, letters[i:] + letters[:i]) for i in range(len(letters))
+        Word._from_codes(w.alphabet, codes[i:] + codes[:i]) for i in range(len(codes))
     ] or [w]
-
-
-def _cancels_strict(a: Letter, b: Letter) -> bool:
-    # opposite exponents only: involutive squares survive (they are the
-    # involution relators, which presentations must be able to store)
-    return a[0] == b[0] and a[1] == -b[1]
-
-
-def _storage_reduce(w: Word) -> Word:
-    """Cyclic reduction for relator storage: cancels x·x^-1 pairs but
-    keeps involutive squares intact."""
-    stack: list[Letter] = []
-    for let in w.letters:
-        if stack and _cancels_strict(stack[-1], let):
-            stack.pop()
-        else:
-            stack.append(let)
-    while len(stack) >= 2 and _cancels_strict(stack[0], stack[-1]):
-        stack = stack[1:-1]
-    return Word(w.alphabet, stack)
 
 
 def normalize_relator(w: Word) -> Word:
     """Cyclically reduce and pick the shortlex-least rotation."""
     r = cyclic_reduce(w)
-    if not r.letters:
+    if not r.codes:
         return r
     return min(rotations(r), key=shortlex_key)
 
@@ -269,13 +271,16 @@ class Presentation:
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
         seen = []
+        # cancels x x^-1 pairs only: involution squares are relators that
+        # presentations must be able to store
+        strict = {c: ~c for c in range(-len(alphabet), len(alphabet))}
         for r in relators:
             if r.alphabet != alphabet:
                 raise ValueError("relator over a different alphabet")
-            sr = _storage_reduce(r)
-            if sr.is_identity():
+            sr = _cyclic(r.codes, strict)
+            if not sr:
                 continue
-            n = min(rotations(sr), key=shortlex_key)
+            n = min(rotations(Word._from_codes(alphabet, sr)), key=shortlex_key)
             if n not in seen:
                 seen.append(n)
         object.__setattr__(self, "alphabet", alphabet)

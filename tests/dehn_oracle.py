@@ -1,12 +1,14 @@
-"""Reference oracle for Dehn's algorithm: the rescanning reducer and the
-subword-table piece ratio that `cactus45.grouptheory` ran before its
-stack reducer.
+"""Reference oracle for Dehn's algorithm: the rescanning reducer, the
+subword-table piece ratio and the certificate replay that
+`cactus45.grouptheory` ran before its stack reducer and its linear
+replay.
 
 `dehn_reduce` rebuilds the word after every more-than-half match and
 rescans from the first position, so it is quadratic or worse in the
 word length; `piece_ratio` tabulates every proper subword of every
-necklace.  Both follow the definitions directly, which is what the
-tests compare the package against.
+necklace; `replay` rebuilds and freely reduces the whole word after
+every insert.  All three follow the definitions directly, which is what
+the tests compare the package against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from cactus45.grouptheory import CertMove
+from cactus45.grouptheory import CertMove, TrivialityCertificate
 from cactus45.words import (
     Presentation,
     Word,
@@ -117,4 +119,30 @@ def dehn_reduce(w: Word, P: Presentation, with_moves: bool = False):
                 break
     if with_moves:
         return current, tuple(moves)
+    return current
+
+
+def replay(cert: TrivialityCertificate, P: Presentation) -> Word:
+    """Apply the moves, freely reducing the whole word after each
+    insert; an insert must splice in a rotation of a stored relator or
+    of its inverse, a shift rotates the word left."""
+    forms = {
+        rot.letters for r in P.relators for base in (r, invert(r)) for rot in rotations(base)
+    }
+    current = free_reduce(cert.word)
+    for mv in cert.moves:
+        letters = current.letters
+        if mv.kind == "shift":
+            k = mv.position % max(len(letters), 1)
+            current = Word(current.alphabet, letters[k:] + letters[:k])
+        elif mv.kind == "insert":
+            if mv.letters not in forms:
+                raise ValueError("move splices in a non-relator word")
+            if not 0 <= mv.position <= len(letters):
+                raise ValueError("insertion position out of range")
+            current = free_reduce(
+                Word(current.alphabet, letters[: mv.position] + mv.letters + letters[mv.position :])
+            )
+        else:
+            raise ValueError(f"unknown move kind {mv.kind!r}")
     return current

@@ -169,3 +169,14 @@ def test_radius_four_interior_count():
     report = check_tiling(b)
     assert report.ok
     assert report.interior_count == 21
+
+
+def test_ball_cache_is_shared_and_bounded():
+    from cactus45.words import Alphabet, Generator, Presentation, Word
+
+    assert build_ball(P, 3) is build_ball(P, 3)
+    for i in range(20):
+        alphabet = Alphabet([Generator(f"x{i}", involutive=True)])
+        x = Word.parse(alphabet, f"x{i}")
+        assert len(build_ball(Presentation(alphabet, [x * x]), 1).vertices) == 2
+    assert build_ball.cache_info().currsize <= 8

@@ -11,16 +11,18 @@ from cactus45.geometry import (
     Mobius,
     edge_length_45,
     embed_ball,
-    from_klein,
-    halfplane_intersection,
     hyp_distance,
-    hyp_midpoint,
-    perpendicular_bisector,
     render_svg,
     to_klein,
 )
 
 from fixtures import A_WORDS
+from geometry_oracle import (
+    from_klein,
+    halfplane_intersection,
+    hyp_midpoint,
+    perpendicular_bisector,
+)
 
 P = j4prime_presentation()
 R = edge_length_45()

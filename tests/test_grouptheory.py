@@ -582,12 +582,12 @@ def _contains_rule_key(w, P):
 
 def _check_reduction(w, P, trivial):
     """The verdict, then a witness with no match or a certificate that
-    replays (replay is quadratic, so only up to 3,000 letters)."""
+    replays."""
     reduced, moves = dehn_reduce(w, P, with_moves=True)
     assert (len(reduced) == 0) == trivial
     if len(reduced):
         assert not _contains_rule_key(reduced, P)
-    elif len(w) <= 3000:
+    else:
         assert TrivialityCertificate(w, moves).check(P)
 
 
@@ -651,3 +651,56 @@ def test_piece_ratio_matches_subword_table():
         involutive += any(g.involutive for g in P.alphabet)
         powers += any(_is_proper_power(cyclic_reduce(r)) for r in P.relators)
     assert involutive >= 500 and powers >= 300, (involutive, powers)
+
+
+def _replay_outcome(replay, cert, P):
+    try:
+        return free_reduce(replay(cert, P))
+    except ValueError:
+        return "refused"
+
+
+@pytest.mark.parametrize(
+    "P, seed", [(FIVE, 4), (ALT, 5), (SURF, 6)], ids=["five", "alt", "surface"]
+)
+def test_linear_replay_agrees_with_rebuilding_oracle(P, seed):
+    rng = random.Random(seed)
+    for n in (30, 100, 400):
+        for _ in range(4):
+            w = _planted(P, rng, n)
+            _, moves = dehn_reduce(w, P, with_moves=True)
+            k = rng.randrange(len(moves))
+            m = moves[k]
+            # a bad position, a non-relator splice, an unknown kind
+            corrupted = [
+                CertMove("insert", n + len(m.letters) + 1, m.letters),
+                CertMove("insert", m.position, m.letters[1:]),
+                CertMove("delete", m.position, m.letters),
+            ]
+            cases = [(moves, Word(P.alphabet, ())), (moves[:k] + moves[k + 1 :], None)]
+            cases += [(moves[:k] + (bad,) + moves[k + 1 :], "refused") for bad in corrupted]
+            for mvs, expected in cases:
+                cert = TrivialityCertificate(w, mvs)
+                new = _replay_outcome(TrivialityCertificate.replay, cert, P)
+                assert new == _replay_outcome(dehn_oracle.replay, cert, P)
+                assert expected in (None, new)
+
+
+def test_shift_keeps_the_replayed_word_freely_reduced():
+    w = Word.parse(SURF.alphabet, "a1 a2 a1^-1")
+    cert = TrivialityCertificate(w, (CertMove("shift", 2),))
+    assert str(cert.replay(SURF)) == "a2"
+    assert str(dehn_oracle.replay(cert, SURF)) == "a1^-1 a1 a2"
+
+
+def test_relator_holding_an_involution_square_certifies_trivial():
+    names = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    alphabet = Alphabet([Generator("x", involutive=True)] + [Generator(n) for n in names])
+    P = Presentation(alphabet, [Word.parse(alphabet, "x x " + " ".join(names))])
+    assert str(P.relators[0]) == "x x a b c d e f g h"
+    assert piece_ratio(P) == 0
+    res = word_problem_search(Word.parse(alphabet, "a b c d e f g h"), P)
+    assert res.status == "TRIVIAL" and res.certificate.check(P)
+    res = word_problem_search(Word.parse(alphabet, "x a b c d e f g h x"), P)
+    assert res.status == "TRIVIAL" and res.certificate.check(P)
+    assert word_problem_search(Word.parse(alphabet, "x a b c d e f g h"), P).nontrivial

@@ -238,6 +238,16 @@ def test_rewrite_layer_rejects_noninvolutive_alphabet():
         canonical_form(Word.parse(free, "a"), P)
 
 
+def test_engine_cache_holds_at_most_eight_presentations():
+    from cactus45.words import Alphabet, Generator, Presentation
+
+    for i in range(20):
+        alphabet = Alphabet([Generator(f"x{i}", involutive=True)])
+        x = Word.parse(alphabet, f"x{i}")
+        assert canonical_form(x * x * x, Presentation(alphabet, [x * x])) == x
+    assert system_for.cache_info().currsize <= 8
+
+
 # ---------------------------------------------------------------------------
 # the exact engine against the closure oracle, and on long random words
 

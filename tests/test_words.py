@@ -16,6 +16,8 @@ from cactus45.words import (
     substitute,
 )
 
+import words_oracle
+
 INV = Alphabet([Generator(n, involutive=True) for n in ("x", "y", "z")])
 FREE = Alphabet([Generator(n) for n in ("a", "b", "c")])
 
@@ -176,3 +178,40 @@ def test_word_immutable_and_hashable():
 def test_concatenation_requires_same_alphabet():
     with pytest.raises(ValueError):
         w(FREE, "a") * w(INV, "x")
+
+
+MIXED = Alphabet(
+    [Generator("a"), Generator("x", involutive=True), Generator("b"), Generator("y", involutive=True)]
+)
+
+
+def test_word_validates_letters():
+    with pytest.raises(KeyError):
+        Word(MIXED, [("z", 1)])
+    for exp in (0, 2, -2):
+        with pytest.raises(ValueError):
+            Word(MIXED, [("a", exp)])
+
+
+def test_letter_codes_agree_with_name_oracle():
+    rng = random.Random(2024)
+    letters = [(g.name, e) for g in MIXED for e in (1, -1)]
+    for _ in range(600):
+        word = Word(MIXED, [rng.choice(letters) for _ in range(rng.randrange(0, 16))])
+        other = Word(MIXED, [rng.choice(letters) for _ in range(rng.randrange(0, 16))])
+        assert free_reduce(word).letters == words_oracle.free_reduce(word)
+        assert cyclic_reduce(word).letters == words_oracle.cyclic_reduce(word)
+        assert invert(word).letters == words_oracle.invert(word)
+        for u, v in ((word, other), (other, word), (word, word)):
+            assert (shortlex_key(u) < shortlex_key(v)) == (
+                words_oracle.shortlex_key(u) < words_oracle.shortlex_key(v)
+            )
+        stored = words_oracle.stored_relator(word)
+        assert [r.letters for r in Presentation(MIXED, [word]).relators] == ([stored] if stored else [])
+        # the (name, exponent) boundary round-trips
+        assert Word(MIXED, word.letters) == word
+        assert Word.parse(MIXED, str(word)) == word
+        assert hash(Word(MIXED, list(word))) == hash(word)
+        i, j = sorted(rng.randrange(len(word) + 1) for _ in range(2))
+        assert word[i:j] == Word(MIXED, word.letters[i:j])
+        assert [word[k] for k in range(len(word))] == list(word.letters)
