@@ -48,12 +48,14 @@ from .complex import (
     vertex_link,
 )
 from .dirichlet import (
+    FundamentalDomain,
     LabeledPolygon,
     SidePairing,
     SurfaceClass,
     VertexCycle,
     classify_identified_surface,
     dirichlet_polygon,
+    fundamental_domain,
     poincare_presentation,
     side_pairings,
     vertex_cycles,

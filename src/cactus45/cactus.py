@@ -19,8 +19,7 @@ stored instance per unordered pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .words import Alphabet, Generator, Presentation, Word
 
@@ -101,16 +100,10 @@ def _presentation_for(gens: Tuple[IntervalGenerator, ...]) -> Presentation:
     return Presentation(alphabet, relators)
 
 
-@lru_cache(maxsize=None)
 def cactus_presentation(n: int) -> Presentation:
     if n < 2:
         raise ValueError("cactus groups need n >= 2")
     return _presentation_for(interval_generators(n))
-
-
-@lru_cache(maxsize=None)
-def _subgroup_presentation_cached(n: int, lengths: FrozenSet[int]) -> Presentation:
-    return _presentation_for(interval_generators(n, lengths))
 
 
 def subgroup_presentation(n: int, S: Iterable[int]) -> Presentation:
@@ -121,15 +114,19 @@ def subgroup_presentation(n: int, S: Iterable[int]) -> Presentation:
         raise ValueError("S must be a nonempty subset of {2..n}")
     if not S <= set(range(2, n + 1)):
         raise ValueError(f"S must be a subset of {{2..{n}}}, got {sorted(S)}")
-    return _subgroup_presentation_cached(n, S)
+    return _presentation_for(interval_generators(n, S))
+
+
+J4 = cactus_presentation(4)
+J4P = subgroup_presentation(4, {2, 3})
 
 
 def j4_presentation() -> Presentation:
-    return cactus_presentation(4)
+    return J4
 
 
 def j4prime_presentation() -> Presentation:
-    return subgroup_presentation(4, {2, 3})
+    return J4P
 
 
 @dataclass(frozen=True)
@@ -209,15 +206,15 @@ class Permutation:
         return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycs)
 
 
-@lru_cache(maxsize=None)
-def reversal_permutation(n: int, p: int, q: int) -> Permutation:
-    """The permutation sending position i to p+q-i for p <= i <= q."""
+def _reversal_images(n: int, p: int, q: int) -> Tuple[int, ...]:
     if not 1 <= p < q <= n:
         raise ValueError(f"bad interval [{p},{q}] for n={n}")
-    images = list(range(1, n + 1))
-    for i in range(p, q + 1):
-        images[i - 1] = p + q - i
-    return Permutation(tuple(images))
+    return tuple(p + q - i if p <= i <= q else i for i in range(1, n + 1))
+
+
+def reversal_permutation(n: int, p: int, q: int) -> Permutation:
+    """The permutation sending position i to p+q-i for p <= i <= q."""
+    return Permutation(_reversal_images(n, p, q))
 
 
 def _parse_interval_name(name: str) -> Tuple[int, int]:
@@ -233,13 +230,14 @@ def project_to_symmetric(w: Word, n: int) -> Permutation:
     left to right (first letter acts first)."""
     gens = w.alphabet.generators
     images = {
-        c: reversal_permutation(n, *_parse_interval_name(gens[c].name))
+        c: _reversal_images(n, *_parse_interval_name(gens[c].name))
         for c in set(w.codes)
     }
-    perm = Permutation.identity(n)
+    perm = tuple(range(1, n + 1))
     for c in w.codes:
-        perm = perm.then(images[c])
-    return perm
+        image = images[c]
+        perm = tuple(image[i - 1] for i in perm)
+    return Permutation(perm)
 
 
 def is_pure(w: Word, n: int) -> bool:
@@ -255,8 +253,8 @@ def mirror_generator(name: str) -> str:
 
 
 # letter codes of J_4 and J_4' follow the order of interval_generators
-_J4_NAMES = tuple(g.name for g in interval_generators(4))
-_J4P_NAMES = tuple(g.name for g in interval_generators(4, {2, 3}))
+_J4_NAMES = J4.alphabet.names()
+_J4P_NAMES = J4P.alphabet.names()
 S14 = _J4_NAMES.index("s14")
 J4P_TO_J4 = tuple(_J4_NAMES.index(nm) for nm in _J4P_NAMES)
 J4P_MIRROR = tuple(_J4P_NAMES.index(_MIRROR4[nm]) for nm in _J4P_NAMES)
@@ -276,7 +274,7 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     in J_4 letter codes: ("swap", i, (s14, x, s14, x')) turns s14 x at
     position i into x' s14 and ("delete", i, (s14, s14)) cancels a pair.
     """
-    if w.alphabet != j4_presentation().alphabet:
+    if w.alphabet != J4.alphabet:
         raise ValueError("push_s14_right takes words over the J_4 alphabet")
     parity = 0
     out: List[int] = []
@@ -292,4 +290,4 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
             out.append(mirrored)
         else:
             out.append(_J4_TO_J4P[c])
-    return Word._from_codes(j4prime_presentation().alphabet, out), parity
+    return Word._from_codes(J4P.alphabet, out), parity

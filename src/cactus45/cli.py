@@ -28,14 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .action import standard_generators
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
-from .dirichlet import (
-    classify_identified_surface,
-    dirichlet_polygon,
-    poincare_presentation,
-    side_pairings,
-    vertex_cycles,
-)
-from .geometry import embed_ball, render_svg
+from .dirichlet import classify_identified_surface, fundamental_domain
+from .geometry import render_svg
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     TrivialityCertificate,
@@ -216,10 +210,9 @@ def _cmd_complex(args) -> Tuple[dict, dict, int]:
 
 
 def _dirichlet_results() -> dict:
-    poly = dirichlet_polygon()
-    pairings = side_pairings(poly)
-    cycles = vertex_cycles(poly, pairings)
-    surface = classify_identified_surface(poly, pairings)
+    fd = fundamental_domain()
+    poly = fd.polygon
+    surface = classify_identified_surface(poly, fd.pairings)
     return {
         "corners": [
             {"label": str(label), "fifths": fifths}
@@ -232,7 +225,7 @@ def _dirichlet_results() -> dict:
                 "source": [str(w) for w in row.source],
                 "target": [str(w) for w in row.target],
             }
-            for row in pairings
+            for row in fd.pairings
         ],
         "cycles": [
             {
@@ -242,7 +235,7 @@ def _dirichlet_results() -> dict:
                 "nu": c.nu,
                 "angle_sum_fifths": sum(c.fifths),
             }
-            for c in cycles
+            for c in fd.cycles
         ],
         "surface": {
             "euler_characteristic": surface.euler_characteristic,
@@ -257,10 +250,7 @@ def _cmd_dirichlet(args) -> Tuple[dict, dict, int]:
 
 
 def _cmd_presentation(args) -> Tuple[dict, dict, int]:
-    poly = dirichlet_polygon()
-    pairings = side_pairings(poly)
-    cycles = vertex_cycles(poly, pairings)
-    pres = poincare_presentation(pairings, cycles)
+    pres = fundamental_domain().presentation
     results = _presentation_dict(pres)
     results["abelianization"] = _abelianization_dict(
         abelianization_invariants(pres)
@@ -269,10 +259,7 @@ def _cmd_presentation(args) -> Tuple[dict, dict, int]:
 
 
 def _cmd_tietze(args) -> Tuple[dict, dict, int]:
-    poly = dirichlet_polygon()
-    pairings = side_pairings(poly)
-    cycles = vertex_cycles(poly, pairings)
-    before = poincare_presentation(pairings, cycles)
+    before = fundamental_domain().presentation
     after = tietze_eliminate(before, STANDARD_ELIMINATIONS)
     results = {
         "before": _presentation_dict(before),
@@ -315,62 +302,32 @@ _PALETTE = [f"hsl({i * 36}, 70%, 45%)" for i in range(10)]
 
 
 def _render_layers(what: str) -> List[dict]:
-    P = j4prime_presentation()
-    ball = build_ball(P, 4)
-    emb = embed_ball(ball)
-    identity = ball.identity()
+    fd = fundamental_domain()
+    emb, identity = fd.embedding, fd.ball.identity()
+
+    def edges(ball, color: str, width: int) -> dict:
+        segments = [(emb[u], emb[v]) for u, v, _ in ball.edges]
+        return {"kind": "segments", "segments": segments, "color": color,
+                "width": width}
+
+    def origin(color: str) -> dict:
+        return {"kind": "points", "points": [(emb[identity], "e")], "color": color}
+
     if what == "ball":
-        inner = build_ball(P, 3)
-        return [
-            {
-                "kind": "segments",
-                "segments": [(emb[u], emb[v]) for u, v, _ in inner.edges],
-                "color": "steelblue",
-                "width": 2,
-            },
-            {
-                "kind": "points",
-                "points": [
-                    (emb[v], "e") if v == identity else emb[v]
-                    for v in inner.vertices
-                ],
-                "color": "black",
-            },
-        ]
+        inner = build_ball(j4prime_presentation(), 3)
+        points = [(emb[v], "e") if v == identity else emb[v] for v in inner.vertices]
+        dots = {"kind": "points", "points": points, "color": "black"}
+        return [edges(inner, "steelblue", 2), dots]
     if what == "tiling":
-        return [
-            {
-                "kind": "segments",
-                "segments": [(emb[u], emb[v]) for u, v, _ in ball.edges],
-                "color": "black",
-                "width": 1,
-            },
-            {"kind": "points", "points": [(emb[identity], "e")], "color": "red"},
-        ]
+        return [edges(fd.ball, "black", 1), origin("red")]
     # the fundamental polygon over the tiling, paired sides sharing color
-    poly = dirichlet_polygon()
-    pairings = side_pairings(poly)
     side_color = {}
-    for index, row in enumerate(pairings):
-        side_color[frozenset(row.source)] = _PALETTE[index]
-        side_color[frozenset(row.target)] = _PALETTE[index]
-    colors = [
-        side_color[frozenset(poly.side_words(i))] for i in range(poly.n_sides)
-    ]
-    return [
-        {
-            "kind": "segments",
-            "segments": [(emb[u], emb[v]) for u, v, _ in ball.edges],
-            "color": "#cccccc",
-            "width": 1,
-        },
-        {"kind": "polygon", "polygon": poly.polygon, "side_colors": colors},
-        {
-            "kind": "points",
-            "points": [(emb[identity], "e")],
-            "color": "black",
-        },
-    ]
+    for index, row in enumerate(fd.pairings):
+        for side in (row.source, row.target):
+            side_color[frozenset(side)] = _PALETTE[index]
+    colors = [side_color[frozenset(side)] for side in fd.polygon.sides()]
+    polygon = {"kind": "polygon", "polygon": fd.polygon.polygon, "side_colors": colors}
+    return [edges(fd.ball, "#cccccc", 1), polygon, origin("black")]
 
 
 def _cmd_render(args) -> Tuple[dict, dict, int]:

@@ -15,6 +15,10 @@ edges with cell diagonals.  Third, the ten translation generators pair
 the sides of that polygon; walking the pairings around corner classes
 yields six cycles whose relations present the pure subgroup, and the
 side identifications classify the quotient surface.
+
+`fundamental_domain()` runs these stages once, in this order, and keeps
+the result; it is the one place the package memoises them.  The stage
+functions themselves recompute on every call.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .action import (
     GENERATOR_NAMES,
@@ -32,19 +37,21 @@ from .action import (
     pure_elements_within,
     standard_generator,
 )
-from .cactus import j4prime_presentation
-from .complex import build_ball
-from .geometry import HPolygon, embed_ball
+from .cactus import J4P
+from .complex import CayleyBall, build_ball
+from .geometry import HPoint, HPolygon, embed_ball
 from .rewrite import canonical_form, system_for
-from .words import Word, shortlex_key
+from .words import Alphabet, Generator, Presentation, Word, shortlex_key
 
 __all__ = [
+    "FundamentalDomain",
     "LabeledPolygon",
     "SidePairing",
     "SurfaceClass",
     "VertexCycle",
     "classify_identified_surface",
     "dirichlet_polygon",
+    "fundamental_domain",
     "poincare_presentation",
     "side_pairings",
     "vertex_cycles",
@@ -164,12 +171,13 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
     return keep
 
 
-@lru_cache(maxsize=None)
 def dirichlet_polygon() -> LabeledPolygon:
     """Cell-adapted fundamental 20-gon around the identity vertex."""
-    P = j4prime_presentation()
-    ball = build_ball(P, 4)
-    emb = embed_ball(ball)
+    ball = build_ball(J4P, 4)
+    return _polygon(ball, embed_ball(ball))
+
+
+def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
     keep = _voronoi_keeps(ball, _orbit_sites())
 
     # classify the square cells against the kept vertex set
@@ -267,16 +275,17 @@ def dirichlet_polygon() -> LabeledPolygon:
 
 def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     """The ten generator rows carrying one boundary side onto another."""
-    side_set = {frozenset(s) for s in D.sides()}
+    sides = D.sides()
+    kind_of = {frozenset(s): kind for s, kind in zip(sides, D.side_kinds)}
     pairings: List[SidePairing] = []
     used: Counter = Counter()
     for name in GENERATOR_NAMES:
         g = standard_generator(name)
         images = {w: gamma(g, w) for w in D.labels}
         rows = []
-        for u, v in D.sides():
+        for u, v in sides:
             iu, iv = images[u], images[v]
-            if frozenset((iu, iv)) in side_set:
+            if frozenset((iu, iv)) in kind_of:
                 rows.append(SidePairing(name, (u, v), (iu, iv)))
         if len(rows) != 1:
             raise ValueError(
@@ -289,13 +298,8 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     if sorted(used.values()) != [1] * 20 or len(used) != 20:
         raise ValueError("side pairings do not cover each side exactly once")
     for row in pairings:
-        src_kind = D.side_kinds[D.sides().index(row.source)]
-        tgt = frozenset(row.target)
-        tgt_kind = next(
-            D.side_kinds[i]
-            for i, s in enumerate(D.sides())
-            if frozenset(s) == tgt
-        )
+        src_kind = kind_of[frozenset(row.source)]
+        tgt_kind = kind_of[frozenset(row.target)]
         if src_kind != tgt_kind:
             raise ValueError(f"{row.generator} pairs a {src_kind} with a {tgt_kind}")
     return pairings
@@ -317,17 +321,13 @@ def _side_roles(
 
 
 def _walk_cycle(
-    D: LabeledPolygon,
+    sides_at: Dict[Word, List[frozenset]],
     roles: Dict[frozenset, Tuple[str, SidePairing]],
     start_corner: Word,
     start_side: frozenset,
 ) -> Tuple[List[str], List[Word]]:
-    sides_at: Dict[Word, List[frozenset]] = {}
-    for s in D.sides():
-        f = frozenset(s)
-        for w in s:
-            sides_at.setdefault(w, []).append(f)
-
+    """Walk the pairings from one corner and side until both recur;
+    `sides_at` maps each corner to its two boundary sides."""
     gens: List[str] = []
     verts: List[Word] = []
     corner, side = start_corner, start_side
@@ -338,8 +338,8 @@ def _walk_cycle(
         g = standard_generator(name)
         image = gamma(g, corner)
         partner = frozenset(row.target)
-        others = [s for s in sides_at[image] if s != partner]
-        if image not in D.labels or len(others) != 1:
+        others = [s for s in sides_at.get(image, ()) if s != partner]
+        if len(others) != 1:
             raise ValueError(
                 f"cycle walk left the polygon at {corner} via {name}"
             )
@@ -352,13 +352,16 @@ def vertex_cycles(
     D: LabeledPolygon, pairings: Sequence[SidePairing]
 ) -> List[VertexCycle]:
     """Partition of the twenty corners into pairing cycles."""
-    P = j4prime_presentation()
     roles = _side_roles(D, pairings)
+    sides_at: Dict[Word, List[frozenset]] = {}
+    for s in D.sides():
+        for w in s:
+            sides_at.setdefault(w, []).append(frozenset(s))
 
     # deterministic anchor: the length-3 corner and side that make the
     # five-letter relator come out in the documented generator order
-    anchor = canonical_form(P.word("s13 s24 s23"), P)
-    anchor_side = frozenset((anchor, canonical_form(P.word("s13 s24"), P)))
+    anchor = canonical_form(J4P.word("s13 s24 s23"), J4P)
+    anchor_side = frozenset((anchor, canonical_form(J4P.word("s13 s24"), J4P)))
     a_idx = D.corner_index(anchor)
     a_sides = {frozenset(D.side_words(a_idx - 1)), frozenset(D.side_words(a_idx))}
     if anchor_side not in a_sides:
@@ -384,7 +387,7 @@ def vertex_cycles(
         for corner, side in queue:
             if corner in visited:
                 continue
-            gens, verts = _walk_cycle(D, roles, corner, side)
+            gens, verts = _walk_cycle(sides_at, roles, corner, side)
             for v in verts:
                 visited.add(v)
             fifths = tuple(D.angle_fifths[D.corner_index(v)] for v in verts)
@@ -420,10 +423,8 @@ def vertex_cycles(
 def poincare_presentation(
     pairings: Sequence[SidePairing],
     cycles: Sequence[VertexCycle],
-):
+) -> Presentation:
     """Ten-generator presentation read off the pairing cycles."""
-    from .words import Alphabet, Generator, Presentation
-
     alphabet = Alphabet(Generator(row.generator) for row in pairings)
     return Presentation(
         alphabet,
@@ -436,23 +437,17 @@ def _surface_word_from_pairings(
 ) -> List[Tuple[str, int]]:
     """Boundary word of the polygon, one signed letter per side."""
     word: List[Optional[Tuple[str, int]]] = [None] * D.n_sides
-    sides = D.sides()
+    index = {s: i for i, s in enumerate(D.sides())}
     for row in pairings:
-        si = sides.index(row.source)
-        word[si] = (row.generator, 1)
-        tgt = None
-        for i, s in enumerate(sides):
-            if frozenset(s) == frozenset(row.target):
-                tgt = i
-                break
-        if tgt is None:
-            raise ValueError(f"{row.generator} target is not a side")
-        if sides[tgt] == row.target:
-            word[tgt] = (row.generator, 1)
-        elif sides[tgt] == (row.target[1], row.target[0]):
-            word[tgt] = (row.generator, -1)
+        if row.source not in index:
+            raise ValueError(f"{row.generator} source is not a side")
+        word[index[row.source]] = (row.generator, 1)
+        if row.target in index:
+            word[index[row.target]] = (row.generator, 1)
+        elif row.target[::-1] in index:
+            word[index[row.target[::-1]]] = (row.generator, -1)
         else:
-            raise ValueError("target endpoints do not match a side")
+            raise ValueError(f"{row.generator} target is not a side")
     if any(x is None for x in word):
         raise ValueError("some side received no letter")
     return [x for x in word if x is not None]
@@ -528,3 +523,36 @@ def classify_identified_surface(
         k = 2 - chi
         name = f"N_{k} = #_{k} RP^2"
     return SurfaceClass(chi, orientable, name)
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline, built once
+
+
+@dataclass(frozen=True)
+class FundamentalDomain:
+    """The fixed objects of the proof, in the order they are built: the
+    radius-4 J4' ball, its {4,5} embedding, the 20-gon, the ten side
+    pairings, the six corner cycles and the presentation they induce.
+    Every caller shares it, so the embedding is a read-only view."""
+
+    ball: CayleyBall
+    embedding: Mapping[Word, HPoint]
+    polygon: LabeledPolygon
+    pairings: Tuple[SidePairing, ...]
+    cycles: Tuple[VertexCycle, ...]
+    presentation: Presentation
+
+
+@lru_cache(maxsize=1)
+def fundamental_domain() -> FundamentalDomain:
+    """The pipeline run once; every later call returns the same record."""
+    ball = build_ball(J4P, 4)
+    embedding = embed_ball(ball)
+    polygon = _polygon(ball, embedding)
+    pairings = tuple(side_pairings(polygon))
+    cycles = tuple(vertex_cycles(polygon, pairings))
+    presentation = poincare_presentation(pairings, cycles)
+    return FundamentalDomain(
+        ball, MappingProxyType(embedding), polygon, pairings, cycles, presentation
+    )

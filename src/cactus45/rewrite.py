@@ -124,17 +124,39 @@ class EqualityCertificate:
     moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation, w: Word) -> Word:
-        """Apply the moves to w; ValueError on a move that does not fit
-        the word or whose relator P does not store."""
+        """Apply the moves to w, as `Move.apply` would one by one;
+        ValueError on a move that does not fit the word or whose relator
+        P does not store.  The word is held as the codes left of the
+        cursor and, reversed, those right of it, so a move costs the
+        distance the cursor travels to it."""
         if w.alphabet != P.alphabet:
             raise ValueError("word over a different alphabet")
         swaps, squares = _sanctioned(P)
+        left, right = list(w.codes), []
         for m in self.moves:
             allowed = swaps if m.kind == "swap" else squares
-            if m.relator.alphabet != P.alphabet or m.relator.codes not in allowed:
+            rc, pos = m.relator.codes, m.position
+            if m.relator.alphabet != P.alphabet or rc not in allowed:
                 raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
-            w = m.apply(w)
-        return w
+            size = len(left) + len(right)
+            limit = size if m.kind == "insert" else size - 2
+            if not 0 <= pos <= max(limit, 0):
+                raise ValueError(f"move position {pos} out of range for length {size}")
+            while len(left) > pos:
+                right.append(left.pop())
+            while len(left) < pos:
+                left.append(right.pop())
+            if m.kind == "insert":
+                right += (rc[1], rc[0])
+            elif right[-2:] != [rc[1], rc[0]]:
+                raise ValueError(f"{m.kind} mismatch at {pos}")
+            elif m.kind == "swap":
+                right[-2:] = (rc[2], rc[3])
+            elif m.kind == "delete":
+                del right[-2:]
+            else:
+                raise ValueError(f"unknown move kind {m.kind!r}")
+        return Word._from_codes(P.alphabet, left + right[::-1])
 
     def verify(self, P: Presentation, w1: Word, w2: Word) -> bool:
         try:

@@ -24,21 +24,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Tuple
 
 from . import reference as ref
 from .action import gamma, orbit_point, pure_elements_within, standard_generators
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling, vertex_link
-from .dirichlet import (
-    classify_identified_surface,
-    dirichlet_polygon,
-    poincare_presentation,
-    side_pairings,
-    vertex_cycles,
-)
-from .geometry import Mobius, edge_length_45, embed_ball, hyp_distance
+from .dirichlet import classify_identified_surface, fundamental_domain
+from .geometry import Mobius, edge_length_45, hyp_distance
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     abelianization_invariants,
@@ -76,22 +69,7 @@ class CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# shared, lazily computed objects
-
-
-@lru_cache(maxsize=None)
-def _embedding():
-    return embed_ball(build_ball(j4prime_presentation(), 4))
-
-
-@lru_cache(maxsize=None)
-def _pairings():
-    return side_pairings(dirichlet_polygon())
-
-
-@lru_cache(maxsize=None)
-def _cycles():
-    return vertex_cycles(dirichlet_polygon(), _pairings())
+# word helpers
 
 
 def _canon(text: str) -> Word:
@@ -303,8 +281,8 @@ def _check_geometry_metrics(tol: float) -> str:
     _require(abs(R - target) < 1e-12, "edge length departs from closed form")
     _require(abs(R - 1.253739) < tol, f"edge length {R:.6f}")
 
-    emb = _embedding()
-    ball = build_ball(j4prime_presentation(), 4)
+    fd = fundamental_domain()
+    emb, ball = fd.embedding, fd.ball
     worst_edge = max(
         abs(hyp_distance(emb[u], emb[v]) - R) for u, v, _ in ball.edges
     )
@@ -330,7 +308,8 @@ def _check_geometry_metrics(tol: float) -> str:
 
 
 def _check_fundamental_polygon(tol: float) -> str:
-    poly = dirichlet_polygon()
+    fd = fundamental_domain()
+    poly = fd.polygon
     _require(poly.n_sides == 20, f"{poly.n_sides} sides")
     _require(
         len(poly.labels) == 20 and len(set(poly.labels)) == 20,
@@ -360,7 +339,7 @@ def _check_fundamental_polygon(tol: float) -> str:
     )
     _require(worst < tol, f"numeric corner angle deviation {worst:.2e}")
 
-    emb = _embedding()
+    emb = fd.embedding
     for text in ref.SPHERE3_WORDS:
         w = _canon(text)
         _require(
@@ -377,8 +356,8 @@ def _check_fundamental_polygon(tol: float) -> str:
 # criterion 8: side pairings
 
 
-def _check_side_pairings(tol: float) -> str:
-    rows = {row.generator: row for row in _pairings()}
+def _check_pairing_rows(tol: float) -> str:
+    rows = {row.generator: row for row in fundamental_domain().pairings}
     _require(
         sorted(rows) == sorted(ref.SIDE_PAIRING_TABLE),
         "pairing generators differ",
@@ -405,7 +384,8 @@ def _check_side_pairings(tol: float) -> str:
 
 
 def _check_corner_cycles(tol: float) -> str:
-    cycles = _cycles()
+    fd = fundamental_domain()
+    cycles = fd.cycles
     _require(len(cycles) == 6, f"{len(cycles)} corner cycles")
     for c in cycles:
         _require(c.nu == 1, "cycle multiplicity differs from 1")
@@ -433,7 +413,7 @@ def _check_corner_cycles(tol: float) -> str:
             f"angle classes of cycle {entry['vertices']}",
         )
 
-    pres = poincare_presentation(_pairings(), cycles)
+    pres = fd.presentation
     _require(
         pres.alphabet.names() == tuple(f"g{i}" for i in range(1, 11)),
         "presentation generators differ",
@@ -457,7 +437,7 @@ def _check_corner_cycles(tol: float) -> str:
 
 
 def _check_one_relator_reduction(tol: float) -> str:
-    before = poincare_presentation(_pairings(), _cycles())
+    before = fundamental_domain().presentation
     after = tietze_eliminate(before, STANDARD_ELIMINATIONS)
     _require(
         after.alphabet.names() == ("g2", "g4", "g8", "g9", "g10"),
@@ -546,7 +526,8 @@ def _check_isomorphisms(tol: float) -> str:
 
 
 def _check_surface_classification(tol: float) -> str:
-    sc = classify_identified_surface(dirichlet_polygon(), _pairings())
+    fd = fundamental_domain()
+    sc = classify_identified_surface(fd.polygon, fd.pairings)
     _require(
         sc.euler_characteristic == -3,
         f"Euler characteristic {sc.euler_characteristic}",
@@ -554,7 +535,7 @@ def _check_surface_classification(tol: float) -> str:
     _require(not sc.orientable, "surface reported orientable")
     _require(sc.name == "N_5 = #_5 RP^2", f"surface reported as {sc.name}")
     _require(
-        len(_cycles()) - len(_pairings()) + 1 == -3,
+        len(fd.cycles) - len(fd.pairings) + 1 == -3,
         "corner classes minus side pairs plus one face is not -3",
     )
     return (
@@ -633,7 +614,7 @@ CRITERIA: Tuple[Tuple[int, str, Callable[[float], str]], ...] = (
     (5, "Cayley complex structure", _check_complex_structure),
     (6, "edge length and face angles", _check_geometry_metrics),
     (7, "fundamental polygon", _check_fundamental_polygon),
-    (8, "side pairings", _check_side_pairings),
+    (8, "side pairings", _check_pairing_rows),
     (9, "corner cycles and presentation", _check_corner_cycles),
     (10, "one-relator reduction", _check_one_relator_reduction),
     (11, "companion isomorphisms", _check_isomorphisms),

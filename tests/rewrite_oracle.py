@@ -1,5 +1,6 @@
 """Reference oracle for the rewrite layer: the budgeted closure search
-that `cactus45.rewrite` ran before its exact engine.
+that `cactus45.rewrite` ran before its exact engine, and the certificate
+replay that rebuilt the whole word after every move.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Tuple
 
+from cactus45.rewrite import EqualityCertificate, _sanctioned
 from cactus45.words import Presentation, Word
 
 
@@ -149,3 +151,17 @@ def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):
         out |= set(o.insert_neighbors(t))
     out.discard(t)
     return {o.decode(y) for y in out}
+
+
+def replay(cert: EqualityCertificate, P: Presentation, w: Word) -> Word:
+    """Apply the moves one by one through `Move.apply`, which rebuilds
+    the word each time; a move's relator must be one P stores."""
+    if w.alphabet != P.alphabet:
+        raise ValueError("word over a different alphabet")
+    swaps, squares = _sanctioned(P)
+    for m in cert.moves:
+        allowed = swaps if m.kind == "swap" else squares
+        if m.relator.alphabet != P.alphabet or m.relator.codes not in allowed:
+            raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
+        w = m.apply(w)
+    return w

@@ -15,9 +15,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cactus45
 import cactus45.reference as ref
 from cactus45 import cli
+from cactus45.cactus import J4P
+from cactus45.complex import build_ball
+from cactus45.dirichlet import (
+    dirichlet_polygon,
+    fundamental_domain,
+    poincare_presentation,
+    side_pairings,
+    vertex_cycles,
+)
+from cactus45.geometry import embed_ball
 from cactus45.verify import CRITERIA, run_criterion
 
 import fixtures
@@ -208,3 +220,52 @@ def test_package_imports_only_the_stdlib():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def _caches():
+    """(module.function, maxsize) for every cache decorator in the
+    package; a bare decorator, a size that is not a literal and
+    `functools.cache` read None."""
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name not in ("lru_cache", "cache"):
+                    continue
+                given = []
+                if call is not None:
+                    given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                known = name == "lru_cache" and len(given) == 1 and isinstance(given[0], ast.Constant)
+                yield f"{path.stem}.{node.name}", given[0].value if known else None
+
+
+def test_every_cache_is_bounded_by_eight():
+    # the engines, the Dehn rules, the balls and the one-value record
+    caches = dict(_caches())
+    assert sorted(caches) == [
+        "complex.build_ball",
+        "dirichlet.fundamental_domain",
+        "grouptheory._dehn_rules",
+        "rewrite.system_for",
+    ]
+    assert all(type(size) is int and size <= 8 for size in caches.values()), caches
+
+
+def test_fundamental_domain_matches_stage_functions():
+    fd = fundamental_domain()
+    assert fundamental_domain() is fd
+    polygon = dirichlet_polygon()
+    pairings = side_pairings(polygon)
+    cycles = vertex_cycles(polygon, pairings)
+    assert fd.polygon == polygon
+    assert fd.pairings == tuple(pairings)
+    assert fd.cycles == tuple(cycles)
+    assert fd.presentation == poincare_presentation(pairings, cycles)
+    assert fd.embedding == embed_ball(build_ball(J4P, 4))
+    assert set(fd.embedding) == set(fd.ball.vertices)
+    with pytest.raises(TypeError):  # shared by every caller, so read-only
+        fd.embedding[fd.ball.identity()] = None

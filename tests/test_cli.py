@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +309,44 @@ def test_verify_all_text_lines(capsys):
     assert len(lines) == 14
     assert all(line.startswith("[PASS]") for line in lines[:13])
     assert lines[13] == "13/13 criteria passed"
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: every report and figure built from the fundamental domain
+
+GOLDEN_VERIFY_ALL = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
+
+REPORT_SHA256 = {
+    "dirichlet": "544db1f2f821ef067dde6110c5c69c6522d3a191700cdf6dd5c169ab29a57ac0",
+    "presentation": "e45e05201ec5689cfd18a1ed67313a9badf4fcbc2921995bcd4f91ff7ba05bc0",
+    "tietze": "6075f2c289cbe45dd6a471722eb2baeb48a47bc06950b70d70bee6b7df9f1bb5",
+    "pure": "60ba0ebb0516cc7d994858782f3233c3d948d7eabab522b731fbdb65b343a200",
+    "isocheck --which alt": "0afcb6c1410854c8e88cd4c14315f9a7d904e28d10bbec8dc5c15036fc3da430",
+    "isocheck --which surface": "c7463f1b43ada71d60ea278e01b9dd740e9dccd9c17f656641cd9c0601cf36a1",
+}
+
+SVG_SHA256 = {
+    "ball": "bf3f1f186ecacd42963ae4b491c6751e74090b48d9fab23c7de7fd9a5f930226",
+    "tiling": "ec8f225fb9d8e762d2ae664e36e09a3d0df239efa304bdd8a0dbf1751467f68d",
+    "dirichlet": "ce9cfdbc8663eb8b9fff2d4223aadb4772c1096d5ab6dcd53bea1f70b2fbe386",
+}
+
+
+def test_verify_all_matches_the_golden_report(capsys):
+    code, out, _ = run(capsys, "verify-all")
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == GOLDEN_VERIFY_ALL.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(command, capsys):
+    code, out, _ = run(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[command]
+
+
+@pytest.mark.parametrize("what", sorted(SVG_SHA256))
+def test_svg_bytes_are_pinned(what, tmp_path, capsys):
+    svg_path = tmp_path / f"{what}.svg"
+    assert main(["render", "--what", what, "--svg", str(svg_path)]) == EXIT_OK
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == SVG_SHA256[what]

@@ -23,6 +23,7 @@ from cactus45.rewrite import (
 )
 from cactus45.words import Word
 
+import rewrite_oracle
 from rewrite_oracle import oracle_for, rewrite_neighbors
 
 from fixtures import (
@@ -310,6 +311,40 @@ def test_certificates_of_random_relator_walks_replay(P, length):
         assert res.equal and res.status == EQUAL
         assert res.certificate.verify(P, u, v)
         assert {m.kind for m in res.certificate.moves} <= {"swap", "delete", "insert"}
+
+
+def _replay_outcome(replay, cert, P, w):
+    try:
+        return replay(cert, P, w)
+    except ValueError:
+        return "refused"
+
+
+@pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
+def test_linear_replay_agrees_with_rebuilding_oracle(P):
+    rng = random.Random(7)
+    square = Word._from_codes(P.alphabet, (0, 0))
+    for length in (20, 80, 300):
+        for _ in range(3):
+            u = random_word(P, length, rng)
+            v = relator_walk(P, u, length + 40, rng)
+            moves = words_equal(u, v, P, certificate=True).certificate.moves
+            k = rng.randrange(len(moves))
+            m = moves[k]
+            # a bad position, a shifted one, a non-relator, an unknown kind
+            corrupted = [
+                (Move(len(v) + 3, m.relator, m.kind), "refused"),
+                (Move(m.position + 1, m.relator, m.kind), None),
+                (Move(m.position, Word._from_codes(P.alphabet, m.relator.codes[:1] * 4), "swap"), "refused"),
+                (Move(m.position, square, "flip"), "refused"),
+            ]
+            cases = [(moves, v), (moves[:k] + moves[k + 1 :], None)]
+            cases += [(moves[:k] + (bad,) + moves[k + 1 :], want) for bad, want in corrupted]
+            for mvs, expected in cases:
+                cert = EqualityCertificate(mvs)
+                new = _replay_outcome(EqualityCertificate.replay, cert, P, u)
+                assert new == _replay_outcome(rewrite_oracle.replay, cert, P, u)
+                assert expected in (None, new)
 
 
 def flip_distance(P, u, v):
