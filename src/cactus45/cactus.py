@@ -206,15 +206,11 @@ class Permutation:
         return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycs)
 
 
-def _reversal_images(n: int, p: int, q: int) -> Tuple[int, ...]:
-    if not 1 <= p < q <= n:
-        raise ValueError(f"bad interval [{p},{q}] for n={n}")
-    return tuple(p + q - i if p <= i <= q else i for i in range(1, n + 1))
-
-
 def reversal_permutation(n: int, p: int, q: int) -> Permutation:
     """The permutation sending position i to p+q-i for p <= i <= q."""
-    return Permutation(_reversal_images(n, p, q))
+    if not 1 <= p < q <= n:
+        raise ValueError(f"bad interval [{p},{q}] for n={n}")
+    return Permutation(tuple(p + q - i if p <= i <= q else i for i in range(1, n + 1)))
 
 
 def _parse_interval_name(name: str) -> Tuple[int, int]:
@@ -229,14 +225,12 @@ def project_to_symmetric(w: Word, n: int) -> Permutation:
     """Image of a cactus word in the symmetric group; letters compose
     left to right (first letter acts first)."""
     gens = w.alphabet.generators
-    images = {
-        c: _reversal_images(n, *_parse_interval_name(gens[c].name))
-        for c in set(w.codes)
-    }
     perm = tuple(range(1, n + 1))
     for c in w.codes:
-        image = images[c]
-        perm = tuple(image[i - 1] for i in perm)
+        p, q = _parse_interval_name(gens[c].name)
+        if not 1 <= p < q <= n:
+            raise ValueError(f"bad interval [{p},{q}] for n={n}")
+        perm = tuple(p + q - i if p <= i <= q else i for i in perm)
     return Permutation(perm)
 
 

@@ -3,9 +3,11 @@
 The construction runs in three stages.  First the word-metric Voronoi
 cell around the identity vertex is computed exactly: a tiling vertex is
 kept when no orbit point of the pure subgroup is strictly closer in the
-graph metric.  Sites at graph distance six or more can never strictly
-beat a vertex of length at most three, so the twenty shortest pure
-elements together with their pairwise products decide the whole cell.
+graph metric.  A site w can be strictly closer than the identity to a
+vertex v only when |w| < 2|v|, so v is tested against those sites
+alone.  The sites are the twenty shortest pure elements and their
+pairwise products; on the radius-4 ball they give the same cell as
+every orbit point within distance seven.
 Second, the cell is adapted to the square 2-cells of the tiling: a
 square with all four corners kept is taken whole, and a square with
 exactly three corners kept is cut along the diagonal joining its two
@@ -27,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iproduct
+from itertools import product as _iproduct, takewhile
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -146,8 +148,10 @@ def _orbit_sites() -> List[Word]:
     """Orbit points that decide the word-metric Voronoi cell.
 
     The twenty shortest pure elements are listed first so the common
-    exclusions short-circuit; their pairwise products (graph distance
-    six or eight) settle the remaining length-four ties.
+    exclusions short-circuit, then their pairwise products at graph
+    distance six or eight.  A site is tested against v only when
+    |w| < 2|v|, so no distance-eight product is tested on the radius-4
+    ball.
     """
     shorts = pure_elements_within(4)
     seen = dict.fromkeys(g.j4p_form for g in shorts)
@@ -160,13 +164,16 @@ def _orbit_sites() -> List[Word]:
 
 def _voronoi_keeps(ball, sites: Sequence[Word]):
     """Vertices v with |w^-1 v| >= |v| for every site w; the generators
-    are involutions, so w^-1 v is spelled by reverse(w) followed by v."""
+    are involutions, so w^-1 v is spelled by reverse(w) followed by v.
+    Only sites with |w| < 2|v| are tested: for a longer site the
+    triangle inequality gives |w^-1 v| >= |w| - |v| >= |v|."""
     sys = system_for(ball.presentation)
-    reversed_sites = [w.codes[::-1] for w in sites]
+    by_length = sorted((w.codes[::-1] for w in sites), key=len)
     keep = set()
     for v in ball.vertices:
         tv = v.codes
-        if all(len(sys.geodesic(s + tv)) >= len(tv) for s in reversed_sites):
+        near = takewhile(lambda s: len(s) < 2 * len(tv), by_length)
+        if all(len(sys.geodesic(s + tv)) >= len(tv) for s in near):
             keep.add(v)
     return keep
 

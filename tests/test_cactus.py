@@ -129,6 +129,34 @@ def test_projection_is_homomorphism():
         assert project_to_symmetric(u * v, 4).images == pu.then(pv).images
 
 
+@pytest.mark.parametrize("P", [j4_presentation(), j4prime_presentation()])
+def test_projection_matches_a_fold_of_reversals(P):
+    # an independent fold: one reversal permutation per letter, composed
+    # left to right through Permutation.then
+    rng = random.Random(15)
+    names = P.alphabet.names()
+    reversal = {nm: reversal_permutation(4, int(nm[1]), int(nm[2])) for nm in names}
+    for length in range(201):
+        letters = [rng.choice(names) for _ in range(length)]
+        folded = Permutation.identity(4)
+        for nm in letters:
+            folded = folded.then(reversal[nm])
+        word = Word(P.alphabet, [(nm, 1) for nm in letters])
+        assert project_to_symmetric(word, 4) == folded
+
+
+def test_projection_rejects_an_interval_outside_the_range():
+    with pytest.raises(ValueError):
+        project_to_symmetric(jw("s14"), 3)
+    with pytest.raises(ValueError):
+        project_to_symmetric(jw("s12 s34"), 3)
+    # two out-of-range letters would compose back to a bijection
+    with pytest.raises(ValueError):
+        project_to_symmetric(jw("s14 s14"), 3)
+    with pytest.raises(ValueError):
+        reversal_permutation(4, 2, 5)
+
+
 def test_parity_law_on_five_generator_words():
     # every generator of the subgroup projects to a transposition, so
     # the sign of the image tracks word length mod 2

@@ -5,7 +5,11 @@ import math
 import pytest
 
 from cactus45 import j4prime_presentation
+from cactus45.cactus import J4P, project_to_symmetric
+from cactus45.complex import build_ball
 from cactus45.dirichlet import (
+    _orbit_sites,
+    _voronoi_keeps,
     classify_identified_surface,
     dirichlet_polygon,
     poincare_presentation,
@@ -14,9 +18,10 @@ from cactus45.dirichlet import (
 )
 from cactus45.action import gamma, standard_generator, standard_generators
 from cactus45.geometry import edge_length_45
-from cactus45.rewrite import canonical_form
+from cactus45.rewrite import canonical_form, sphere, system_for
 from cactus45.words import invert, same_relator_class
 
+from voronoi_oracle import site_distance, voronoi_keeps
 from fixtures import (
     ANGLE_3PI5_CORNERS,
     ANGLE_4PI5_CORNERS,
@@ -131,6 +136,66 @@ def test_word_metric_membership(polygon):
         for site in orbit:
             d = len(canonical_form(invert(site) * corner, P))
             assert len(corner) <= d
+
+
+# ---------------------------------------------------------------------------
+# the word-metric Voronoi cell
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_pruned_keeps_match_the_all_sites_oracle(radius):
+    ball = build_ball(J4P, radius)
+    sites = _orbit_sites()
+    keep = _voronoi_keeps(ball, sites)
+    assert keep == voronoi_keeps(ball, sites)
+    assert len(keep) == 31
+
+
+def test_no_long_site_is_strictly_closer():
+    # the bound the prune rests on: a site w with |w| >= 2|v| is never
+    # strictly closer to v than the identity is, for any ball vertex v
+    ball = build_ball(J4P, 4)
+    checked = 0
+    for w in _orbit_sites():
+        for v in ball.vertices:
+            if len(w) >= 2 * len(v):
+                assert site_distance(ball, w, v) >= len(v)
+                checked += 1
+    # 20 sites of length 4, 100 of length 6 and 240 of length 8, against
+    # the 21, 61 and 166 vertices of length at most 2, 3 and 4
+    assert checked == 20 * 21 + 100 * 61 + 240 * 166
+
+
+def test_site_list_decides_the_radius_four_cell():
+    # on the radius-4 ball only sites with |w| < 8 can exclude a vertex;
+    # the orbit points there are the vertices of length 4 and 6 whose
+    # image in S4 is central, and they cut out the same cell
+    ball = build_ball(J4P, 4)
+    central = {(1, 2, 3, 4), (4, 3, 2, 1)}
+    orbit = [
+        v
+        for L in (4, 6)
+        for v in sphere(J4P, L)
+        if project_to_symmetric(v, 4).images in central
+    ]
+    assert len(orbit) == 140
+    assert voronoi_keeps(ball, orbit) == _voronoi_keeps(ball, _orbit_sites())
+
+
+def test_voronoi_keeps_geodesic_count(monkeypatch):
+    # a deterministic work count: the all-sites loop made 15,023 calls
+    ball, sites = build_ball(J4P, 4), _orbit_sites()
+    engine = system_for(J4P)
+    geodesic = engine.geodesic
+    calls = []
+
+    def counted(t, trace=None):
+        calls.append(len(t))
+        return geodesic(t, trace)
+
+    monkeypatch.setattr(engine, "geodesic", counted)
+    _voronoi_keeps(ball, sites)
+    assert len(calls) == 2451
 
 
 # ---------------------------------------------------------------------------
