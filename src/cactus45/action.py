@@ -10,7 +10,7 @@ is absorbed by the mirror relabeling — followed by canonicalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .cactus import (
     J4P_MIRROR,
@@ -20,8 +20,8 @@ from .cactus import (
     project_to_symmetric,
     push_s14_right,
 )
-from .rewrite import EqualityResult, canonical_form, sphere, words_equal
-from .words import Word, invert
+from .rewrite import canonical_form, sphere
+from .words import Alphabet, Generator, Word, invert
 
 _J4 = j4_presentation()
 _J4P = j4prime_presentation()
@@ -43,29 +43,30 @@ def embed_with_reversal(vertex: Word, parity: int) -> Word:
 
 @dataclass(frozen=True)
 class PureElement:
-    word: Word  # spelling over all six generators
-    j4p_form: Word  # canonical five-generator component
-    parity: int  # 1 when a trailing full reversal is present
+    """A pure element as its split form: the canonical five-generator
+    vertex word, then a full reversal when parity is 1."""
+
+    j4p_form: Word
+    parity: int
 
     @classmethod
     def from_word(cls, w: Word) -> "PureElement":
         if project_to_symmetric(w, 4) != _ID4:
             raise ValueError(f"{w} is not pure: nontrivial strand permutation")
         j4p_raw, parity = push_s14_right(w)
-        return cls(w, canonical_form(j4p_raw, _J4P), parity)
+        return cls(canonical_form(j4p_raw, _J4P), parity)
 
     @classmethod
     def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":
-        word = embed_with_reversal(vertex, parity)
-        if project_to_symmetric(word, 4) != _ID4:
+        if project_to_symmetric(embed_with_reversal(vertex, parity), 4) != _ID4:
             raise ValueError(
                 f"{vertex} with reversal parity {parity} is not pure"
             )
-        return cls(word, canonical_form(vertex, _J4P), parity)
+        return cls(canonical_form(vertex, _J4P), parity)
 
     @classmethod
     def identity(cls) -> "PureElement":
-        return cls(Word(_J4.alphabet, ()), Word(_J4P.alphabet, ()), 0)
+        return cls(Word(_J4P.alphabet, ()), 0)
 
     @property
     def is_identity(self) -> bool:
@@ -77,7 +78,6 @@ class PureElement:
     def compose(self, other: "PureElement") -> "PureElement":
         moved = mirror_word(other.j4p_form) if self.parity else other.j4p_form
         return PureElement(
-            self.word * other.word,
             canonical_form(self.j4p_form * moved, _J4P),
             (self.parity + other.parity) % 2,
         )
@@ -87,20 +87,7 @@ class PureElement:
         j4p_inv = invert(self.j4p_form)
         if self.parity:
             j4p_inv = mirror_word(j4p_inv)
-        return PureElement(
-            invert(self.word),
-            canonical_form(j4p_inv, _J4P),
-            self.parity,
-        )
-
-    def certify_split(self) -> EqualityResult:
-        """Certificate that the stored spelling equals the split form."""
-        return words_equal(
-            self.word,
-            embed_with_reversal(self.j4p_form, self.parity),
-            _J4,
-            certificate=True,
-        )
+        return PureElement(canonical_form(j4p_inv, _J4P), self.parity)
 
 
 def gamma(g: PureElement, h: Word) -> Word:
@@ -130,23 +117,28 @@ GENERATOR_TABLE: Dict[str, tuple] = {
     "g10": ("s24 s23 s13 s34", 1),
 }
 
-GENERATOR_NAMES = tuple(GENERATOR_TABLE)
+# the signed generators are the letter codes of one alphabet: code i is
+# g(i+1) and ~i its inverse.  TWENTY, built once at import, holds the
+# element of each code, indexed the way `TRANSLATIONS.inverse` is
+TRANSLATIONS = Alphabet(Generator(name) for name in GENERATOR_TABLE)
+_GENS = [
+    PureElement.from_vertex(_J4P.word(text), parity)
+    for text, parity in GENERATOR_TABLE.values()
+]
+TWENTY: Tuple[PureElement, ...] = (*_GENS, *(g.inverse() for g in reversed(_GENS)))
 
 
 def standard_generators() -> Dict[str, PureElement]:
-    out = {}
-    for name, (text, parity) in GENERATOR_TABLE.items():
-        out[name] = PureElement.from_vertex(_J4P.word(text), parity)
-    return out
+    return dict(zip(TRANSLATIONS.names(), TWENTY))
 
 
 def standard_generator(name: str) -> PureElement:
-    base = name[:-3] if name.endswith("^-1") else name
-    if base not in GENERATOR_TABLE:
-        raise KeyError(f"unknown pure generator {name!r}")
-    text, parity = GENERATOR_TABLE[base]
-    g = PureElement.from_vertex(_J4P.word(text), parity)
-    return g.inverse() if base != name else g
+    """The element of a signed generator name such as ``g3`` or its inverse."""
+    try:
+        (code,) = Word.parse(TRANSLATIONS, name).codes
+    except (KeyError, ValueError):
+        raise KeyError(f"unknown pure generator {name!r}") from None
+    return TWENTY[code]
 
 
 def pure_elements_within(max_dist: int) -> List[PureElement]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import metadata
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .action import standard_generators
+from .action import TRANSLATIONS, TWENTY
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
@@ -160,23 +160,17 @@ def _cmd_sphere(args) -> Tuple[dict, dict, int]:
 
 
 def _cmd_pure(args) -> Tuple[dict, dict, int]:
-    gens = standard_generators()
-    ordered = [f"g{i}" for i in range(1, 11)]
-    elements = {name: gens[name] for name in ordered}
-    for name in ordered:
-        elements[name + "^-1"] = gens[name].inverse()
-    rows = []
-    for name, g in elements.items():
-        partner = name[:-3] if name.endswith("^-1") else name + "^-1"
-        rows.append(
-            {
-                "name": name,
-                "word": str(g.j4p_form),
-                "parity": g.parity,
-                "inverse": partner,
-                "image": str(project_to_symmetric(g.j4p_form, 4)),
-            }
-        )
+    n = len(TRANSLATIONS)
+    rows = [
+        {
+            "name": TRANSLATIONS.spell(c),
+            "word": str(TWENTY[c].j4p_form),
+            "parity": TWENTY[c].parity,
+            "inverse": TRANSLATIONS.spell(TRANSLATIONS.inverse[c]),
+            "image": str(project_to_symmetric(TWENTY[c].j4p_form, 4)),
+        }
+        for c in [*range(n), *(~i for i in range(n))]
+    ]
     return {}, {"count": len(rows), "elements": rows}, EXIT_OK
 
 

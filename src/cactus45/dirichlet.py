@@ -33,17 +33,12 @@ from itertools import product as _iproduct, takewhile
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .action import (
-    GENERATOR_NAMES,
-    gamma,
-    pure_elements_within,
-    standard_generator,
-)
+from .action import TRANSLATIONS, TWENTY, gamma, pure_elements_within
 from .cactus import J4P
 from .complex import CayleyBall, build_ball
 from .geometry import HPoint, HPolygon, embed_ball
 from .rewrite import canonical_form, system_for
-from .words import Alphabet, Generator, Presentation, Word, shortlex_key
+from .words import Presentation, Word, shortlex_key
 
 __all__ = [
     "FundamentalDomain",
@@ -98,35 +93,32 @@ class SidePairing:
     """One translation generator carrying a boundary side onto another.
 
     ``gamma(generator, source[k]) == target[k]`` for k = 0, 1; the
-    pairing for the inverse generator is the reverse row.
+    inverse generator carries the target side back onto the source.
     """
 
     generator: str
     source: Tuple[Word, Word]
     target: Tuple[Word, Word]
 
-    def reversed(self) -> "SidePairing":
-        name = (
-            self.generator[:-3]
-            if self.generator.endswith("^-1")
-            else self.generator + "^-1"
-        )
-        return SidePairing(name, self.target, self.source)
-
 
 @dataclass(frozen=True)
 class VertexCycle:
     """Closed walk of side pairings around one corner class.
 
-    Applying ``generators`` first-to-last to ``vertices[0]`` visits
-    ``vertices`` in order and returns to the start; ``nu`` times the
-    angle sum equals 2*pi.
+    Applying the letters of ``word``, a word over `TRANSLATIONS`,
+    first-to-last to ``vertices[0]`` visits ``vertices`` in order and
+    returns to the start; ``nu`` times the angle sum equals 2*pi.
     """
 
-    generators: Tuple[str, ...]
+    word: Word
     vertices: Tuple[Word, ...]
     fifths: Tuple[int, ...]
     nu: int
+
+    @property
+    def generators(self) -> Tuple[str, ...]:
+        """The signed generator names of the walk, in order."""
+        return tuple(map(TRANSLATIONS.spell, self.word.codes))
 
     @property
     def angle_sum(self) -> float:
@@ -286,8 +278,7 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     kind_of = {frozenset(s): kind for s, kind in zip(sides, D.side_kinds)}
     pairings: List[SidePairing] = []
     used: Counter = Counter()
-    for name in GENERATOR_NAMES:
-        g = standard_generator(name)
+    for name, g in zip(TRANSLATIONS.names(), TWENTY):
         images = {w: gamma(g, w) for w in D.labels}
         rows = []
         for u, v in sides:
@@ -316,50 +307,45 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
 # vertex cycles
 
 
-def _side_roles(
-    D: LabeledPolygon, pairings: Sequence[SidePairing]
-) -> Dict[frozenset, Tuple[str, SidePairing]]:
-    """Map each boundary side to (signed generator applied from it, row)."""
-    roles: Dict[frozenset, Tuple[str, SidePairing]] = {}
-    for row in pairings:
-        roles[frozenset(row.source)] = (row.generator, row)
-        roles[frozenset(row.target)] = (row.generator + "^-1", row.reversed())
-    return roles
-
-
 def _walk_cycle(
     sides_at: Dict[Word, List[frozenset]],
-    roles: Dict[frozenset, Tuple[str, SidePairing]],
+    moves: Dict[frozenset, tuple],
     start_corner: Word,
     start_side: frozenset,
-) -> Tuple[List[str], List[Word]]:
-    """Walk the pairings from one corner and side until both recur;
-    `sides_at` maps each corner to its two boundary sides."""
-    gens: List[str] = []
+) -> Tuple[List[int], List[Word]]:
+    """Walk the pairings from one corner and side until both recur.
+    `sides_at` maps each corner to its two boundary sides, and `moves`
+    each side to the signed code applied from it, the images of its
+    corners and the side they form."""
+    codes: List[int] = []
     verts: List[Word] = []
     corner, side = start_corner, start_side
     while True:
         verts.append(corner)
-        name, row = roles[side]
-        gens.append(name)
-        g = standard_generator(name)
-        image = gamma(g, corner)
-        partner = frozenset(row.target)
+        code, image_of, partner = moves[side]
+        codes.append(code)
+        image = image_of[corner]
         others = [s for s in sides_at.get(image, ()) if s != partner]
         if len(others) != 1:
             raise ValueError(
-                f"cycle walk left the polygon at {corner} via {name}"
+                f"cycle walk left the polygon at {corner} via "
+                f"{TRANSLATIONS.spell(code)}"
             )
         corner, side = image, others[0]
         if corner == start_corner and side == start_side:
-            return gens, verts
+            return codes, verts
 
 
 def vertex_cycles(
     D: LabeledPolygon, pairings: Sequence[SidePairing]
 ) -> List[VertexCycle]:
     """Partition of the twenty corners into pairing cycles."""
-    roles = _side_roles(D, pairings)
+    moves: Dict[frozenset, tuple] = {}
+    for row in pairings:
+        code = TRANSLATIONS.index(row.generator)
+        src, tgt = frozenset(row.source), frozenset(row.target)
+        moves[src] = (code, dict(zip(row.source, row.target)), tgt)
+        moves[tgt] = (~code, dict(zip(row.target, row.source)), src)
     sides_at: Dict[Word, List[frozenset]] = {}
     for s in D.sides():
         for w in s:
@@ -394,7 +380,7 @@ def vertex_cycles(
         for corner, side in queue:
             if corner in visited:
                 continue
-            gens, verts = _walk_cycle(sides_at, roles, corner, side)
+            codes, verts = _walk_cycle(sides_at, moves, corner, side)
             for v in verts:
                 visited.add(v)
             fifths = tuple(D.angle_fifths[D.corner_index(v)] for v in verts)
@@ -404,7 +390,8 @@ def vertex_cycles(
                 raise ValueError(
                     f"cycle at {corner} has angle sum {total:.9f}"
                 )
-            cycles.append(VertexCycle(tuple(gens), tuple(verts), fifths, nu))
+            word = Word._from_codes(TRANSLATIONS, codes)
+            cycles.append(VertexCycle(word, tuple(verts), fifths, nu))
         partitions.append({frozenset(c.vertices) for c in cycles})
         if primary_choice:
             anchored = cycles
@@ -412,14 +399,12 @@ def vertex_cycles(
         raise ValueError("cycle partition depends on the side tie-break")
     # closure: the composed transformation along each cycle is trivial
     for c in anchored:
-        total = None
-        for name in c.generators:
-            g = standard_generator(name)
-            total = g if total is None else g.compose(total)
-        if total is None or not total.is_identity:
-            raise ValueError(
-                f"cycle {c.generators} does not compose to the identity"
-            )
+        first, *rest = c.word.codes
+        total = TWENTY[first]
+        for code in rest:
+            total = TWENTY[code].compose(total)
+        if not total.is_identity:
+            raise ValueError(f"cycle {c.word} does not compose to the identity")
     return anchored
 
 
@@ -427,71 +412,60 @@ def vertex_cycles(
 # presentation and surface classification
 
 
-def poincare_presentation(
-    pairings: Sequence[SidePairing],
-    cycles: Sequence[VertexCycle],
-) -> Presentation:
-    """Ten-generator presentation read off the pairing cycles."""
-    alphabet = Alphabet(Generator(row.generator) for row in pairings)
+def poincare_presentation(cycles: Sequence[VertexCycle]) -> Presentation:
+    """Ten-generator presentation read off the pairing cycles: a walk
+    applies its letters first-to-last, so its relator is the walk read
+    backwards, nu times over."""
     return Presentation(
-        alphabet,
-        [Word.parse(alphabet, " ".join(reversed(c.generators * c.nu))) for c in cycles],
+        TRANSLATIONS,
+        [Word._from_codes(TRANSLATIONS, (c.word.codes * c.nu)[::-1]) for c in cycles],
     )
 
 
 def _surface_word_from_pairings(
     D: LabeledPolygon, pairings: Sequence[SidePairing]
-) -> List[Tuple[str, int]]:
-    """Boundary word of the polygon, one signed letter per side."""
-    word: List[Optional[Tuple[str, int]]] = [None] * D.n_sides
+) -> Word:
+    """Boundary word of the polygon over `TRANSLATIONS`, one letter per
+    side: a pairing's code on its source side, and on its target side
+    too, inverted where the target runs against the boundary."""
+    codes: List[Optional[int]] = [None] * D.n_sides
     index = {s: i for i, s in enumerate(D.sides())}
     for row in pairings:
+        code = TRANSLATIONS.index(row.generator)
         if row.source not in index:
             raise ValueError(f"{row.generator} source is not a side")
-        word[index[row.source]] = (row.generator, 1)
+        codes[index[row.source]] = code
         if row.target in index:
-            word[index[row.target]] = (row.generator, 1)
+            codes[index[row.target]] = code
         elif row.target[::-1] in index:
-            word[index[row.target[::-1]]] = (row.generator, -1)
+            codes[index[row.target[::-1]]] = ~code
         else:
             raise ValueError(f"{row.generator} target is not a side")
-    if any(x is None for x in word):
+    if None in codes:
         raise ValueError("some side received no letter")
-    return [x for x in word if x is not None]
-
-
-def _parse_surface_word(text: str) -> List[Tuple[str, int]]:
-    out = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            out.append((tok[:-3], -1))
-        else:
-            out.append((tok, 1))
-    return out
+    return Word._from_codes(TRANSLATIONS, codes)
 
 
 def classify_identified_surface(
-    D: Union[LabeledPolygon, str, Sequence[Tuple[str, int]]],
+    D: Union[LabeledPolygon, Word],
     pairings: Optional[Sequence[SidePairing]] = None,
 ) -> SurfaceClass:
     """Euler characteristic, orientability and name of the quotient.
 
     Accepts the constructed polygon together with its pairings, or a
-    plain boundary word such as ``"a b a b"`` / ``"a b a^-1 b^-1"``.
+    boundary word such as ``a b a b`` or ``a b a^-1 b^-1``; a letter
+    with code c >= 0 runs along the boundary, ~c against it.
     """
     if isinstance(D, LabeledPolygon):
         if pairings is None:
             raise ValueError("pairings required to classify the polygon")
-        word = _surface_word_from_pairings(D, pairings)
-    elif isinstance(D, str):
-        word = _parse_surface_word(D)
-    else:
-        word = list(D)
+        D = _surface_word_from_pairings(D, pairings)
+    word = D.codes
 
     n = len(word)
-    positions: Dict[str, List[int]] = {}
-    for i, (letter, _) in enumerate(word):
-        positions.setdefault(letter, []).append(i)
+    positions: Dict[int, List[int]] = {}
+    for i, c in enumerate(word):
+        positions.setdefault(c if c >= 0 else ~c, []).append(i)
     if any(len(p) != 2 for p in positions.values()):
         raise ValueError("each side letter must appear exactly twice")
 
@@ -508,10 +482,10 @@ def classify_identified_surface(
         parent[find(x)] = find(y)
 
     def tail(i: int) -> int:
-        return i if word[i][1] == 1 else (i + 1) % n
+        return i if word[i] >= 0 else (i + 1) % n
 
     def head(i: int) -> int:
-        return (i + 1) % n if word[i][1] == 1 else i
+        return (i + 1) % n if word[i] >= 0 else i
 
     for i, j in positions.values():
         union(tail(i), tail(j))
@@ -521,7 +495,7 @@ def classify_identified_surface(
     e_count = n // 2
     chi = v_count - e_count + 1
     orientable = all(
-        word[i][1] != word[j][1] for i, j in positions.values()
+        (word[i] >= 0) != (word[j] >= 0) for i, j in positions.values()
     )
     if orientable:
         genus = (2 - chi) // 2
@@ -559,7 +533,7 @@ def fundamental_domain() -> FundamentalDomain:
     polygon = _polygon(ball, embedding)
     pairings = tuple(side_pairings(polygon))
     cycles = tuple(vertex_cycles(polygon, pairings))
-    presentation = poincare_presentation(pairings, cycles)
+    presentation = poincare_presentation(cycles)
     return FundamentalDomain(
         ball, MappingProxyType(embedding), polygon, pairings, cycles, presentation
     )

@@ -66,43 +66,50 @@ def _presentation(names: Sequence[str], relator_texts: Sequence[str]) -> Present
     return Presentation(alphabet, [Word.parse(alphabet, t) for t in relator_texts])
 
 
+# built once, at import; a Presentation is immutable, so callers share it
+_TEN = _presentation(
+    [f"g{i}" for i in range(1, 11)],
+    [
+        "g3 g6^-1 g7 g9^-1 g2^-1",
+        "g3 g8^-1 g4^-1",
+        "g5 g9^-1 g4^-1",
+        "g5 g1 g6^-1",
+        "g8 g10 g7^-1",
+        "g10 g1^-1 g2",
+    ],
+)
+_FIVE = _presentation(
+    ["g2", "g4", "g8", "g9", "g10"],
+    ["g2 g9 g10^-1 g8^-1 g4 g9 g2 g10 g8^-1 g4^-1"],
+)
+_ALT = _presentation(
+    ["alpha", "beta", "gamma", "delta", "epsilon"],
+    ["alpha gamma epsilon beta epsilon alpha^-1 delta^-1 beta gamma delta^-1"],
+)
+_SURFACE = _presentation(
+    ["a1", "a2", "a3", "a4", "a5"],
+    ["a1 a1 a2 a2 a3 a3 a4 a4 a5 a5"],
+)
+
+
 def ten_generator_presentation() -> Presentation:
     """Ten translation generators with the six polygon-cycle relators."""
-    return _presentation(
-        [f"g{i}" for i in range(1, 11)],
-        [
-            "g3 g6^-1 g7 g9^-1 g2^-1",
-            "g3 g8^-1 g4^-1",
-            "g5 g9^-1 g4^-1",
-            "g5 g1 g6^-1",
-            "g8 g10 g7^-1",
-            "g10 g1^-1 g2",
-        ],
-    )
+    return _TEN
 
 
 def one_relator_presentation() -> Presentation:
     """The five surviving generators with the single length-ten relator."""
-    return _presentation(
-        ["g2", "g4", "g8", "g9", "g10"],
-        ["g2 g9 g10^-1 g8^-1 g4 g9 g2 g10 g8^-1 g4^-1"],
-    )
+    return _FIVE
 
 
 def alt_one_relator_presentation() -> Presentation:
     """Companion one-relator group on the letters alpha..epsilon."""
-    return _presentation(
-        ["alpha", "beta", "gamma", "delta", "epsilon"],
-        ["alpha gamma epsilon beta epsilon alpha^-1 delta^-1 beta gamma delta^-1"],
-    )
+    return _ALT
 
 
 def surface_presentation() -> Presentation:
     """Nonorientable genus-five surface group (five crosscap squares)."""
-    return _presentation(
-        ["a1", "a2", "a3", "a4", "a5"],
-        ["a1 a1 a2 a2 a3 a3 a4 a4 a5 a5"],
-    )
+    return _SURFACE
 
 
 # eliminations taking the six-relator presentation to the one-relator
@@ -122,19 +129,6 @@ def _expand_partial(w: Word, partial: Mapping[str, Word]) -> Word:
     images = {n: Word.parse(w.alphabet, n) for n in w.alphabet.names()}
     images.update(partial)
     return substitute(w, images)
-
-
-def standard_expansion_images() -> Dict[str, Word]:
-    """Each of the ten generators as a word in the five survivors."""
-    ten = ten_generator_presentation()
-    five = one_relator_presentation()
-    partial: Dict[str, Word] = {}
-    for name, text in STANDARD_ELIMINATIONS:
-        partial[name] = _expand_partial(Word.parse(ten.alphabet, text), partial)
-    images = {n: Word.parse(five.alphabet, n) for n in five.alphabet.names()}
-    for name, w in partial.items():
-        images[name] = Word(five.alphabet, w.letters)
-    return images
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +453,8 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
     """
     if oracle not in ("auto", "tietze"):
         raise ValueError(f"unknown oracle {oracle!r}")
-    if P == ten_generator_presentation():
-        image = substitute(w, standard_expansion_images())
-        return _dehn_decide(image, one_relator_presentation(), "tietze+dehn")
+    if P == _TEN:
+        return _dehn_decide(substitute(w, _STANDARD_IMAGES), _FIVE, "tietze+dehn")
     if oracle == "tietze":
         raise ValueError("the tietze oracle decides ten-generator words")
     return _dehn_decide(w, P, "dehn")
@@ -471,18 +464,12 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
 # Tietze eliminations
 
 
-def tietze_eliminate(
+def _eliminate(
     P: Presentation,
     eliminations: Sequence[Tuple[str, Union[str, Word]]],
-) -> Presentation:
-    """Remove generators whose defining words short relators justify.
-
-    Each (generator, defining word) pair must be backed by a relator
-    of P of length at most three equating the two (up to rotation and
-    inversion); defining words may mention other eliminated generators
-    as long as expansion resolves them to survivors.  Relators are
-    rewritten through the definitions and trivial ones dropped.
-    """
+) -> Tuple[Presentation, Dict[str, Word]]:
+    """The reduced presentation of `tietze_eliminate`, and each
+    generator of P as a word in the survivors."""
     current = P
     partial: Dict[str, Word] = {}
     for gen_name, defining_raw in eliminations:
@@ -513,7 +500,33 @@ def tietze_eliminate(
         current = Presentation(
             new_alphabet, [substitute(r, image_map) for r in current.relators]
         )
-    return current
+    survivors = current.alphabet
+    images = {n: Word.parse(survivors, n) for n in survivors.names()}
+    images.update((n, Word(survivors, w.letters)) for n, w in partial.items())
+    return current, images
+
+
+def tietze_eliminate(
+    P: Presentation,
+    eliminations: Sequence[Tuple[str, Union[str, Word]]],
+) -> Presentation:
+    """Remove generators whose defining words short relators justify.
+
+    Each (generator, defining word) pair must be backed by a relator
+    of P of length at most three equating the two (up to rotation and
+    inversion); defining words may mention other eliminated generators
+    as long as expansion resolves them to survivors.  Relators are
+    rewritten through the definitions and trivial ones dropped.
+    """
+    return _eliminate(P, eliminations)[0]
+
+
+_STANDARD_IMAGES: Dict[str, Word] = _eliminate(_TEN, STANDARD_ELIMINATIONS)[1]
+
+
+def standard_expansion_images() -> Dict[str, Word]:
+    """Each of the ten generators as a word in the five survivors."""
+    return dict(_STANDARD_IMAGES)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +617,9 @@ def _hom(source, target, image_texts, name) -> GroupHom:
 def alt_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
     """Mutually inverse maps between the companion one-relator group
     on alpha..epsilon and the five-generator presentation."""
-    alt = alt_one_relator_presentation()
-    five = one_relator_presentation()
     f = _hom(
-        alt,
-        five,
+        _ALT,
+        _FIVE,
         {
             "alpha": "g4 g9",
             "beta": "g2 g10",
@@ -619,8 +630,8 @@ def alt_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
         "f",
     )
     g = _hom(
-        five,
-        alt,
+        _FIVE,
+        _ALT,
         {
             "g2": "beta gamma",
             "g4": "delta",
@@ -636,11 +647,9 @@ def alt_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
 def surface_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
     """Mutually inverse maps between the genus-five nonorientable
     surface group and the five-generator presentation."""
-    surf = surface_presentation()
-    five = one_relator_presentation()
     f = _hom(
-        surf,
-        five,
+        _SURFACE,
+        _FIVE,
         {
             "a1": "g10^-1 g2^-1",
             "a2": "g2 g10 g9^-1 g4^-1 g4^-1",
@@ -651,8 +660,8 @@ def surface_isomorphism_pair() -> Tuple[GroupHom, GroupHom]:
         "f",
     )
     g = _hom(
-        five,
-        surf,
+        _FIVE,
+        _SURFACE,
         {
             "g2": "a2 a3 a3 a4",
             "g4": "a3",

@@ -11,7 +11,7 @@ the code: generator i of the alphabet is i at exponent +1 and ~i
 (= -i-1) at exponent -1, and an involutive generator is always i.  The
 other layers compute on codes; (name, exponent) letters are read and
 written only at the API boundary: `Word(alphabet, letters)`,
-`Word.letters`, iteration, indexing, `parse` and `str`.
+`Word.letters`, iteration, indexing, `parse`, `str` and `Alphabet.spell`.
 
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``.
@@ -71,6 +71,11 @@ class Alphabet:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
         return i if exp == 1 or self.generators[i].involutive else ~i
+
+    def spell(self, code: int) -> str:
+        """The serialised letter of one code: the name, marked if inverse."""
+        name, exp = self._letters[code]
+        return name if exp == 1 else f"{name}^-1"
 
     def names(self) -> Tuple[str, ...]:
         return tuple(g.name for g in self.generators)
@@ -136,7 +141,7 @@ class Word:
     def __str__(self) -> str:
         if not self.codes:
             return "e"
-        return " ".join(n if e == 1 else f"{n}^-1" for n, e in self.letters)
+        return " ".join(map(self.alphabet.spell, self.codes))
 
     def __repr__(self) -> str:
         return f"Word({str(self)})"

@@ -7,10 +7,12 @@ construction.
 """
 
 import ast
+import doctest
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +191,35 @@ def test_package_modules_use_every_import():
     assert unused == []
 
 
+def test_only_the_words_layer_spells_inverses():
+    # the inverse marker is read and written by words.py alone; every
+    # other module names an inverse through the letter codes
+    spelled = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        spelled += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and node.value == "^-1"
+        ]
+    assert spelled == []
+
+
+def test_readme_examples_run():
+    # the python blocks of README.md share one namespace, in order
+    readme = Path(cactus45.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    globs: dict = {}
+    for i, block in enumerate(blocks):
+        test = parser.get_doctest(block, globs, f"README block {i}", str(readme), 0)
+        runner.run(test, clear_globs=False)
+        globs = test.globs  # a DocTest runs in a copy of what it is given
+    result = runner.summarize(verbose=False)
+    assert result.failed == 0 and result.attempted >= 14, result
+
+
 def test_package_imports_only_the_stdlib():
     outside = []
     for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
@@ -264,7 +295,7 @@ def test_fundamental_domain_matches_stage_functions():
     assert fd.polygon == polygon
     assert fd.pairings == tuple(pairings)
     assert fd.cycles == tuple(cycles)
-    assert fd.presentation == poincare_presentation(pairings, cycles)
+    assert fd.presentation == poincare_presentation(cycles)
     assert fd.embedding == embed_ball(build_ball(J4P, 4))
     assert set(fd.embedding) == set(fd.ball.vertices)
     with pytest.raises(TypeError):  # shared by every caller, so read-only

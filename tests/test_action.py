@@ -9,8 +9,12 @@ from cactus45 import (
     j4_presentation,
     j4prime_presentation,
     sphere,
+    words_equal,
 )
 from cactus45.action import (
+    GENERATOR_TABLE,
+    TRANSLATIONS,
+    TWENTY,
     PureElement,
     embed_with_reversal,
     gamma,
@@ -78,16 +82,37 @@ def test_inverse_generators_match_table(all_twenty):
 
 
 def test_unknown_generator_name():
-    with pytest.raises(KeyError):
-        standard_generator("g11")
+    for bad in ("g11", "", "g1 g2", "g1^-2"):
+        with pytest.raises(KeyError):
+            standard_generator(bad)
 
 
-def test_split_form_certified(gens):
-    for name in ("g1", "g2", "g9"):
-        g = gens[name]
-        res = g.certify_split()
+def test_split_form_certified():
+    # each table spelling, inverted for an inverse code, equals the
+    # split form of its entry in the six-generator group
+    spellings = [
+        embed_with_reversal(P.word(text), parity)
+        for text, parity in GENERATOR_TABLE.values()
+    ]
+    for c in range(-len(TRANSLATIONS), len(TRANSLATIONS)):
+        spelled = spellings[c] if c >= 0 else invert(spellings[~c])
+        split = embed_with_reversal(TWENTY[c].j4p_form, TWENTY[c].parity)
+        res = words_equal(spelled, split, J4, certificate=True)
         assert res.equal and res.certificate is not None
-        assert res.certificate.verify(J4, g.word, embed_with_reversal(g.j4p_form, g.parity))
+        assert res.certificate.verify(J4, spelled, split)
+
+
+def test_table_is_indexed_by_letter_codes():
+    assert len(TWENTY) == 2 * len(TRANSLATIONS) == 20
+    assert TRANSLATIONS.names() == tuple(f"g{i}" for i in range(1, 11))
+    for c in range(-len(TRANSLATIONS), len(TRANSLATIONS)):
+        assert TWENTY[TRANSLATIONS.inverse[c]] == TWENTY[c].inverse()
+        assert standard_generator(TRANSLATIONS.spell(c)) is TWENTY[c]
+
+
+def test_standard_generator_is_a_table_lookup():
+    assert standard_generator("g3^-1") is standard_generator("g3^-1")
+    assert standard_generators()["g3"] is standard_generator("g3")
 
 
 def test_from_word_roundtrip(gens):
@@ -147,10 +172,12 @@ def test_orbit_distance_parity(all_twenty):
         assert len(prod.j4p_form) % 2 == 0
 
 
-def test_compose_inverse_is_identity(all_twenty):
-    for g in all_twenty.values():
+def test_compose_inverse_is_identity():
+    # equality is (j4p_form, parity) alone, not a spelling
+    for c in range(-len(TRANSLATIONS), len(TRANSLATIONS)):
+        g, inverse = TWENTY[c], TWENTY[TRANSLATIONS.inverse[c]]
+        assert g.compose(inverse) == PureElement.identity() == inverse.compose(g)
         assert g.compose(g.inverse()).is_identity
-        assert g.inverse().compose(g).is_identity
 
 
 def test_action_law(all_twenty):

@@ -16,10 +16,16 @@ from cactus45.dirichlet import (
     side_pairings,
     vertex_cycles,
 )
-from cactus45.action import gamma, standard_generator, standard_generators
+from cactus45.action import (
+    TRANSLATIONS,
+    PureElement,
+    gamma,
+    standard_generator,
+    standard_generators,
+)
 from cactus45.geometry import edge_length_45
 from cactus45.rewrite import canonical_form, sphere, system_for
-from cactus45.words import invert, same_relator_class
+from cactus45.words import Alphabet, Generator, Word, invert, same_relator_class
 
 from voronoi_oracle import site_distance, voronoi_keeps
 from fixtures import (
@@ -232,14 +238,6 @@ def test_pairings_certified_by_gamma(pairings):
             assert gamma(back, target_word) == source_word
 
 
-def test_pairing_reversal(pairings):
-    row = pairings[0]
-    rev = row.reversed()
-    assert rev.generator == "g1^-1"
-    assert rev.source == row.target and rev.target == row.source
-    assert rev.reversed() == row
-
-
 def test_translates_touch_along_sides(polygon, pairings):
     # each generator's translate of the polygon meets it exactly in the
     # paired side, so the twenty signed translates surround the polygon
@@ -292,6 +290,29 @@ def test_cycles_compose_to_identity(cycles):
         assert total.is_identity
 
 
+def test_cycles_are_words_over_the_translation_alphabet(cycles):
+    for c in cycles:
+        assert c.word.alphabet == TRANSLATIONS
+        assert c.generators == tuple(str(c.word[i : i + 1]) for i in range(len(c.word)))
+
+
+def test_pairings_and_cycles_read_the_table(polygon, monkeypatch):
+    # the twenty elements are built once, at import: the stages build none
+    built = []
+    original = PureElement.from_vertex.__func__
+
+    def counting(cls, vertex, parity):
+        built.append(vertex)
+        return original(cls, vertex, parity)
+
+    monkeypatch.setattr(PureElement, "from_vertex", classmethod(counting))
+    pairings = side_pairings(polygon)
+    vertex_cycles(polygon, pairings)
+    assert built == []
+    PureElement.from_vertex(P.word("s13 s24 s13 s24"), 0)
+    assert len(built) == 1  # the wrapper counts
+
+
 def test_cycle_walk_traverses_vertices(cycles):
     for c in cycles:
         vertex = c.vertices[0]
@@ -308,13 +329,13 @@ def test_cycle_walk_traverses_vertices(cycles):
 
 
 def test_presentation_generators_and_relator_count(pairings, cycles):
-    pres = poincare_presentation(pairings, cycles)
+    pres = poincare_presentation(cycles)
     assert pres.alphabet.names() == tuple(f"g{i}" for i in range(1, 11))
     assert len(pres.relators) == 6
 
 
 def test_presentation_relators_match_reference(pairings, cycles):
-    pres = poincare_presentation(pairings, cycles)
+    pres = poincare_presentation(cycles)
     for text in TEN_GEN_RELATORS:
         want = pres.word(text)
         assert any(same_relator_class(r, want) for r in pres.relators)
@@ -336,29 +357,33 @@ def test_surface_euler_count_breakdown(cycles, pairings):
     assert len(cycles) - len(pairings) + 1 == -3
 
 
+def toy(text):
+    return Word.parse(Alphabet([Generator("a"), Generator("b")]), text)
+
+
 def test_toy_projective_plane():
-    sc = classify_identified_surface("a b a b")
+    sc = classify_identified_surface(toy("a b a b"))
     assert sc.euler_characteristic == 1
     assert not sc.orientable
     assert sc.name == "N_1 = #_1 RP^2"
 
 
 def test_toy_torus():
-    sc = classify_identified_surface("a b a^-1 b^-1")
+    sc = classify_identified_surface(toy("a b a^-1 b^-1"))
     assert sc.euler_characteristic == 0
     assert sc.orientable
 
 
 def test_toy_sphere_and_cross_cap():
-    assert classify_identified_surface("a a^-1").euler_characteristic == 2
-    assert classify_identified_surface("a a^-1").orientable
-    cap = classify_identified_surface("a a")
+    assert classify_identified_surface(toy("a a^-1")).euler_characteristic == 2
+    assert classify_identified_surface(toy("a a^-1")).orientable
+    cap = classify_identified_surface(toy("a a"))
     assert cap.euler_characteristic == 1 and not cap.orientable
 
 
 def test_bad_surface_word_rejected():
     with pytest.raises(ValueError):
-        classify_identified_surface("a b a")
+        classify_identified_surface(toy("a b a"))
 
 
 def test_polygon_classification_needs_pairings(polygon):
