@@ -20,11 +20,12 @@ from .cactus import (
     project_to_symmetric,
     push_s14_right,
 )
-from .rewrite import canonical_form, sphere
+from .rewrite import canonical_form, sphere, system_for
 from .words import Alphabet, Generator, Word, invert
 
 _J4 = j4_presentation()
 _J4P = j4prime_presentation()
+_ENGINE = system_for(_J4P)
 _ID4 = Permutation.identity(4)
 _FULL_REVERSAL = Permutation((4, 3, 2, 1))
 
@@ -76,10 +77,8 @@ class PureElement:
         return self.compose(other)
 
     def compose(self, other: "PureElement") -> "PureElement":
-        moved = mirror_word(other.j4p_form) if self.parity else other.j4p_form
         return PureElement(
-            canonical_form(self.j4p_form * moved, _J4P),
-            (self.parity + other.parity) % 2,
+            _translate(self, other.j4p_form.codes), (self.parity + other.parity) % 2
         )
 
     def inverse(self) -> "PureElement":
@@ -90,10 +89,19 @@ class PureElement:
         return PureElement(canonical_form(j4p_inv, _J4P), self.parity)
 
 
+def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
+    """The vertex g.j4p_form · mirror^parity(codes), in normal form."""
+    if g.parity:
+        codes = tuple(J4P_MIRROR[c] for c in codes)
+    form = _ENGINE.normal_form(g.j4p_form.codes + codes)
+    return Word._from_codes(_J4P.alphabet, form)
+
+
 def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
-    moved = mirror_word(h) if g.parity else h
-    return canonical_form(g.j4p_form * moved, _J4P)
+    if h.alphabet != _J4P.alphabet:
+        raise ValueError("gamma acts on words over the J_4' alphabet")
+    return _translate(g, h.codes)
 
 
 def orbit_point(g: PureElement) -> Word:

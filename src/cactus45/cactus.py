@@ -163,20 +163,18 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
     def sign(self) -> int:
-        seen = set()
-        sign = 1
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            length = 0
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = self(i)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """(-1)^(n - number of cycles), fixed points counted as cycles."""
+        images = self.images
+        seen = [False] * len(images)
+        cycles = 0
+        for start in range(len(images)):
+            if not seen[start]:
+                cycles += 1
+                i = start
+                while not seen[i]:
+                    seen[i] = True
+                    i = images[i] - 1
+        return -1 if (len(images) - cycles) % 2 else 1
 
     def cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least element,

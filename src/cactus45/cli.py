@@ -215,7 +215,7 @@ def _dirichlet_results() -> dict:
         "side_kinds": list(poly.side_kinds),
         "pairings": [
             {
-                "generator": row.generator,
+                "generator": TRANSLATIONS.spell(row.code),
                 "source": [str(w) for w in row.source],
                 "target": [str(w) for w in row.target],
             }

@@ -33,7 +33,7 @@ from itertools import product as _iproduct, takewhile
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .action import TRANSLATIONS, TWENTY, gamma, pure_elements_within
+from .action import TRANSLATIONS, TWENTY, gamma
 from .cactus import J4P
 from .complex import CayleyBall, build_ball
 from .geometry import HPoint, HPolygon, embed_ball
@@ -92,11 +92,12 @@ class LabeledPolygon:
 class SidePairing:
     """One translation generator carrying a boundary side onto another.
 
-    ``gamma(generator, source[k]) == target[k]`` for k = 0, 1; the
+    ``code`` is the generator's letter code in `TRANSLATIONS`, and
+    ``gamma(TWENTY[code], source[k]) == target[k]`` for k = 0, 1; the
     inverse generator carries the target side back onto the source.
     """
 
-    generator: str
+    code: int
     source: Tuple[Word, Word]
     target: Tuple[Word, Word]
 
@@ -139,13 +140,13 @@ class SurfaceClass:
 def _orbit_sites() -> List[Word]:
     """Orbit points that decide the word-metric Voronoi cell.
 
-    The twenty shortest pure elements are listed first so the common
-    exclusions short-circuit, then their pairwise products at graph
-    distance six or eight.  A site is tested against v only when
-    |w| < 2|v|, so no distance-eight product is tested on the radius-4
-    ball.
+    The twenty shortest pure elements, `TWENTY` in shortlex order of
+    their orbit points, are listed first so the common exclusions
+    short-circuit, then their pairwise products at graph distance six
+    or eight.  A site is tested against v only when |w| < 2|v|, so no
+    distance-eight product is tested on the radius-4 ball.
     """
-    shorts = pure_elements_within(4)
+    shorts = sorted(TWENTY, key=lambda g: shortlex_key(g.j4p_form))
     seen = dict.fromkeys(g.j4p_form for g in shorts)
     for g, h in _iproduct(shorts, shorts):
         w = g.compose(h).j4p_form
@@ -278,16 +279,17 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     kind_of = {frozenset(s): kind for s, kind in zip(sides, D.side_kinds)}
     pairings: List[SidePairing] = []
     used: Counter = Counter()
-    for name, g in zip(TRANSLATIONS.names(), TWENTY):
-        images = {w: gamma(g, w) for w in D.labels}
+    for code in range(len(TRANSLATIONS)):
+        images = {w: gamma(TWENTY[code], w) for w in D.labels}
         rows = []
         for u, v in sides:
             iu, iv = images[u], images[v]
             if frozenset((iu, iv)) in kind_of:
-                rows.append(SidePairing(name, (u, v), (iu, iv)))
+                rows.append(SidePairing(code, (u, v), (iu, iv)))
         if len(rows) != 1:
             raise ValueError(
-                f"{name} pairs {len(rows)} sides, expected exactly one"
+                f"{TRANSLATIONS.spell(code)} pairs {len(rows)} sides, "
+                "expected exactly one"
             )
         row = rows[0]
         used[frozenset(row.source)] += 1
@@ -299,7 +301,9 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
         src_kind = kind_of[frozenset(row.source)]
         tgt_kind = kind_of[frozenset(row.target)]
         if src_kind != tgt_kind:
-            raise ValueError(f"{row.generator} pairs a {src_kind} with a {tgt_kind}")
+            raise ValueError(
+                f"{TRANSLATIONS.spell(row.code)} pairs a {src_kind} with a {tgt_kind}"
+            )
     return pairings
 
 
@@ -342,10 +346,9 @@ def vertex_cycles(
     """Partition of the twenty corners into pairing cycles."""
     moves: Dict[frozenset, tuple] = {}
     for row in pairings:
-        code = TRANSLATIONS.index(row.generator)
         src, tgt = frozenset(row.source), frozenset(row.target)
-        moves[src] = (code, dict(zip(row.source, row.target)), tgt)
-        moves[tgt] = (~code, dict(zip(row.target, row.source)), src)
+        moves[src] = (row.code, dict(zip(row.source, row.target)), tgt)
+        moves[tgt] = (~row.code, dict(zip(row.target, row.source)), src)
     sides_at: Dict[Word, List[frozenset]] = {}
     for s in D.sides():
         for w in s:
@@ -431,16 +434,16 @@ def _surface_word_from_pairings(
     codes: List[Optional[int]] = [None] * D.n_sides
     index = {s: i for i, s in enumerate(D.sides())}
     for row in pairings:
-        code = TRANSLATIONS.index(row.generator)
+        code = row.code
         if row.source not in index:
-            raise ValueError(f"{row.generator} source is not a side")
+            raise ValueError(f"{TRANSLATIONS.spell(code)} source is not a side")
         codes[index[row.source]] = code
         if row.target in index:
             codes[index[row.target]] = code
         elif row.target[::-1] in index:
             codes[index[row.target[::-1]]] = ~code
         else:
-            raise ValueError(f"{row.generator} target is not a side")
+            raise ValueError(f"{TRANSLATIONS.spell(code)} target is not a side")
     if None in codes:
         raise ValueError("some side received no letter")
     return Word._from_codes(TRANSLATIONS, codes)

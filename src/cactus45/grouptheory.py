@@ -29,6 +29,7 @@ from .words import (
     invert,
     same_relator_class,
     substitute,
+    _substituted,
 )
 
 __all__ = [
@@ -122,13 +123,6 @@ STANDARD_ELIMINATIONS: Tuple[Tuple[str, str], ...] = (
     ("g7", "g8 g10"),
     ("g3", "g4 g8"),
 )
-
-
-def _expand_partial(w: Word, partial: Mapping[str, Word]) -> Word:
-    """Substitute only the generators present in the partial map."""
-    images = {n: Word.parse(w.alphabet, n) for n in w.alphabet.names()}
-    images.update(partial)
-    return substitute(w, images)
 
 
 # ---------------------------------------------------------------------------
@@ -469,41 +463,55 @@ def _eliminate(
     eliminations: Sequence[Tuple[str, Union[str, Word]]],
 ) -> Tuple[Presentation, Dict[str, Word]]:
     """The reduced presentation of `tietze_eliminate`, and each
-    generator of P as a word in the survivors."""
+    generator of P as a word in the survivors.
+
+    The work is on the letter codes of P: `images[a]` spells generator
+    a in the generators not yet eliminated, and the relators stay over
+    P's alphabet until the survivors are known.  Recoding the survivors
+    in order keeps shortlex order, so each stored relator is the one a
+    presentation over the survivors alone would store."""
+    A = P.alphabet
+    images: Dict[int, Sequence[int]] = {a: (a,) for a in range(len(A))}
+    eliminated: List[int] = []
     current = P
-    partial: Dict[str, Word] = {}
     for gen_name, defining_raw in eliminations:
-        if gen_name not in current.alphabet:
+        if gen_name not in A or A.index(gen_name) in eliminated:
             raise ValueError(f"{gen_name} is not a generator at this stage")
+        g = A.index(gen_name)
         defining = (
-            Word.parse(P.alphabet, defining_raw)
+            Word._from_codes(A, A.read(defining_raw))
             if isinstance(defining_raw, str)
-            else Word(P.alphabet, defining_raw.letters)
+            else Word(A, defining_raw.letters)
         )
-        claim = free_reduce(Word.parse(P.alphabet, gen_name) * invert(defining))
+        claim = free_reduce(Word._from_codes(A, (g,)) * invert(defining))
         if not any(len(r) <= 3 and same_relator_class(r, claim) for r in P.relators):
             raise ValueError(
                 f"elimination {gen_name} = {defining} is not backed by a "
                 "relator of length at most 3"
             )
-        expanded = _expand_partial(defining, partial)
-        if any(name == gen_name for name, _ in expanded):
+        expanded = _substituted(defining.codes, images, A).codes
+        if g in expanded or ~g in expanded:
             raise ValueError(f"definition of {gen_name} is cyclic")
-        single = {gen_name: expanded}
-        for k in list(partial):
-            partial[k] = _expand_partial(partial[k], single)
-        partial[gen_name] = expanded
-
-        new_alphabet = Alphabet(g for g in current.alphabet if g.name != gen_name)
-        image_map = {n: Word.parse(new_alphabet, n) for n in new_alphabet.names()}
-        image_map[gen_name] = Word(new_alphabet, expanded.letters)
+        step = {a: (a,) for a in range(len(A))}
+        step[g] = expanded
+        images = {a: _substituted(w, step, A).codes for a, w in images.items()}
         current = Presentation(
-            new_alphabet, [substitute(r, image_map) for r in current.relators]
+            A, [_substituted(r.codes, step, A) for r in current.relators]
         )
-    survivors = current.alphabet
-    images = {n: Word.parse(survivors, n) for n in survivors.names()}
-    images.update((n, Word(survivors, w.letters)) for n, w in partial.items())
-    return current, images
+        eliminated.append(g)
+    alive = [a for a in range(len(A)) if a not in eliminated]
+    survivors = Alphabet(A.generators[a] for a in alive)
+    code = {a: k for k, a in enumerate(alive)}
+
+    def recoded(codes: Sequence[int]) -> Word:
+        return Word._from_codes(
+            survivors, [code[c] if c >= 0 else ~code[~c] for c in codes]
+        )
+
+    reduced = Presentation(survivors, [recoded(r.codes) for r in current.relators])
+    return reduced, {
+        A.generators[a].name: recoded(images[a]) for a in alive + eliminated
+    }
 
 
 def tietze_eliminate(

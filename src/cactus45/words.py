@@ -11,7 +11,8 @@ the code: generator i of the alphabet is i at exponent +1 and ~i
 (= -i-1) at exponent -1, and an involutive generator is always i.  The
 other layers compute on codes; (name, exponent) letters are read and
 written only at the API boundary: `Word(alphabet, letters)`,
-`Word.letters`, iteration, indexing, `parse`, `str` and `Alphabet.spell`.
+`Word.letters`, iteration, indexing, `parse`, `str`, `Alphabet.read`
+and `Alphabet.spell`.
 
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``.
@@ -20,7 +21,7 @@ trailing ``^-1``, the empty word written ``e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Letter = Tuple[str, int]
 
@@ -71,6 +72,16 @@ class Alphabet:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
         return i if exp == 1 or self.generators[i].involutive else ~i
+
+    def read(self, text: str) -> Tuple[int, ...]:
+        """The checked letter codes of a serialised word."""
+        text = text.strip()
+        if text in ("", "e"):
+            return ()
+        return tuple(
+            self._code((tok[:-3], -1) if tok.endswith("^-1") else (tok, 1))
+            for tok in text.split()
+        )
 
     def spell(self, code: int) -> str:
         """The serialised letter of one code: the name, marked if inverse."""
@@ -127,16 +138,7 @@ class Word:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
-        text = text.strip()
-        if text in ("", "e"):
-            return cls(alphabet, ())
-        letters = []
-        for tok in text.split():
-            if tok.endswith("^-1"):
-                letters.append((tok[:-3], -1))
-            else:
-                letters.append((tok, 1))
-        return cls(alphabet, letters)
+        return cls._from_codes(alphabet, alphabet.read(text))
 
     def __str__(self) -> str:
         if not self.codes:
@@ -211,6 +213,23 @@ def invert(w: Word) -> Word:
     return Word._from_codes(w.alphabet, [inverse[c] for c in reversed(w.codes)])
 
 
+def _substituted(
+    codes: Iterable[int], table: Mapping[int, Sequence[int]], target: Alphabet
+) -> Word:
+    """The word over target that replaces each code c >= 0 by the codes
+    table[c] and each ~c by their inverse, freely reduced."""
+    inverse = target.inverse
+    spelled: Dict[int, Sequence[int]] = {}
+    out: List[int] = []
+    for c in codes:
+        img = spelled.get(c)
+        if img is None:
+            img = table[c] if c >= 0 else [inverse[x] for x in reversed(table[~c])]
+            spelled[c] = img
+        out.extend(img)
+    return Word._from_codes(target, _free(out, inverse))
+
+
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Replace each generator by its image word; result freely reduced.
 
@@ -224,19 +243,12 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
             target = img.alphabet
         elif img.alphabet != target:
             raise ValueError("substitution images span different alphabets")
-    table: Dict[int, Tuple[int, ...]] = {}
-    out: List[int] = []
-    for c in w.codes:
-        if c not in table:
-            name = w.alphabet.generators[c if c >= 0 else ~c].name
-            if name not in images:
-                raise KeyError(f"no image for generator {name!r}")
-            img = images[name]
-            table[c] = img.codes if c >= 0 else invert(img).codes
-        out.extend(table[c])
-    if target is None:
-        target = w.alphabet
-    return Word._from_codes(target, _free(out, target.inverse))
+    gens = w.alphabet.generators
+    table = {i: images[g.name].codes for i, g in enumerate(gens) if g.name in images}
+    missing = {c if c >= 0 else ~c for c in w.codes} - table.keys()
+    if missing:
+        raise KeyError(f"no image for generator {gens[min(missing)].name!r}")
+    return _substituted(w.codes, table, w.alphabet if target is None else target)
 
 
 def shortlex_key(w: Word) -> Tuple:
@@ -272,7 +284,7 @@ class Presentation:
     to their shortlex-least representative.  Relators that reduce to
     the identity are dropped; duplicates (after normalisation) collapse."""
 
-    __slots__ = ("alphabet", "relators")
+    __slots__ = ("alphabet", "relators", "_hash")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
         seen = []
@@ -290,6 +302,8 @@ class Presentation:
                 seen.append(n)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "relators", tuple(seen))
+        # immutable, so hashed once: engines are looked up by presentation
+        object.__setattr__(self, "_hash", hash((alphabet, frozenset(seen))))
 
     def __setattr__(self, *a):
         raise AttributeError("Presentation is immutable")
@@ -302,7 +316,7 @@ class Presentation:
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self.relators)))
+        return self._hash
 
     def __repr__(self) -> str:
         rels = "; ".join(str(r) for r in self.relators)

@@ -11,6 +11,7 @@ from cactus45 import (
     sphere,
     words_equal,
 )
+from cactus45.words import Word
 from cactus45.action import (
     GENERATOR_TABLE,
     TRANSLATIONS,
@@ -25,6 +26,7 @@ from cactus45.action import (
     standard_generators,
 )
 
+import action_oracle
 from fixtures import A_WORDS, G_DEF, G_INV_DEF
 
 J4 = j4_presentation()
@@ -218,3 +220,47 @@ def test_parity_of_pi_images():
 
         img = project_to_symmetric(g.j4p_form, 4)
         assert img == (full if g.parity else Permutation.identity(4))
+
+
+# ---------------------------------------------------------------------------
+# the code-level action against the Word-product oracle
+
+
+def test_gamma_and_compose_match_word_oracle_on_the_ball():
+    # compose is the split-form group law of J4, so it is checked on
+    # every ball vertex at both parities, pure or not
+    ball = [v for L in range(4) for v in sphere(P, L)]
+    assert len(ball) == 61
+    for g in TWENTY:
+        for h in ball:
+            assert gamma(g, h) == action_oracle.gamma(g, h)
+            for parity in (0, 1):
+                other = PureElement(h, parity)
+                assert g.compose(other) == action_oracle.compose(g, other)
+        for other in TWENTY:
+            assert g.compose(other) == action_oracle.compose(g, other)
+
+
+def test_gamma_and_compose_match_word_oracle_on_random_words():
+    # unreduced words of up to 40 letters, on both sides of the product
+    rng = random.Random(1998)
+    names = P.alphabet.names()
+
+    def random_word():
+        length = rng.randint(0, 40)
+        return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])
+
+    for _ in range(200):
+        u, v = random_word(), random_word()
+        g = rng.choice(TWENTY)
+        assert gamma(g, u) == action_oracle.gamma(g, u)
+        left = PureElement(u, rng.randint(0, 1))
+        right = PureElement(v, rng.randint(0, 1))
+        assert gamma(left, v) == action_oracle.gamma(left, v)
+        assert left.compose(right) == action_oracle.compose(left, right)
+
+
+def test_gamma_rejects_words_over_other_alphabets():
+    for g in (TWENTY[0], TWENTY[1]):  # parity 1, then parity 0
+        with pytest.raises(ValueError):
+            gamma(g, J4.word("s14 s12"))

@@ -18,6 +18,7 @@ from cactus45.dirichlet import (
 )
 from cactus45.action import (
     TRANSLATIONS,
+    TWENTY,
     PureElement,
     gamma,
     standard_generator,
@@ -209,7 +210,8 @@ def test_voronoi_keeps_geodesic_count(monkeypatch):
 
 
 def test_ten_pairings_cover_all_sides(polygon, pairings):
-    assert [row.generator for row in pairings] == [
+    assert [row.code for row in pairings] == list(range(10))
+    assert [TRANSLATIONS.spell(row.code) for row in pairings] == [
         f"g{i}" for i in range(1, 11)
     ]
     covered = [frozenset(row.source) for row in pairings]
@@ -220,7 +222,7 @@ def test_ten_pairings_cover_all_sides(polygon, pairings):
 
 
 def test_pairings_match_reference_table(pairings):
-    by_name = {row.generator: row for row in pairings}
+    by_name = {TRANSLATIONS.spell(row.code): row for row in pairings}
     for name, (src, tgt) in SIDE_PAIRINGS.items():
         row = by_name[name]
         want = {canon(src[k]): canon(tgt[k]) for k in range(2)}
@@ -230,10 +232,11 @@ def test_pairings_match_reference_table(pairings):
 
 def test_pairings_certified_by_gamma(pairings):
     for row in pairings:
-        g = standard_generator(row.generator)
+        name = TRANSLATIONS.spell(row.code)
+        g = standard_generator(name)
         for source_word, target_word in zip(row.source, row.target):
             assert gamma(g, source_word) == target_word
-        back = standard_generator(row.generator + "^-1")
+        back = standard_generator(name + "^-1")
         for source_word, target_word in zip(row.source, row.target):
             assert gamma(back, target_word) == source_word
 
@@ -243,7 +246,7 @@ def test_translates_touch_along_sides(polygon, pairings):
     # paired side, so the twenty signed translates surround the polygon
     for row in pairings:
         assert frozenset(row.source) != frozenset(row.target)
-        g = standard_generator(row.generator)
+        g = TWENTY[row.code]
         assert len(g.j4p_form) == 4  # translate center stays off-polygon
 
 

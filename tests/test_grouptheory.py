@@ -29,6 +29,7 @@ from cactus45.grouptheory import (
     word_problem_search,
     GroupHom,
 )
+from cactus45.grouptheory import _eliminate
 from cactus45.cactus import j4prime_presentation
 from cactus45.words import (
     Alphabet,
@@ -54,6 +55,7 @@ from fixtures import (
     TEN_GEN_RELATORS,
 )
 import dehn_oracle
+import tietze_oracle
 from search_oracle import SearchBudget, bounded_search
 
 TEN = ten_generator_presentation()
@@ -396,6 +398,72 @@ def test_tietze_rejects_unknown_generator():
     P = small_presentation(["a", "b"], ["a b"])
     with pytest.raises((ValueError, KeyError)):
         tietze_eliminate(P, [("c", "a")])
+
+
+def test_tietze_substitutes_on_codes(monkeypatch):
+    # the definitions are read to codes and substituted there: no step
+    # builds one-letter words from their names
+    parsed = []
+    parse = Word.parse.__func__
+
+    def counting(cls, alphabet, text):
+        parsed.append(text)
+        return parse(cls, alphabet, text)
+
+    monkeypatch.setattr(Word, "parse", classmethod(counting))
+    out = tietze_eliminate(ten_generator_presentation(), STANDARD_ELIMINATIONS)
+    assert parsed == []
+    (r,) = out.relators
+    assert same_relator_class(r, one_relator_presentation().relators[0])
+    Word.parse(out.alphabet, "g2")
+    assert parsed == ["g2"]  # the wrapper counts
+
+
+def _random_eliminations(rng):
+    """A presentation on five generators, some of them involutive, with
+    random relators, and up to three eliminations, each backed by a
+    relator x·d^-1 for its defining word d."""
+    names = ["a", "b", "c", "d", "f"]
+    alphabet = Alphabet(Generator(n, involutive=rng.random() < 0.4) for n in names)
+
+    def random_word(pool, length):
+        letters = []
+        for _ in range(length):
+            name = rng.choice(pool)
+            letters.append((name, 1 if rng.random() < 0.5 else -1))
+        return Word(alphabet, letters)
+
+    relators = [Word(alphabet, [(g.name, 1)] * 2) for g in alphabet if g.involutive]
+    for _ in range(rng.randint(1, 4)):
+        relators.append(random_word(names, rng.randint(2, 7)))
+    eliminations = []
+    for x in rng.sample(names, rng.randint(0, 3)):
+        d = random_word([n for n in names if n != x], rng.randint(1, 2))
+        relators.append(Word(alphabet, [(x, 1)]) * invert(d))
+        eliminations.append((x, str(d) if rng.random() < 0.5 else d))
+    rng.shuffle(relators)
+    return Presentation(alphabet, relators), eliminations
+
+
+def test_tietze_matches_word_level_oracle():
+    # involution squares brought together by a rotation stay in a stored
+    # relator until a later substitution reduces them, as before
+    rng = random.Random(1923)
+    raised = 0
+    for _ in range(1500):
+        P, eliminations = _random_eliminations(rng)
+        try:
+            want = tietze_oracle.eliminate(P, eliminations)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                _eliminate(P, eliminations)
+            continue
+        got = _eliminate(P, eliminations)
+        assert got[0].alphabet == want[0].alphabet
+        assert got[0].relators == want[0].relators
+        assert list(got[1].items()) == list(want[1].items())
+    assert 0 < raised < 500
 
 
 # ---------------------------------------------------------------------------
