@@ -22,9 +22,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from importlib import metadata
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import __version__
 from .action import TRANSLATIONS, TWENTY
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
@@ -50,11 +50,6 @@ EXIT_USAGE = 64
 
 MAX_SPHERE_LENGTH = 12
 MAX_BALL_RADIUS = 8
-
-try:
-    VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:  # pragma: no cover - source checkout
-    VERSION = "0.1.0"
 
 
 class UsageError(Exception):
@@ -657,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command=args.command,
         parameters=parameters,
         results=results,
-        version=VERSION,
+        version=__version__,
     )
     payload = emit_report(report, args.format)
     if args.out:

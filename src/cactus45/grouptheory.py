@@ -240,7 +240,7 @@ class TrivialityCertificate:
         if self.word.alphabet != alphabet:
             raise ValueError("word over a different alphabet")
         inverse = alphabet.inverse
-        forms = {Word._from_codes(alphabet, f).letters: f for f in _relator_forms(P)}
+        forms = set(_relator_forms(P))
         left, right = list(free_reduce(self.word).codes), []
         for mv in self.moves:
             if mv.kind == "shift":
@@ -248,8 +248,8 @@ class TrivialityCertificate:
                 codes = left + right[::-1]
                 left, right = codes[k:], codes[:k][::-1]
             elif mv.kind == "insert":
-                form = forms.get(mv.letters)
-                if form is None:
+                form = alphabet.encode(mv.letters)
+                if form not in forms:
                     raise ValueError("move splices in a non-relator word")
                 if not 0 <= mv.position <= len(left) + len(right):
                     raise ValueError("insertion position out of range")

@@ -16,14 +16,17 @@ graph (Chepoi 2000).  Two exact operations on words follow:
     1998).  A letter is a left descent when, sunk rightward through the
     geodesic, it cancels.
 
-Two words are equal exactly when their normal forms agree, and two
-different normal forms are the witness of an inequality.  Every step
-above is a relator move: a square crossing is a "swap", a cancellation
-a "delete".  An equality certificate sinks both words to geodesics,
-flips the first geodesic into the second letter by letter, and appends
-the second word's moves inverted (a deletion becomes an "insert").
-`EqualityCertificate.verify` accepts only moves sanctioned by the
-presentation's stored relators.
+Word equality sinks each word once, to a geodesic, and flips the first
+geodesic into the second letter by letter: each letter of the second
+must be a left descent of what remains of the first.  The words are
+equal exactly when that succeeds; otherwise the two geodesics are
+sorted into their normal forms, which differ and are the witness of the
+inequality.  Every step above is a relator move: a square crossing is a
+"swap", a cancellation a "delete".  An equality certificate is the
+first sink and the flips, then the second sink's moves inverted (a
+deletion becomes an "insert").  `EqualityCertificate.verify` accepts
+only moves sanctioned by the presentation's stored relators; each
+engine builds that table once, from those relators.
 
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
@@ -128,10 +131,12 @@ class EqualityCertificate:
         ValueError on a move that does not fit the word or whose relator
         P does not store.  The word is held as the codes left of the
         cursor and, reversed, those right of it, so a move costs the
-        distance the cursor travels to it."""
+        distance the cursor travels to it.  The sanctioned moves are those
+        of P's exact engine, built once from P's stored relators; a
+        presentation that has no engine raises ValueError too."""
         if w.alphabet != P.alphabet:
             raise ValueError("word over a different alphabet")
-        swaps, squares = _sanctioned(P)
+        swaps, squares = system_for(P).sanctioned
         left, right = list(w.codes), []
         for m in self.moves:
             allowed = swaps if m.kind == "swap" else squares
@@ -219,6 +224,7 @@ class RewriteSystem:
         for a, b in self.swap:
             if link[a] & link[b]:
                 raise ValueError("the link has a triangle: not a CAT(0) square complex")
+        self.sanctioned = _sanctioned(P)
 
     def geodesic(self, t: Sequence[int], trace: Trace = None) -> List[int]:
         """A geodesic spelling of t, by sinking each letter leftward."""
@@ -267,45 +273,59 @@ class RewriteSystem:
             w[i], w[i + 1] = c, d
         return True
 
-    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
-        """The shortlex-least geodesic: at each position the least left
-        descent of what remains."""
-        w = self.geodesic(t)
+    def sort(self, w: List[int]) -> Tuple[int, ...]:
+        """Flip the geodesic w, in place, into the shortlex-least one: at
+        each position the least left descent of what remains."""
         for k in range(len(w)):
             x = 0
             while not self._lift(w, k, x, None):
                 x += 1  # stops at w[k] at the latest, which cancels at once
         return tuple(w)
 
-    def paths(self, t1: Sequence[int], t2: Sequence[int]):
-        """Traces from t1 and from t2 to one common word, for t1 and t2
-        spelling the same element: both sink to geodesics, and the first
-        is flipped into the second letter by letter.  Each flip reorders
-        two hyperplanes that the geodesics cross in opposite orders, so
-        the flips between them are as few as possible."""
-        forward, backward = [], []
-        g1 = self.geodesic(t1, forward)
-        for k, x in enumerate(self.geodesic(t2, backward)):
-            self._lift(g1, k, x, forward)
-        return forward, backward
+    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
+        """The shortlex-least geodesic spelling of t."""
+        return self.sort(self.geodesic(t))
+
+    def lift(self, g1: List[int], g2: Sequence[int], trace: Trace) -> bool:
+        """Flip the geodesic g1, in place, into the geodesic g2 letter by
+        letter; True exactly when they spell the same element, and then
+        g1 == g2.  Each flip reorders two hyperplanes that the geodesics
+        cross in opposite orders, so the flips are as few as possible.
+        On False, g1 still spells its element."""
+        return len(g1) == len(g2) and all(
+            self._lift(g1, k, x, trace) for k, x in enumerate(g2)
+        )
 
 
 class SplitSystem:
-    """J4 through the split g = u · s14^p with u in J4'."""
+    """J4 through the split g = u · s14^p with u in J4'.  A geodesic is
+    held as the pair (u, p), u a geodesic list of J4' letter codes; it
+    spells u · s14^p.  Traces are in J4 letter codes."""
 
     def __init__(self, P: Presentation):
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.inner = system_for(cactus.j4prime_presentation())
+        self.sanctioned = _sanctioned(P)
 
-    def _split(self, t: Sequence[int], trace: Trace = None):
+    def _inner(self, trace: Trace, step, *args):
+        """step(*args, trace) on the J4' engine, its moves recoded to J4."""
+        if trace is None:
+            return step(*args, None)
+        moves: List[Tuple[str, int, Tuple[int, ...]]] = []
+        out = step(*args, moves)
+        outer = cactus.J4P_TO_J4
+        trace += [(kind, pos, tuple(outer[x] for x in r)) for kind, pos, r in moves]
+        return out
+
+    def geodesic(self, t: Sequence[int], trace: Trace = None):
         u, p = cactus.push_s14_right(Word._from_codes(self.presentation.alphabet, t), trace)
-        return u.codes, p
+        return self._inner(trace, self.inner.geodesic, u.codes), p
 
-    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
-        u, p = self._split(t)
-        w = self.inner.normal_form(u)
+    def sort(self, g) -> Tuple[int, ...]:
+        w, p = g
+        w = self.inner.sort(w)
         outer = cactus.J4P_TO_J4
         if not p:
             return tuple(outer[x] for x in w)
@@ -318,15 +338,12 @@ class SplitSystem:
         rest = self.inner.normal_form([cactus.J4P_MIRROR[x] for x in w[k:]])
         return tuple(outer[x] for x in w[:k]) + (cactus.S14,) + tuple(outer[x] for x in rest)
 
-    def paths(self, t1: Sequence[int], t2: Sequence[int]):
-        # equal elements share p, so after the splits only the J4' words
-        # u1 and u2 differ, and their moves leave the trailing s14 alone
-        forward, backward = [], []
-        u1, _ = self._split(t1, forward)
-        u2, _ = self._split(t2, backward)
-        for trace, inner in zip((forward, backward), self.inner.paths(u1, u2)):
-            trace += [(kind, pos, tuple(cactus.J4P_TO_J4[x] for x in r)) for kind, pos, r in inner]
-        return forward, backward
+    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
+        return self.sort(self.geodesic(t))
+
+    def lift(self, g1, g2, trace: Trace) -> bool:
+        # equal elements share p, and moves on u leave the trailing s14 alone
+        return g1[1] == g2[1] and self._inner(trace, self.inner.lift, g1[0], g2[0])
 
 
 @lru_cache(maxsize=8)
@@ -346,19 +363,25 @@ def words_equal(
 ) -> EqualityResult:
     """Exact equality in the presented group.
 
-    EQUAL when the normal forms agree, with a replay-checked
-    certificate if asked for; otherwise PROVEN-UNEQUAL with the two
-    normal forms as witness.
+    Each word is sunk once to a geodesic, and the first geodesic is
+    flipped into the second letter by letter.  EQUAL when that succeeds,
+    with a replay-checked certificate if asked for: the moves of the
+    first sink and of the flips, then the second sink's moves inverted.
+    Otherwise PROVEN-UNEQUAL, with the two normal forms, sorted from the
+    same geodesics, as witness.
     """
     sys = system_for(P)
     t1, t2 = _codes(w1, P), _codes(w2, P)
-    c1, c2 = sys.normal_form(t1), sys.normal_form(t2)
-    if c1 != c2:
+    forward, backward = ([], []) if certificate else (None, None)
+    g1, g2 = sys.geodesic(t1, forward), sys.geodesic(t2, backward)
+    if not sys.lift(g1, g2, forward):
+        c1, c2 = sys.sort(g1), sys.sort(g2)
+        if c1 == c2:
+            raise AssertionError("internal error: equal normal forms failed to lift")
         witness = (Word._from_codes(P.alphabet, c1), Word._from_codes(P.alphabet, c2))
         return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
     if not certificate:
         return EqualityResult(True, EQUAL)
-    forward, backward = sys.paths(t1, t2)
     moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
     moves += [
         Move(pos, Word._from_codes(P.alphabet, r), kind).inverted()

@@ -15,7 +15,8 @@ written only at the API boundary: `Word(alphabet, letters)`,
 and `Alphabet.spell`.
 
 Serialisation: letters joined by single spaces, inverses marked with a
-trailing ``^-1``, the empty word written ``e``.
+trailing ``^-1``, the empty word written ``e``; so no generator may be
+named ``e`` or end in ``^-1``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ class Generator:
     involutive: bool = False
 
     def __post_init__(self):
-        if not self.name or any(ch.isspace() for ch in self.name):
+        # `e` spells the empty word and `^-1` marks an inverse, so either
+        # name would not read back as its own letter
+        if (
+            not self.name
+            or any(ch.isspace() for ch in self.name)
+            or self.name == "e"
+            or self.name.endswith("^-1")
+        ):
             raise ValueError(f"bad generator name {self.name!r}")
 
 
@@ -41,9 +49,10 @@ class Alphabet:
 
     `inverse[c]` is the code of the inverse of the letter with code c,
     and `_letters[c]` its (name, exponent) pair: codes 0..n-1 index
-    both tables from the start, codes ~0..~(n-1) from the end."""
+    both tables from the start, codes ~0..~(n-1) from the end.
+    `_decoded` maps each such pair back to its code."""
 
-    __slots__ = ("generators", "_index", "inverse", "_letters")
+    __slots__ = ("generators", "_index", "inverse", "_letters", "_decoded")
 
     def __init__(self, generators: Iterable[Generator]):
         self.generators = tuple(generators)
@@ -59,6 +68,7 @@ class Alphabet:
         self.inverse += tuple(reversed(range(len(gens))))
         self._letters = tuple((g.name, 1) for g in gens)
         self._letters += tuple((g.name, -1) for g in reversed(gens))
+        self._decoded = {self._letters[c]: c for c in range(-len(gens), len(gens))}
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -72,6 +82,15 @@ class Alphabet:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
         return i if exp == 1 or self.generators[i].involutive else ~i
+
+    def encode(self, letters: Iterable[Letter]) -> Optional[Tuple[int, ...]]:
+        """The codes that `Word.letters` spells as exactly `letters`, or
+        None when a letter names no generator or has an exponent other
+        than +1 or -1.  An involutive generator at -1 gives ~i, a code
+        `Word(alphabet, letters)` never produces (it reads that letter
+        as i)."""
+        codes = tuple(map(self._decoded.get, letters))
+        return None if None in codes else codes
 
     def read(self, text: str) -> Tuple[int, ...]:
         """The checked letter codes of a serialised word."""

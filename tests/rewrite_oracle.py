@@ -1,6 +1,8 @@
 """Reference oracle for the rewrite layer: the budgeted closure search
-that `cactus45.rewrite` ran before its exact engine, and the certificate
-replay that rebuilt the whole word after every move.
+that `cactus45.rewrite` ran before its exact engine, the certificate
+replay that rebuilt the whole word after every move, and the equality
+test that sank each word twice (once for its normal form, once more for
+the certificate's paths).
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -17,7 +19,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Tuple
 
-from cactus45.rewrite import EqualityCertificate, _sanctioned
+from cactus45.cactus import J4P_TO_J4, push_s14_right
+from cactus45.rewrite import (
+    EQUAL,
+    PROVEN_UNEQUAL,
+    EqualityCertificate,
+    EqualityResult,
+    Move,
+    SplitSystem,
+    _sanctioned,
+    system_for,
+)
 from cactus45.words import Presentation, Word
 
 
@@ -165,3 +177,42 @@ def replay(cert: EqualityCertificate, P: Presentation, w: Word) -> Word:
             raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
         w = m.apply(w)
     return w
+
+
+def _paths(sys, t1, t2):
+    """Traces from t1 and from t2 to one common word: both sink to
+    geodesics, and the first is flipped into the second letter by
+    letter.  In J4 the words are split first, and the moves on the J4'
+    parts recoded."""
+    forward, backward = [], []
+    if isinstance(sys, SplitSystem):
+        alphabet = sys.presentation.alphabet
+        u1, _ = push_s14_right(Word._from_codes(alphabet, t1), forward)
+        u2, _ = push_s14_right(Word._from_codes(alphabet, t2), backward)
+        for trace, inner in zip((forward, backward), _paths(sys.inner, u1.codes, u2.codes)):
+            trace += [(kind, pos, tuple(J4P_TO_J4[x] for x in r)) for kind, pos, r in inner]
+        return forward, backward
+    g1 = sys.geodesic(t1, forward)
+    for k, x in enumerate(sys.geodesic(t2, backward)):
+        sys._lift(g1, k, x, forward)
+    return forward, backward
+
+
+def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) -> EqualityResult:
+    """Equality decided by comparing the two normal forms; the paths of
+    a certificate are computed afresh from the words."""
+    sys = system_for(P)
+    t1, t2 = w1.codes, w2.codes
+    c1, c2 = sys.normal_form(t1), sys.normal_form(t2)
+    if c1 != c2:
+        witness = (Word._from_codes(P.alphabet, c1), Word._from_codes(P.alphabet, c2))
+        return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
+    if not certificate:
+        return EqualityResult(True, EQUAL)
+    forward, backward = _paths(sys, t1, t2)
+    moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
+    moves += [
+        Move(pos, Word._from_codes(P.alphabet, r), kind).inverted()
+        for kind, pos, r in reversed(backward)
+    ]
+    return EqualityResult(True, EQUAL, EqualityCertificate(tuple(moves)))

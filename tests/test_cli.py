@@ -132,6 +132,17 @@ def test_json_reports_exclude_timing(capsys):
     assert set(report) == {"command", "parameters", "results", "version"}
 
 
+def test_version_is_the_project_version(capsys):
+    import re
+
+    import cactus45
+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == cactus45.__version__
+    _, report, _ = run_json(capsys, "sphere", "--length", "1")
+    assert report["version"] == cactus45.__version__ == "0.1.0"
+
+
 def test_emit_report_empty():
     empty = RunReport("", {}, {}, "")
     assert emit_report(empty, "json") == b"{}\n"

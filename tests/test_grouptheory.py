@@ -29,7 +29,7 @@ from cactus45.grouptheory import (
     word_problem_search,
     GroupHom,
 )
-from cactus45.grouptheory import _eliminate
+from cactus45.grouptheory import _eliminate, _relator_forms
 from cactus45.cactus import j4prime_presentation
 from cactus45.words import (
     Alphabet,
@@ -754,6 +754,33 @@ def test_linear_replay_agrees_with_rebuilding_oracle(P, seed):
                 assert expected in (None, new)
 
 
+def test_replay_accepts_exactly_the_inserts_spelling_a_relator_form():
+    # replay encodes each move's letters; the reference decodes every
+    # relator form to (name, exponent) letters and looks the move up
+    rng = random.Random(2718)
+    refused_by_dehn = 0
+    for _ in range(300):
+        P = _random_presentation(rng)
+        refused_by_dehn += piece_ratio(P) >= Fraction(1, 6)
+        decoded = {Word._from_codes(P.alphabet, f).letters for f in _relator_forms(P)}
+        candidates = [()]
+        for letters in decoded:
+            i = rng.randrange(len(letters))
+            name, exp = letters[i]
+            candidates.append(letters)
+            for bad in ((name, -exp), (name, 2 * exp), ("zz", exp)):
+                candidates.append(letters[:i] + (bad,) + letters[i + 1 :])
+        for letters in candidates:
+            cert = TrivialityCertificate(Word(P.alphabet, ()), (CertMove("insert", 0, letters),))
+            try:
+                cert.replay(P)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (letters in decoded), (P, letters)
+    assert refused_by_dehn >= 100
+
+
 def test_shift_keeps_the_replayed_word_freely_reduced():
     w = Word.parse(SURF.alphabet, "a1 a2 a1^-1")
     cert = TrivialityCertificate(w, (CertMove("shift", 2),))
@@ -762,13 +789,13 @@ def test_shift_keeps_the_replayed_word_freely_reduced():
 
 
 def test_relator_holding_an_involution_square_certifies_trivial():
-    names = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    names = ["a", "b", "c", "d", "f", "g", "h", "i"]  # `e` spells the empty word
     alphabet = Alphabet([Generator("x", involutive=True)] + [Generator(n) for n in names])
     P = Presentation(alphabet, [Word.parse(alphabet, "x x " + " ".join(names))])
-    assert str(P.relators[0]) == "x x a b c d e f g h"
+    assert str(P.relators[0]) == "x x a b c d f g h i"
     assert piece_ratio(P) == 0
-    res = word_problem_search(Word.parse(alphabet, "a b c d e f g h"), P)
+    res = word_problem_search(Word.parse(alphabet, "a b c d f g h i"), P)
     assert res.status == "TRIVIAL" and res.certificate.check(P)
-    res = word_problem_search(Word.parse(alphabet, "x a b c d e f g h x"), P)
+    res = word_problem_search(Word.parse(alphabet, "x a b c d f g h i x"), P)
     assert res.status == "TRIVIAL" and res.certificate.check(P)
-    assert word_problem_search(Word.parse(alphabet, "x a b c d e f g h"), P).nontrivial
+    assert word_problem_search(Word.parse(alphabet, "x a b c d f g h i"), P).nontrivial

@@ -21,7 +21,8 @@ from cactus45.rewrite import (
     system_for,
     words_equal,
 )
-from cactus45.words import Word
+from cactus45 import rewrite
+from cactus45.words import Alphabet, Generator, Presentation, Word
 
 import rewrite_oracle
 from rewrite_oracle import oracle_for, rewrite_neighbors
@@ -411,3 +412,80 @@ def test_engine_rejects_complexes_that_are_not_cat0():
         RewriteSystem(P4)  # the full reversal's link has triangles
     with pytest.raises(ValueError):
         canonical_form(Word.parse(cactus_presentation(5).alphabet, "s12"), cactus_presentation(5))
+
+
+# ---------------------------------------------------------------------------
+# one sink per word, and one table of sanctioned moves per engine
+
+
+def _pairs(P, rng):
+    """Seeded pairs: equal ones by relator walks, unequal ones that are
+    random, one letter apart, or equal up to a last letter (the flips
+    then get far before they fail); in J4 some differ in s14 parity."""
+    names = P.alphabet.names()
+    for length in (0, 1, 6, 20, 60):
+        for _ in range(6):
+            u = random_word(P, length, rng)
+            v = relator_walk(P, u, length + 12, rng)
+            g = Word(P.alphabet, [(rng.choice(names), 1)])
+            p = rng.randrange(len(v) + 1)
+            yield u, v
+            yield u, random_word(P, length, rng)
+            yield u, v[:p] * g * v[p:]
+            yield u * g, relator_walk(P, u, length + 12, rng) * Word(P.alphabet, [(rng.choice(names), 1)])
+
+
+@pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
+def test_words_equal_matches_the_two_sink_oracle(P):
+    rng = random.Random(1207)
+    seen = {True: 0, False: 0}
+    for u, v in _pairs(P, rng):
+        for certificate in (True, False):
+            got = words_equal(u, v, P, certificate=certificate)
+            want = rewrite_oracle.words_equal(u, v, P, certificate=certificate)
+            assert (got.equal, got.status, got.witness) == (want.equal, want.status, want.witness)
+            assert got.certificate == want.certificate, (u, v)
+        seen[got.equal] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
+def test_certified_equality_sinks_each_word_once(monkeypatch, P):
+    rng = random.Random(5)
+    u = random_word(P, 30, rng)
+    v = relator_walk(P, u, 50, rng)
+    system_for(P)
+    sinks = _count_calls(monkeypatch, RewriteSystem, "geodesic")
+    tables = _count_calls(monkeypatch, rewrite, "_sanctioned")
+    res = words_equal(u, v, P, certificate=True)
+    assert res.equal and len(sinks) == 2  # 4 when the paths sank the words again
+    for _ in range(3):
+        assert res.certificate.verify(P, u, v)
+    assert tables == []  # the engine holds the table
+
+
+def test_replay_needs_a_presentation_with_an_engine():
+    u, v = pw("s12 s34"), pw("s34 s12")
+    cert = words_equal(u, v, PP, certificate=True).certificate
+    assert cert.verify(PP, u, v)
+    # the same relators without the squares: the moves are still stored
+    # relators, but the presentation has no exact engine
+    no_squares = Presentation(PP.alphabet, [r for r in PP.relators if len(r) == 4])
+    with pytest.raises(ValueError):
+        system_for(no_squares)
+    assert cert.verify(no_squares, u, v) is False
+    free = Alphabet([Generator("a"), Generator("b")])
+    a = Word.parse(free, "a")
+    assert EqualityCertificate(()).verify(Presentation(free, [a * a * a]), a, a) is False

@@ -41,6 +41,48 @@ def test_parse_and_str_roundtrip():
         assert str(w(alph, text)) == text
 
 
+@pytest.mark.parametrize("name", ["e", "a^-1", "^-1"])
+def test_reserved_generator_names_are_rejected(name):
+    # `e` would parse back as the empty word and `a^-1` as an inverse
+    for involutive in (False, True):
+        with pytest.raises(ValueError):
+            Generator(name, involutive)
+
+
+def _package_alphabets():
+    from cactus45.action import TRANSLATIONS
+    from cactus45.cactus import cactus_presentation, subgroup_presentation
+    from cactus45.grouptheory import (
+        STANDARD_ELIMINATIONS,
+        alt_one_relator_presentation,
+        one_relator_presentation,
+        surface_presentation,
+        ten_generator_presentation,
+        tietze_eliminate,
+    )
+
+    ten = ten_generator_presentation()
+    presentations = [cactus_presentation(n) for n in range(2, 7)]
+    presentations += [subgroup_presentation(4, S) for S in ({2}, {3}, {2, 3}, {2, 4})]
+    presentations += [
+        ten,
+        tietze_eliminate(ten, STANDARD_ELIMINATIONS),
+        one_relator_presentation(),
+        alt_one_relator_presentation(),
+        surface_presentation(),
+    ]
+    return [P.alphabet for P in presentations] + [TRANSLATIONS]
+
+
+def test_serialisation_round_trips_over_every_package_alphabet():
+    rng = random.Random(412)
+    for alph in _package_alphabets():
+        assert Word.parse(alph, str(Word(alph))) == Word(alph)
+        for _ in range(60):
+            word = random_word(rng, alph, rng.randrange(1, 12))
+            assert Word.parse(alph, str(word)) == word, (alph, word)
+
+
 def test_involutive_exponent_normalized():
     word = Word(INV, [("x", -1), ("y", 1)])
     assert word.letters == (("x", 1), ("y", 1))
