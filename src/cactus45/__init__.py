@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .words import (
     Alphabet,
     Generator,
+    Move,
     Presentation,
     Word,
     cyclic_reduce,
@@ -54,7 +55,6 @@ from .dirichlet import (
     SurfaceClass,
     VertexCycle,
     classify_identified_surface,
-    dirichlet_polygon,
     fundamental_domain,
     poincare_presentation,
     side_pairings,
@@ -83,7 +83,6 @@ from .grouptheory import (
 from .rewrite import (
     EqualityCertificate,
     EqualityResult,
-    Move,
     canonical_form,
     sphere,
     words_equal,

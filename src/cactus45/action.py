@@ -14,6 +14,8 @@ from typing import Dict, List, Tuple
 
 from .cactus import (
     J4P_MIRROR,
+    J4P_TO_J4,
+    S14,
     Permutation,
     j4_presentation,
     j4prime_presentation,
@@ -39,7 +41,9 @@ def mirror_word(w: Word) -> Word:
 
 def embed_with_reversal(vertex: Word, parity: int) -> Word:
     """The six-generator word vertex · s14^parity."""
-    return Word(_J4.alphabet, list(vertex) + [("s14", 1)] * parity)
+    if vertex.alphabet != _J4P.alphabet:
+        raise ValueError("embed_with_reversal takes words over the J_4' alphabet")
+    return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,17 @@ is either verified or refuted.
 
 Sizes are capped so every run stays bounded: `sphere --length` at
 most 12 (231,840 elements in J4') and `complex --radius` at most 8;
-larger values are usage errors.
+larger values are usage errors.  `verify-all --tolerance` must be a
+finite number above 0 and at most 1e-3 (`MAX_TOLERANCE`): a looser one
+would make the float cross-checks vacuous, so anything else is a usage
+error too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,6 +54,7 @@ EXIT_USAGE = 64
 
 MAX_SPHERE_LENGTH = 12
 MAX_BALL_RADIUS = 8
+MAX_TOLERANCE = 1e-3
 
 
 class UsageError(Exception):
@@ -98,7 +103,7 @@ def _certificate_dict(cert: Optional[TrivialityCertificate]) -> Optional[dict]:
             {
                 "kind": move.kind,
                 "position": move.position,
-                "letters": [[name, exp] for name, exp in move.letters],
+                "letters": [[name, exp] for name, exp in move.relator.letters],
             }
             for move in cert.moves
         ],
@@ -571,6 +576,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and 0 < value <= MAX_TOLERANCE):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number in (0, {MAX_TOLERANCE}]"
+        )
+    return value
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path")
@@ -629,7 +643,7 @@ def build_parser() -> _Parser:
         parents=[common],
         help="run the thirteen-point verification registry",
     )
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
 
     return parser
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from .rewrite import sphere, system_for
-from .words import Presentation, Word, rotations, shortlex_key
+from .words import Presentation, Word, shortlex_key
 
 
 class PartialLinkError(ValueError):
@@ -106,14 +106,6 @@ class CayleyBall:
         )
 
 
-def _relator_rotations(P: Presentation) -> List[Tuple[int, ...]]:
-    rots = set()
-    for r in P.relators:
-        if len(r) == 4:
-            rots.update(rot.codes for rot in rotations(r))
-    return sorted(rots)
-
-
 @lru_cache(maxsize=8)
 def build_ball(P: Presentation, radius: int) -> CayleyBall:
     """Ball of the given radius around the identity.  Built once per
@@ -141,7 +133,9 @@ def build_ball(P: Presentation, radius: int) -> CayleyBall:
                 edge_set.add((a, b, names[g]))
         neighbor[v] = nbrs
 
-    squares = _relator_rotations(P)
+    # with an engine, every relator form is a square's rotation; the
+    # reversed rotations trace the same cells
+    squares = dict.fromkeys(P.forms)
     faces_by_set: Dict[FrozenSet[Word], Face] = {}
     interior = set()
     for v in vertices:

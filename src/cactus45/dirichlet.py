@@ -47,7 +47,6 @@ __all__ = [
     "SurfaceClass",
     "VertexCycle",
     "classify_identified_surface",
-    "dirichlet_polygon",
     "fundamental_domain",
     "poincare_presentation",
     "side_pairings",
@@ -171,13 +170,8 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
     return keep
 
 
-def dirichlet_polygon() -> LabeledPolygon:
-    """Cell-adapted fundamental 20-gon around the identity vertex."""
-    ball = build_ball(J4P, 4)
-    return _polygon(ball, embed_ball(ball))
-
-
 def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
+    """Cell-adapted fundamental 20-gon around the identity vertex."""
     keep = _voronoi_keeps(ball, _orbit_sites())
 
     # classify the square cells against the kept vertex set

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .words import (
     Alphabet,
     Generator,
+    Move,
     Presentation,
     Word,
-    cyclic_reduce,
     free_reduce,
     invert,
     same_relator_class,
@@ -33,7 +33,6 @@ from .words import (
 )
 
 __all__ = [
-    "CertMove",
     "GroupHom",
     "STANDARD_ELIMINATIONS",
     "SearchResult",
@@ -209,61 +208,44 @@ def abelianization_invariants(P: Presentation) -> Tuple[int, Tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class CertMove:
-    """One replayable step on a word.
-
-    kind "insert": splice a cyclic form of a relator (or its inverse)
-    in at `position`, then reduce freely -- deleting a relator
-    occurrence is the special case where the splice cancels it whole.
-    kind "shift": rotate the word left by `position` letters.
-    """
-
-    kind: str
-    position: int = 0
-    letters: Tuple[Tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
 class TrivialityCertificate:
+    """Inserts (`Move` of kind "insert") that take `word` to the empty
+    word, each splice followed by free reduction: deleting a relator
+    occurrence is the special case where the splice cancels it whole."""
+
     word: Word
-    moves: Tuple[CertMove, ...]
+    moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation) -> Word:
         """Apply the moves to the freely reduced word; the result is
-        freely reduced.  An insert must splice in a rotation of a
-        cyclically reduced relator or its inverse, the forms Dehn's
-        algorithm uses; ValueError on any other move.  The word is held
-        as the codes left of the cursor and, reversed, those right of
-        it: a freely reduced form spliced into a freely reduced word
-        cancels outward from its two seams only."""
+        freely reduced.  An insert must splice in one of P's relator
+        forms, the rotations Dehn's algorithm uses; ValueError on any
+        other move.  The word is held as the codes left of the cursor
+        and, reversed, those right of it: a freely reduced form spliced
+        into a freely reduced word cancels outward from its two seams
+        only."""
         alphabet = P.alphabet
         if self.word.alphabet != alphabet:
             raise ValueError("word over a different alphabet")
         inverse = alphabet.inverse
-        forms = set(_relator_forms(P))
         left, right = list(free_reduce(self.word).codes), []
         for mv in self.moves:
-            if mv.kind == "shift":
-                k = mv.position % max(len(left) + len(right), 1)
-                codes = left + right[::-1]
-                left, right = codes[k:], codes[:k][::-1]
-            elif mv.kind == "insert":
-                form = alphabet.encode(mv.letters)
-                if form not in forms:
-                    raise ValueError("move splices in a non-relator word")
-                if not 0 <= mv.position <= len(left) + len(right):
-                    raise ValueError("insertion position out of range")
-                while len(left) > mv.position:
-                    right.append(left.pop())
-                while len(left) < mv.position:
-                    left.append(right.pop())
-                for c in form:
-                    if left and left[-1] == inverse[c]:
-                        left.pop()
-                    else:
-                        left.append(c)
-            else:
+            if mv.kind != "insert":
                 raise ValueError(f"unknown move kind {mv.kind!r}")
+            form = mv.relator.codes
+            if mv.relator.alphabet != alphabet or not P.is_form(form):
+                raise ValueError("move splices in a non-relator word")
+            if not 0 <= mv.position <= len(left) + len(right):
+                raise ValueError("insertion position out of range")
+            while len(left) > mv.position:
+                right.append(left.pop())
+            while len(left) < mv.position:
+                left.append(right.pop())
+            for c in form:
+                if left and left[-1] == inverse[c]:
+                    left.pop()
+                else:
+                    left.append(c)
             while left and right and left[-1] == inverse[right[-1]]:
                 left.pop()
                 right.pop()
@@ -287,28 +269,6 @@ class TrivialityCertificate:
 Codes = Tuple[int, ...]
 
 
-def _rotation_list(words: Iterable[Word]) -> List[Codes]:
-    """Every rotation of each word and of its inverse, sorted.  A word
-    whose rotation class is already listed (as an earlier word or its
-    inverse) adds nothing, and neither does the empty word; a proper
-    power keeps its repeated rotations."""
-    listed: List[Codes] = []
-    classes = set()
-    for w in words:
-        for base in (w.codes, invert(w).codes):
-            rots = [base[i:] + base[:i] for i in range(len(base))]
-            if rots and min(rots) not in classes:
-                classes.add(min(rots))
-                listed.extend(rots)
-    return sorted(listed)
-
-
-def _relator_forms(P: Presentation) -> List[Codes]:
-    # an involution square cyclically reduces to the empty word: it is
-    # trivial in the free product of the letters, and has no rotation
-    return _rotation_list(map(cyclic_reduce, P.relators))
-
-
 def _common_prefix(a: Codes, b: Codes) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
@@ -321,9 +281,10 @@ def piece_ratio(P: Presentation) -> Fraction:
     cyclically reduced relators and their inverses (duplicates up to
     rotation collapse first).  Proper subwords only: a piece is never
     as long as the shortest relator.  A position starts a rotation, so
-    the longest piece is the longest common prefix of sorted neighbours.
+    the longest piece is the longest common prefix of sorted neighbours
+    (`P.forms`, in which an involution square has no form).
     """
-    forms = _relator_forms(P)
+    forms = P.forms
     if not forms:
         return Fraction(0, 1)
     shortest = min(map(len, forms))
@@ -345,7 +306,7 @@ def _dehn_rules(P: Presentation):
         )
     inverse = P.alphabet.inverse
     rules: Dict[Codes, Codes] = {}
-    for form in _relator_forms(P):
+    for form in P.forms:
         inv = tuple(inverse[c] for c in reversed(form))
         take = len(form) // 2 + 1
         rules[form[:take]] = inv[-take:] + inv[:-take]
@@ -354,7 +315,7 @@ def _dehn_rules(P: Presentation):
 
 def dehn_reduce(
     w: Word, P: Presentation, with_moves: bool = False
-) -> Union[Word, Tuple[Word, Tuple[CertMove, ...]]]:
+) -> Union[Word, Tuple[Word, Tuple[Move, ...]]]:
     """Dehn's algorithm in linear time (Domanski and Anshel, 1985).
 
     Letters move from a pending list onto a freely reduced stack.  A
@@ -371,7 +332,7 @@ def dehn_reduce(
         raise ValueError("word over a different alphabet")
     rules, lengths = _dehn_rules(P)
     inverse = P.alphabet.inverse
-    moves: List[CertMove] = []
+    moves: List[Move] = []
     stack: List[int] = []
     pending = list(reversed(free_reduce(w).codes))
     while pending:
@@ -386,8 +347,7 @@ def dehn_reduce(
             if splice is None:
                 continue
             if with_moves:
-                letters = Word._from_codes(P.alphabet, splice).letters
-                moves.append(CertMove("insert", len(stack), letters))
+                moves.append(Move(len(stack), Word._from_codes(P.alphabet, splice), "insert"))
             del stack[-take:]
             rest = list(splice[take:])
             while rest and pending and pending[-1] == inverse[rest[-1]]:
@@ -443,10 +403,13 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
     Any other presentation must have piece ratio below 1/6: there
     Dehn's algorithm decides the word problem (Greendlinger's lemma),
     so a nonempty reduced word proves w nontrivial.  ValueError for a
-    presentation with no such decider.
+    word over another alphabet, on every route, and for a presentation
+    with no such decider.
     """
     if oracle not in ("auto", "tietze"):
         raise ValueError(f"unknown oracle {oracle!r}")
+    if w.alphabet != P.alphabet:
+        raise ValueError("word over a different alphabet")
     if P == _TEN:
         return _dehn_decide(substitute(w, _STANDARD_IMAGES), _FIVE, "tietze+dehn")
     if oracle == "tietze":
@@ -601,8 +564,8 @@ def verify_mutual_inverse(
     for first, second in ((f, g), (g, f)):
         a = first.name or "first"
         b = second.name or "second"
-        for name in first.source.alphabet.names():
-            x = Word.parse(first.source.alphabet, name)
+        for code, name in enumerate(first.source.alphabet.names()):
+            x = Word._from_codes(first.source.alphabet, (code,))
             round_trip = free_reduce(second.apply(first.apply(x)) * invert(x))
             rows.append(
                 (

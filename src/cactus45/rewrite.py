@@ -24,9 +24,10 @@ sorted into their normal forms, which differ and are the witness of the
 inequality.  Every step above is a relator move: a square crossing is a
 "swap", a cancellation a "delete".  An equality certificate is the
 first sink and the flips, then the second sink's moves inverted (a
-deletion becomes an "insert").  `EqualityCertificate.verify` accepts
-only moves sanctioned by the presentation's stored relators; each
-engine builds that table once, from those relators.
+deletion becomes an "insert").  `EqualityCertificate.verify` accepts a
+swap only by one of the presentation's relator forms (`Presentation.forms`,
+the table the engine's swaps are read from) and a deletion or insertion
+only of a square x x.
 
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Presentation, Word, invert, rotations
+from .words import Move, Presentation, Word
 from . import cactus
 
 PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
@@ -66,82 +67,31 @@ class RewriteBudget:
 
 
 @dataclass(frozen=True)
-class Move:
-    """One rewrite step: apply `relator` at `position`.
-
-    kind 'swap' uses a length-4 relator rotation y1 y2 y3 y4 to replace
-    the pair (y1, y2) by (y4, y3); 'delete' removes an adjacent equal
-    pair matching the square relator; 'insert' inserts that pair.
-    `apply` checks only that the move fits the word; whether `relator`
-    is a relator at all is checked by `EqualityCertificate.replay`.
-    """
-
-    position: int
-    relator: Word
-    kind: str
-
-    def apply(self, w: Word) -> Word:
-        cs, rc, pos = w.codes, self.relator.codes, self.position
-        limit = len(cs) if self.kind == "insert" else len(cs) - 2
-        if not 0 <= pos <= max(limit, 0):
-            raise ValueError(f"move position {pos} out of range for {w}")
-        if self.kind == "swap":
-            if cs[pos : pos + 2] != rc[0:2]:
-                raise ValueError(f"swap mismatch at {pos}: {w}")
-            new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
-        elif self.kind == "delete":
-            if cs[pos : pos + 2] != rc[0:2]:
-                raise ValueError(f"delete mismatch at {pos}: {w}")
-            new = cs[:pos] + cs[pos + 2 :]
-        elif self.kind == "insert":
-            new = cs[:pos] + rc[0:2] + cs[pos:]
-        else:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        return Word._from_codes(w.alphabet, new)
-
-    def inverted(self) -> "Move":
-        if self.kind == "swap":
-            r = self.relator
-            return Move(self.position, Word._from_codes(r.alphabet, r.codes[::-1]), "swap")
-        if self.kind == "delete":
-            return Move(self.position, self.relator, "insert")
-        return Move(self.position, self.relator, "delete")
-
-
-def _sanctioned(P: Presentation):
-    """Code tuples a move may use: every rotation of a stored length-4
-    relator or of its reverse (swaps), and the stored squares
-    (deletions and insertions)."""
-    swaps, squares = set(), set()
-    for r in P.relators:
-        if len(r) == 4:
-            for base in (r, invert(r)):
-                swaps.update(rot.codes for rot in rotations(base))
-        elif len(r) == 2 and r.codes[0] == r.codes[1]:
-            squares.add(r.codes)
-    return swaps, squares
-
-
-@dataclass(frozen=True)
 class EqualityCertificate:
     moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation, w: Word) -> Word:
         """Apply the moves to w, as `Move.apply` would one by one;
         ValueError on a move that does not fit the word or whose relator
-        P does not store.  The word is held as the codes left of the
-        cursor and, reversed, those right of it, so a move costs the
-        distance the cursor travels to it.  The sanctioned moves are those
-        of P's exact engine, built once from P's stored relators; a
-        presentation that has no engine raises ValueError too."""
+        is not a relator of P: a swap's must be one of P's relator forms,
+        a deletion's or insertion's a square x x.  The word is held as
+        the codes left of the cursor and, reversed, those right of it,
+        so a move costs the distance the cursor travels to it.  Only a
+        presentation with an exact engine has certificates: its forms
+        are the squares' rotations, and every generator has its square.
+        Any other presentation raises ValueError."""
         if w.alphabet != P.alphabet:
             raise ValueError("word over a different alphabet")
-        swaps, squares = system_for(P).sanctioned
+        system_for(P)
+        n = len(P.alphabet)
         left, right = list(w.codes), []
         for m in self.moves:
-            allowed = swaps if m.kind == "swap" else squares
             rc, pos = m.relator.codes, m.position
-            if m.relator.alphabet != P.alphabet or rc not in allowed:
+            if m.kind == "swap":
+                allowed = P.is_form(rc)
+            else:
+                allowed = len(rc) == 2 and rc[0] == rc[1] and 0 <= rc[0] < n
+            if m.relator.alphabet != P.alphabet or not allowed:
                 raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
             size = len(left) + len(right)
             limit = size if m.kind == "insert" else size - 2
@@ -201,8 +151,6 @@ class RewriteSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-        # (y1, y2) -> (y4, y3) for every rotation y1 y2 y3 y4 of a relator
-        self.swap: Dict[Tuple[int, int], Tuple[int, int]] = {}
         squares = set()
         for r in P.relators:
             idx = r.codes
@@ -213,18 +161,21 @@ class RewriteSystem:
                 raise ValueError(
                     f"rewrite layer expects relators of length 2 or 4, got {r}"
                 )
-            for base in (idx, idx[::-1]):
-                for i in range(4):
-                    y = base[i:] + base[:i]
-                    if y[0] == y[1] or self.swap.setdefault(y[:2], (y[3], y[2])) != (y[3], y[2]):
-                        raise ValueError(f"letters {y[:2]} lie on two squares or a degenerate one")
+            # a square must be cyclically reduced, or it drops out of the forms
+            for i in range(4):
+                if idx[i - 1] == idx[i]:
+                    raise ValueError(f"letters {idx[i - 1], idx[i]} lie on a degenerate square")
         if len(squares) != self.n:
             raise ValueError("every generator needs its square relator")
+        # (y1, y2) -> (y4, y3) for every relator form y1 y2 y3 y4
+        self.swap: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for y in P.forms:
+            if self.swap.setdefault(y[:2], (y[3], y[2])) != (y[3], y[2]):
+                raise ValueError(f"letters {y[:2]} lie on two squares")
         link = {a: {b for (x, b) in self.swap if x == a} for a in range(self.n)}
         for a, b in self.swap:
             if link[a] & link[b]:
                 raise ValueError("the link has a triangle: not a CAT(0) square complex")
-        self.sanctioned = _sanctioned(P)
 
     def geodesic(self, t: Sequence[int], trace: Trace = None) -> List[int]:
         """A geodesic spelling of t, by sinking each letter leftward."""
@@ -307,7 +258,6 @@ class SplitSystem:
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.inner = system_for(cactus.j4prime_presentation())
-        self.sanctioned = _sanctioned(P)
 
     def _inner(self, trace: Trace, step, *args):
         """step(*args, trace) on the J4' engine, its moves recoded to J4."""

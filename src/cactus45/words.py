@@ -14,6 +14,11 @@ written only at the API boundary: `Word(alphabet, letters)`,
 `Word.letters`, iteration, indexing, `parse`, `str`, `Alphabet.read`
 and `Alphabet.spell`.
 
+Relator moves have one vocabulary, fixed here as well: a presentation
+lists once, in `forms`, the relator rotations a move may use, and a
+`Move` is the step of both certificates (square moves proving equality
+in the rewrite layer, Dehn splices proving triviality in grouptheory).
+
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``; so no generator may be
 named ``e`` or end in ``^-1``.
@@ -49,10 +54,9 @@ class Alphabet:
 
     `inverse[c]` is the code of the inverse of the letter with code c,
     and `_letters[c]` its (name, exponent) pair: codes 0..n-1 index
-    both tables from the start, codes ~0..~(n-1) from the end.
-    `_decoded` maps each such pair back to its code."""
+    both tables from the start, codes ~0..~(n-1) from the end."""
 
-    __slots__ = ("generators", "_index", "inverse", "_letters", "_decoded")
+    __slots__ = ("generators", "_index", "inverse", "_letters")
 
     def __init__(self, generators: Iterable[Generator]):
         self.generators = tuple(generators)
@@ -68,7 +72,6 @@ class Alphabet:
         self.inverse += tuple(reversed(range(len(gens))))
         self._letters = tuple((g.name, 1) for g in gens)
         self._letters += tuple((g.name, -1) for g in reversed(gens))
-        self._decoded = {self._letters[c]: c for c in range(-len(gens), len(gens))}
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -82,15 +85,6 @@ class Alphabet:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
         return i if exp == 1 or self.generators[i].involutive else ~i
-
-    def encode(self, letters: Iterable[Letter]) -> Optional[Tuple[int, ...]]:
-        """The codes that `Word.letters` spells as exactly `letters`, or
-        None when a letter names no generator or has an exponent other
-        than +1 or -1.  An involutive generator at -1 gives ~i, a code
-        `Word(alphabet, letters)` never produces (it reads that letter
-        as i)."""
-        codes = tuple(map(self._decoded.get, letters))
-        return None if None in codes else codes
 
     def read(self, text: str) -> Tuple[int, ...]:
         """The checked letter codes of a serialised word."""
@@ -301,9 +295,16 @@ def same_relator_class(r1: Word, r2: Word) -> bool:
 class Presentation:
     """Alphabet plus relators, stored cyclically reduced and rotated
     to their shortlex-least representative.  Relators that reduce to
-    the identity are dropped; duplicates (after normalisation) collapse."""
+    the identity are dropped; duplicates (after normalisation) collapse.
 
-    __slots__ = ("alphabet", "relators", "_hash")
+    `forms` is the one table of relator forms that every relator move
+    reads: each rotation of each relator and of its inverse, as sorted
+    code tuples, after cyclic reduction with the alphabet's inverses (an
+    involution square has no form).  A rotation class already listed
+    adds nothing; a proper power keeps its repeated rotations.
+    `is_form` looks a code tuple up in it."""
+
+    __slots__ = ("alphabet", "relators", "forms", "_form_set", "_hash")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
         seen = []
@@ -319,8 +320,20 @@ class Presentation:
             n = min(rotations(Word._from_codes(alphabet, sr)), key=shortlex_key)
             if n not in seen:
                 seen.append(n)
+        inverse = alphabet.inverse
+        forms: List[Tuple[int, ...]] = []
+        classes = set()
+        for r in seen:
+            base = tuple(_cyclic(r.codes, inverse))
+            for b in (base, tuple(inverse[c] for c in reversed(base))):
+                rots = [b[i:] + b[:i] for i in range(len(b))]
+                if rots and min(rots) not in classes:
+                    classes.add(min(rots))
+                    forms += rots
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "relators", tuple(seen))
+        object.__setattr__(self, "forms", tuple(sorted(forms)))
+        object.__setattr__(self, "_form_set", frozenset(forms))
         # immutable, so hashed once: engines are looked up by presentation
         object.__setattr__(self, "_hash", hash((alphabet, frozenset(seen))))
 
@@ -343,3 +356,55 @@ class Presentation:
 
     def word(self, text: str) -> Word:
         return Word.parse(self.alphabet, text)
+
+    def is_form(self, codes: Tuple[int, ...]) -> bool:
+        return codes in self._form_set
+
+
+@dataclass(frozen=True)
+class Move:
+    """One relator move, the step of both certificates.
+
+    kind 'insert' splices `relator` in at `position` and 'delete'
+    removes it from there; 'swap' takes a length-4 relator form
+    y1 y2 y3 y4 and replaces the pair (y1, y2) at `position` by
+    (y4, y3).  Equality certificates insert and delete squares x x;
+    triviality certificates insert relator forms, each followed by free
+    reduction.  `apply` checks only that the move fits the word; whether
+    `relator` is a relator at all is checked by the certificates'
+    `replay`."""
+
+    position: int
+    relator: Word
+    kind: str
+
+    @property
+    def letters(self) -> Tuple[Letter, ...]:
+        return self.relator.letters
+
+    def apply(self, w: Word) -> Word:
+        cs, rc, pos = w.codes, self.relator.codes, self.position
+        width = {"insert": 0, "swap": 2}.get(self.kind, len(rc))  # codes replaced
+        if not 0 <= pos <= max(len(cs) - width, 0):
+            raise ValueError(f"move position {pos} out of range for {w}")
+        if self.kind == "swap":
+            if cs[pos : pos + 2] != rc[0:2]:
+                raise ValueError(f"swap mismatch at {pos}: {w}")
+            new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
+        elif self.kind == "delete":
+            if cs[pos : pos + len(rc)] != rc:
+                raise ValueError(f"delete mismatch at {pos}: {w}")
+            new = cs[:pos] + cs[pos + len(rc) :]
+        elif self.kind == "insert":
+            new = cs[:pos] + rc + cs[pos:]
+        else:
+            raise ValueError(f"unknown move kind {self.kind!r}")
+        return Word._from_codes(w.alphabet, new)
+
+    def inverted(self) -> "Move":
+        if self.kind == "swap":
+            r = self.relator
+            return Move(self.position, Word._from_codes(r.alphabet, r.codes[::-1]), "swap")
+        if self.kind == "delete":
+            return Move(self.position, self.relator, "insert")
+        return Move(self.position, self.relator, "delete")

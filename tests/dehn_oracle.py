@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from cactus45.grouptheory import CertMove, TrivialityCertificate
+from cactus45.grouptheory import TrivialityCertificate
 from cactus45.words import (
+    Move,
     Presentation,
     Word,
     cyclic_reduce,
@@ -89,7 +90,7 @@ def dehn_reduce(w: Word, P: Presentation, with_moves: bool = False):
     if ratio >= Fraction(1, 6):
         raise ValueError(f"piece ratio {ratio} is not below 1/6")
     forms = _cyclic_forms(P)
-    moves: List[CertMove] = []
+    moves: List[Move] = []
     current = free_reduce(w)
     changed = True
     while changed:
@@ -104,7 +105,7 @@ def dehn_reduce(w: Word, P: Presentation, with_moves: bool = False):
                         continue
                     inv_form = invert(Word(current.alphabet, form)).letters
                     rotated = inv_form[-take:] + inv_form[:-take]
-                    moves.append(CertMove("insert", i + take, rotated))
+                    moves.append(Move(i + take, Word(current.alphabet, rotated), "insert"))
                     current = free_reduce(
                         Word(
                             current.alphabet,
@@ -125,24 +126,20 @@ def dehn_reduce(w: Word, P: Presentation, with_moves: bool = False):
 def replay(cert: TrivialityCertificate, P: Presentation) -> Word:
     """Apply the moves, freely reducing the whole word after each
     insert; an insert must splice in a rotation of a stored relator or
-    of its inverse, a shift rotates the word left."""
+    of its inverse, and no other kind of move is known."""
     forms = {
         rot.letters for r in P.relators for base in (r, invert(r)) for rot in rotations(base)
     }
     current = free_reduce(cert.word)
     for mv in cert.moves:
         letters = current.letters
-        if mv.kind == "shift":
-            k = mv.position % max(len(letters), 1)
-            current = Word(current.alphabet, letters[k:] + letters[:k])
-        elif mv.kind == "insert":
-            if mv.letters not in forms:
-                raise ValueError("move splices in a non-relator word")
-            if not 0 <= mv.position <= len(letters):
-                raise ValueError("insertion position out of range")
-            current = free_reduce(
-                Word(current.alphabet, letters[: mv.position] + mv.letters + letters[mv.position :])
-            )
-        else:
+        if mv.kind != "insert":
             raise ValueError(f"unknown move kind {mv.kind!r}")
+        if mv.relator.letters not in forms:
+            raise ValueError("move splices in a non-relator word")
+        if not 0 <= mv.position <= len(letters):
+            raise ValueError("insertion position out of range")
+        current = free_reduce(
+            Word(current.alphabet, letters[: mv.position] + mv.relator.letters + letters[mv.position :])
+        )
     return current

@@ -27,10 +27,9 @@ from cactus45.rewrite import (
     EqualityResult,
     Move,
     SplitSystem,
-    _sanctioned,
     system_for,
 )
-from cactus45.words import Presentation, Word
+from cactus45.words import Presentation, Word, invert, rotations
 
 
 def _key(t):
@@ -165,12 +164,26 @@ def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):
     return {o.decode(y) for y in out}
 
 
+def _stored_moves(P: Presentation):
+    """Code tuples a move may use, read off the stored relators: every
+    rotation of a length-4 relator or of its reverse (swaps), and the
+    squares (deletions and insertions)."""
+    swaps, squares = set(), set()
+    for r in P.relators:
+        if len(r) == 4:
+            for base in (r, invert(r)):
+                swaps.update(rot.codes for rot in rotations(base))
+        elif len(r) == 2 and r.codes[0] == r.codes[1]:
+            squares.add(r.codes)
+    return swaps, squares
+
+
 def replay(cert: EqualityCertificate, P: Presentation, w: Word) -> Word:
     """Apply the moves one by one through `Move.apply`, which rebuilds
     the word each time; a move's relator must be one P stores."""
     if w.alphabet != P.alphabet:
         raise ValueError("word over a different alphabet")
-    swaps, squares = _sanctioned(P)
+    swaps, squares = _stored_moves(P)
     for m in cert.moves:
         allowed = swaps if m.kind == "swap" else squares
         if m.relator.alphabet != P.alphabet or m.relator.codes not in allowed:

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from cactus45.grouptheory import (
-    CertMove,
     TrivialityCertificate,
     exponent_vector,
     in_integer_row_span,
 )
-from cactus45.words import Presentation, Word, free_reduce, invert, rotations
+from cactus45.words import Move, Presentation, Word, free_reduce, invert, rotations
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,11 @@ def bounded_search(
     if not in_integer_row_span(exponent_vector(start), rel_vectors):
         return OracleResult("NOT-FOUND", None, True)
 
-    forms = _symmetrized_forms(P)
+    forms = {form: Word(P.alphabet, form) for form in _symmetrized_forms(P)}
     max_len = budget.max_length_factor * len(start)
     heap: List[Tuple[int, int, Tuple]] = [(len(start), 0, start.letters)]
     counter = 0
-    parents: Dict[Tuple, Tuple[Optional[Tuple], Optional[CertMove], int]] = {
+    parents: Dict[Tuple, Tuple[Optional[Tuple], Optional[Move], int]] = {
         start.letters: (None, None, 0)
     }
     popped = 0
@@ -77,7 +76,7 @@ def bounded_search(
         depth = parents[letters][2]
         if depth >= budget.max_depth:
             continue
-        for form in forms:
+        for form, relator in forms.items():
             for pos in range(len(letters) + 1):
                 child = free_reduce(
                     Word(P.alphabet, letters[:pos] + form + letters[pos:])
@@ -85,9 +84,9 @@ def bounded_search(
                 cl = child.letters
                 if len(cl) > max_len or cl in parents:
                     continue
-                parents[cl] = (letters, CertMove("insert", pos, form), depth + 1)
+                parents[cl] = (letters, Move(pos, relator, "insert"), depth + 1)
                 if not cl:
-                    moves: List[CertMove] = []
+                    moves: List[Move] = []
                     cur: Tuple = cl
                     while parents[cur][0] is not None:
                         prev, mv, _ = parents[cur]

@@ -25,7 +25,7 @@ from cactus45 import cli
 from cactus45.cactus import J4P
 from cactus45.complex import build_ball
 from cactus45.dirichlet import (
-    dirichlet_polygon,
+    _polygon,
     fundamental_domain,
     poincare_presentation,
     side_pairings,
@@ -206,6 +206,24 @@ def test_only_the_words_layer_spells_inverses():
     assert spelled == []
 
 
+def test_relator_moves_have_one_vocabulary():
+    # words.py alone lists rotations; the relator forms, the move type
+    # and the rotation tables they replaced are not spelled twice
+    retired = {"CertMove", "_sanctioned", "_relator_forms", "_relator_rotations"}
+    found = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in retired:
+                    found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.Call) and path.name != "words.py":
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name == "rotations":
+                    found.append(f"{path.name}:{node.lineno} calls rotations")
+    assert found == []
+
+
 def test_readme_examples_run():
     # the python blocks of README.md share one namespace, in order
     readme = Path(cactus45.__file__).parents[2] / "README.md"
@@ -289,7 +307,8 @@ def test_every_cache_is_bounded_by_eight():
 def test_fundamental_domain_matches_stage_functions():
     fd = fundamental_domain()
     assert fundamental_domain() is fd
-    polygon = dirichlet_polygon()
+    ball = build_ball(J4P, 4)
+    polygon = _polygon(ball, embed_ball(ball))
     pairings = side_pairings(polygon)
     cycles = vertex_cycles(polygon, pairings)
     assert fd.polygon == polygon

@@ -104,6 +104,16 @@ def test_split_form_certified():
         assert res.certificate.verify(J4, spelled, split)
 
 
+def test_embed_with_reversal_on_codes():
+    for parity in (0, 1):
+        v = TWENTY[3].j4p_form
+        want = Word(J4.alphabet, list(v.letters) + [("s14", 1)] * parity)
+        assert embed_with_reversal(v, parity) == want
+    assert embed_with_reversal(Word(P.alphabet, ()), 1) == J4.word("s14")
+    with pytest.raises(ValueError):
+        embed_with_reversal(J4.word("s12 s14"), 0)
+
+
 def test_table_is_indexed_by_letter_codes():
     assert len(TWENTY) == 2 * len(TRANSLATIONS) == 20
     assert TRANSLATIONS.names() == tuple(f"g{i}" for i in range(1, 11))

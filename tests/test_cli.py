@@ -12,6 +12,7 @@ from cactus45.cli import (
     EXIT_USAGE,
     MAX_BALL_RADIUS,
     MAX_SPHERE_LENGTH,
+    MAX_TOLERANCE,
     RunReport,
     emit_report,
     main,
@@ -74,6 +75,23 @@ def test_oversized_requests_are_usage_errors(capsys, argv, flag):
 
 def test_size_limits_are_the_documented_ones():
     assert (MAX_SPHERE_LENGTH, MAX_BALL_RADIUS) == (12, 8)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "-inf", "0.01"])
+def test_tolerance_outside_the_limit_is_usage_error(capsys, value):
+    # an infinite or loose tolerance would pass the float cross-checks
+    # vacuously, and nan or a negative one would fail them as a check
+    code, out, err = run(capsys, "verify-all", "--tolerance", value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--tolerance" in err
+
+
+def test_tolerance_limit_is_accepted(capsys):
+    assert MAX_TOLERANCE == 1e-3
+    code, out, _ = run_json(capsys, "verify-all", "--tolerance", "1e-3")
+    assert code == EXIT_OK and out["results"]["passed"] is True
+    assert out["parameters"] == {"tolerance": MAX_TOLERANCE}
 
 
 def test_sphere_bad_budget_slack_is_usage_error(capsys):

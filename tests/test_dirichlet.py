@@ -11,7 +11,7 @@ from cactus45.dirichlet import (
     _orbit_sites,
     _voronoi_keeps,
     classify_identified_surface,
-    dirichlet_polygon,
+    fundamental_domain,
     poincare_presentation,
     side_pairings,
     vertex_cycles,
@@ -50,7 +50,7 @@ def canon(text):
 
 @pytest.fixture(scope="module")
 def polygon():
-    return dirichlet_polygon()
+    return fundamental_domain().polygon
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ import pytest
 
 from cactus45.grouptheory import (
     STANDARD_ELIMINATIONS,
-    CertMove,
     TrivialityCertificate,
     abelianization_invariants,
     alt_isomorphism_pair,
@@ -29,16 +28,18 @@ from cactus45.grouptheory import (
     word_problem_search,
     GroupHom,
 )
-from cactus45.grouptheory import _eliminate, _relator_forms
+from cactus45.grouptheory import _eliminate
 from cactus45.cactus import j4prime_presentation
 from cactus45.words import (
     Alphabet,
     Generator,
+    Move,
     Presentation,
     Word,
     cyclic_reduce,
     free_reduce,
     invert,
+    rotations,
     same_relator_class,
 )
 
@@ -299,6 +300,17 @@ def test_ten_generator_word_goes_through_tietze():
     assert res.status == "NONTRIVIAL"
 
 
+def test_search_rejects_words_over_another_alphabet():
+    # every route checks the alphabet, the ten-generator one included
+    five_word = FIVE.relators[0]
+    surface_word = Word.parse(SURF.alphabet, "a1")
+    for w, P in ((five_word, TEN), (surface_word, TEN), (surface_word, FIVE)):
+        with pytest.raises(ValueError, match="different alphabet"):
+            word_problem_search(w, P)
+    with pytest.raises(ValueError, match="different alphabet"):
+        word_problem_search(five_word, TEN, "tietze")
+
+
 def test_search_rejects_presentation_without_decider():
     # the commutator relator has piece ratio 1/4, not below 1/6
     P = small_presentation(["x", "y"], ["x y x^-1 y^-1"])
@@ -328,29 +340,23 @@ def test_search_finds_alt_relator_image():
 # certificates
 
 
-def test_certificate_shift_and_insert_moves():
+def test_certificate_insert_move():
     (r,) = SURF.relators
-    shifted = Word(SURF.alphabet, r.letters[3:] + r.letters[:3])
-    after_shift = r.letters[5:] + r.letters[:5]
-    closing = tuple((n, -e) for n, e in reversed(after_shift))
-    cert = TrivialityCertificate(
-        shifted,
-        (CertMove("shift", 2), CertMove("insert", len(r), closing)),
-    )
+    rotated = Word(SURF.alphabet, r.letters[5:] + r.letters[:5])
+    cert = TrivialityCertificate(rotated, (Move(len(r), invert(rotated), "insert"),))
     assert cert.check(SURF)
 
 
 def test_certificate_rejects_non_relator_insert():
     w = Word.parse(SURF.alphabet, "a1")
-    cert = TrivialityCertificate(w, (CertMove("insert", 0, (("a1", -1),)),))
+    cert = TrivialityCertificate(w, (Move(0, Word.parse(SURF.alphabet, "a1^-1"), "insert"),))
     with pytest.raises(ValueError):
         cert.replay(SURF)
 
 
 def test_certificate_rejects_bad_position():
     (r,) = SURF.relators
-    form = tuple((n, -e) for n, e in reversed(r.letters))
-    cert = TrivialityCertificate(r, (CertMove("insert", 99, form),))
+    cert = TrivialityCertificate(r, (Move(99, invert(r), "insert"),))
     with pytest.raises(ValueError):
         cert.replay(SURF)
 
@@ -501,6 +507,23 @@ def test_alt_pair_mutual_inverse():
     assert len(v.details) == 10
     # the round trips all cancel freely: every certificate is empty
     assert all(cert.moves == () for cert in v.certificates)
+
+
+def test_mutual_inverse_builds_generators_from_codes(monkeypatch):
+    # each generator x of the round trips g(f(x)) x^-1 is its code
+    parsed = []
+    parse = Word.parse.__func__
+
+    def counting(cls, alphabet, text):
+        parsed.append(text)
+        return parse(cls, alphabet, text)
+
+    monkeypatch.setattr(Word, "parse", classmethod(counting))
+    f, g = surface_isomorphism_pair()
+    parsed.clear()  # the pair's images are parsed once, when built
+    v = verify_mutual_inverse(f, g)
+    assert v.verdict == "verified" and parsed == []
+    assert [label for label, _, _ in v.details[:2]] == ["g(f(a1))", "g(f(a2))"]
 
 
 def test_surface_pair_well_defined_by_dehn():
@@ -739,11 +762,12 @@ def test_linear_replay_agrees_with_rebuilding_oracle(P, seed):
             _, moves = dehn_reduce(w, P, with_moves=True)
             k = rng.randrange(len(moves))
             m = moves[k]
-            # a bad position, a non-relator splice, an unknown kind
+            # a bad position, a non-relator splice, unknown kinds
             corrupted = [
-                CertMove("insert", n + len(m.letters) + 1, m.letters),
-                CertMove("insert", m.position, m.letters[1:]),
-                CertMove("delete", m.position, m.letters),
+                Move(n + len(m.relator) + 1, m.relator, "insert"),
+                Move(m.position, m.relator[1:], "insert"),
+                Move(m.position, m.relator, "delete"),
+                Move(m.position, m.relator, "shift"),
             ]
             cases = [(moves, Word(P.alphabet, ())), (moves[:k] + moves[k + 1 :], None)]
             cases += [(moves[:k] + (bad,) + moves[k + 1 :], "refused") for bad in corrupted]
@@ -755,37 +779,40 @@ def test_linear_replay_agrees_with_rebuilding_oracle(P, seed):
 
 
 def test_replay_accepts_exactly_the_inserts_spelling_a_relator_form():
-    # replay encodes each move's letters; the reference decodes every
-    # relator form to (name, exponent) letters and looks the move up
+    # the reference lists every rotation of each cyclically reduced
+    # relator and of its inverse as (name, exponent) letters; a letter
+    # with an unknown name or a +-2 exponent builds no word at all
     rng = random.Random(2718)
     refused_by_dehn = 0
     for _ in range(300):
         P = _random_presentation(rng)
         refused_by_dehn += piece_ratio(P) >= Fraction(1, 6)
-        decoded = {Word._from_codes(P.alphabet, f).letters for f in _relator_forms(P)}
+        decoded = {
+            rot.letters
+            for r in P.relators
+            for base in (cyclic_reduce(r), invert(cyclic_reduce(r)))
+            for rot in rotations(base)
+            if len(base)
+        }
         candidates = [()]
         for letters in decoded:
             i = rng.randrange(len(letters))
             name, exp = letters[i]
             candidates.append(letters)
-            for bad in ((name, -exp), (name, 2 * exp), ("zz", exp)):
-                candidates.append(letters[:i] + (bad,) + letters[i + 1 :])
+            candidates.append(letters[:i] + ((name, -exp),) + letters[i + 1 :])
+            for bad in ((name, 2 * exp), ("zz", exp)):
+                with pytest.raises((KeyError, ValueError)):
+                    Word(P.alphabet, letters[:i] + (bad,) + letters[i + 1 :])
         for letters in candidates:
-            cert = TrivialityCertificate(Word(P.alphabet, ()), (CertMove("insert", 0, letters),))
+            form = Word(P.alphabet, letters)
+            cert = TrivialityCertificate(Word(P.alphabet, ()), (Move(0, form, "insert"),))
             try:
                 cert.replay(P)
                 accepted = True
             except ValueError:
                 accepted = False
-            assert accepted == (letters in decoded), (P, letters)
+            assert accepted == (form.letters in decoded), (P, letters)
     assert refused_by_dehn >= 100
-
-
-def test_shift_keeps_the_replayed_word_freely_reduced():
-    w = Word.parse(SURF.alphabet, "a1 a2 a1^-1")
-    cert = TrivialityCertificate(w, (CertMove("shift", 2),))
-    assert str(cert.replay(SURF)) == "a2"
-    assert str(dehn_oracle.replay(cert, SURF)) == "a1^-1 a1 a2"
 
 
 def test_relator_holding_an_involution_square_certifies_trivial():

@@ -21,7 +21,7 @@ from cactus45.rewrite import (
     system_for,
     words_equal,
 )
-from cactus45 import rewrite
+from cactus45 import words
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
 import rewrite_oracle
@@ -415,7 +415,7 @@ def test_engine_rejects_complexes_that_are_not_cat0():
 
 
 # ---------------------------------------------------------------------------
-# one sink per word, and one table of sanctioned moves per engine
+# one sink per word, and one table of relator forms per presentation
 
 
 def _pairs(P, rng):
@@ -468,12 +468,14 @@ def test_certified_equality_sinks_each_word_once(monkeypatch, P):
     v = relator_walk(P, u, 50, rng)
     system_for(P)
     sinks = _count_calls(monkeypatch, RewriteSystem, "geodesic")
-    tables = _count_calls(monkeypatch, rewrite, "_sanctioned")
+    built = _count_calls(monkeypatch, Presentation, "__init__")
+    rotated = _count_calls(monkeypatch, words, "rotations")
     res = words_equal(u, v, P, certificate=True)
     assert res.equal and len(sinks) == 2  # 4 when the paths sank the words again
     for _ in range(3):
         assert res.certificate.verify(P, u, v)
-    assert tables == []  # the engine holds the table
+    # replay reads P.forms, listed once when P was built
+    assert built == [] and rotated == []
 
 
 def test_replay_needs_a_presentation_with_an_engine():

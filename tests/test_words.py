@@ -5,6 +5,7 @@ import pytest
 from cactus45.words import (
     Alphabet,
     Generator,
+    Move,
     Presentation,
     Word,
     cyclic_reduce,
@@ -208,6 +209,33 @@ def test_presentation_drops_trivial_and_duplicate_relators():
 def test_presentation_rejects_foreign_relator():
     with pytest.raises(ValueError):
         Presentation(FREE, [w(INV, "x x")])
+
+
+def test_presentation_lists_its_relator_forms_once():
+    # x y x y is a proper power: its rotations repeat, and its inverse
+    # y x y x is one of them; the square x x has no form
+    P = Presentation(INV, [w(INV, "x x"), w(INV, "x y x y")])
+    x, y = INV.index("x"), INV.index("y")
+    assert P.forms == ((x, y, x, y),) * 2 + ((y, x, y, x),) * 2
+    assert P.is_form((y, x, y, x)) and not P.is_form((x, x))
+    Q = Presentation(FREE, [w(FREE, "a b c")])
+    assert len(Q.forms) == 6 and Q.forms == tuple(sorted(Q.forms))
+    assert Q.is_form(w(FREE, "c^-1 b^-1 a^-1").codes)
+    assert not Q.is_form(w(FREE, "a c b").codes)
+
+
+def test_move_applies_a_relator_at_a_position():
+    word = w(FREE, "a b")
+    insert = Move(1, w(FREE, "c a^-1"), "insert")
+    assert insert.letters == (("c", 1), ("a", -1))
+    assert insert.apply(word) == w(FREE, "a c a^-1 b")
+    assert insert.inverted().apply(insert.apply(word)) == word
+    swap = Move(0, w(INV, "x y z x"), "swap")
+    assert swap.apply(w(INV, "x y")) == w(INV, "x z")
+    assert swap.inverted().relator == w(INV, "x z y x")
+    for bad in (Move(2, w(FREE, "a b"), "delete"), Move(0, w(FREE, "a"), "shift")):
+        with pytest.raises(ValueError):
+            bad.apply(word)
 
 
 def test_word_immutable_and_hashable():
