@@ -54,6 +54,10 @@ class PureElement:
     j4p_form: Word
     parity: int
 
+    def __post_init__(self):
+        if self.parity not in (0, 1):
+            raise ValueError(f"reversal parity must be 0 or 1, not {self.parity!r}")
+
     @classmethod
     def from_word(cls, w: Word) -> "PureElement":
         if project_to_symmetric(w, 4) != _ID4:

@@ -562,27 +562,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+def _number(text: str, convert, ok, requirement: str):
+    """convert(text) when it parses and satisfies ok.  Anything else is
+    an argparse type error that states the requirement; a bare
+    ValueError would make argparse name the converting function."""
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"{requirement}, not {text!r}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _number(text, int, lambda v: v >= 0, "must be a nonnegative integer")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return _number(text, int, lambda v: v >= 1, "must be a positive integer")
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and 0 < value <= MAX_TOLERANCE):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number in (0, {MAX_TOLERANCE}]"
-        )
-    return value
+    return _number(
+        text,
+        float,
+        lambda v: math.isfinite(v) and 0 < v <= MAX_TOLERANCE,
+        f"must be a finite number in (0, {MAX_TOLERANCE}]",
+    )
 
 
 def build_parser() -> _Parser:

@@ -90,6 +90,35 @@ class CayleyBall:
     def identity(self) -> Word:
         return Word(self.presentation.alphabet, ())
 
+    def restricted(self, r: int) -> "CayleyBall":
+        """The ball of radius r, 1 <= r <= radius, read off this one; it
+        equals `build_ball(presentation, r)`.  A vertex is interior there
+        when it is interior here and every face at it lies within r."""
+        if not 1 <= r <= self.radius:
+            raise ValueError(f"radius {r} is outside 1..{self.radius}")
+        dist = self.vertices
+        vertices = {v: d for v, d in dist.items() if d <= r}
+        neighbor = {
+            v: {g: u for g, u in self.neighbor[v].items() if dist[u] <= r}
+            for v in vertices
+        }
+
+        def within(f: Face) -> bool:
+            return max(dist[v] for v in f.boundary) <= r
+
+        return CayleyBall(
+            self.presentation,
+            r,
+            vertices,
+            neighbor,
+            tuple(e for e in self.edges if max(dist[e[0]], dist[e[1]]) <= r),
+            tuple(f for f in self.faces if within(f)),
+            frozenset(
+                v for v in self.interior
+                if dist[v] <= r and all(within(f) for f in self.faces_at(v))
+            ),
+        )
+
     def without_face(self, face: Face) -> "CayleyBall":
         """Copy with one face removed (negative-control helper)."""
         kept = tuple(f for f in self.faces if f != face)
@@ -126,7 +155,7 @@ def build_ball(P: Presentation, radius: int) -> CayleyBall:
     for v in vertices:
         nbrs: Dict[str, Word] = {}
         for g in range(sys.n):
-            wc = words.get(sys.normal_form(v.codes + (g,)))
+            wc = words.get(sys.normal_form(v.codes + (g,), start=len(v)))
             if wc is not None:
                 nbrs[names[g]] = wc
                 a, b = sorted((v, wc), key=shortlex_key)
@@ -146,7 +175,7 @@ def build_ball(P: Presentation, radius: int) -> CayleyBall:
             inside = True
             cur = tv
             for g in rot:
-                cur = sys.normal_form(cur + (g,))
+                cur = sys.normal_form(cur + (g,), start=len(cur))
                 if cur not in words:
                     inside = False
                     break

@@ -157,15 +157,17 @@ def _orbit_sites() -> List[Word]:
 def _voronoi_keeps(ball, sites: Sequence[Word]):
     """Vertices v with |w^-1 v| >= |v| for every site w; the generators
     are involutions, so w^-1 v is spelled by reverse(w) followed by v.
-    Only sites with |w| < 2|v| are tested: for a longer site the
-    triangle inequality gives |w^-1 v| >= |w| - |v| >= |v|."""
+    The sites are orbit points, which are geodesic, and so is their
+    reversal: only the letters of v are sunk onto it.  Only sites with
+    |w| < 2|v| are tested: for a longer site the triangle inequality
+    gives |w^-1 v| >= |w| - |v| >= |v|."""
     sys = system_for(ball.presentation)
     by_length = sorted((w.codes[::-1] for w in sites), key=len)
     keep = set()
     for v in ball.vertices:
         tv = v.codes
         near = takewhile(lambda s: len(s) < 2 * len(tv), by_length)
-        if all(len(sys.geodesic(s + tv)) >= len(tv) for s in near):
+        if all(len(sys.geodesic(s + tv, start=len(s))) >= len(tv) for s in near):
             keep.add(v)
     return keep
 

@@ -10,7 +10,9 @@ graph (Chepoi 2000).  Two exact operations on words follow:
     letter sinks leftward, crossing at each pair (w[i], g) the unique
     square on that pair (a relator rotation y1 y2 y3 y4 turns y1 y2 into
     y4 y3).  It cancels when it meets its equal; the word grows by the
-    letter when a pair carries no square.
+    letter when a pair carries no square.  A geodesic sinks to itself
+    with no move, so a caller that extends a known geodesic passes its
+    length and only the letters after it are sunk.
   * normal form: the shortlex-least geodesic is read off greedily, each
     letter being the least left descent of what remains (Niblo-Reeves
     1998).  A letter is a left descent when, sunk rightward through the
@@ -177,11 +179,12 @@ class RewriteSystem:
             if link[a] & link[b]:
                 raise ValueError("the link has a triangle: not a CAT(0) square complex")
 
-    def geodesic(self, t: Sequence[int], trace: Trace = None) -> List[int]:
-        """A geodesic spelling of t, by sinking each letter leftward."""
+    def geodesic(self, t: Sequence[int], trace: Trace = None, start: int = 0) -> List[int]:
+        """A geodesic spelling of t, by sinking each letter leftward;
+        t[:start] must be geodesic, and only the letters after it sink."""
         swap = self.swap
-        w: List[int] = []
-        for g in t:
+        w: List[int] = list(t[:start])
+        for g in t[start:]:
             mark = len(trace) if trace is not None else 0
             cur, moved, i = g, [], len(w) - 1
             while i >= 0 and w[i] != cur:
@@ -233,9 +236,10 @@ class RewriteSystem:
                 x += 1  # stops at w[k] at the latest, which cancels at once
         return tuple(w)
 
-    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
-        """The shortlex-least geodesic spelling of t."""
-        return self.sort(self.geodesic(t))
+    def normal_form(self, t: Sequence[int], start: int = 0) -> Tuple[int, ...]:
+        """The shortlex-least geodesic spelling of t, whose prefix
+        t[:start] is geodesic."""
+        return self.sort(self.geodesic(t, start=start))
 
     def lift(self, g1: List[int], g2: Sequence[int], trace: Trace) -> bool:
         """Flip the geodesic g1, in place, into the geodesic g2 letter by
@@ -259,19 +263,23 @@ class SplitSystem:
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.inner = system_for(cactus.j4prime_presentation())
 
-    def _inner(self, trace: Trace, step, *args):
-        """step(*args, trace) on the J4' engine, its moves recoded to J4."""
+    def _inner(self, trace: Trace, step, *args, **kwargs):
+        """step(*args, trace, **kwargs) on the J4' engine, its moves
+        recoded to J4."""
         if trace is None:
-            return step(*args, None)
+            return step(*args, None, **kwargs)
         moves: List[Tuple[str, int, Tuple[int, ...]]] = []
-        out = step(*args, moves)
+        out = step(*args, moves, **kwargs)
         outer = cactus.J4P_TO_J4
         trace += [(kind, pos, tuple(outer[x] for x in r)) for kind, pos, r in moves]
         return out
 
-    def geodesic(self, t: Sequence[int], trace: Trace = None):
+    def geodesic(self, t: Sequence[int], trace: Trace = None, start: int = 0):
+        # a geodesic prefix holds at most one s14 (two would merge), and
+        # pushes to a J4' geodesic one letter shorter per s14
         u, p = cactus.push_s14_right(Word._from_codes(self.presentation.alphabet, t), trace)
-        return self._inner(trace, self.inner.geodesic, u.codes), p
+        inner_start = start - t[:start].count(cactus.S14)
+        return self._inner(trace, self.inner.geodesic, u.codes, start=inner_start), p
 
     def sort(self, g) -> Tuple[int, ...]:
         w, p = g
@@ -288,8 +296,8 @@ class SplitSystem:
         rest = self.inner.normal_form([cactus.J4P_MIRROR[x] for x in w[k:]])
         return tuple(outer[x] for x in w[:k]) + (cactus.S14,) + tuple(outer[x] for x in rest)
 
-    def normal_form(self, t: Sequence[int]) -> Tuple[int, ...]:
-        return self.sort(self.geodesic(t))
+    def normal_form(self, t: Sequence[int], start: int = 0) -> Tuple[int, ...]:
+        return self.sort(self.geodesic(t, start=start))
 
     def lift(self, g1, g2, trace: Trace) -> bool:
         # equal elements share p, and moves on u leave the trailing s14 alone
@@ -357,7 +365,7 @@ def _sphere_tuples(sys, L: int) -> Tuple[Tuple[int, ...], ...]:
             found = set()
             for t in _sphere_tuples(sys, L - 1):
                 for g in range(sys.n):
-                    c = sys.normal_form(t + (g,))
+                    c = sys.normal_form(t + (g,), start=L - 1)
                     if len(c) == L:
                         found.add(c)
             cached = tuple(sorted(found))

@@ -28,6 +28,7 @@ from typing import Callable, List, Sequence, Tuple
 from . import reference as ref
 from .action import TRANSLATIONS, TWENTY, gamma, orbit_point, pure_elements_within
 from .cactus import (
+    J4P_MIRROR,
     Permutation,
     j4_presentation,
     j4prime_presentation,
@@ -48,8 +49,8 @@ from .grouptheory import (
     tietze_eliminate,
     verify_mutual_inverse,
 )
-from .rewrite import canonical_form, sphere, words_equal
-from .words import Word, invert, same_relator_class
+from .rewrite import canonical_form, sphere, system_for, words_equal
+from .words import Word, same_relator_class
 
 
 class VerificationError(AssertionError):
@@ -220,8 +221,10 @@ def _check_central_images(tol: float) -> str:
             image == expected, f"short word {i} projects to {image}, not {expected}"
         )
 
+    # at most 24 distinct images: one sign each
+    sign = {image: Permutation(image).sign() for image in set(image_of.values())}
     for codes, image in words:
-        if Permutation(image).sign() != (-1) ** len(codes):
+        if sign[image] != (-1) ** len(codes):
             word = Word._from_codes(P.alphabet, codes)
             raise VerificationError(f"parity law fails on {word}")
     return (
@@ -255,7 +258,9 @@ def _check_reversal_conjugation(tol: float) -> str:
 
 
 def _check_complex_structure(tol: float) -> str:
-    ball2 = build_ball(j4prime_presentation(), 2)
+    # the radius-4 ball of the fundamental domain, built once, holds both
+    ball4 = build_ball(j4prime_presentation(), 4)
+    ball2 = ball4.restricted(2)
     _require(len(ball2.edges) == 25, f"radius-2 ball has {len(ball2.edges)} edges")
     expected_faces = {
         frozenset(_canon(x) for x in row) for row in ref.IDENTITY_FACES
@@ -266,7 +271,7 @@ def _check_complex_structure(tol: float) -> str:
         len(ball2.faces) == 5, "radius-2 ball should close no other face"
     )
 
-    ball3 = build_ball(j4prime_presentation(), 3)
+    ball3 = ball4.restricted(3)
     for v in ball3.interior:
         link = vertex_link(ball3, v)
         _require(
@@ -562,11 +567,21 @@ def _check_surface_classification(tol: float) -> str:
 
 def _check_action_properties(tol: float) -> str:
     P = j4prime_presentation()
+    engine = system_for(P)
     ball = [v for L in range(4) for v in sphere(P, L)]
     _require(len(ball) == 61, f"radius-3 ball has {len(ball)} vertices")
+    # g fixes h when its form u, a geodesic, followed by mirror^p(h)
+    # sinks to a geodesic of length |h| whose normal form is h; only
+    # such candidates are sorted
+    spellings = (
+        [h.codes for h in ball],
+        [tuple(J4P_MIRROR[x] for x in h.codes) for h in ball],
+    )
     for c, g in enumerate(TWENTY):
-        for h in ball:
-            if gamma(g, h) == h:
+        u = g.j4p_form.codes
+        for h, t in zip(ball, spellings[g.parity]):
+            sunk = engine.geodesic(u + t, start=len(u))
+            if len(sunk) == len(h) and engine.sort(sunk) == h.codes:
                 raise VerificationError(f"{TRANSLATIONS.spell(c)} fixes the vertex {h}")
 
     for g in TWENTY:
@@ -591,7 +606,8 @@ def _check_action_properties(tol: float) -> str:
             )
 
     def graph_distance(u: Word, v: Word) -> int:
-        return len(canonical_form(invert(u) * v, P))
+        # u is a normal form, so its reversal, which spells u^-1, is geodesic
+        return len(engine.geodesic(u.codes[::-1] + v.codes, start=len(u)))
 
     inner = [v for L in range(3) for v in sphere(P, L)]
     for g in TWENTY:

@@ -141,6 +141,14 @@ def test_from_word_rejects_impure():
         PureElement.from_vertex(w(A_WORDS[1]), 0)
 
 
+@pytest.mark.parametrize("parity", [2, -1])
+def test_parity_outside_zero_one_is_refused(parity):
+    # such an element would act as if its parity were 1
+    with pytest.raises(ValueError, match="parity"):
+        PureElement(w("s12"), parity)
+    assert PureElement(w("s12"), 1).parity == 1
+
+
 def test_mirror_word_involution():
     rng = random.Random(11)
     names = [g.name for g in P.alphabet]

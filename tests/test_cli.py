@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -85,6 +86,24 @@ def test_tolerance_outside_the_limit_is_usage_error(capsys, value):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-all", "--tolerance", "abc"),
+        ("complex", "--radius", "x"),
+        ("sphere", "--length", "x"),
+    ],
+)
+def test_unparsable_numbers_name_no_private_function(capsys, argv):
+    # argparse names a type by its function when the function raises
+    # ValueError; the message must state the requirement instead
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {argv[1]}: must be " in err and f"not {argv[2]!r}" in err
+    assert re.search(r"(?<![\w-])_[A-Za-z]", err) is None, err
 
 
 def test_tolerance_limit_is_accepted(capsys):

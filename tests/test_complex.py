@@ -171,6 +171,24 @@ def test_radius_four_interior_count():
     assert report.interior_count == 21
 
 
+def test_restricted_ball_is_the_smaller_ball():
+    big = build_ball(P, 6)
+    for r in range(1, 6):
+        small, built = big.restricted(r), build_ball(P, r)
+        assert small.radius == r
+        assert small.vertices == built.vertices
+        assert list(small.vertices) == list(built.vertices)
+        assert small.neighbor == built.neighbor
+        assert small.edges == built.edges
+        assert small.faces == built.faces
+        assert small.interior == built.interior
+        for v in small.vertices:
+            assert small.faces_at(v) == built.faces_at(v)
+    for r in (0, 7, -1):
+        with pytest.raises(ValueError):
+            big.restricted(r)
+
+
 def test_ball_cache_is_shared_and_bounded():
     from cactus45.words import Alphabet, Generator, Presentation, Word
 

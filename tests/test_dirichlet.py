@@ -196,9 +196,9 @@ def test_voronoi_keeps_geodesic_count(monkeypatch):
     geodesic = engine.geodesic
     calls = []
 
-    def counted(t, trace=None):
+    def counted(t, trace=None, start=0):
         calls.append(len(t))
-        return geodesic(t, trace)
+        return geodesic(t, trace, start)
 
     monkeypatch.setattr(engine, "geodesic", counted)
     _voronoi_keeps(ball, sites)

@@ -294,6 +294,46 @@ def test_normal_form_matches_closure_oracle_on_all_short_words():
     assert count == 97656
 
 
+def _sunk_length(g):
+    """Length of a geodesic as an engine holds it: J4' a list, J4 (u, p)."""
+    return len(g[0]) + g[1] if isinstance(g, tuple) else len(g)
+
+
+def _check_prefix_sinks(sys, t, K):
+    """geodesic(t, start=k), moves included, is geodesic(t) for every
+    k <= K, where t[:K] is geodesic; the normal forms agree at k = K.
+    Returns the length of geodesic(t)."""
+    want_trace = []
+    want = sys.geodesic(t, want_trace)
+    for k in range(K + 1):
+        trace = []
+        assert sys.geodesic(t, trace, start=k) == want, (t, k)
+        assert trace == want_trace, (t, k)
+    assert sys.normal_form(t, start=K) == sys.normal_form(t), t
+    return _sunk_length(want)
+
+
+@pytest.mark.parametrize("P, max_length", [(PP, 6), (P4, 5)], ids=["j4p", "j4"])
+def test_sinking_after_a_geodesic_prefix_is_exact(P, max_length):
+    sys, rng = system_for(P), random.Random(31)
+    n = len(P.alphabet)
+    # every word, and every k with t[:k] geodesic; prefixes of a
+    # geodesic are geodesic, so those k are 0..K, K read off t[:-1]
+    K = {(): 0}
+    for L in range(1, max_length + 1):
+        for t in itertools.product(range(n), repeat=L):
+            k = K[t[:-1]]
+            K[t] = L if _check_prefix_sinks(sys, t, k) == L == k + 1 else k
+    geodesic = sum(K[t] == len(t) for t in K)
+    assert 1000 < geodesic < len(K) - 1000
+    for _ in range(2000):
+        t = tuple(rng.randrange(n) for _ in range(rng.randrange(7, 25)))
+        k = 0
+        while k < len(t) and _sunk_length(sys.geodesic(t[: k + 1])) == k + 1:
+            k += 1
+        _check_prefix_sinks(sys, t, k)
+
+
 def test_full_group_spheres_match_closure_oracle():
     o = oracle_for(P4)
     for L in range(5):

@@ -11,6 +11,7 @@ import cactus45.reference as ref
 from cactus45 import action, verify
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
+from cactus45.complex import build_ball
 from cactus45.dirichlet import fundamental_domain
 from cactus45.rewrite import canonical_form
 from cactus45.words import Word
@@ -125,9 +126,22 @@ def test_verify_all_work_counts(monkeypatch):
     # the fundamental domain is rebuilt inside the run, so its orbit
     # sites and pairings are counted too
     fundamental_domain.cache_clear()
+    build_ball.cache_clear()
     results = verify.run_all()
     assert all(r.passed for r in results), [r.details for r in results if not r.passed]
+    # one J4' ball, radius 4: criterion 5 reads its smaller balls off it
+    assert build_ball.cache_info().misses == 1
     assert 0 < calls["project in 3"] <= 5
     assert calls["enumerate in 2"] == 1
     assert sum(v for k, v in calls.items() if k.startswith("enumerate")) == 1
     assert calls["canonical_form"] == 0 and calls["parse"] == 0
+
+
+def test_criterion_13_catches_a_planted_element_that_fixes_a_vertex(monkeypatch):
+    # the identity fixes every vertex; criterion 13 decides fixing from
+    # the sink's length and sorts only same-length candidates
+    planted = action.TWENTY[:3] + (PureElement.identity(),) + action.TWENTY[4:]
+    monkeypatch.setattr(verify, "TWENTY", planted)
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == "g4 fixes the vertex e"
