@@ -10,7 +10,7 @@ is absorbed by the mirror relabeling — followed by canonicalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .cactus import (
     J4P_MIRROR,
@@ -97,12 +97,20 @@ class PureElement:
         return PureElement(canonical_form(j4p_inv, _J4P), self.parity)
 
 
-def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
-    """The vertex g.j4p_form · mirror^parity(codes), in normal form."""
+def image_geodesic(g: PureElement, codes: Sequence[int], start: int = 0) -> List[int]:
+    """The vertex g.j4p_form · mirror^parity(codes) as a geodesic of J4'
+    letter codes, sunk but not sorted.  The first `start` letters of
+    g.j4p_form must be geodesic; a caller that knows the form is
+    canonical passes its length, and only the image letters sink."""
     if g.parity:
-        codes = tuple(J4P_MIRROR[c] for c in codes)
-    form = _ENGINE.normal_form(g.j4p_form.codes + codes)
-    return Word._from_codes(_J4P.alphabet, form)
+        codes = [J4P_MIRROR[c] for c in codes]
+    return _ENGINE.geodesic([*g.j4p_form.codes, *codes], start=start)
+
+
+def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
+    """The vertex g.j4p_form · mirror^parity(codes), in normal form; the
+    form may be any spelling, so all of it is sunk."""
+    return Word._from_codes(_J4P.alphabet, _ENGINE.sort(image_geodesic(g, codes)))
 
 
 def gamma(g: PureElement, h: Word) -> Word:

@@ -204,13 +204,6 @@ class Permutation:
         return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycs)
 
 
-def reversal_permutation(n: int, p: int, q: int) -> Permutation:
-    """The permutation sending position i to p+q-i for p <= i <= q."""
-    if not 1 <= p < q <= n:
-        raise ValueError(f"bad interval [{p},{q}] for n={n}")
-    return Permutation(tuple(p + q - i if p <= i <= q else i for i in range(1, n + 1)))
-
-
 def _parse_interval_name(name: str) -> Tuple[int, int]:
     body = name[1:]
     if "_" in body:
@@ -237,11 +230,6 @@ def is_pure(w: Word, n: int) -> bool:
 
 
 _MIRROR4 = {"s12": "s34", "s34": "s12", "s13": "s24", "s24": "s13", "s23": "s23"}
-
-
-def mirror_generator(name: str) -> str:
-    """Conjugation of a J_4' generator by the full reversal s14."""
-    return _MIRROR4[name]
 
 
 # letter codes of J_4 and J_4' follow the order of interval_generators

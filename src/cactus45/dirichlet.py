@@ -5,9 +5,12 @@ cell around the identity vertex is computed exactly: a tiling vertex is
 kept when no orbit point of the pure subgroup is strictly closer in the
 graph metric.  A site w can be strictly closer than the identity to a
 vertex v only when |w| < 2|v|, so v is tested against those sites
-alone.  The sites are the twenty shortest pure elements and their
-pairwise products; on the radius-4 ball they give the same cell as
-every orbit point within distance seven.
+alone, and only when its parent is kept: the cell is star-shaped about
+the identity.  On a ball of radius r the sites are the orbit points
+shorter than 2r among the twenty shortest pure elements and their
+pairwise products; on the radius-4 ball these are the 120 of length
+four and six, and they give the same cell as every orbit point within
+distance seven.
 Second, the cell is adapted to the square 2-cells of the tiling: a
 square with all four corners kept is taken whole, and a square with
 exactly three corners kept is cut along the diagonal joining its two
@@ -33,7 +36,7 @@ from itertools import product as _iproduct, takewhile
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .action import TRANSLATIONS, TWENTY, gamma
+from .action import TRANSLATIONS, TWENTY, image_geodesic
 from .cactus import J4P
 from .complex import CayleyBall, build_ball
 from .geometry import HPoint, HPolygon, embed_ball
@@ -136,21 +139,23 @@ class SurfaceClass:
 # polygon construction
 
 
-def _orbit_sites() -> List[Word]:
-    """Orbit points that decide the word-metric Voronoi cell.
+def _orbit_sites(below: int) -> List[Word]:
+    """The orbit points shorter than `below` among the twenty shortest
+    pure elements and their pairwise products.
 
-    The twenty shortest pure elements, `TWENTY` in shortlex order of
-    their orbit points, are listed first so the common exclusions
-    short-circuit, then their pairwise products at graph distance six
-    or eight.  A site is tested against v only when |w| < 2|v|, so no
-    distance-eight product is tested on the radius-4 ball.
+    `TWENTY`, in shortlex order of its orbit points, comes first so the
+    common exclusions short-circuit.  A site w is tested against v only
+    when |w| < 2|v|, so on a ball of radius r the sites shorter than 2r
+    are the ones that can decide the cell; every product is sunk, and
+    only those are sorted into normal form.
     """
+    engine = system_for(J4P)
     shorts = sorted(TWENTY, key=lambda g: shortlex_key(g.j4p_form))
-    seen = dict.fromkeys(g.j4p_form for g in shorts)
+    seen = dict.fromkeys(g.j4p_form for g in shorts if len(g.j4p_form) < below)
     for g, h in _iproduct(shorts, shorts):
-        w = g.compose(h).j4p_form
-        if len(w):
-            seen.setdefault(w)
+        sunk = image_geodesic(g, h.j4p_form.codes, start=len(g.j4p_form))
+        if 0 < len(sunk) < below:
+            seen.setdefault(Word._from_codes(J4P.alphabet, engine.sort(sunk)))
     return list(seen)
 
 
@@ -160,21 +165,33 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
     The sites are orbit points, which are geodesic, and so is their
     reversal: only the letters of v are sunk onto it.  Only sites with
     |w| < 2|v| are tested: for a longer site the triangle inequality
-    gives |w^-1 v| >= |w| - |v| >= |v|."""
+    gives |w^-1 v| >= |w| - |v| >= |v|.
+
+    The cell is geodesically star-shaped about the identity: for u on a
+    geodesic from e to a kept v and any site s, d(u, s) >= d(v, s) -
+    d(u, v) >= d(v, e) - d(u, v) = d(u, e).  So v, taken by length, is
+    tested only when its parent, the normal form v minus its last
+    letter, is kept."""
     sys = system_for(ball.presentation)
     by_length = sorted((w.codes[::-1] for w in sites), key=len)
-    keep = set()
+    levels: Dict[int, List[Word]] = {}
     for v in ball.vertices:
-        tv = v.codes
-        near = takewhile(lambda s: len(s) < 2 * len(tv), by_length)
-        if all(len(sys.geodesic(s + tv, start=len(s))) >= len(tv) for s in near):
-            keep.add(v)
-    return keep
+        levels.setdefault(len(v), []).append(v)
+    kept = {()}
+    for L in range(1, ball.radius + 1):
+        near = list(takewhile(lambda s: len(s) < 2 * L, by_length))
+        for v in levels.get(L, ()):
+            tv = v.codes
+            if tv[:-1] in kept and all(
+                len(sys.geodesic(s + tv, start=len(s))) >= L for s in near
+            ):
+                kept.add(tv)
+    return {v for v in ball.vertices if v.codes in kept}
 
 
 def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
     """Cell-adapted fundamental 20-gon around the identity vertex."""
-    keep = _voronoi_keeps(ball, _orbit_sites())
+    keep = _voronoi_keeps(ball, _orbit_sites(2 * ball.radius))
 
     # classify the square cells against the kept vertex set
     full_cells = []
@@ -273,10 +290,22 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
     """The ten generator rows carrying one boundary side onto another."""
     sides = D.sides()
     kind_of = {frozenset(s): kind for s, kind in zip(sides, D.side_kinds)}
+    engine = system_for(J4P)
+    longest = max(map(len, D.labels))
     pairings: List[SidePairing] = []
     used: Counter = Counter()
     for code in range(len(TRANSLATIONS)):
-        images = {w: gamma(TWENTY[code], w) for w in D.labels}
+        g = TWENTY[code]
+        # an image longer than every corner is no corner: it stays None
+        # and pairs no side, so only the others are sorted
+        images: Dict[Word, Optional[Word]] = {}
+        for w in D.labels:
+            sunk = image_geodesic(g, w.codes, start=len(g.j4p_form))
+            images[w] = (
+                Word._from_codes(J4P.alphabet, engine.sort(sunk))
+                if len(sunk) <= longest
+                else None
+            )
         rows = []
         for u, v in sides:
             iu, iv = images[u], images[v]

@@ -23,12 +23,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import reference as ref
-from .action import TRANSLATIONS, TWENTY, gamma, orbit_point, pure_elements_within
+from .action import (
+    TRANSLATIONS,
+    TWENTY,
+    gamma,
+    image_geodesic,
+    orbit_point,
+    pure_elements_within,
+)
 from .cactus import (
-    J4P_MIRROR,
     Permutation,
     j4_presentation,
     j4prime_presentation,
@@ -186,24 +192,30 @@ def _check_pure_enumeration(tol: float) -> str:
 # criterion 3: displayed symmetric-group images and the parity law
 
 
-def _prefix_images(
+def _then(image: Tuple[int, ...], letter: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The image tuple of a word followed by a letter, from theirs."""
+    return tuple([letter[i - 1] for i in image])
+
+
+def _image_levels(
     letters: Sequence[Tuple[int, ...]], max_length: int
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Every word of at most max_length letters, as its letter codes and
-    the image tuple of its permutation, shortest first and each length
-    in lexicographic order; `letters` holds the image tuple of each
-    letter.  The words form a prefix tree: a word's image is its
-    parent's image followed by the image of its last letter."""
-    level = [((), tuple(range(1, len(letters[0]) + 1)))]
-    words = list(level)
+) -> List[Dict[Tuple[int, ...], Tuple[int, ...]]]:
+    """For each length up to max_length, the image tuples of the
+    permutations of the words of that length, each with the first such
+    word in lexicographic order, as letter codes; `letters` holds the
+    image tuple of each letter.  A word's image is its prefix's image
+    followed by its last letter's, so each level is read off the one
+    before; it holds at most one entry per permutation."""
+    level = {tuple(range(1, len(letters[0]) + 1)): ()}
+    levels = [level]
     for _ in range(max_length):
-        level = [
-            (codes + (c,), tuple([letter[i - 1] for i in image]))
-            for codes, image in level
-            for c, letter in enumerate(letters)
-        ]
-        words += level
-    return words
+        nxt: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for image, codes in level.items():
+            for c, letter in enumerate(letters):
+                nxt.setdefault(_then(image, letter), codes + (c,))
+        level = nxt
+        levels.append(level)
+    return levels
 
 
 def _check_central_images(tol: float) -> str:
@@ -212,21 +224,22 @@ def _check_central_images(tol: float) -> str:
         project_to_symmetric(Word._from_codes(P.alphabet, (c,)), 4).images
         for c in range(len(P.alphabet))
     ]
-    words = _prefix_images(letters, 5)
-    _require(len(words) == 3906, f"enumerated {len(words)} words, expected 3906")
-    image_of = dict(words)
     for i, expected in ref.CENTRAL_IMAGES.items():
-        image = str(Permutation(image_of[P.word(ref.SHORT_PURE_WORDS[i]).codes]))
+        image = tuple(range(1, 5))
+        for c in P.word(ref.SHORT_PURE_WORDS[i]).codes:
+            image = _then(image, letters[c])
+        image = str(Permutation(image))
         _require(
             image == expected, f"short word {i} projects to {image}, not {expected}"
         )
 
-    # at most 24 distinct images: one sign each
-    sign = {image: Permutation(image).sign() for image in set(image_of.values())}
-    for codes, image in words:
-        if sign[image] != (-1) ** len(codes):
-            word = Word._from_codes(P.alphabet, codes)
-            raise VerificationError(f"parity law fails on {word}")
+    # every word of a length has its image in that length's level, so
+    # the law holds on all 3,906 words when it holds on each level
+    for length, level in enumerate(_image_levels(letters, 5)):
+        for image, codes in level.items():
+            if Permutation(image).sign() != (-1) ** length:
+                word = Word._from_codes(P.alphabet, codes)
+                raise VerificationError(f"parity law fails on {word}")
     return (
         "all 10 displayed central images match; sign of the projection is "
         "(-1)^length for all 3906 words of length at most 5"
@@ -570,17 +583,16 @@ def _check_action_properties(tol: float) -> str:
     engine = system_for(P)
     ball = [v for L in range(4) for v in sphere(P, L)]
     _require(len(ball) == 61, f"radius-3 ball has {len(ball)} vertices")
-    # g fixes h when its form u, a geodesic, followed by mirror^p(h)
-    # sinks to a geodesic of length |h| whose normal form is h; only
-    # such candidates are sorted
-    spellings = (
-        [h.codes for h in ball],
-        [tuple(J4P_MIRROR[x] for x in h.codes) for h in ball],
-    )
+
+    def image(g, codes) -> List[int]:
+        # the forms of TWENTY and of their products are canonical
+        return image_geodesic(g, codes, start=len(g.j4p_form))
+
+    # g fixes h when the image of h, a geodesic, has the length of h and
+    # sorts to h; only such candidates are sorted
     for c, g in enumerate(TWENTY):
-        u = g.j4p_form.codes
-        for h, t in zip(ball, spellings[g.parity]):
-            sunk = engine.geodesic(u + t, start=len(u))
+        for h in ball:
+            sunk = image(g, h.codes)
             if len(sunk) == len(h) and engine.sort(sunk) == h.codes:
                 raise VerificationError(f"{TRANSLATIONS.spell(c)} fixes the vertex {h}")
 
@@ -600,22 +612,24 @@ def _check_action_properties(tol: float) -> str:
             "orbit distance of a product is odd",
         )
         for h in small_sphere:
+            # two geodesics spell the same vertex exactly when one lifts
+            # into the other
             _require(
-                gamma(prod, h) == gamma(g, gamma(gp, h)),
+                engine.lift(image(prod, h.codes), image(g, image(gp, h.codes)), None),
                 "action law fails on a sampled pair",
             )
 
-    def graph_distance(u: Word, v: Word) -> int:
-        # u is a normal form, so its reversal, which spells u^-1, is geodesic
-        return len(engine.geodesic(u.codes[::-1] + v.codes, start=len(u)))
+    def graph_distance(u: Sequence[int], v: Sequence[int]) -> int:
+        # u is geodesic, so its reversal, which spells u^-1, is geodesic
+        return len(engine.geodesic(u[::-1] + v, start=len(u)))
 
     inner = [v for L in range(3) for v in sphere(P, L)]
     for g in TWENTY:
         for _ in range(4):
             h1, h2 = rng.choice(inner), rng.choice(inner)
             _require(
-                graph_distance(h1, h2)
-                == graph_distance(gamma(g, h1), gamma(g, h2)),
+                graph_distance(h1.codes, h2.codes)
+                == graph_distance(image(g, h1.codes), image(g, h2.codes)),
                 "action does not preserve the graph metric",
             )
     return (

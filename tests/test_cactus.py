@@ -3,15 +3,14 @@ import random
 import pytest
 
 from cactus45.cactus import (
+    J4P_MIRROR,
     Permutation,
     cactus_presentation,
     is_pure,
     j4_presentation,
     j4prime_presentation,
-    mirror_generator,
     project_to_symmetric,
     push_s14_right,
-    reversal_permutation,
     subgroup_presentation,
 )
 from cactus45.words import Word, same_relator_class
@@ -29,6 +28,20 @@ def pw(text):
 
 def non_squares(P):
     return [r for r in P.relators if len(r) > 2]
+
+
+def reversal_permutation(n, p, q):
+    """The permutation sending position i to p+q-i for p <= i <= q."""
+    if not 1 <= p < q <= n:
+        raise ValueError(f"bad interval [{p},{q}] for n={n}")
+    return Permutation(tuple(p + q - i if p <= i <= q else i for i in range(1, n + 1)))
+
+
+def mirror_generator(name):
+    """Conjugation of a J_4' generator by the full reversal s14: the
+    interval [p, q] mirrors to [5-q, 5-p]."""
+    p, q = int(name[1]), int(name[2])
+    return f"s{5 - q}{5 - p}"
 
 
 def test_j4_presentation_shape():
@@ -194,6 +207,9 @@ def test_mirror_generator_involution():
         assert mirror_generator(mirror_generator(nm)) == nm
     assert mirror_generator("s12") == "s34"
     assert mirror_generator("s23") == "s23"
+    # the letter-code table the action reads agrees
+    names = j4prime_presentation().alphabet.names()
+    assert [names[c] for c in J4P_MIRROR] == [mirror_generator(nm) for nm in names]
 
 
 def test_push_examples():

@@ -149,21 +149,45 @@ def test_word_metric_membership(polygon):
 # the word-metric Voronoi cell
 
 
+def _all_sites():
+    """TWENTY and every nontrivial pairwise product, composed from
+    scratch: the 360 orbit points that `_orbit_sites` filters by length."""
+    found = {g.j4p_form for g in TWENTY}
+    found |= {g.compose(h).j4p_form for g in TWENTY for h in TWENTY}
+    found.discard(Word(J4P.alphabet, ()))
+    return found
+
+
 @pytest.mark.parametrize("radius", [3, 4])
 def test_pruned_keeps_match_the_all_sites_oracle(radius):
+    # the oracle tests every vertex against all 360 sites; the pruned
+    # test reads only sites shorter than 2 * radius, and only vertices
+    # whose parent is kept
     ball = build_ball(J4P, radius)
-    sites = _orbit_sites()
-    keep = _voronoi_keeps(ball, sites)
-    assert keep == voronoi_keeps(ball, sites)
+    keep = _voronoi_keeps(ball, _orbit_sites(2 * radius))
+    assert keep == voronoi_keeps(ball, _all_sites())
     assert len(keep) == 31
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_kept_vertices_have_kept_parents(radius):
+    # the star shape the parent prune rests on, read off the oracle's
+    # cell: a kept vertex's normal form minus its last letter is kept
+    ball = build_ball(J4P, radius)
+    keep = voronoi_keeps(ball, _orbit_sites(2 * radius))
+    parents = {Word._from_codes(J4P.alphabet, v.codes[:-1]) for v in keep if len(v)}
+    assert parents <= keep
+    assert len(parents) > 1
 
 
 def test_no_long_site_is_strictly_closer():
     # the bound the prune rests on: a site w with |w| >= 2|v| is never
     # strictly closer to v than the identity is, for any ball vertex v
     ball = build_ball(J4P, 4)
+    sites = _all_sites()
+    assert set(_orbit_sites(8)) == {w for w in sites if len(w) < 8}
     checked = 0
-    for w in _orbit_sites():
+    for w in sites:
         for v in ball.vertices:
             if len(w) >= 2 * len(v):
                 assert site_distance(ball, w, v) >= len(v)
@@ -186,12 +210,13 @@ def test_site_list_decides_the_radius_four_cell():
         if project_to_symmetric(v, 4).images in central
     ]
     assert len(orbit) == 140
-    assert voronoi_keeps(ball, orbit) == _voronoi_keeps(ball, _orbit_sites())
+    assert voronoi_keeps(ball, orbit) == _voronoi_keeps(ball, _orbit_sites(8))
 
 
 def test_voronoi_keeps_geodesic_count(monkeypatch):
-    # a deterministic work count: the all-sites loop made 15,023 calls
-    ball, sites = build_ball(J4P, 4), _orbit_sites()
+    # a deterministic work count: the all-sites loop made 15,023 calls,
+    # and testing every vertex against the sites shorter than 2|v| 2,451
+    ball, sites = build_ball(J4P, 4), _orbit_sites(8)
     engine = system_for(J4P)
     geodesic = engine.geodesic
     calls = []
@@ -202,7 +227,7 @@ def test_voronoi_keeps_geodesic_count(monkeypatch):
 
     monkeypatch.setattr(engine, "geodesic", counted)
     _voronoi_keeps(ball, sites)
-    assert len(calls) == 2451
+    assert len(calls) == 1699
 
 
 # ---------------------------------------------------------------------------

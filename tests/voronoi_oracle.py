@@ -3,8 +3,9 @@ tested against every ball vertex, with no pruning by length.
 
 `cactus45.dirichlet._voronoi_keeps` tests a vertex v only against the
 sites w with |w| < 2|v|, since the triangle inequality rules the rest
-out.  This module keeps the plain all-sites test so the tests can check
-that the pruned keep set is the same one.
+out, and only when v's parent is kept, since the cell is star-shaped.
+This module keeps the plain all-sites test so the tests can check that
+the pruned keep set is the same one.
 """
 
 from __future__ import annotations
