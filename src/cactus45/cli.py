@@ -7,7 +7,8 @@ certificate-checked isomorphism verification, SVG figures, and the
 thirteen-point verification registry.  Reports serialize as
 deterministic JSON (stable key order, no timestamps) or as plain-text
 tables; exit codes are 0 for success, 1 for a failed check (including
-a refuted isomorphism check), and 64 for usage errors.  Every word
+a refuted isomorphism check), and 64 for usage errors, an `--out` or
+`--svg` path that cannot be written among them.  Every word
 problem the pipeline asks is decided exactly, so an isomorphism check
 is either verified or refuted.
 
@@ -324,10 +325,18 @@ def _render_layers(what: str) -> List[dict]:
     return [edges(fd.ball, "#cccccc", 1), polygon, origin("black")]
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write data to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_render(args) -> Tuple[dict, dict, int]:
     svg = render_svg(_render_layers(args.what))
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    _write(args.svg, svg.encode("utf-8"))
     params = {"what": args.what, "svg": args.svg}
     results = {"what": args.what, "svg": args.svg, "svg_bytes": len(svg)}
     return params, results, EXIT_OK
@@ -665,22 +674,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         parameters, results, code = handler(args)
+        report = RunReport(
+            command=args.command,
+            parameters=parameters,
+            results=results,
+            version=__version__,
+        )
+        payload = emit_report(report, args.format)
+        if args.out:
+            _write(args.out, payload)
+        else:
+            sys.stdout.write(payload.decode("utf-8"))
     except UsageError as exc:
         sys.stderr.write(f"cactus45 {args.command}: error: {exc}\n")
         return EXIT_USAGE
-
-    report = RunReport(
-        command=args.command,
-        parameters=parameters,
-        results=results,
-        version=__version__,
-    )
-    payload = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
     return code
 
 

@@ -16,10 +16,14 @@ square with all four corners kept is taken whole, and a square with
 exactly three corners kept is cut along the diagonal joining its two
 kept opposite corners, keeping the half that contains the third kept
 corner.  The union is a compact 20-gon whose boundary alternates tiling
-edges with cell diagonals.  Third, the ten translation generators pair
-the sides of that polygon; walking the pairings around corner classes
-yields six cycles whose relations present the pure subgroup, and the
-side identifications classify the quotient surface.
+edges with cell diagonals.  Third, each corner's angle is counted off
+the pieces in fifths of pi: 2 for each whole square and half-square
+apex at the corner, 1 for each cut diagonal it ends.  The ten
+translation generators pair the sides of the polygon; walking the
+pairings once around each corner class yields six cycles, each with
+multiplicity 10 divided by its angle sum in fifths.  Their relations
+present the pure subgroup, and the side identifications classify the
+quotient surface.
 
 `fundamental_domain()` runs these stages once, in this order, and keeps
 the result; it is the one place the package memoises them.  The stage
@@ -57,7 +61,6 @@ __all__ = [
 ]
 
 _FIFTH = math.pi / 5
-_ANGLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ class VertexCycle:
 
     Applying the letters of ``word``, a word over `TRANSLATIONS`,
     first-to-last to ``vertices[0]`` visits ``vertices`` in order and
-    returns to the start; ``nu`` times the angle sum equals 2*pi.
+    returns to the start.  ``fifths`` are the corners' angles in fifths
+    of pi, and ``nu`` is 10 divided by their sum, exactly.
     """
 
     word: Word
@@ -190,45 +194,35 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
 
 
 def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
-    """Cell-adapted fundamental 20-gon around the identity vertex."""
+    """Cell-adapted fundamental 20-gon around the identity vertex.  A
+    kept piece, a whole square or the kept half of a cut square, lists
+    its corners, their angles in fifths of pi and its sides' kinds."""
     keep = _voronoi_keeps(ball, _orbit_sites(2 * ball.radius))
-
-    # classify the square cells against the kept vertex set
-    full_cells = []
-    half_cells = []  # (apex, diagonal end, diagonal end)
+    pieces = []
     for face in ball.faces:
         b = face.boundary
         flags = [c in keep for c in b]
-        n_kept = sum(flags)
-        if n_kept == 4:
-            full_cells.append(b)
-        elif n_kept == 3:
+        if all(flags):
+            pieces.append((b, (2, 2, 2, 2), ("edge",) * 4))
+        elif sum(flags) == 3:
             i = flags.index(False)
-            apex = b[(i + 2) % 4]
-            half_cells.append((apex, b[(i + 1) % 4], b[(i + 3) % 4]))
-    if len(full_cells) != 10 or len(half_cells) != 10:
+            corners = (b[(i + 2) % 4], b[(i + 1) % 4], b[(i + 3) % 4])
+            pieces.append((corners, (2, 1, 1), ("edge", "diagonal", "edge")))
+    n_full = sum(len(corners) == 4 for corners, _, _ in pieces)
+    if (n_full, len(pieces)) != (10, 20):
         raise ValueError(
             "unexpected cell decomposition: "
-            f"{len(full_cells)} full and {len(half_cells)} half cells"
+            f"{n_full} full and {len(pieces) - n_full} half cells"
         )
 
-    # boundary = segments used by exactly one piece of the union
-    seg_count: Counter = Counter()
-    seg_kind: Dict[frozenset, str] = {}
-    for b in full_cells:
-        for i in range(4):
-            seg = frozenset((b[i], b[(i + 1) % 4]))
-            seg_count[seg] += 1
-            seg_kind.setdefault(seg, "edge")
-    for apex, d1, d2 in half_cells:
-        for u, v in ((apex, d1), (apex, d2)):
-            seg = frozenset((u, v))
-            seg_count[seg] += 1
-            seg_kind.setdefault(seg, "edge")
-        diag = frozenset((d1, d2))
-        seg_count[diag] += 1
-        seg_kind[diag] = "diagonal"
-    boundary = [seg for seg, c in seg_count.items() if c == 1]
+    # boundary = segments of exactly one piece (its side i - 1 ends at corner i)
+    uses: Dict[frozenset, List[str]] = {}
+    angle: Counter = Counter()
+    for corners, fifths, kinds in pieces:
+        for i, w in enumerate(corners):
+            uses.setdefault(frozenset((corners[i - 1], w)), []).append(kinds[i - 1])
+            angle[w] += fifths[i]
+    boundary = {seg: k[0] for seg, k in uses.items() if len(k) == 1}
     if len(boundary) != 20:
         raise ValueError(f"boundary has {len(boundary)} segments, expected 20")
 
@@ -263,23 +257,13 @@ def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
 
     labels = tuple(cycle)
     poly = HPolygon(tuple(emb[w] for w in labels), (None,) * 20)
-    kinds = tuple(
-        seg_kind[frozenset((labels[i], labels[(i + 1) % 20]))]
-        for i in range(20)
-    )
+    kinds = tuple(boundary[frozenset(s)] for s in zip(labels, labels[1:] + labels[:1]))
 
-    fifths = []
-    for w, angle in zip(labels, poly.interior_angles()):
-        mult = round(angle / _FIFTH)
-        if abs(angle - mult * _FIFTH) > _ANGLE_TOL or mult not in (2, 3, 4):
-            raise ValueError(
-                f"corner {w} has angle {angle:.9f}, not a fifth of pi in 2..4"
-            )
-        fifths.append(mult)
+    fifths = tuple(angle[w] for w in labels)
     if sorted(fifths) != [2] * 5 + [3] * 10 + [4] * 5:
         raise ValueError(f"unexpected angle classes {sorted(fifths)}")
 
-    return LabeledPolygon(poly, labels, tuple(fifths), kinds)
+    return LabeledPolygon(poly, labels, fifths, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -336,104 +320,73 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
 # vertex cycles
 
 
-def _walk_cycle(
-    sides_at: Dict[Word, List[frozenset]],
-    moves: Dict[frozenset, tuple],
-    start_corner: Word,
-    start_side: frozenset,
-) -> Tuple[List[int], List[Word]]:
-    """Walk the pairings from one corner and side until both recur.
-    `sides_at` maps each corner to its two boundary sides, and `moves`
-    each side to the signed code applied from it, the images of its
-    corners and the side they form."""
-    codes: List[int] = []
-    verts: List[Word] = []
-    corner, side = start_corner, start_side
-    while True:
-        verts.append(corner)
-        code, image_of, partner = moves[side]
-        codes.append(code)
-        image = image_of[corner]
-        others = [s for s in sides_at.get(image, ()) if s != partner]
-        if len(others) != 1:
-            raise ValueError(
-                f"cycle walk left the polygon at {corner} via "
-                f"{TRANSLATIONS.spell(code)}"
-            )
-        corner, side = image, others[0]
-        if corner == start_corner and side == start_side:
-            return codes, verts
-
-
 def vertex_cycles(
     D: LabeledPolygon, pairings: Sequence[SidePairing]
 ) -> List[VertexCycle]:
-    """Partition of the twenty corners into pairing cycles."""
-    moves: Dict[frozenset, tuple] = {}
+    """Partition of the twenty corners into pairing cycles, each walked
+    once on flags, (corner, side) pairs: a side's pairing carries the
+    corner to its image, and the walk goes on from the image's other
+    side.  A side's move and its partner's are inverse, so a walk from
+    the corner's other side would run the same cycle backwards."""
+    sides_at = {
+        w: (frozenset(D.side_words(i - 1)), frozenset(D.side_words(i)))
+        for i, w in enumerate(D.labels)
+    }
+    step: Dict[tuple, tuple] = {}
     for row in pairings:
-        src, tgt = frozenset(row.source), frozenset(row.target)
-        moves[src] = (row.code, dict(zip(row.source, row.target)), tgt)
-        moves[tgt] = (~row.code, dict(zip(row.target, row.source)), src)
-    sides_at: Dict[Word, List[frozenset]] = {}
-    for s in D.sides():
-        for w in s:
-            sides_at.setdefault(w, []).append(frozenset(s))
+        for code, src, tgt in ((row.code, row.source, row.target),
+                               (~row.code, row.target, row.source)):
+            side, partner = frozenset(src), frozenset(tgt)
+            for corner, image in zip(src, tgt):
+                at = sides_at.get(image, ())
+                if partner not in at:
+                    raise ValueError(
+                        f"{TRANSLATIONS.spell(code)} carries {corner} off the polygon"
+                    )
+                # on from the image corner's other side
+                step[corner, side] = (code, (image, at[at[0] == partner]))
 
     # deterministic anchor: the length-3 corner and side that make the
     # five-letter relator come out in the documented generator order
     anchor = canonical_form(J4P.word("s13 s24 s23"), J4P)
     anchor_side = frozenset((anchor, canonical_form(J4P.word("s13 s24"), J4P)))
-    a_idx = D.corner_index(anchor)
-    a_sides = {frozenset(D.side_words(a_idx - 1)), frozenset(D.side_words(a_idx))}
-    if anchor_side not in a_sides:
+    if anchor_side not in sides_at.get(anchor, ()):
         raise ValueError("anchor side is not a boundary side")
-    anchor_other = next(s for s in a_sides if s != anchor_side)
+    # tie-break: the side met first counterclockwise from corner 0,
+    # the next side at corner 0 and the previous one elsewhere
+    starts = [(anchor, anchor_side)]
+    starts += [(w, sides_at[w][i == 0]) for i, w in enumerate(D.labels)]
 
-    partitions = []
-    anchored: List[VertexCycle] = []
-    for primary_choice in (True, False):
-        cycles: List[VertexCycle] = []
-        visited: set = set()
-        queue: List[Tuple[Word, frozenset]] = [
-            (anchor, anchor_side if primary_choice else anchor_other)
-        ]
-        for i, w in enumerate(D.labels):
-            s_prev = frozenset(D.side_words(i - 1))
-            s_next = frozenset(D.side_words(i))
-            # tie-break: the side met first counterclockwise from
-            # corner 0 (the alternate run takes the other side)
-            first = s_next if i == 0 else s_prev
-            second = s_prev if i == 0 else s_next
-            queue.append((w, first if primary_choice else second))
-        for corner, side in queue:
-            if corner in visited:
-                continue
-            codes, verts = _walk_cycle(sides_at, moves, corner, side)
-            for v in verts:
-                visited.add(v)
-            fifths = tuple(D.angle_fifths[D.corner_index(v)] for v in verts)
-            total = sum(fifths) * _FIFTH
-            nu = round(2 * math.pi / total)
-            if nu < 1 or abs(nu * total - 2 * math.pi) > _ANGLE_TOL:
-                raise ValueError(
-                    f"cycle at {corner} has angle sum {total:.9f}"
-                )
-            word = Word._from_codes(TRANSLATIONS, codes)
-            cycles.append(VertexCycle(word, tuple(verts), fifths, nu))
-        partitions.append({frozenset(c.vertices) for c in cycles})
-        if primary_choice:
-            anchored = cycles
-    if partitions[0] != partitions[1]:
-        raise ValueError("cycle partition depends on the side tie-break")
+    cycles: List[VertexCycle] = []
+    visited: set = set()
+    for start in starts:
+        if start[0] in visited:
+            continue
+        codes, verts, flag = [], [], start
+        while flag in step and len(verts) < len(step):
+            verts.append(flag[0])
+            code, flag = step[flag]
+            codes.append(code)
+            if flag == start:
+                break
+        else:
+            raise ValueError(f"the pairing walk from {start[0]} does not close")
+        visited.update(verts)
+        fifths = tuple(D.angle_fifths[D.corner_index(v)] for v in verts)
+        angle = sum(fifths)
+        if angle < 1 or 10 % angle:
+            raise ValueError(f"cycle at {start[0]} has angle sum {angle}pi/5")
+        word = Word._from_codes(TRANSLATIONS, codes)
+        cycles.append(VertexCycle(word, tuple(verts), fifths, 10 // angle))
     # closure: the composed transformation along each cycle is trivial
-    for c in anchored:
+    for c in cycles:
         first, *rest = c.word.codes
         total = TWENTY[first]
         for code in rest:
             total = TWENTY[code].compose(total)
         if not total.is_identity:
             raise ValueError(f"cycle {c.word} does not compose to the identity")
-    return anchored
+    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,12 @@ class SplitSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-        self.inner = system_for(cactus.j4prime_presentation())
+
+    @property
+    def inner(self) -> RewriteSystem:
+        """The J4' engine `system_for` holds now; a stored one would
+        outlive its eviction, and the package would run two."""
+        return system_for(cactus.j4prime_presentation())
 
     def _inner(self, trace: Trace, step, *args, **kwargs):
         """step(*args, trace, **kwargs) on the J4' engine, its moves

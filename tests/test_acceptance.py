@@ -304,6 +304,26 @@ def test_every_cache_is_bounded_by_eight():
     assert all(type(size) is int and size <= 8 for size in caches.values()), caches
 
 
+def test_the_only_tolerance_constant_is_the_embedding_one():
+    # the construction is exact; a float tolerance belongs to drawing
+    # and embedding alone
+    names = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names += [
+                f"{path.stem}.{t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.endswith("_TOL")
+            ]
+    assert names == ["geometry.EMBED_TOL"]
+
+
 def test_fundamental_domain_matches_stage_functions():
     fd = fundamental_domain()
     assert fundamental_domain() is fd

@@ -156,6 +156,20 @@ def test_out_flag_writes_file_and_silences_stdout(tmp_path, capsys):
     assert report["results"]["count"] == 15
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("pure",), "--out"), (("render", "--what", "ball"), "--svg")],
+)
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv, flag):
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, *argv, flag, str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    command = argv[0]
+    assert err == f"cactus45 {command}: error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_json_reports_are_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

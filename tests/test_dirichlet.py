@@ -1,11 +1,15 @@
 """Fundamental 20-gon, side pairings, corner cycles, and the surface."""
 
+import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 
 from cactus45 import j4prime_presentation
 from cactus45.cactus import J4P, project_to_symmetric
+from cactus45 import dirichlet
 from cactus45.complex import build_ball
 from cactus45.dirichlet import (
     _orbit_sites,
@@ -24,7 +28,7 @@ from cactus45.action import (
     standard_generator,
     standard_generators,
 )
-from cactus45.geometry import edge_length_45
+from cactus45.geometry import HPoint, edge_length_45
 from cactus45.rewrite import canonical_form, sphere, system_for
 from cactus45.words import Alphabet, Generator, Word, invert, same_relator_class
 
@@ -291,6 +295,65 @@ def test_cycle_angle_sums(cycles):
         assert c.nu == 1
         assert sum(c.fifths) == 10
         assert abs(c.angle_sum - 2 * math.pi) < 1e-6
+
+
+def test_gauss_bonnet_and_multiplicities_in_integers(polygon, pairings, cycles):
+    # area (n - 2)pi - (angle sum) = -2 pi chi, in fifths of pi: 6 pi
+    chi = classify_identified_surface(polygon, pairings).euler_characteristic
+    assert chi == -3
+    assert 5 * (polygon.n_sides - 2) - sum(polygon.angle_fifths) == -10 * chi
+    for c in cycles:
+        assert sum(c.fifths) * c.nu == 10
+
+
+def test_a_cycle_with_half_the_angle_has_multiplicity_two(polygon, pairings, cycles):
+    # the registry's cycles all have nu = 1; halving the five 2pi/5
+    # corners gives the five-term cycle angle sum pi, so nu = 2, and
+    # the presentation repeats its relator twice
+    halved = dataclasses.replace(
+        polygon, angle_fifths=tuple(1 if f == 2 else f for f in polygon.angle_fifths)
+    )
+    changed = vertex_cycles(halved, pairings)
+    assert [c.word for c in changed] == [c.word for c in cycles]
+    assert [c.nu for c in changed] == [2 if len(c.vertices) == 5 else 1 for c in cycles]
+    five = poincare_presentation([c for c in cycles if len(c.vertices) == 5]).relators[0]
+    assert poincare_presentation(changed).relators == tuple(
+        r * r if r == five else r for r in poincare_presentation(cycles).relators
+    )
+
+
+@pytest.mark.parametrize("shift", [lambda f: 3, lambda f: f + 1])
+def test_an_angle_sum_that_does_not_divide_two_pi_is_rejected(polygon, pairings, shift):
+    bad = dataclasses.replace(
+        polygon, angle_fifths=tuple(map(shift, polygon.angle_fifths))
+    )
+    with pytest.raises(ValueError, match="angle sum"):
+        vertex_cycles(bad, pairings)
+
+
+def test_construction_ignores_a_perturbed_embedding(monkeypatch):
+    # only the orientation reads the embedding: moving every point by up
+    # to 0.01 changes no label, angle, side, pairing or cycle
+    fd = fundamental_domain()
+    rng = random.Random(20)
+    embed_ball = dirichlet.embed_ball
+
+    def perturbed(ball):
+        moved = {}
+        for w, p in embed_ball(ball).items():
+            z = p.z + cmath.rect(0.01 * rng.random(), 2 * math.pi * rng.random())
+            moved[w] = HPoint(z.real, z.imag)  # raises outside the disk
+        return moved
+
+    monkeypatch.setattr(dirichlet, "embed_ball", perturbed)
+    fresh = fundamental_domain.__wrapped__()
+    assert fresh.embedding != fd.embedding
+    assert fresh.polygon.labels == fd.polygon.labels
+    assert fresh.polygon.angle_fifths == fd.polygon.angle_fifths
+    assert fresh.polygon.side_kinds == fd.polygon.side_kinds
+    assert fresh.pairings == fd.pairings
+    assert fresh.cycles == fd.cycles
+    assert fresh.presentation == fd.presentation
 
 
 def test_anchored_five_cycle(cycles):

@@ -250,6 +250,33 @@ def test_engine_cache_holds_at_most_eight_presentations():
     assert system_for.cache_info().currsize <= 8
 
 
+def test_one_j4prime_engine_after_eviction(monkeypatch):
+    # nine other presentations push J4' out of the engine cache; the
+    # action, the spheres and J4's split engine then all run on the one
+    # J4' engine the cache builds afresh
+    from cactus45.action import TWENTY, gamma
+
+    J4P, J4 = j4prime_presentation(), j4_presentation()
+    for i in range(9):
+        alphabet = Alphabet([Generator(f"y{i}", involutive=True)])
+        y = Word.parse(alphabet, f"y{i}")
+        system_for(Presentation(alphabet, [y * y]))
+    ran = []
+    geodesic = RewriteSystem.geodesic
+
+    def recording(self, *args, **kwargs):
+        ran.append(id(self))
+        return geodesic(self, *args, **kwargs)
+
+    monkeypatch.setattr(RewriteSystem, "geodesic", recording)
+    engine = system_for(J4P)
+    gamma(TWENTY[0], J4P.word("s12 s23"))
+    assert len(sphere(J4P, 3)) == 40
+    assert words_equal(J4.word("s12 s14"), J4.word("s14 s34"), J4)
+    assert ran and set(ran) == {id(engine)}
+    assert system_for(J4P) is engine
+
+
 # ---------------------------------------------------------------------------
 # the exact engine against the closure oracle, and on long random words
 
