@@ -296,8 +296,9 @@ def piece_ratio(P: Presentation) -> Fraction:
 def _dehn_rules(P: Presentation):
     """(rules, their key lengths) for P: rules maps the shortest
     more-than-half prefix of each relator form (the reducer meets no
-    longer one first) to the inverse form, rotated to cancel it.  Piece
-    ratio below 1/6 keeps the prefixes distinct."""
+    longer one first) to the inverse form, rotated to cancel it, as a
+    `Word`, the relator of the cut's certificate move.  Piece ratio
+    below 1/6 keeps the prefixes distinct."""
     ratio = piece_ratio(P)
     if ratio >= Fraction(1, 6):
         raise ValueError(
@@ -305,11 +306,11 @@ def _dehn_rules(P: Presentation):
             "is not a decision procedure here"
         )
     inverse = P.alphabet.inverse
-    rules: Dict[Codes, Codes] = {}
+    rules: Dict[Codes, Word] = {}
     for form in P.forms:
         inv = tuple(inverse[c] for c in reversed(form))
         take = len(form) // 2 + 1
-        rules[form[:take]] = inv[-take:] + inv[:-take]
+        rules[form[:take]] = Word._from_codes(P.alphabet, inv[-take:] + inv[:-take])
     return rules, {len(k) for k in rules}
 
 
@@ -347,9 +348,9 @@ def dehn_reduce(
             if splice is None:
                 continue
             if with_moves:
-                moves.append(Move(len(stack), Word._from_codes(P.alphabet, splice), "insert"))
+                moves.append(Move(len(stack), splice, "insert"))
             del stack[-take:]
-            rest = list(splice[take:])
+            rest = list(splice.codes[take:])
             while rest and pending and pending[-1] == inverse[rest[-1]]:
                 rest.pop()
                 pending.pop()

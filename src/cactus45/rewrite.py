@@ -10,9 +10,11 @@ graph (Chepoi 2000).  Two exact operations on words follow:
     letter sinks leftward, crossing at each pair (w[i], g) the unique
     square on that pair (a relator rotation y1 y2 y3 y4 turns y1 y2 into
     y4 y3).  It cancels when it meets its equal; the word grows by the
-    letter when a pair carries no square.  A geodesic sinks to itself
-    with no move, so a caller that extends a known geodesic passes its
-    length and only the letters after it are sunk.
+    letter when a pair carries no square.  Only a cancellation moves
+    the word, so a trace records a letter's crossings only then, read
+    again off the word.  A geodesic sinks to itself with no move, so a
+    caller that extends a known geodesic passes its length and only the
+    letters after it are sunk.
   * normal form: the shortlex-least geodesic is read off greedily, each
     letter being the least left descent of what remains (Niblo-Reeves
     1998).  A letter is a left descent when, sunk rightward through the
@@ -26,9 +28,11 @@ sorted into their normal forms, which differ and are the witness of the
 inequality.  Every step above is a relator move: a square crossing is a
 "swap", a cancellation a "delete".  An equality certificate is the
 first sink and the flips, then the second sink's moves inverted (a
-deletion becomes an "insert").  `EqualityCertificate.verify` accepts a
-swap only by one of the presentation's relator forms (`Presentation.forms`,
-the table the engine's swaps are read from) and a deletion or insertion
+deletion becomes an "insert").  Each move's relator is a `Word` from
+the engine's table `relator_words`, built once: every relator form and
+every square x x.  `EqualityCertificate.verify` accepts a swap only by
+one of the presentation's relator forms (`Presentation.forms`, the
+table the engine's swaps are read from) and a deletion or insertion
 only of a square x x.
 
 J4 adds the full reversal s14, whose link with the other generators has
@@ -87,32 +91,32 @@ class EqualityCertificate:
         system_for(P)
         n = len(P.alphabet)
         left, right = list(w.codes), []
-        for m in self.moves:
-            rc, pos = m.relator.codes, m.position
-            if m.kind == "swap":
+        for pos, relator, kind in self.moves:
+            rc = relator.codes
+            if kind == "swap":
                 allowed = P.is_form(rc)
             else:
                 allowed = len(rc) == 2 and rc[0] == rc[1] and 0 <= rc[0] < n
-            if m.relator.alphabet != P.alphabet or not allowed:
-                raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
+            if relator.alphabet != P.alphabet or not allowed:
+                raise ValueError(f"{kind} by {relator}, not a relator of {P}")
             size = len(left) + len(right)
-            limit = size if m.kind == "insert" else size - 2
+            limit = size if kind == "insert" else size - 2
             if not 0 <= pos <= max(limit, 0):
                 raise ValueError(f"move position {pos} out of range for length {size}")
             while len(left) > pos:
                 right.append(left.pop())
             while len(left) < pos:
                 left.append(right.pop())
-            if m.kind == "insert":
+            if kind == "insert":
                 right += (rc[1], rc[0])
             elif right[-2:] != [rc[1], rc[0]]:
-                raise ValueError(f"{m.kind} mismatch at {pos}")
-            elif m.kind == "swap":
+                raise ValueError(f"{kind} mismatch at {pos}")
+            elif kind == "swap":
                 right[-2:] = (rc[2], rc[3])
-            elif m.kind == "delete":
+            elif kind == "delete":
                 del right[-2:]
             else:
-                raise ValueError(f"unknown move kind {m.kind!r}")
+                raise ValueError(f"unknown move kind {kind!r}")
         return Word._from_codes(P.alphabet, left + right[::-1])
 
     def verify(self, P: Presentation, w1: Word, w2: Word) -> bool:
@@ -137,8 +141,16 @@ class EqualityResult:
 
 
 # A trace collects the moves of a computation as (kind, position,
-# relator letter codes); it is only built when a certificate is wanted.
+# relator letter codes); it is only built when a certificate is wanted,
+# and only ever grows: it holds the moves of the letters that cancel.
 Trace = Optional[List[Tuple[str, int, Tuple[int, ...]]]]
+
+
+def _relator_words(P: Presentation) -> Dict[Tuple[int, ...], Word]:
+    """Every relator form of P and every square x x, keyed by its codes:
+    the relators a certificate's moves are built from."""
+    squares = tuple((x, x) for x in range(len(P.alphabet)))
+    return {r: Word._from_codes(P.alphabet, r) for r in P.forms + squares}
 
 
 class RewriteSystem:
@@ -153,6 +165,7 @@ class RewriteSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self.relator_words = _relator_words(P)
         squares = set()
         for r in P.relators:
             idx = r.codes
@@ -185,24 +198,25 @@ class RewriteSystem:
         swap = self.swap
         w: List[int] = list(t[:start])
         for g in t[start:]:
-            mark = len(trace) if trace is not None else 0
             cur, moved, i = g, [], len(w) - 1
             while i >= 0 and w[i] != cur:
                 sq = swap.get((w[i], cur))
                 if sq is None:
                     break
-                if trace is not None:
-                    trace.append(("swap", i, (w[i], cur) + sq[::-1]))
                 cur = sq[0]
                 moved.append(sq[1])
                 i -= 1
             if i >= 0 and w[i] == cur:
-                if trace is not None:
+                if trace is not None:  # the squares crossed, read off w again
+                    cur = g
+                    for j in range(len(w) - 1, i, -1):
+                        a = w[j]
+                        b, c = swap[(a, cur)]
+                        trace.append(("swap", j, (a, cur, c, b)))
+                        cur = b
                     trace.append(("delete", i, (cur, cur)))
                 w[i:] = moved[::-1]
             else:  # no cancellation: the squares crossed are not used
-                if trace is not None:
-                    del trace[mark:]
                 w.append(g)
         return w
 
@@ -231,9 +245,10 @@ class RewriteSystem:
         """Flip the geodesic w, in place, into the shortlex-least one: at
         each position the least left descent of what remains."""
         for k in range(len(w)):
-            x = 0
-            while not self._lift(w, k, x, None):
-                x += 1  # stops at w[k] at the latest, which cancels at once
+            # w[k] is a left descent of w[k:]; only a lesser one moves it
+            for x in range(w[k]):
+                if self._lift(w, k, x, None):
+                    break
         return tuple(w)
 
     def normal_form(self, t: Sequence[int], start: int = 0) -> Tuple[int, ...]:
@@ -261,6 +276,7 @@ class SplitSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self.relator_words = _relator_words(P)
 
     @property
     def inner(self) -> RewriteSystem:
@@ -345,9 +361,12 @@ def words_equal(
         return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
     if not certificate:
         return EqualityResult(True, EQUAL)
-    moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
+    # a sink's moves are swaps and deletes; inverted, a swap reverses
+    # its relator and a delete becomes an insert
+    table = sys.relator_words
+    moves = [Move(pos, table[r], kind) for kind, pos, r in forward]
     moves += [
-        Move(pos, Word._from_codes(P.alphabet, r), kind).inverted()
+        Move(pos, table[r[::-1]], kind) if kind == "swap" else Move(pos, table[r], "insert")
         for kind, pos, r in reversed(backward)
     ]
     cert = EqualityCertificate(tuple(moves))

@@ -27,7 +27,7 @@ named ``e`` or end in ``^-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Letter = Tuple[str, int]
 
@@ -361,9 +361,9 @@ class Presentation:
         return codes in self._form_set
 
 
-@dataclass(frozen=True)
-class Move:
-    """One relator move, the step of both certificates.
+class Move(NamedTuple):
+    """One relator move, the step of both certificates: a `NamedTuple`,
+    so a plain immutable record, hashable and equal by its fields.
 
     kind 'insert' splices `relator` in at `position` and 'delete'
     removes it from there; 'swap' takes a length-4 relator form
@@ -388,7 +388,7 @@ class Move:
         if not 0 <= pos <= max(len(cs) - width, 0):
             raise ValueError(f"move position {pos} out of range for {w}")
         if self.kind == "swap":
-            if cs[pos : pos + 2] != rc[0:2]:
+            if len(rc) != 4 or cs[pos : pos + 2] != rc[0:2]:
                 raise ValueError(f"swap mismatch at {pos}: {w}")
             new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
         elif self.kind == "delete":

@@ -22,6 +22,7 @@ from cactus45.rewrite import (
     words_equal,
 )
 from cactus45 import words
+from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
 import rewrite_oracle
@@ -369,7 +370,7 @@ def test_full_group_spheres_match_closure_oracle():
 
 
 @pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
-@pytest.mark.parametrize("length", [40, 200])
+@pytest.mark.parametrize("length", [40, 200, 1000])
 def test_certificates_of_random_relator_walks_replay(P, length):
     rng = random.Random(length)
     for _ in range(5):
@@ -558,3 +559,71 @@ def test_replay_needs_a_presentation_with_an_engine():
     free = Alphabet([Generator("a"), Generator("b")])
     a = Word.parse(free, "a")
     assert EqualityCertificate(()).verify(Presentation(free, [a * a * a]), a, a) is False
+
+
+class _CountingTrace(list):
+    """A trace that counts the calls that would shrink it."""
+
+    shrinks = 0
+
+    def __delitem__(self, i):
+        self.shrinks += 1
+        super().__delitem__(i)
+
+    def pop(self, *args):
+        self.shrinks += 1
+        return super().pop(*args)
+
+
+def test_a_sink_records_only_the_moves_it_keeps():
+    sys, o, rng = system_for(PP), oracle_for(PP), random.Random(18)
+    # a geodesic, or a square flip of one, sinks with no cancellation,
+    # so nothing is recorded, not even for a while
+    for u in sphere(PP, 6)[::24]:
+        t = list(o.encode(u))
+        flip_at_random(PP, t, 4, rng)
+        for g in (u, o.decode(t)):
+            trace = _CountingTrace()
+            assert sys.geodesic(g.codes, trace) == list(g.codes)
+            assert trace == [] and trace.shrinks == 0
+    # any other word: the trace only grows, and is the certificate's start
+    for length in (10, 40, 200):
+        for _ in range(5):
+            w = random_word(PP, length, rng)
+            trace = _CountingTrace()
+            sys.geodesic(w.codes, trace)
+            assert trace.shrinks == 0
+            kept = tuple(Move(pos, Word._from_codes(PP.alphabet, r), kind) for kind, pos, r in trace)
+            moves = words_equal(w, w, PP, certificate=True).certificate.moves
+            assert moves[: len(kept)] == kept
+
+
+def test_moves_of_both_certificate_kinds_are_plain_records():
+    u, v = pw("s12 s34 s13"), pw("s34 s12 s13 s23 s23")
+    equal = words_equal(u, v, PP, certificate=True).certificate.moves
+    F = one_relator_presentation()
+    trivial = word_problem_search(F.relators[0], F).certificate.moves
+    assert {m.kind for m in equal} == {"swap", "insert"} and trivial
+    for m in equal + trivial:
+        assert isinstance(m, Move)
+        for field in ("position", "relator", "kind"):
+            with pytest.raises(AttributeError):
+                setattr(m, field, getattr(m, field))
+        twin = Move(m.position, Word._from_codes(m.relator.alphabet, m.relator.codes), m.kind)
+        assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
+        assert Move(m.position + 1, m.relator, m.kind) != m
+        assert m.letters == m.relator.letters
+        assert m.inverted().inverted() == m
+    # each equality move takes u one step towards v, and back
+    w = u
+    for m in equal:
+        nxt = m.apply(w)
+        assert m.inverted().apply(nxt) == w
+        w = nxt
+    assert w == v
+    swap = next(m for m in equal if m.kind == "swap")
+    reverse = Word._from_codes(PP.alphabet, swap.relator.codes[::-1])
+    assert swap.inverted() == Move(swap.position, reverse, "swap")
+    cut = trivial[0]
+    assert cut.inverted() == Move(cut.position, cut.relator, "delete")
+    assert cut.apply(F.relators[0]) == F.relators[0][: cut.position] * cut.relator * F.relators[0][cut.position :]

@@ -238,6 +238,13 @@ def test_move_applies_a_relator_at_a_position():
             bad.apply(word)
 
 
+def test_a_swap_by_a_relator_not_four_letters_long_is_refused():
+    # the pair matches, but there is no y4 y3 to swap it for
+    for rel in ("x y", "x y z", "x y z x y"):
+        with pytest.raises(ValueError, match="swap mismatch"):
+            Move(0, w(INV, rel), "swap").apply(w(INV, "x y z"))
+
+
 def test_word_immutable_and_hashable():
     word = w(FREE, "a b")
     with pytest.raises(AttributeError):
