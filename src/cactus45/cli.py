@@ -34,7 +34,7 @@ from .action import TRANSLATIONS, TWENTY
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
-from .geometry import render_svg
+from .geometry import HPolygon, render_svg
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     TrivialityCertificate,
@@ -321,7 +321,8 @@ def _render_layers(what: str) -> List[dict]:
         for side in (row.source, row.target):
             side_color[frozenset(side)] = _PALETTE[index]
     colors = [side_color[frozenset(side)] for side in fd.polygon.sides()]
-    polygon = {"kind": "polygon", "polygon": fd.polygon.polygon, "side_colors": colors}
+    corners = HPolygon(tuple(emb[w] for w in fd.polygon.labels))
+    polygon = {"kind": "polygon", "polygon": corners, "side_colors": colors}
     return [edges(fd.ball, "#cccccc", 1), polygon, origin("black")]
 
 

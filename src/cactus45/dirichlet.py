@@ -25,14 +25,18 @@ multiplicity 10 divided by its angle sum in fifths.  Their relations
 present the pure subgroup, and the side identifications classify the
 quotient surface.
 
+The boundary is oriented by the tiling alone: the identity's neighbours
+run counterclockwise in alphabet order, and so do the first letters of
+the corners on a counterclockwise walk.  No stage reads a float.
+
 `fundamental_domain()` runs these stages once, in this order, and keeps
-the result; it is the one place the package memoises them.  The stage
-functions themselves recompute on every call.
+the result; it is the one place the package memoises them.  It embeds
+the ball last, for the float cross-checks and the drawing alone.  The
+stage functions themselves recompute on every call.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .action import TRANSLATIONS, TWENTY, image_geodesic
 from .cactus import J4P
 from .complex import CayleyBall, build_ball
-from .geometry import HPoint, HPolygon, embed_ball
+from .geometry import HPoint, embed_ball
 from .rewrite import canonical_form, system_for
 from .words import Presentation, Word, shortlex_key
 
@@ -60,20 +64,15 @@ __all__ = [
     "vertex_cycles",
 ]
 
-_FIFTH = math.pi / 5
-
-
 @dataclass(frozen=True)
 class LabeledPolygon:
-    """Compact polygon whose corners are tiling vertices.
-
-    ``polygon`` holds the embedded corners counterclockwise; corner i
-    carries the canonical vertex word ``labels[i]`` and the interior
-    angle ``angle_fifths[i]``·(pi/5).  Side i runs from corner i to
-    corner i+1 and is either a tiling ``edge`` or a cell ``diagonal``.
+    """Compact polygon whose corners are tiling vertices, listed
+    counterclockwise: corner i is the canonical vertex word ``labels[i]``
+    with interior angle ``angle_fifths[i]``·(pi/5).  Side i runs from
+    corner i to corner i+1 and is either a tiling ``edge`` or a cell
+    ``diagonal``.
     """
 
-    polygon: HPolygon
     labels: Tuple[Word, ...]
     angle_fifths: Tuple[int, ...]
     side_kinds: Tuple[str, ...]
@@ -126,10 +125,6 @@ class VertexCycle:
     def generators(self) -> Tuple[str, ...]:
         """The signed generator names of the walk, in order."""
         return tuple(map(TRANSLATIONS.spell, self.word.codes))
-
-    @property
-    def angle_sum(self) -> float:
-        return sum(self.fifths) * _FIFTH
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ def _voronoi_keeps(ball, sites: Sequence[Word]):
     return {v for v in ball.vertices if v.codes in kept}
 
 
-def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
+def _polygon(ball: CayleyBall) -> LabeledPolygon:
     """Cell-adapted fundamental 20-gon around the identity vertex.  A
     kept piece, a whole square or the kept half of a cut square, lists
     its corners, their angles in fifths of pi and its sides' kinds."""
@@ -245,25 +240,23 @@ def _polygon(ball: CayleyBall, emb: Dict[Word, HPoint]) -> LabeledPolygon:
     if len(cycle) != 20:
         raise ValueError("boundary does not close into a 20-gon")
 
-    # orient counterclockwise (the polygon encloses the origin)
-    pts = [emb[w].z for w in cycle]
-    area2 = sum(
-        pts[i].real * pts[(i + 1) % 20].imag
-        - pts[(i + 1) % 20].real * pts[i].imag
-        for i in range(20)
-    )
-    if area2 < 0:
+    # orient counterclockwise: the identity's neighbours run
+    # counterclockwise in alphabet order, so once around the identity
+    # that way the corners' first letters step 0 or +1 mod 5, five in all
+    steps = [(b.codes[0] - a.codes[0]) % 5 for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    if set(steps) <= {0, 4} and sum(steps) == 20:
         cycle = [cycle[0]] + cycle[:0:-1]
+    elif not (set(steps) <= {0, 1} and sum(steps) == 5):
+        raise ValueError("boundary does not wind once around the identity")
 
     labels = tuple(cycle)
-    poly = HPolygon(tuple(emb[w] for w in labels), (None,) * 20)
     kinds = tuple(boundary[frozenset(s)] for s in zip(labels, labels[1:] + labels[:1]))
 
     fifths = tuple(angle[w] for w in labels)
     if sorted(fifths) != [2] * 5 + [3] * 10 + [4] * 5:
         raise ValueError(f"unexpected angle classes {sorted(fifths)}")
 
-    return LabeledPolygon(poly, labels, fifths, kinds)
+    return LabeledPolygon(labels, fifths, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +435,8 @@ def classify_identified_surface(
             raise ValueError("pairings required to classify the polygon")
         D = _surface_word_from_pairings(D, pairings)
     word = D.codes
+    if not word:
+        raise ValueError("an empty boundary word describes no closed surface")
 
     n = len(word)
     positions: Dict[int, List[int]] = {}
@@ -494,27 +489,26 @@ def classify_identified_surface(
 @dataclass(frozen=True)
 class FundamentalDomain:
     """The fixed objects of the proof, in the order they are built: the
-    radius-4 J4' ball, its {4,5} embedding, the 20-gon, the ten side
-    pairings, the six corner cycles and the presentation they induce.
-    Every caller shares it, so the embedding is a read-only view."""
+    radius-4 J4' ball, the 20-gon, the ten side pairings, the six corner
+    cycles and the presentation they induce, all exact.  The ball's {4,5}
+    embedding comes last; only the float cross-checks and the drawing
+    read it.  Every caller shares it, so it is a read-only view."""
 
     ball: CayleyBall
-    embedding: Mapping[Word, HPoint]
     polygon: LabeledPolygon
     pairings: Tuple[SidePairing, ...]
     cycles: Tuple[VertexCycle, ...]
     presentation: Presentation
+    embedding: Mapping[Word, HPoint]
 
 
 @lru_cache(maxsize=1)
 def fundamental_domain() -> FundamentalDomain:
     """The pipeline run once; every later call returns the same record."""
     ball = build_ball(J4P, 4)
-    embedding = embed_ball(ball)
-    polygon = _polygon(ball, embedding)
+    polygon = _polygon(ball)
     pairings = tuple(side_pairings(polygon))
     cycles = tuple(vertex_cycles(polygon, pairings))
     presentation = poincare_presentation(cycles)
-    return FundamentalDomain(
-        ball, MappingProxyType(embedding), polygon, pairings, cycles, presentation
-    )
+    embedding = MappingProxyType(embed_ball(ball))
+    return FundamentalDomain(ball, polygon, pairings, cycles, presentation, embedding)

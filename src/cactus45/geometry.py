@@ -1,5 +1,6 @@
 """Poincaré-disk geometry: the regular {4,5} embedding of Cayley
-balls, compact polygons, and SVG rendering.
+balls, compact polygons, and SVG rendering.  The registry's float
+cross-checks and the drawing read it; the fundamental domain does not.
 
 Double precision throughout; pointwise identities hold to 1e-9 and
 propagated placements to 1e-6.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complex import CayleyBall
 from .words import Word
@@ -95,12 +96,9 @@ def to_klein(z: complex) -> complex:
 @dataclass(frozen=True)
 class HPolygon:
     """Compact hyperbolic polygon; vertices counterclockwise, side i
-    running from vertices[i] to vertices[i+1] and tagged with the index
-    of the half-plane site that produced it (None for a polygon not
-    clipped from half-planes)."""
+    running from vertices[i] to vertices[i+1]."""
 
     vertices: Tuple[HPoint, ...]
-    side_sites: Tuple[Optional[int], ...]
 
     @property
     def n_sides(self) -> int:

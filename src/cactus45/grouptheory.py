@@ -553,9 +553,7 @@ def hom_well_defined(h: GroupHom, oracle: str = "auto") -> WellDefinedVerdict:
     )
 
 
-def verify_mutual_inverse(
-    f: GroupHom, g: GroupHom, oracle: str = "auto"
-) -> WellDefinedVerdict:
+def verify_mutual_inverse(f: GroupHom, g: GroupHom) -> WellDefinedVerdict:
     """Certify g(f(x)) x^-1 trivial for every generator x (both ways)."""
     if f.target.alphabet != g.source.alphabet:
         raise ValueError("f.target and g.source do not match")
@@ -571,7 +569,7 @@ def verify_mutual_inverse(
             rows.append(
                 (
                     f"{b}({a}({name}))",
-                    word_problem_search(round_trip, second.target, oracle),
+                    word_problem_search(round_trip, second.target),
                 )
             )
     return _verdict(rows)

@@ -18,7 +18,6 @@ report identical results.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .cactus import (
 )
 from .complex import build_ball, check_tiling, vertex_link
 from .dirichlet import classify_identified_surface, fundamental_domain
-from .geometry import Mobius, edge_length_45, hyp_distance
+from .geometry import HPolygon, edge_length_45, hyp_distance
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     abelianization_invariants,
@@ -304,13 +303,6 @@ def _check_complex_structure(tol: float) -> str:
 # criterion 6: hyperbolic edge length and face angles
 
 
-def _corner_angle(prev_z: complex, corner_z: complex, next_z: complex) -> float:
-    move = Mobius.translation(corner_z).inverse()
-    a, b = move(prev_z), move(next_z)
-    spread = (cmath.phase(a) - cmath.phase(b)) % (2 * math.pi)
-    return min(spread, 2 * math.pi - spread)
-
-
 def _check_geometry_metrics(tol: float) -> str:
     R = edge_length_45()
     target = math.acosh(1.0 / math.tan(math.pi / 5) ** 2)
@@ -324,13 +316,12 @@ def _check_geometry_metrics(tol: float) -> str:
     )
     _require(worst_edge < tol, f"edge length deviation {worst_edge:.2e}")
 
-    corner_target = 2 * math.pi / 5
-    worst_angle = 0.0
-    for face in ball.faces:
-        zs = [emb[v].z for v in face.boundary]
-        for k in range(4):
-            angle = _corner_angle(zs[(k - 1) % 4], zs[k], zs[(k + 1) % 4])
-            worst_angle = max(worst_angle, abs(angle - corner_target))
+    # a face boundary may run clockwise, so take the smaller angle
+    worst_angle = max(
+        abs(min(angle, 2 * math.pi - angle) - 2 * math.pi / 5)
+        for face in ball.faces
+        for angle in HPolygon(tuple(emb[v] for v in face.boundary)).interior_angles()
+    )
     _require(worst_angle < tol, f"face angle deviation {worst_angle:.2e}")
     return (
         f"edge length arccosh(cot^2(pi/5)) = {R:.6f}; all {len(ball.edges)} "
@@ -368,18 +359,18 @@ def _check_fundamental_polygon(tol: float) -> str:
             )
     _require(set(poly.labels) == expected_labels, "corner label set differs")
 
-    angles = poly.polygon.interior_angles()
+    emb = fd.embedding
+    embedded = HPolygon(tuple(emb[w] for w in poly.labels))
     worst = max(
         abs(angle - fifths * math.pi / 5)
-        for fifths, angle in zip(poly.angle_fifths, angles)
+        for fifths, angle in zip(poly.angle_fifths, embedded.interior_angles())
     )
     _require(worst < tol, f"numeric corner angle deviation {worst:.2e}")
 
-    emb = fd.embedding
     for text in ref.SPHERE3_WORDS:
         w = _canon(text)
         _require(
-            not poly.polygon.contains(emb[w], tol=-tol),
+            not embedded.contains(emb[w], tol=-tol),
             f"length-3 vertex {text} lies strictly inside the polygon",
         )
     return (
@@ -425,9 +416,10 @@ def _check_corner_cycles(tol: float) -> str:
     _require(len(cycles) == 6, f"{len(cycles)} corner cycles")
     for c in cycles:
         _require(c.nu == 1, "cycle multiplicity differs from 1")
+        angle_sum = sum(c.fifths) * math.pi / 5
         _require(
-            abs(c.angle_sum - 2 * math.pi) < tol,
-            f"cycle angle sum {c.angle_sum:.8f}",
+            abs(angle_sum - 2 * math.pi) < tol,
+            f"cycle angle sum {angle_sum:.8f}",
         )
 
     five = next(c for c in cycles if len(c.generators) == 5)

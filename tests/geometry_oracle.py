@@ -131,9 +131,8 @@ def halfplane_intersection(center, sites: Sequence) -> HPolygon:
     the boundaries are straight chords."""
     zc = _z(center)
     kc = to_klein(zc)
+    # a box outside the disk; a corner left on it marks an unbounded cell
     verts = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
-    # tags[i] labels the edge arriving at verts[i] from verts[i-1]
-    tags: List[Optional[int]] = [None, None, None, None]
     for j, site in enumerate(sites):
         zs = _z(site)
         if abs(zs - zc) < 1e-12:
@@ -145,43 +144,22 @@ def halfplane_intersection(center, sites: Sequence) -> HPolygon:
         if nx * kc.real + ny * kc.imag > d:
             nx, ny, d = -nx, -ny, -d
         new_v: List[complex] = []
-        new_t: List[Optional[int]] = []
         m = len(verts)
         for i in range(m):
             A, B = verts[i], verts[(i + 1) % m]
-            tAB = tags[(i + 1) % m]
             fA = nx * A.real + ny * A.imag - d
             fB = nx * B.real + ny * B.imag - d
             inA, inB = fA <= 1e-12, fB <= 1e-12
-            if inA and inB:
+            if inA != inB:
+                new_v.append(A + (B - A) * (fA / (fA - fB)))
+            if inB:
                 new_v.append(B)
-                new_t.append(tAB)
-            elif inA and not inB:
-                I = A + (B - A) * (fA / (fA - fB))
-                new_v.append(I)
-                new_t.append(tAB)
-            elif not inA and inB:
-                I = A + (B - A) * (fA / (fA - fB))
-                new_v.append(I)
-                new_t.append(j)
-                new_v.append(B)
-                new_t.append(tAB)
         if len(new_v) < 3:
             raise ValueError("half-plane intersection is empty")
-        verts, tags = new_v, new_t
+        verts = new_v
     # drop zero-length edges left by corner hits
-    keep_v: List[complex] = []
-    keep_t: List[Optional[int]] = []
     m = len(verts)
-    for i in range(m):
-        if abs(verts[i] - verts[(i - 1) % m]) > 1e-9:
-            keep_v.append(verts[i])
-            keep_t.append(tags[i])
-    for i, v in enumerate(keep_v):
-        if abs(v) >= 1.0 - 1e-9:
-            raise ValueError("half-plane intersection is unbounded")
-    if any(t is None for t in keep_t):
+    keep_v = [v for i, v in enumerate(verts) if abs(v - verts[(i - 1) % m]) > 1e-9]
+    if any(abs(v) >= 1.0 - 1e-9 for v in keep_v):
         raise ValueError("half-plane intersection is unbounded")
-    points = tuple(HPoint.from_complex(from_klein(v)) for v in keep_v)
-    side_sites = tuple(keep_t[(i + 1) % len(keep_t)] for i in range(len(keep_t)))
-    return HPolygon(points, side_sites)
+    return HPolygon(tuple(HPoint.from_complex(from_klein(v)) for v in keep_v))

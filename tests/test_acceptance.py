@@ -324,11 +324,33 @@ def test_the_only_tolerance_constant_is_the_embedding_one():
     assert names == ["geometry.EMBED_TOL"]
 
 
+def test_the_exact_stages_import_no_float_machinery():
+    # dirichlet.py builds the polygon, pairings, cycles and presentation
+    # exactly; from geometry it takes only the embedding it caches for
+    # the float cross-checks and the drawing
+    tree = ast.parse((Path(cactus45.__file__).parent / "dirichlet.py").read_text())
+    modules = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    modules |= {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert not {"math", "cmath"} & modules
+    from_geometry = sorted(
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "geometry"
+        for alias in node.names
+    )
+    assert from_geometry == ["HPoint", "embed_ball"]
+
+
 def test_fundamental_domain_matches_stage_functions():
     fd = fundamental_domain()
     assert fundamental_domain() is fd
     ball = build_ball(J4P, 4)
-    polygon = _polygon(ball, embed_ball(ball))
+    polygon = _polygon(ball)
     pairings = side_pairings(polygon)
     cycles = vertex_cycles(polygon, pairings)
     assert fd.polygon == polygon

@@ -1,15 +1,13 @@
 """Fundamental 20-gon, side pairings, corner cycles, and the surface."""
 
-import cmath
 import dataclasses
 import math
-import random
 
 import pytest
 
 from cactus45 import j4prime_presentation
 from cactus45.cactus import J4P, project_to_symmetric
-from cactus45 import dirichlet
+from cactus45 import dirichlet, geometry
 from cactus45.complex import build_ball
 from cactus45.dirichlet import (
     _orbit_sites,
@@ -28,7 +26,7 @@ from cactus45.action import (
     standard_generator,
     standard_generators,
 )
-from cactus45.geometry import HPoint, edge_length_45
+from cactus45.geometry import HPolygon, edge_length_45
 from cactus45.rewrite import canonical_form, sphere, system_for
 from cactus45.words import Alphabet, Generator, Word, invert, same_relator_class
 
@@ -55,6 +53,12 @@ def canon(text):
 @pytest.fixture(scope="module")
 def polygon():
     return fundamental_domain().polygon
+
+
+@pytest.fixture(scope="module")
+def embedded(polygon):
+    emb = fundamental_domain().embedding
+    return HPolygon(tuple(emb[w] for w in polygon.labels))
 
 
 @pytest.fixture(scope="module")
@@ -95,20 +99,36 @@ def test_angle_classes(polygon):
         assert polygon.angle_fifths[polygon.corner_index(canon(text))] == 2
 
 
-def test_angles_numeric(polygon):
-    angles = polygon.polygon.interior_angles()
+def test_labels_run_counterclockwise(polygon):
+    assert [str(w) for w in polygon.labels] == [
+        "s12 s13", "s13 s24", "s13 s24 s23", "s13 s34", "s13 s12",
+        "s23 s12", "s23 s12 s34", "s23 s34", "s23 s24", "s24 s12",
+        "s24 s12 s13", "s24 s13", "s24 s23", "s34 s23", "s34 s13 s12",
+        "s34 s13", "s12 s34", "s12 s24", "s12 s23 s24", "s12 s23",
+    ]
+
+
+def test_embedded_corners_enclose_positive_signed_area(embedded):
+    # a float oracle for the orientation the labels get from the link
+    zs = [v.z for v in embedded.vertices]
+    area2 = sum((a.conjugate() * b).imag for a, b in zip(zs, zs[1:] + zs[:1]))
+    assert area2 > 0
+
+
+def test_angles_numeric(polygon, embedded):
+    angles = embedded.interior_angles()
     for mult, angle in zip(polygon.angle_fifths, angles):
         assert abs(angle - mult * FIFTH) < 1e-6
     # twenty corners, total turning fixed by the hyperbolic area (6*pi)
-    assert abs(polygon.polygon.angle_sum() - 12 * math.pi) < 1e-5
+    assert abs(embedded.angle_sum() - 12 * math.pi) < 1e-5
 
 
-def test_side_lengths(polygon):
+def test_side_lengths(polygon, embedded):
     R = edge_length_45()
     diag = math.acosh(
         math.cosh(R) ** 2 - math.sinh(R) ** 2 * math.cos(2 * math.pi / 5)
     )
-    for kind, length in zip(polygon.side_kinds, polygon.polygon.side_lengths()):
+    for kind, length in zip(polygon.side_kinds, embedded.side_lengths()):
         assert abs(length - (R if kind == "edge" else diag)) < 1e-6
 
 
@@ -124,17 +144,15 @@ def test_side_kind_pattern(polygon):
             assert {a, b} == {3, 4}
 
 
-def test_no_length3_vertex_strictly_interior(polygon):
+def test_no_length3_vertex_strictly_interior(embedded):
     # the five 2pi/5 corners lie on the boundary; every other length-3
     # vertex stays outside, so none is interior by a 1e-6 margin
-    from cactus45.complex import build_ball
     from cactus45.geometry import embed_ball
 
-    ball = build_ball(P, 4)
-    emb = embed_ball(ball)
+    emb = embed_ball(build_ball(P, 4))
     for text in TABLE_LENGTH3:
         w = canon(text)
-        assert not polygon.polygon.contains(emb[w], tol=-1e-6)
+        assert not embedded.contains(emb[w], tol=-1e-6)
 
 
 def test_word_metric_membership(polygon):
@@ -294,7 +312,6 @@ def test_cycle_angle_sums(cycles):
     for c in cycles:
         assert c.nu == 1
         assert sum(c.fifths) == 10
-        assert abs(c.angle_sum - 2 * math.pi) < 1e-6
 
 
 def test_gauss_bonnet_and_multiplicities_in_integers(polygon, pairings, cycles):
@@ -331,29 +348,38 @@ def test_an_angle_sum_that_does_not_divide_two_pi_is_rejected(polygon, pairings,
         vertex_cycles(bad, pairings)
 
 
-def test_construction_ignores_a_perturbed_embedding(monkeypatch):
-    # only the orientation reads the embedding: moving every point by up
-    # to 0.01 changes no label, angle, side, pairing or cycle
+def test_the_exact_stages_build_without_an_embedding(monkeypatch):
     fd = fundamental_domain()
-    rng = random.Random(20)
-    embed_ball = dirichlet.embed_ball
 
-    def perturbed(ball):
-        moved = {}
-        for w, p in embed_ball(ball).items():
-            z = p.z + cmath.rect(0.01 * rng.random(), 2 * math.pi * rng.random())
-            moved[w] = HPoint(z.real, z.imag)  # raises outside the disk
-        return moved
+    def refuse(ball):
+        raise AssertionError("an exact stage embedded the ball")
 
-    monkeypatch.setattr(dirichlet, "embed_ball", perturbed)
+    monkeypatch.setattr(dirichlet, "embed_ball", refuse)
+    monkeypatch.setattr(geometry, "embed_ball", refuse)
+    polygon = dirichlet._polygon(build_ball(J4P, 4))
+    pairings = side_pairings(polygon)
+    cycles = vertex_cycles(polygon, pairings)
+    assert polygon == fd.polygon
+    assert tuple(pairings) == fd.pairings
+    assert tuple(cycles) == fd.cycles
+    assert poincare_presentation(cycles) == fd.presentation
+
+
+def test_the_pipeline_embeds_once_after_the_presentation(monkeypatch):
+    calls = []
+    present, embed = dirichlet.poincare_presentation, dirichlet.embed_ball
+    monkeypatch.setattr(
+        dirichlet, "poincare_presentation",
+        lambda cycles: calls.append("presentation") or present(cycles),
+    )
+    monkeypatch.setattr(
+        dirichlet, "embed_ball", lambda ball: calls.append("embedding") or embed(ball)
+    )
     fresh = fundamental_domain.__wrapped__()
-    assert fresh.embedding != fd.embedding
-    assert fresh.polygon.labels == fd.polygon.labels
-    assert fresh.polygon.angle_fifths == fd.polygon.angle_fifths
-    assert fresh.polygon.side_kinds == fd.polygon.side_kinds
-    assert fresh.pairings == fd.pairings
-    assert fresh.cycles == fd.cycles
+    assert calls == ["presentation", "embedding"]
+    fd = fundamental_domain()
     assert fresh.presentation == fd.presentation
+    assert fresh.embedding == fd.embedding
 
 
 def test_anchored_five_cycle(cycles):
@@ -475,6 +501,12 @@ def test_toy_sphere_and_cross_cap():
 def test_bad_surface_word_rejected():
     with pytest.raises(ValueError):
         classify_identified_surface(toy("a b a"))
+
+
+def test_empty_surface_word_rejected():
+    # no side, no polygon: the empty word glues up no closed surface
+    with pytest.raises(ValueError, match="no closed surface"):
+        classify_identified_surface(Word(TRANSLATIONS, ()))
 
 
 def test_polygon_classification_needs_pairings(polygon):
