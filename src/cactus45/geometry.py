@@ -67,23 +67,12 @@ class Mobius:
             self.b.conjugate() * z + self.a.conjugate()
         )
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        # self after other
-        return Mobius(
-            self.a * other.a + self.b * other.b.conjugate(),
-            self.a * other.b + self.b * other.a.conjugate(),
-        )
-
     def inverse(self) -> "Mobius":
         return Mobius(self.a.conjugate(), -self.b)
 
     @classmethod
     def translation(cls, c: complex) -> "Mobius":
         return cls(1.0, c)
-
-    @classmethod
-    def rotation(cls, theta: float) -> "Mobius":
-        return cls(cmath.exp(0.5j * theta), 0.0)
 
 
 # -- Klein model helpers -------------------------------------------------
@@ -104,10 +93,6 @@ class HPolygon:
     def n_sides(self) -> int:
         return len(self.vertices)
 
-    def side_lengths(self) -> List[float]:
-        vs = self.vertices
-        return [hyp_distance(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
     def interior_angles(self) -> List[float]:
         vs = [v.z for v in self.vertices]
         n = len(vs)
@@ -118,9 +103,6 @@ class HPolygon:
             b = U(vs[(i + 1) % n])
             out.append((cmath.phase(a) - cmath.phase(b)) % (2 * math.pi))
         return out
-
-    def angle_sum(self) -> float:
-        return sum(self.interior_angles())
 
     def contains(self, p, tol: float = 1e-12) -> bool:
         k = to_klein(_z(p))

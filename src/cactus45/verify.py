@@ -34,12 +34,13 @@ from .action import (
     pure_elements_within,
 )
 from .cactus import (
+    J4P_MIRROR,
     Permutation,
     j4_presentation,
     j4prime_presentation,
     project_to_symmetric,
 )
-from .complex import build_ball, check_tiling, vertex_link
+from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
 from .geometry import HPolygon, edge_length_45, hyp_distance
 from .grouptheory import (
@@ -54,7 +55,7 @@ from .grouptheory import (
     tietze_eliminate,
     verify_mutual_inverse,
 )
-from .rewrite import canonical_form, sphere, system_for, words_equal
+from .rewrite import sphere, system_for, words_equal
 from .words import Word, same_relator_class
 
 
@@ -82,8 +83,20 @@ class CriterionResult:
 
 
 def _canon(text: str) -> Word:
-    P = j4prime_presentation()
-    return canonical_form(P.word(text), P)
+    """The normal form of a tabled J4' spelling (the token ``e`` aside),
+    read by walking the radius-4 ball from the identity one generator
+    name at a time.  A spelling of at most four letters has every prefix
+    in the ball, so the walk ends at its element, a vertex of the ball,
+    which is its normal form; a walk that leaves the ball raises
+    ValueError."""
+    ball = build_ball(j4prime_presentation(), 4)
+    v = ball.identity()
+    for name in text.split():
+        if name != "e":
+            v = ball.neighbor[v].get(name)
+            if v is None:
+                raise ValueError(f"spelling {text!r} leaves the radius-4 ball")
+    return v
 
 
 def _short_word(index: int) -> Word:
@@ -283,14 +296,8 @@ def _check_complex_structure(tol: float) -> str:
         len(ball2.faces) == 5, "radius-2 ball should close no other face"
     )
 
-    ball3 = ball4.restricted(3)
-    for v in ball3.interior:
-        link = vertex_link(ball3, v)
-        _require(
-            len(link) == 5 and ball3.degree(v) == 5,
-            f"interior vertex {v} lacks a pentagon link",
-        )
-    report = check_tiling(ball3)
+    # degree, faces and a pentagon link at every interior vertex
+    report = check_tiling(ball4.restricted(3))
     _require(report.ok, f"tiling check failures: {report.failures}")
     return (
         "radius-2 ball has 25 edges and exactly the 5 listed squares at the "
@@ -580,17 +587,23 @@ def _check_action_properties(tol: float) -> str:
         # the forms of TWENTY and of their products are canonical
         return image_geodesic(g, codes, start=len(g.j4p_form))
 
-    # g fixes h when the image of h, a geodesic, has the length of h and
-    # sorts to h; only such candidates are sorted
+    # g fixes h exactly when g.j4p_form = h · mirror^p(h)^-1, p the
+    # parity of g; the letters are involutions, so that inverse is the
+    # mirrored reversal of h.  For parity 0 the product is the identity
+    # for every h.  Each normal form maps to the first h that gives it
+    fixers = ({(): ball[0]}, {})
+    for h in ball:
+        inverse = tuple(J4P_MIRROR[x] for x in reversed(h.codes))
+        fixers[1].setdefault(engine.normal_form(h.codes + inverse, start=len(h)), h)
     for c, g in enumerate(TWENTY):
-        for h in ball:
-            sunk = image(g, h.codes)
-            if len(sunk) == len(h) and engine.sort(sunk) == h.codes:
-                raise VerificationError(f"{TRANSLATIONS.spell(c)} fixes the vertex {h}")
+        h = fixers[g.parity].get(g.j4p_form.codes)
+        if h is not None:
+            raise VerificationError(f"{TRANSLATIONS.spell(c)} fixes the vertex {h}")
 
+    # the forms of TWENTY are canonical, so each is its orbit point
     for g in TWENTY:
         _require(
-            len(orbit_point(g)) % 2 == 0,
+            len(g.j4p_form) % 2 == 0,
             "orbit distance of a short element is odd",
         )
 

@@ -1,5 +1,7 @@
 """Reference oracle for the half-plane Dirichlet construction: the
-metric Dirichlet cell as an intersection of hyperbolic half-planes.
+metric Dirichlet cell as an intersection of hyperbolic half-planes,
+and the float measurements of disk isometries and polygons that only
+the tests take.
 
 The package builds its fundamental polygon combinatorially (a
 word-metric Voronoi cell adapted to the square cells, in
@@ -15,7 +17,29 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from cactus45.geometry import HPoint, HPolygon, Mobius, _z, to_klein
+from cactus45.geometry import HPoint, HPolygon, Mobius, _z, hyp_distance, to_klein
+
+
+def mobius_compose(m: Mobius, other: Mobius) -> Mobius:
+    """m after other."""
+    return Mobius(
+        m.a * other.a + m.b * other.b.conjugate(),
+        m.a * other.b + m.b * other.a.conjugate(),
+    )
+
+
+def mobius_rotation(theta: float) -> Mobius:
+    """The rotation of the disk by theta about the origin."""
+    return Mobius(cmath.exp(0.5j * theta), 0.0)
+
+
+def side_lengths(poly: HPolygon) -> List[float]:
+    vs = poly.vertices
+    return [hyp_distance(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def angle_sum(poly: HPolygon) -> float:
+    return sum(poly.interior_angles())
 
 
 def hyp_midpoint(a, b) -> HPoint:

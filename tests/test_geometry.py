@@ -21,7 +21,10 @@ from geometry_oracle import (
     from_klein,
     halfplane_intersection,
     hyp_midpoint,
+    mobius_compose,
+    mobius_rotation,
     perpendicular_bisector,
+    side_lengths,
 )
 
 P = j4prime_presentation()
@@ -80,7 +83,7 @@ def test_mobius_roundtrip():
     rng = random.Random(8)
     for _ in range(20)	:
         m = Mobius.translation(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-        m = m.compose(Mobius.rotation(rng.uniform(0, 2 * math.pi)))
+        m = mobius_compose(m, mobius_rotation(rng.uniform(0, 2 * math.pi)))
         z = rand_point(rng).z
         assert abs(m(z)) < 1.0
         assert abs(m.inverse()(m(z)) - z) < 1e-12
@@ -236,7 +239,7 @@ def test_metric_cell_is_regular_ten_gon(metric_cell, emb4):
         assert len(hits) == 1
         matched.add(hits[0])
     assert matched == want
-    lengths = poly.side_lengths()
+    lengths = side_lengths(poly)
     assert max(lengths) - min(lengths) < 1e-8
 
 

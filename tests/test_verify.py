@@ -1,11 +1,15 @@
-"""The registry's own machinery: the level-by-level parity law of
-criterion 3 against `project_to_symmetric`, a mutation of one letter's
-image, planted faults in criterion 13's action checks, and the work one
-``verify-all`` run does in its costliest stages."""
+"""The registry's own machinery: tabled spellings read off the ball
+against `canonical_form`, the level-by-level parity law of criterion 3
+against `project_to_symmetric`, a mutation of one letter's image, a
+missing face in criterion 5, planted faults in criterion 13's action
+checks, and the work one ``verify-all`` run does in its costliest
+stages."""
 
 import itertools
 import sys
 from collections import Counter
+
+import pytest
 
 import cactus45.reference as ref
 from cactus45 import action, verify
@@ -13,8 +17,8 @@ from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
 from cactus45.complex import build_ball
 from cactus45.dirichlet import fundamental_domain
-from cactus45.rewrite import RewriteSystem, canonical_form, system_for
-from cactus45.words import Word
+from cactus45.rewrite import RewriteSystem, canonical_form, sphere, system_for
+from cactus45.words import Word, invert
 
 
 def _letter_images():
@@ -22,6 +26,39 @@ def _letter_images():
         project_to_symmetric(Word._from_codes(J4P.alphabet, (c,)), 4).images
         for c in range(len(J4P.alphabet))
     ]
+
+
+def _tabled_spellings():
+    """Every J4' spelling the registry reads through `verify._canon`."""
+    pairings = ref.SIDE_PAIRING_TABLE.values()
+    cycles = (ref.FIVE_TERM_CYCLE, *ref.THREE_TERM_CYCLES)
+    return (
+        *ref.SPHERE2_WORDS,
+        *ref.SPHERE3_WORDS,
+        *ref.SPHERE4_WORDS,
+        *ref.SHORT_PURE_WORDS.values(),
+        *(t for row in ref.IDENTITY_FACES for t in row),
+        *ref.CORNERS_AT_2PI5,
+        *ref.CORNERS_AT_3PI5,
+        *ref.CORNERS_AT_4PI5,
+        *(t for row in pairings for side in row for t in side),
+        *(t for cycle in cycles for t in cycle["vertices"]),
+    )
+
+
+def test_tabled_spellings_walk_to_their_normal_forms():
+    spellings = _tabled_spellings()
+    # the spheres, the short words, the faces, corners, pairings and cycles
+    assert len(spellings) == 15 + 40 + 105 + 20 + 20 + 20 + 40 + 20
+    for text in spellings:
+        assert verify._canon(text) == canonical_form(J4P.word(text), J4P), text
+
+
+def test_a_spelling_that_leaves_the_ball_is_refused():
+    # a five-letter geodesic walks out of the radius-4 ball
+    text = str(sphere(J4P, 5)[0])
+    with pytest.raises(ValueError, match="leaves the radius-4 ball"):
+        verify._canon(text)
 
 
 def test_image_levels_match_the_projection():
@@ -118,15 +155,19 @@ def test_verify_all_work_counts(monkeypatch):
     for fn, key in (
         (project_to_symmetric, per_criterion("project")),
         (action.pure_elements_within, per_criterion("enumerate")),
-        (canonical_form, in_action("canonical_form")),
     ):
         _replace(monkeypatch, fn, counted(fn, key))
+    # canonical forms and parses are counted twice: inside the action,
+    # and in the criterion that runs them
+    canon = counted(canonical_form, in_action("canonical_form"))
+    _replace(monkeypatch, canonical_form, counted(canon, per_criterion("canonical_form")))
     # on the class, so every J4' engine is counted: the J4 engine runs
     # on one, and `action` keeps the one it was imported with
     for name in ("sort", "geodesic"):
         fn = getattr(RewriteSystem, name)
         monkeypatch.setattr(RewriteSystem, name, counted(fn, per_criterion(name)))
     parse = counted(Word.parse.__func__, in_action("parse"))
+    parse = counted(parse, per_criterion("parse"))
     monkeypatch.setattr(Word, "parse", classmethod(parse))
     _replace(monkeypatch, action.gamma, acting_through(action.gamma))
     monkeypatch.setattr(PureElement, "compose", acting_through(PureElement.compose))
@@ -137,29 +178,68 @@ def test_verify_all_work_counts(monkeypatch):
     build_ball.cache_clear()
     results = verify.run_all()
     assert all(r.passed for r in results), [r.details for r in results if not r.passed]
-    # one J4' ball, radius 4: criterion 5 reads its smaller balls off it
+    # one J4' ball, radius 4, built by criterion 1's first tabled
+    # spelling: criterion 5 reads its smaller balls off it
     assert build_ball.cache_info().misses == 1
+    assert (calls["sort in 5"], calls["geodesic in 5"]) == (0, 0)
     assert 0 < calls["project in 3"] <= 5
     assert calls["enumerate in 2"] == 1
     assert sum(v for k, v in calls.items() if k.startswith("enumerate")) == 1
     assert calls["canonical_form"] == 0 and calls["parse"] == 0
+    # tabled spellings are read off the ball, so no criterion parses one
+    # to canonicalise it: criterion 2 builds the twenty and their inverses,
+    # criterion 6 the fundamental domain, and criterion 1 parses only the
+    # two spellings it certifies equal
+    canonicalised = {k: v for k, v in calls.items() if k.startswith("canonical_form in")}
+    assert canonicalised == {"canonical_form in 2": 30, "canonical_form in 6": 2}
+    assert calls["parse in 1"] == 2
     # normal forms only where a word can match: criterion 3 projects and
     # never rewrites; criterion 6 builds the fundamental domain (orbit
-    # sites, the Voronoi cell, side pairings); 13 sorts only candidates
-    # for a fixed point, products and orbit points
+    # sites, the Voronoi cell, side pairings); 13 sorts one candidate
+    # fixer per vertex of the radius-3 ball and the sampled products
     assert (calls["sort in 3"], calls["geodesic in 3"]) == (0, 0)
     assert (calls["sort in 6"], calls["geodesic in 6"]) == (181, 2315)
-    assert (calls["sort in 13"], calls["geodesic in 13"]) == (132, 2112)
+    assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 933)
+
+
+def test_a_missing_face_fails_criterion_5(monkeypatch):
+    # without one face whose farthest corner is at distance 3, the
+    # interior vertices on it lose a face and their pentagon link
+    ball = build_ball(J4P, 4)
+    face = next(f for f in ball.faces if max(map(ball.distance, f.boundary)) == 3)
+    planted = ball.without_face(face)
+    monkeypatch.setattr(verify, "build_ball", lambda P, radius: planted)
+    result = verify.run_criterion(5)
+    assert not result.passed
+    assert result.details.startswith("tiling check failures")
 
 
 def test_criterion_13_catches_a_planted_element_that_fixes_a_vertex(monkeypatch):
-    # the identity fixes every vertex; criterion 13 decides fixing from
-    # the sink's length and sorts only same-length candidates
+    # the identity fixes every vertex; among the parity-0 elements only
+    # the identity can, since g fixes h exactly when g.j4p_form = h h^-1
     planted = action.TWENTY[:3] + (PureElement.identity(),) + action.TWENTY[4:]
     monkeypatch.setattr(verify, "TWENTY", planted)
     result = verify.run_criterion(13)
     assert not result.passed
     assert result.details == "g4 fixes the vertex e"
+
+
+def test_criterion_13_catches_a_planted_parity_1_fixer(monkeypatch):
+    # a parity-1 element whose form is h · mirror(h)^-1 fixes h; the
+    # report names the first vertex of the radius-3 ball it fixes, found
+    # here by acting on each vertex
+    h = J4P.word("s12 s13 s24")
+    inverse = action.mirror_word(invert(h))
+    form = canonical_form(J4P.word(f"{h} {inverse}"), J4P)
+    fixer = PureElement(form, 1)
+    assert action.gamma(fixer, h) == h
+    ball = [v for L in range(4) for v in sphere(J4P, L)]
+    first = next(v for v in ball if action.gamma(fixer, v) == v)
+    planted = (fixer,) + action.TWENTY[1:]
+    monkeypatch.setattr(verify, "TWENTY", planted)
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == f"g1 fixes the vertex {first}"
 
 
 def test_criterion_13_catches_a_planted_action_law_failure(monkeypatch):
