@@ -20,7 +20,6 @@ from .cactus import (
     j4_presentation,
     j4prime_presentation,
     project_to_symmetric,
-    push_s14_right,
 )
 from .rewrite import canonical_form, sphere, system_for
 from .words import Alphabet, Generator, Word, invert
@@ -56,13 +55,6 @@ class PureElement:
     def __post_init__(self):
         if self.parity not in (0, 1):
             raise ValueError(f"reversal parity must be 0 or 1, not {self.parity!r}")
-
-    @classmethod
-    def from_word(cls, w: Word) -> "PureElement":
-        if project_to_symmetric(w, 4) != _ID4:
-            raise ValueError(f"{w} is not pure: nontrivial strand permutation")
-        j4p_raw, parity = push_s14_right(w)
-        return cls(canonical_form(j4p_raw, _J4P), parity)
 
     @classmethod
     def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":

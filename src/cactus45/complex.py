@@ -11,7 +11,6 @@ all of its faces are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from .rewrite import sphere, system_for
@@ -70,6 +69,7 @@ class CayleyBall:
         self.edges = edges
         self.faces = faces
         self.interior = interior
+        self._identity = Word._from_codes(presentation.alphabet, ())
         self._faces_at: Dict[Word, List[Face]] = {}
         for f in faces:
             for v in f.boundary:
@@ -88,7 +88,7 @@ class CayleyBall:
         return v in self.interior
 
     def identity(self) -> Word:
-        return Word(self.presentation.alphabet, ())
+        return self._identity
 
     def restricted(self, r: int) -> "CayleyBall":
         """The ball of radius r, 1 <= r <= radius, read off this one; it
@@ -119,29 +119,23 @@ class CayleyBall:
             ),
         )
 
-    def without_face(self, face: Face) -> "CayleyBall":
-        """Copy with one face removed (negative-control helper)."""
-        kept = tuple(f for f in self.faces if f != face)
-        if len(kept) == len(self.faces):
-            raise ValueError("face not present in ball")
-        return CayleyBall(
-            self.presentation,
-            self.radius,
-            self.vertices,
-            self.neighbor,
-            self.edges,
-            kept,
-            self.interior,
-        )
 
-
-@lru_cache(maxsize=8)
 def build_ball(P: Presentation, radius: int) -> CayleyBall:
-    """Ball of the given radius around the identity.  Built once per
-    (presentation, radius); a CayleyBall is never mutated."""
+    """Ball of the given radius around the identity, kept by the engine
+    `system_for(P)` and dropped with it; a radius below the largest kept
+    is read off that ball.  A CayleyBall is never mutated."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sys = system_for(P)
+    largest = max(sys.balls, default=0)
+    if radius > largest:
+        sys.balls[radius] = _construct(P, sys, radius)
+    elif radius not in sys.balls:
+        sys.balls[radius] = sys.balls[largest].restricted(radius)
+    return sys.balls[radius]
+
+
+def _construct(P: Presentation, sys, radius: int) -> CayleyBall:
     vertices: Dict[Word, int] = {}
     words: Dict[Tuple[int, ...], Word] = {}
     for L in range(radius + 1):

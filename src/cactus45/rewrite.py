@@ -165,6 +165,7 @@ class RewriteSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
         squares = set()
         for r in P.relators:
@@ -276,6 +277,7 @@ class SplitSystem:
         self.presentation = P
         self.n = len(P.alphabet)
         self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
 
     @property

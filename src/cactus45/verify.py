@@ -283,13 +283,12 @@ def _check_reversal_conjugation(tol: float) -> str:
 
 
 def _check_complex_structure(tol: float) -> str:
-    # the radius-4 ball of the fundamental domain, built once, holds both
-    ball4 = build_ball(j4prime_presentation(), 4)
-    ball2 = ball4.restricted(2)
-    _require(len(ball2.edges) == 25, f"radius-2 ball has {len(ball2.edges)} edges")
+    # the tabled faces, and then both smaller balls, come off the radius-4 ball
     expected_faces = {
         frozenset(_canon(x) for x in row) for row in ref.IDENTITY_FACES
     }
+    ball2 = build_ball(j4prime_presentation(), 2)
+    _require(len(ball2.edges) == 25, f"radius-2 ball has {len(ball2.edges)} edges")
     got = {f.vertex_set for f in ball2.faces_at(ball2.identity())}
     _require(got == expected_faces, "faces at the identity differ")
     _require(
@@ -297,7 +296,7 @@ def _check_complex_structure(tol: float) -> str:
     )
 
     # degree, faces and a pentagon link at every interior vertex
-    report = check_tiling(ball4.restricted(3))
+    report = check_tiling(build_ball(j4prime_presentation(), 3))
     _require(report.ok, f"tiling check failures: {report.failures}")
     return (
         "radius-2 ball has 25 edges and exactly the 5 listed squares at the "

@@ -129,14 +129,14 @@ def test_standard_generator_is_a_table_lookup():
 
 def test_from_word_roundtrip(gens):
     raw = J4.word("s13 s24 s12 s34 s14")
-    g = PureElement.from_word(raw)
+    g = action_oracle.from_word(raw)
     assert g.j4p_form == gens["g1"].j4p_form
     assert g.parity == 1
 
 
 def test_from_word_rejects_impure():
     with pytest.raises(ValueError):
-        PureElement.from_word(J4.word("s12"))
+        action_oracle.from_word(J4.word("s12"))
     with pytest.raises(ValueError):
         PureElement.from_vertex(w(A_WORDS[1]), 0)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cactus45.cactus import j4prime_presentation
 from cactus45.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -18,7 +19,10 @@ from cactus45.cli import (
     emit_report,
     main,
 )
+from cactus45.complex import _construct
+from cactus45.dirichlet import fundamental_domain
 from cactus45.reference import CENTRAL_IMAGES, TRANSLATION_GENERATORS
+from cactus45.rewrite import system_for
 
 
 def run(capsys, *argv):
@@ -353,6 +357,23 @@ def test_render_dirichlet_pairs_side_colors(tmp_path, capsys):
     for i in range(10):
         # both sides of each pairing draw in the same hue: two strokes
         assert text.count(f'stroke="hsl({i * 36}, 70%, 45%)"') == 2
+
+
+def test_render_ball_builds_one_ball_from_scratch(tmp_path, capsys, monkeypatch):
+    # the drawing's radius-3 ball is read off the radius-4 ball that the
+    # fundamental domain builds
+    built = []
+
+    def constructing(P, engine, radius):
+        built.append(radius)
+        return _construct(P, engine, radius)
+
+    monkeypatch.setattr("cactus45.complex._construct", constructing)
+    fundamental_domain.cache_clear()
+    system_for(j4prime_presentation()).balls.clear()
+    code, _, _ = run(capsys, "render", "--what", "ball", "--svg", str(tmp_path / "ball.svg"))
+    assert code == EXIT_OK
+    assert built == [4]
 
 
 def test_verify_all_passes(capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from cactus45 import (
@@ -8,8 +11,11 @@ from cactus45 import (
     j4prime_presentation,
     vertex_link,
 )
-from cactus45.words import shortlex_key
+from cactus45.complex import _construct
+from cactus45.rewrite import system_for
+from cactus45.words import Alphabet, Generator, Presentation, Word, shortlex_key
 
+from complex_helpers import without_face
 from fixtures import FACES_AT_E
 
 P = j4prime_presentation()
@@ -69,6 +75,7 @@ def test_edge_endpoint_ordering(ball2):
 
 def test_faces_at_identity(ball2):
     e = ball2.identity()
+    assert e is ball2.identity() and e == Word(P.alphabet, ())
     expected = {
         frozenset(canonical_form(w(x), P) for x in row) for row in FACES_AT_E
     }
@@ -144,7 +151,7 @@ def test_interior_links_are_pentagons(ball3):
 
 def test_deleted_face_is_detected(ball3):
     victim = next(f for f in ball3.faces if ball3.identity() in f.vertex_set)
-    damaged = ball3.without_face(victim)
+    damaged = without_face(ball3, victim)
     report = check_tiling(damaged)
     assert not report.ok
     flagged = {v for v in victim.vertex_set if damaged.is_interior(v)}
@@ -155,10 +162,10 @@ def test_deleted_face_is_detected(ball3):
 def test_without_face_requires_member(ball3, ball2):
     foreign = ball2.faces[0]
     stray = next(f for f in ball3.faces if f not in ball3.faces[:0])
-    assert ball3.without_face(stray) is not ball3
+    assert without_face(ball3, stray) is not ball3
     missing = type(foreign)(boundary=tuple(reversed(foreign.boundary)))
     with pytest.raises(ValueError):
-        ball3.without_face(missing)
+        without_face(ball3, missing)
 
 
 def test_radius_four_interior_count():
@@ -172,9 +179,11 @@ def test_radius_four_interior_count():
 
 
 def test_restricted_ball_is_the_smaller_ball():
+    # build_ball reads a smaller radius off the largest ball kept, so the
+    # comparison is with a ball built from scratch
     big = build_ball(P, 6)
     for r in range(1, 6):
-        small, built = big.restricted(r), build_ball(P, r)
+        small, built = big.restricted(r), _construct(P, system_for(P), r)
         assert small.radius == r
         assert small.vertices == built.vertices
         assert list(small.vertices) == list(built.vertices)
@@ -190,11 +199,17 @@ def test_restricted_ball_is_the_smaller_ball():
 
 
 def test_ball_cache_is_shared_and_bounded():
-    from cactus45.words import Alphabet, Generator, Presentation, Word
+    # a ball dies with its engine: the engines of eight other
+    # presentations push a throwaway one's engine out of the cache, and
+    # its ball goes with it
+    def one_letter(name):
+        alphabet = Alphabet([Generator(name, involutive=True)])
+        x = Word.parse(alphabet, name)
+        return Presentation(alphabet, [x * x])
 
     assert build_ball(P, 3) is build_ball(P, 3)
-    for i in range(20):
-        alphabet = Alphabet([Generator(f"x{i}", involutive=True)])
-        x = Word.parse(alphabet, f"x{i}")
-        assert len(build_ball(Presentation(alphabet, [x * x]), 1).vertices) == 2
-    assert build_ball.cache_info().currsize <= 8
+    dead = weakref.ref(build_ball(one_letter("throwaway"), 1))
+    for i in range(8):
+        system_for(one_letter(f"evictor{i}"))
+    gc.collect()
+    assert dead() is None

@@ -22,6 +22,7 @@ from cactus45.rewrite import (
     words_equal,
 )
 from cactus45 import words
+from cactus45.complex import build_ball
 from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
@@ -276,6 +277,7 @@ def test_one_j4prime_engine_after_eviction(monkeypatch):
     assert words_equal(J4.word("s12 s14"), J4.word("s14 s34"), J4)
     assert ran and set(ran) == {id(engine)}
     assert system_for(J4P) is engine
+    assert build_ball(J4P, 4) is system_for(J4P).balls[4]
 
 
 # ---------------------------------------------------------------------------

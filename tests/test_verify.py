@@ -15,10 +15,12 @@ import cactus45.reference as ref
 from cactus45 import action, verify
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
-from cactus45.complex import build_ball
+from cactus45.complex import _construct, build_ball
 from cactus45.dirichlet import fundamental_domain
 from cactus45.rewrite import RewriteSystem, canonical_form, sphere, system_for
 from cactus45.words import Word, invert
+
+from complex_helpers import without_face
 
 
 def _letter_images():
@@ -175,12 +177,19 @@ def test_verify_all_work_counts(monkeypatch):
     # the fundamental domain is rebuilt inside the run, so its orbit
     # sites and pairings are counted too
     fundamental_domain.cache_clear()
-    build_ball.cache_clear()
+    system_for(J4P).balls.clear()
+    built = []
+
+    def constructing(P, engine, radius):
+        built.append(radius)
+        return _construct(P, engine, radius)
+
+    monkeypatch.setattr("cactus45.complex._construct", constructing)
     results = verify.run_all()
     assert all(r.passed for r in results), [r.details for r in results if not r.passed]
     # one J4' ball, radius 4, built by criterion 1's first tabled
     # spelling: criterion 5 reads its smaller balls off it
-    assert build_ball.cache_info().misses == 1
+    assert built == [4]
     assert (calls["sort in 5"], calls["geodesic in 5"]) == (0, 0)
     assert 0 < calls["project in 3"] <= 5
     assert calls["enumerate in 2"] == 1
@@ -207,8 +216,10 @@ def test_a_missing_face_fails_criterion_5(monkeypatch):
     # interior vertices on it lose a face and their pentagon link
     ball = build_ball(J4P, 4)
     face = next(f for f in ball.faces if max(map(ball.distance, f.boundary)) == 3)
-    planted = ball.without_face(face)
-    monkeypatch.setattr(verify, "build_ball", lambda P, radius: planted)
+    planted = without_face(ball, face)
+    # the engine keeps only the planted ball, so criterion 5 reads its
+    # smaller balls off it
+    monkeypatch.setattr(system_for(J4P), "balls", {4: planted})
     result = verify.run_criterion(5)
     assert not result.passed
     assert result.details.startswith("tiling check failures")
