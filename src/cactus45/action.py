@@ -9,7 +9,6 @@ is absorbed by the mirror relabeling — followed by canonicalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .cactus import (
@@ -44,17 +43,31 @@ def embed_with_reversal(vertex: Word, parity: int) -> Word:
     return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
 
 
-@dataclass(frozen=True)
 class PureElement:
     """A pure element as its split form: the canonical five-generator
     vertex word, then a full reversal when parity is 1."""
 
-    j4p_form: Word
-    parity: int
+    __slots__ = ("j4p_form", "parity")
 
-    def __post_init__(self):
-        if self.parity not in (0, 1):
-            raise ValueError(f"reversal parity must be 0 or 1, not {self.parity!r}")
+    def __init__(self, j4p_form: Word, parity: int):
+        if parity not in (0, 1):
+            raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
+        object.__setattr__(self, "j4p_form", j4p_form)
+        object.__setattr__(self, "parity", parity)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PureElement is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.j4p_form, self.parity) == (other.j4p_form, other.parity)
+
+    def __hash__(self) -> int:
+        return hash((self.j4p_form, self.parity))
+
+    def __repr__(self) -> str:
+        return f"PureElement(j4p_form={self.j4p_form!r}, parity={self.parity!r})"
 
     @classmethod
     def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":

@@ -18,20 +18,33 @@ stored instance per unordered pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .words import Alphabet, Generator, Presentation, Word
 
 
-@dataclass(frozen=True)
 class IntervalGenerator:
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not 1 <= self.p < self.q:
-            raise ValueError(f"need 1 <= p < q, got [{self.p},{self.q}]")
+    def __init__(self, p: int, q: int):
+        if not 1 <= p < q:
+            raise ValueError(f"need 1 <= p < q, got [{p},{q}]")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IntervalGenerator is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"IntervalGenerator(p={self.p!r}, q={self.q!r})"
 
     @property
     def name(self) -> str:
@@ -129,16 +142,30 @@ def j4prime_presentation() -> Presentation:
     return J4P
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Permutation of {1..n}, stored as the image tuple (1-based)."""
 
-    images: Tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    def __init__(self, images: Tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -26,8 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .action import TRANSLATIONS, TWENTY
@@ -62,8 +61,7 @@ class UsageError(Exception):
     """Bad flag values detected after parsing."""
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """One command execution: its inputs and results."""
 
     command: str

@@ -10,8 +10,7 @@ all of its faces are present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .rewrite import sphere, system_for
 from .words import Presentation, Word, shortlex_key
@@ -21,8 +20,7 @@ class PartialLinkError(ValueError):
     """Raised when a link is requested at a non-interior vertex."""
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Quadrilateral cell; boundary starts at the shortlex-least corner
     and proceeds toward its shortlex-least neighbor on the cell."""
 
@@ -41,8 +39,7 @@ class Face:
         return cls(tuple(rot))
 
 
-@dataclass(frozen=True)
-class TilingReport:
+class TilingReport(NamedTuple):
     ok: bool
     vertex_count: int
     edge_count: int

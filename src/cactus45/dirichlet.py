@@ -38,11 +38,10 @@ stage functions themselves recompute on every call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct, takewhile
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .action import TRANSLATIONS, TWENTY, image_geodesic
 from .cactus import J4P
@@ -64,8 +63,7 @@ __all__ = [
     "vertex_cycles",
 ]
 
-@dataclass(frozen=True)
-class LabeledPolygon:
+class LabeledPolygon(NamedTuple):
     """Compact polygon whose corners are tiling vertices, listed
     counterclockwise: corner i is the canonical vertex word ``labels[i]``
     with interior angle ``angle_fifths[i]``·(pi/5).  Side i runs from
@@ -92,8 +90,7 @@ class LabeledPolygon:
         return [self.side_words(i) for i in range(len(self.labels))]
 
 
-@dataclass(frozen=True)
-class SidePairing:
+class SidePairing(NamedTuple):
     """One translation generator carrying a boundary side onto another.
 
     ``code`` is the generator's letter code in `TRANSLATIONS`, and
@@ -106,8 +103,7 @@ class SidePairing:
     target: Tuple[Word, Word]
 
 
-@dataclass(frozen=True)
-class VertexCycle:
+class VertexCycle(NamedTuple):
     """Closed walk of side pairings around one corner class.
 
     Applying the letters of ``word``, a word over `TRANSLATIONS`,
@@ -127,8 +123,7 @@ class VertexCycle:
         return tuple(map(TRANSLATIONS.spell, self.word.codes))
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     euler_characteristic: int
     orientable: bool
     name: str
@@ -486,8 +481,7 @@ def classify_identified_surface(
 # the whole pipeline, built once
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(NamedTuple):
     """The fixed objects of the proof, in the order they are built: the
     radius-4 J4' ball, the 20-gon, the ten side pairings, the six corner
     cycles and the presentation they induce, all exact.  The ball's {4,5}

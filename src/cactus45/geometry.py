@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .complex import CayleyBall
 from .words import Word
@@ -28,14 +27,31 @@ def edge_length_45() -> float:
 _R = edge_length_45()
 
 
-@dataclass(frozen=True)
 class HPoint:
-    x: float
-    y: float
+    """A point of the open unit disk.  Not a tuple: `render_svg` reads a
+    tuple entry as a (point, label) pair."""
 
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise ValueError(f"({self.x}, {self.y}) is not inside the unit disk")
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        if x * x + y * y >= 1.0:
+            raise ValueError(f"({x}, {y}) is not inside the unit disk")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HPoint is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"HPoint(x={self.x!r}, y={self.y!r})"
 
     @classmethod
     def from_complex(cls, z: complex) -> "HPoint":
@@ -55,8 +71,7 @@ def hyp_distance(a, b) -> float:
     return 2.0 * math.atanh(abs((zb - za) / (1.0 - za.conjugate() * zb)))
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(NamedTuple):
     """Orientation-preserving disk isometry z -> (a z + b)/(conj(b) z + conj(a))."""
 
     a: complex
@@ -82,8 +97,7 @@ def to_klein(z: complex) -> complex:
     return 2.0 * z / (1.0 + abs(z) ** 2)
 
 
-@dataclass(frozen=True)
-class HPolygon:
+class HPolygon(NamedTuple):
     """Compact hyperbolic polygon; vertices counterclockwise, side i
     running from vertices[i] to vertices[i+1]."""
 

@@ -13,11 +13,10 @@ one-relator groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .words import (
     Alphabet,
@@ -207,8 +206,7 @@ def abelianization_invariants(P: Presentation) -> Tuple[int, Tuple[int, ...]]:
 # triviality certificates
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(NamedTuple):
     """Inserts (`Move` of kind "insert") that take `word` to the empty
     word, each splice followed by free reduction: deleting a relator
     occurrence is the special case where the splice cancels it whole."""
@@ -366,8 +364,7 @@ def dehn_reduce(
 # exact word problem
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Exact verdict of `word_problem_search`.
 
     status is "TRIVIAL", with a replay-checked certificate, or
@@ -505,19 +502,45 @@ def standard_expansion_images() -> Dict[str, Word]:
 # homomorphisms and their verification
 
 
-@dataclass(frozen=True)
 class GroupHom:
-    source: Presentation
-    target: Presentation
-    images: Mapping[str, Word]
-    name: str = ""
+    __slots__ = ("source", "target", "images", "name")
 
-    def __post_init__(self):
-        for gen_name in self.source.alphabet.names():
-            if gen_name not in self.images:
+    def __init__(
+        self,
+        source: Presentation,
+        target: Presentation,
+        images: Mapping[str, Word],
+        name: str = "",
+    ):
+        for gen_name in source.alphabet.names():
+            if gen_name not in images:
                 raise ValueError(f"no image for generator {gen_name}")
-            if self.images[gen_name].alphabet != self.target.alphabet:
+            if images[gen_name].alphabet != target.alphabet:
                 raise ValueError(f"image of {gen_name} is not a target word")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GroupHom is immutable")
+
+    def _key(self) -> Tuple:
+        return (self.source, self.target, self.images, self.name)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"GroupHom(source={self.source!r}, target={self.target!r}, "
+            f"images={self.images!r}, name={self.name!r})"
+        )
 
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source.alphabet:
@@ -525,8 +548,7 @@ class GroupHom:
         return substitute(w, self.images)
 
 
-@dataclass(frozen=True)
-class WellDefinedVerdict:
+class WellDefinedVerdict(NamedTuple):
     """verdict is "verified" or "refuted"; each detail row is
     (checked word, oracle used, status)."""
 

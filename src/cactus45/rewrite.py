@@ -45,9 +45,8 @@ Every answer is exact: no operation is cut off by a search limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .words import Move, Presentation, Word
 from . import cactus
@@ -56,24 +55,37 @@ PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
 EQUAL = "EQUAL"
 
 
-@dataclass(frozen=True)
 class RewriteBudget:
     """Search limits of the former bounded engine.  Only `sphere`
     accepts one, and ignores it; kept because `perfbench/passrun.py`
     passes one to `sphere`."""
 
-    slack: int = 2
-    max_states: int = 200_000
+    __slots__ = ("slack", "max_states")
 
-    def __post_init__(self):
-        if self.slack < 0 or self.slack % 2 != 0:
+    def __init__(self, slack: int = 2, max_states: int = 200_000):
+        if slack < 0 or slack % 2 != 0:
             raise ValueError("slack must be a nonnegative even integer")
-        if self.max_states <= 0:
+        if max_states <= 0:
             raise ValueError("max_states must be positive")
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "max_states", max_states)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RewriteBudget is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.slack, self.max_states) == (other.slack, other.max_states)
+
+    def __hash__(self) -> int:
+        return hash((self.slack, self.max_states))
+
+    def __repr__(self) -> str:
+        return f"RewriteBudget(slack={self.slack!r}, max_states={self.max_states!r})"
 
 
-@dataclass(frozen=True)
-class EqualityCertificate:
+class EqualityCertificate(NamedTuple):
     moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation, w: Word) -> Word:
@@ -126,8 +138,7 @@ class EqualityCertificate:
             return False
 
 
-@dataclass(frozen=True)
-class EqualityResult:
+class EqualityResult(NamedTuple):
     """`certificate` is set for EQUAL when one was asked for; `witness`
     holds the two distinct normal forms of a PROVEN-UNEQUAL pair."""
 

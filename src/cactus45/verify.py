@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import reference as ref
 from .action import (
@@ -68,8 +67,7 @@ def _require(condition: bool, message: str) -> None:
         raise VerificationError(message)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """One pass/fail line of the verification registry."""
 
     number: int

@@ -19,6 +19,12 @@ lists once, in `forms`, the relator rotations a move may use, and a
 `Move` is the step of both certificates (square moves proving equality
 in the rewrite layer, Dehn splices proving triviality in grouptheory).
 
+Records generate no code at import.  A plain record is a `NamedTuple`,
+like `Move`; one that validates its fields, or must not act as a tuple,
+is a `__slots__` class with written-out methods, like `Generator`: equal
+when its class and fields are, hashed as the tuple of its fields,
+immutable, and shown as ``Name(field=value, ...)``.
+
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``; so no generator may be
 named ``e`` or end in ``^-1``.
@@ -26,27 +32,35 @@ named ``e`` or end in ``^-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Letter = Tuple[str, int]
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    involutive: bool = False
+    __slots__ = ("name", "involutive")
 
-    def __post_init__(self):
+    def __init__(self, name: str, involutive: bool = False):
         # `e` spells the empty word and `^-1` marks an inverse, so either
         # name would not read back as its own letter
-        if (
-            not self.name
-            or any(ch.isspace() for ch in self.name)
-            or self.name == "e"
-            or self.name.endswith("^-1")
-        ):
-            raise ValueError(f"bad generator name {self.name!r}")
+        if not name or any(ch.isspace() for ch in name) or name == "e" or name.endswith("^-1"):
+            raise ValueError(f"bad generator name {name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "involutive", involutive)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Generator is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.involutive) == (other.name, other.involutive)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.involutive))
+
+    def __repr__(self) -> str:
+        return f"Generator(name={self.name!r}, involutive={self.involutive!r})"
 
 
 class Alphabet:

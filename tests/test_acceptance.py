@@ -271,6 +271,37 @@ def test_package_imports_only_the_stdlib():
     assert done.stdout.split() == ["0", "False"], done.stderr
 
 
+def test_records_generate_no_code_at_import():
+    # `dataclasses` builds each record's methods with `exec` and loads
+    # `inspect`; a cold command pays for both before it does any work
+    importers = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            importers += [path.name for name in names if name.split(".")[0] == "dataclasses"]
+    assert importers == []
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from cactus45.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify-all'])\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    src = str(Path(cactus45.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.stdout.split() == ["0", "False", "False"], done.stderr
+
+
 def _caches():
     """(module.function, maxsize) for every cache decorator in the
     package; a bare decorator, a size that is not a literal and

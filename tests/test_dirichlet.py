@@ -1,6 +1,5 @@
 """Fundamental 20-gon, side pairings, corner cycles, and the surface."""
 
-import dataclasses
 import math
 
 import pytest
@@ -328,8 +327,8 @@ def test_a_cycle_with_half_the_angle_has_multiplicity_two(polygon, pairings, cyc
     # the registry's cycles all have nu = 1; halving the five 2pi/5
     # corners gives the five-term cycle angle sum pi, so nu = 2, and
     # the presentation repeats its relator twice
-    halved = dataclasses.replace(
-        polygon, angle_fifths=tuple(1 if f == 2 else f for f in polygon.angle_fifths)
+    halved = polygon._replace(
+        angle_fifths=tuple(1 if f == 2 else f for f in polygon.angle_fifths)
     )
     changed = vertex_cycles(halved, pairings)
     assert [c.word for c in changed] == [c.word for c in cycles]
@@ -342,9 +341,7 @@ def test_a_cycle_with_half_the_angle_has_multiplicity_two(polygon, pairings, cyc
 
 @pytest.mark.parametrize("shift", [lambda f: 3, lambda f: f + 1])
 def test_an_angle_sum_that_does_not_divide_two_pi_is_rejected(polygon, pairings, shift):
-    bad = dataclasses.replace(
-        polygon, angle_fifths=tuple(map(shift, polygon.angle_fifths))
-    )
+    bad = polygon._replace(angle_fifths=tuple(map(shift, polygon.angle_fifths)))
     with pytest.raises(ValueError, match="angle sum"):
         vertex_cycles(bad, pairings)
 

@@ -282,6 +282,17 @@ def test_render_ball_scene(ball2, emb4):
     ET.fromstring(svg)
 
 
+def test_render_labels_only_a_point_paired_with_one(emb4):
+    # a bare HPoint is a point, not a (point, label) pair
+    p = emb4[w("s12 s23")]
+    bare = render_svg([{"kind": "points", "points": [p]}])
+    labelled = render_svg([{"kind": "points", "points": [(p, "e")]}])
+    assert "<text" not in bare and labelled.count("<text") == 1
+    assert ">e</text>" in labelled
+    dots = [line for line in labelled.splitlines() if "<text" not in line]
+    assert "\n".join(dots) == bare
+
+
 def test_render_polygon_scene(metric_cell):
     colors = [f"hsl({36 * (i % 10)},70%,45%)" for i in range(10)]
     svg = render_svg(
