@@ -21,7 +21,7 @@ from .cactus import (
     project_to_symmetric,
 )
 from .rewrite import canonical_form, sphere, system_for
-from .words import Alphabet, Generator, Word, invert
+from .words import Alphabet, Generator, Record, Word, invert
 
 _J4 = j4_presentation()
 _J4P = j4prime_presentation()
@@ -43,7 +43,7 @@ def embed_with_reversal(vertex: Word, parity: int) -> Word:
     return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
 
 
-class PureElement:
+class PureElement(Record):
     """A pure element as its split form: the canonical five-generator
     vertex word, then a full reversal when parity is 1."""
 
@@ -52,22 +52,9 @@ class PureElement:
     def __init__(self, j4p_form: Word, parity: int):
         if parity not in (0, 1):
             raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
-        object.__setattr__(self, "j4p_form", j4p_form)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PureElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.j4p_form, self.parity) == (other.j4p_form, other.parity)
-
-    def __hash__(self) -> int:
-        return hash((self.j4p_form, self.parity))
-
-    def __repr__(self) -> str:
-        return f"PureElement(j4p_form={self.j4p_form!r}, parity={self.parity!r})"
+        if j4p_form.alphabet != _J4P.alphabet:
+            raise ValueError(f"{j4p_form} is not a word over the J_4' alphabet")
+        super().__init__(j4p_form, parity)
 
     @classmethod
     def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":

@@ -18,33 +18,18 @@ stored instance per unordered pair.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .words import Alphabet, Generator, Presentation, Word
+from .words import Alphabet, Generator, Presentation, Record, Word
 
 
-class IntervalGenerator:
+class IntervalGenerator(Record):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
         if not 1 <= p < q:
             raise ValueError(f"need 1 <= p < q, got [{p},{q}]")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntervalGenerator is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"IntervalGenerator(p={self.p!r}, q={self.q!r})"
+        super().__init__(p, q)
 
     @property
     def name(self) -> str:
@@ -142,30 +127,17 @@ def j4prime_presentation() -> Presentation:
     return J4P
 
 
-class Permutation:
+class Permutation(Record):
     """Permutation of {1..n}, stored as the image tuple (1-based)."""
 
     __slots__ = ("images",)
 
-    def __init__(self, images: Tuple[int, ...]):
+    def __init__(self, images: Sequence[int]):
+        images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
+        super().__init__(images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

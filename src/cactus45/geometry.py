@@ -13,7 +13,7 @@ import math
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .complex import CayleyBall
-from .words import Word
+from .words import Record, Word
 
 EMBED_TOL = 1e-6
 
@@ -27,31 +27,17 @@ def edge_length_45() -> float:
 _R = edge_length_45()
 
 
-class HPoint:
+class HPoint(Record):
     """A point of the open unit disk.  Not a tuple: `render_svg` reads a
     tuple entry as a (point, label) pair."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float):
-        if x * x + y * y >= 1.0:
+        # written so that a NaN coordinate fails it too
+        if not x * x + y * y < 1.0:
             raise ValueError(f"({x}, {y}) is not inside the unit disk")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HPoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"HPoint(x={self.x!r}, y={self.y!r})"
+        super().__init__(x, y)
 
     @classmethod
     def from_complex(cls, z: complex) -> "HPoint":

@@ -23,6 +23,7 @@ from .words import (
     Generator,
     Move,
     Presentation,
+    Record,
     Word,
     free_reduce,
     invert,
@@ -502,7 +503,7 @@ def standard_expansion_images() -> Dict[str, Word]:
 # homomorphisms and their verification
 
 
-class GroupHom:
+class GroupHom(Record):
     __slots__ = ("source", "target", "images", "name")
 
     def __init__(
@@ -517,30 +518,7 @@ class GroupHom:
                 raise ValueError(f"no image for generator {gen_name}")
             if images[gen_name].alphabet != target.alphabet:
                 raise ValueError(f"image of {gen_name} is not a target word")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupHom is immutable")
-
-    def _key(self) -> Tuple:
-        return (self.source, self.target, self.images, self.name)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"GroupHom(source={self.source!r}, target={self.target!r}, "
-            f"images={self.images!r}, name={self.name!r})"
-        )
+        super().__init__(source, target, images, name)
 
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source.alphabet:

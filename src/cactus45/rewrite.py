@@ -48,14 +48,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .words import Move, Presentation, Word
+from .words import Move, Presentation, Record, Word
 from . import cactus
 
 PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
 EQUAL = "EQUAL"
 
 
-class RewriteBudget:
+class RewriteBudget(Record):
     """Search limits of the former bounded engine.  Only `sphere`
     accepts one, and ignores it; kept because `perfbench/passrun.py`
     passes one to `sphere`."""
@@ -67,22 +67,7 @@ class RewriteBudget:
             raise ValueError("slack must be a nonnegative even integer")
         if max_states <= 0:
             raise ValueError("max_states must be positive")
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "max_states", max_states)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RewriteBudget is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slack, self.max_states) == (other.slack, other.max_states)
-
-    def __hash__(self) -> int:
-        return hash((self.slack, self.max_states))
-
-    def __repr__(self) -> str:
-        return f"RewriteBudget(slack={self.slack!r}, max_states={self.max_states!r})"
+        super().__init__(slack, max_states)
 
 
 class EqualityCertificate(NamedTuple):

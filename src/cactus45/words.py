@@ -21,9 +21,13 @@ in the rewrite layer, Dehn splices proving triviality in grouptheory).
 
 Records generate no code at import.  A plain record is a `NamedTuple`,
 like `Move`; one that validates its fields, or must not act as a tuple,
-is a `__slots__` class with written-out methods, like `Generator`: equal
-when its class and fields are, hashed as the tuple of its fields,
-immutable, and shown as ``Name(field=value, ...)``.
+subclasses `Record`, like `Generator`, and keeps only its `__slots__`,
+its properties and an `__init__` that validates and then hands the
+fields to `Record.__init__` in `__slots__` order.  `Record` makes it
+equal when its class and fields are, hashed as the tuple of its fields,
+immutable (assignment and `del` refused), shown as
+``Name(field=value, ...)``, and copied or pickled by calling the class
+again, so a loaded record is validated once more.
 
 Serialisation: letters joined by single spaces, inverses marked with a
 trailing ``^-1``, the empty word written ``e``; so no generator may be
@@ -37,7 +41,40 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 Letter = Tuple[str, int]
 
 
-class Generator:
+class Record:
+    """Base of the validating records: see the module docstring."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, field, value)
+
+    def _fields(self) -> Tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Generator(Record):
     __slots__ = ("name", "involutive")
 
     def __init__(self, name: str, involutive: bool = False):
@@ -45,22 +82,7 @@ class Generator:
         # name would not read back as its own letter
         if not name or any(ch.isspace() for ch in name) or name == "e" or name.endswith("^-1"):
             raise ValueError(f"bad generator name {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "involutive", involutive)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Generator is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.involutive) == (other.name, other.involutive)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.involutive))
-
-    def __repr__(self) -> str:
-        return f"Generator(name={self.name!r}, involutive={self.involutive!r})"
+        super().__init__(name, involutive)
 
 
 class Alphabet:
@@ -158,6 +180,11 @@ class Word:
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Word is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Word._from_codes, (self.alphabet, self.codes)
 
     @property
     def letters(self) -> Tuple[Letter, ...]:
@@ -353,6 +380,11 @@ class Presentation:
 
     def __setattr__(self, *a):
         raise AttributeError("Presentation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Presentation, (self.alphabet, self.relators)
 
     def __eq__(self, other) -> bool:
         return (

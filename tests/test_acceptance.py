@@ -302,6 +302,28 @@ def test_records_generate_no_code_at_import():
     assert done.stdout.split() == ["0", "False", "False"], done.stderr
 
 
+def test_record_methods_are_written_only_in_words():
+    # `words.Record` holds the record convention once; a class elsewhere
+    # that defines one of these keeps a second copy of it
+    names = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"}
+    found = []
+    for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined = [node.name]
+                elif isinstance(node, ast.Assign):
+                    defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}:{cls.name}.{n}" for n in defined if n in names]
+    assert found == []
+
+
 def _caches():
     """(module.function, maxsize) for every cache decorator in the
     package; a bare decorator, a size that is not a literal and

@@ -1,15 +1,17 @@
 """Record semantics of every record type the package defines.
 
-Each record is a `NamedTuple` or a `__slots__` class with written-out
-methods.  Either way it is equal by its fields, hashes as the tuple of
-its fields (so set and dict orders do not depend on the record type),
-refuses assignment, shows as ``Name(field=value, ...)`` and takes its
-fields by position or by keyword.  The instances are the ones the
-package builds.
+Each record is a `NamedTuple` or a subclass of `words.Record`.  Either
+way it is equal by its fields, hashes as the tuple of its fields (so set
+and dict orders do not depend on the record type), refuses assignment
+and `del`, shows as ``Name(field=value, ...)``, takes its fields by
+position or by keyword, and survives copy, deepcopy and pickle.  The
+instances are the ones the package builds.
 """
 
 import contextlib
+import copy
 import io
+import pickle
 
 import pytest
 
@@ -18,6 +20,7 @@ from cactus45.cactus import (
     IntervalGenerator,
     Permutation,
     interval_generators,
+    j4_presentation,
     j4prime_presentation,
     project_to_symmetric,
 )
@@ -176,6 +179,14 @@ def test_records_keep_their_semantics(name, monkeypatch):
     for field in fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field, None))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == twin
+    assert copy.copy(a) == a
+    # the domain's embedding is a read-only MappingProxyType, on purpose
+    if name != "FundamentalDomain":
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(a) == f"{name}({shown})"
 
@@ -193,6 +204,25 @@ def test_small_records_show_their_fields():
     assert repr(grouptheory.SearchResult("NONTRIVIAL")) == (
         "SearchResult(status='NONTRIVIAL', certificate=None, witness=None, oracle='dehn')"
     )
+
+
+def test_permutation_stores_its_images_as_a_tuple():
+    listed = Permutation([2, 1])
+    assert listed.images == (2, 1) and listed == Permutation((2, 1))
+    assert hash(listed) == hash(((2, 1),))
+
+
+def test_words_and_presentations_copy_pickle_and_refuse_del():
+    w = PP.word("s12 s34^-1 s13")
+    for field in ("alphabet", "codes"):
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+    with pytest.raises(AttributeError):
+        del PP.relators
+    for value in (w, PP):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+    assert pickle.loads(pickle.dumps(PP)).forms == PP.forms
 
 
 def _hom_with_a_foreign_image():
@@ -214,6 +244,8 @@ def _hom_with_a_foreign_image():
         (lambda: IntervalGenerator(0, 3), "need 1 <= p < q"),
         (lambda: Permutation((0, 1)), "not a bijection"),
         (lambda: HPoint(x=1.5, y=0.0), "not inside the unit disk"),
+        (lambda: HPoint(float("nan"), 0.0), "not inside the unit disk"),
+        (lambda: action.PureElement(j4_presentation().word("s14"), 0), "J_4' alphabet"),
         (_hom_with_a_foreign_image, "image of beta is not a target word"),
     ],
     ids=[
@@ -223,6 +255,8 @@ def _hom_with_a_foreign_image():
         "interval-zero",
         "permutation-zero",
         "hpoint-outside",
+        "hpoint-nan",
+        "pure-alphabet",
         "hom-alphabet",
     ],
 )
