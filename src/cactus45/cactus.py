@@ -228,15 +228,13 @@ def is_pure(w: Word, n: int) -> bool:
     return project_to_symmetric(w, n).is_identity()
 
 
-_MIRROR4 = {"s12": "s34", "s34": "s12", "s13": "s24", "s24": "s13", "s23": "s23"}
-
-
 # letter codes of J_4 and J_4' follow the order of interval_generators
 _J4_NAMES = J4.alphabet.names()
 _J4P_NAMES = J4P.alphabet.names()
 S14 = _J4_NAMES.index("s14")
 J4P_TO_J4 = tuple(_J4_NAMES.index(nm) for nm in _J4P_NAMES)
-J4P_MIRROR = tuple(_J4P_NAMES.index(_MIRROR4[nm]) for nm in _J4P_NAMES)
+_J4P_GENS = interval_generators(4, {2, 3})
+J4P_MIRROR = tuple(_J4P_GENS.index(_mirror_in(g, IntervalGenerator(1, 4))) for g in _J4P_GENS)
 _J4_TO_J4P = {c: i for i, c in enumerate(J4P_TO_J4)}
 
 

@@ -33,7 +33,7 @@ from .action import TRANSLATIONS, TWENTY
 from .cactus import j4_presentation, j4prime_presentation, project_to_symmetric
 from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
-from .geometry import HPolygon, render_svg
+from .geometry import HPolygon, embed_ball, render_svg
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     TrivialityCertificate,
@@ -296,7 +296,7 @@ _PALETTE = [f"hsl({i * 36}, 70%, 45%)" for i in range(10)]
 
 def _render_layers(what: str) -> List[dict]:
     fd = fundamental_domain()
-    emb, identity = fd.embedding, fd.ball.identity()
+    emb, identity = embed_ball(fd.ball), fd.ball.identity()
 
     def edges(ball, color: str, width: int) -> dict:
         segments = [(emb[u], emb[v]) for u, v, _ in ball.edges]

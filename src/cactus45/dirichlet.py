@@ -30,9 +30,8 @@ run counterclockwise in alphabet order, and so do the first letters of
 the corners on a counterclockwise walk.  No stage reads a float.
 
 `fundamental_domain()` runs these stages once, in this order, and keeps
-the result; it is the one place the package memoises them.  It embeds
-the ball last, for the float cross-checks and the drawing alone.  The
-stage functions themselves recompute on every call.
+the exact result, with no embedding; it is the one place the package
+memoises them.  The stage functions recompute on every call.
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product as _iproduct, takewhile
-from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .action import TRANSLATIONS, TWENTY, image_geodesic
 from .cactus import J4P
 from .complex import CayleyBall, build_ball
-from .geometry import HPoint, embed_ball
 from .rewrite import canonical_form, system_for
 from .words import Presentation, Word, shortlex_key
 
@@ -484,16 +481,13 @@ def classify_identified_surface(
 class FundamentalDomain(NamedTuple):
     """The fixed objects of the proof, in the order they are built: the
     radius-4 J4' ball, the 20-gon, the ten side pairings, the six corner
-    cycles and the presentation they induce, all exact.  The ball's {4,5}
-    embedding comes last; only the float cross-checks and the drawing
-    read it.  Every caller shares it, so it is a read-only view."""
+    cycles and the presentation they induce: exact, with no embedding."""
 
     ball: CayleyBall
     polygon: LabeledPolygon
     pairings: Tuple[SidePairing, ...]
     cycles: Tuple[VertexCycle, ...]
     presentation: Presentation
-    embedding: Mapping[Word, HPoint]
 
 
 @lru_cache(maxsize=1)
@@ -504,5 +498,4 @@ def fundamental_domain() -> FundamentalDomain:
     pairings = tuple(side_pairings(polygon))
     cycles = tuple(vertex_cycles(polygon, pairings))
     presentation = poincare_presentation(cycles)
-    embedding = MappingProxyType(embed_ball(ball))
-    return FundamentalDomain(ball, polygon, pairings, cycles, presentation, embedding)
+    return FundamentalDomain(ball, polygon, pairings, cycles, presentation)

@@ -1,9 +1,7 @@
 """Poincaré-disk geometry: the regular {4,5} embedding of Cayley
 balls, compact polygons, and SVG rendering.  The registry's float
 cross-checks and the drawing read it; the fundamental domain does not.
-
-Double precision throughout; pointwise identities hold to 1e-9 and
-propagated placements to 1e-6.
+Double precision throughout; pointwise identities hold to 1e-9.
 """
 
 from __future__ import annotations
@@ -12,10 +10,9 @@ import cmath
 import math
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
+from .cactus import J4P
 from .complex import CayleyBall
 from .words import Record, Word
-
-EMBED_TOL = 1e-6
 
 
 def edge_length_45() -> float:
@@ -117,63 +114,46 @@ class HPolygon(NamedTuple):
 
 # -- embedding the Cayley ball ------------------------------------------
 
+# the generators whose edge symmetry is the reflection in the edge's
+# perpendicular bisector, not the half-turn about its midpoint: of the
+# 32 choices, the one that makes every J4' relator compose to the identity
+_REFLECTING = frozenset({"s12", "s23", "s34"})
 
-def embed_ball(ball: CayleyBall, tol: float = EMBED_TOL) -> Dict[Word, HPoint]:
+
+def _compose(f, g):
+    """The isometry z -> f(g(z)); (m, flip) is z -> m(conj(z) if flip else z)."""
+    (m, flip), (n, flop) = f, g
+    if flip:  # conj(n(w)) is n with conjugated coefficients at conj(w)
+        n = Mobius(n.a.conjugate(), n.b.conjugate())
+    a, b = m.a * n.a + m.b * n.b.conjugate(), m.a * n.b + m.b * n.a.conjugate()
+    return Mobius(a, b), flip != flop
+
+
+def _edge_symmetries(names: Sequence[str]):
+    """The k-th name's isometry swapping 0 with its neighbour t*exp(2*pi*i*k/5)."""
+    t = math.tanh(_R / 2.0)
+    out = []
+    for k, name in enumerate(names):
+        u = cmath.exp(2j * math.pi * k / 5)
+        flip = name in _REFLECTING
+        out.append((Mobius(-1j * u, 1j * t) if flip else Mobius(-1j, 1j * t * u), flip))
+    return out
+
+
+def embed_ball(ball: CayleyBall) -> Dict[Word, HPoint]:
     """Isometric {4,5} placement: identity at the origin, the first
     generator edge along the positive x axis, neighbors spread
-    counterclockwise at 2*pi/5 steps in alphabet order.
-
-    Every edge is revisited from both endpoints, so any failure of the
-    faces to close up beyond `tol` is detected and reported.
-    """
-    order = tuple(g.name for g in ball.presentation.alphabet)
-    if len(order) != 5:
-        raise ValueError("embedding requires the five-generator presentation")
-    # generators whose edge symmetry is a reflection rather than a
-    # half-turn; crossing such an edge mirrors the cyclic star order
-    # (forced by requiring the quadrilateral relator orientations to
-    # multiply to the identity)
-    reflecting = {order[0], order[2], order[4]}
-    t = math.tanh(_R / 2.0)
-    e = ball.identity()
-    pos: Dict[Word, complex] = {e: 0.0 + 0.0j}
-    orient: Dict[Word, int] = {e: 1}
-    angles: Dict[Word, Dict[str, float]] = {
-        e: {name: 2 * math.pi * k / 5 for k, name in enumerate(order)}
-    }
-    queue = [e]
-    while queue:
-        u = queue.pop(0)
-        zu = pos[u]
-        T = Mobius.translation(zu)
-        for s in order:
-            v = ball.neighbor[u].get(s)
-            if v is None:
-                continue
-            target = T(t * cmath.exp(1j * angles[u][s]))
-            if v in pos:
-                if abs(pos[v] - target) > tol:
-                    culprits = [
-                        f.boundary
-                        for f in ball.faces_at(u)
-                        if v in f.vertex_set
-                    ]
-                    raise ValueError(
-                        f"embedding failed to close along edge ({u}, {s}) "
-                        f"at faces {culprits}: deviation {abs(pos[v] - target):.3e}"
-                    )
-                continue
-            pos[v] = target
-            w = (zu - target) / (1.0 - target.conjugate() * zu)
-            phi = cmath.phase(w)
-            orient[v] = -orient[u] if s in reflecting else orient[u]
-            local = order if orient[v] > 0 else tuple(reversed(order))
-            idx = local.index(s)
-            angles[v] = {
-                local[(idx + k) % 5]: phi + 2 * math.pi * k / 5 for k in range(5)
-            }
-            queue.append(v)
-    return {v: HPoint.from_complex(z) for v, z in pos.items()}
+    counterclockwise at 2*pi/5 steps in alphabet order.  A vertex's
+    isometry is its parent's (its normal form less the last letter)
+    after that letter's edge symmetry, and the vertex is its image of 0."""
+    if ball.presentation.alphabet != J4P.alphabet:
+        raise ValueError("embedding requires the J4' presentation")
+    edge = _edge_symmetries(J4P.alphabet.names())
+    iso = {(): (Mobius(1.0, 0j), False)}
+    for v in ball.vertices:
+        if v.codes:
+            iso[v.codes] = _compose(iso[v.codes[:-1]], edge[v.codes[-1]])
+    return {v: HPoint.from_complex(iso[v.codes][0](0j)) for v in ball.vertices}
 
 
 # -- SVG rendering -------------------------------------------------------

@@ -409,7 +409,7 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
         raise ValueError(f"unknown oracle {oracle!r}")
     if w.alphabet != P.alphabet:
         raise ValueError("word over a different alphabet")
-    if P == _TEN:
+    if P.alphabet == _TEN.alphabet and P.forms == _TEN.forms:
         return _dehn_decide(substitute(w, _STANDARD_IMAGES), _FIVE, "tietze+dehn")
     if oracle == "tietze":
         raise ValueError("the tietze oracle decides ten-generator words")

@@ -41,7 +41,7 @@ from .cactus import (
 )
 from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
-from .geometry import HPolygon, edge_length_45, hyp_distance
+from .geometry import HPolygon, edge_length_45, embed_ball, hyp_distance
 from .grouptheory import (
     STANDARD_ELIMINATIONS,
     abelianization_invariants,
@@ -311,10 +311,10 @@ def _check_geometry_metrics(tol: float) -> str:
     R = edge_length_45()
     target = math.acosh(1.0 / math.tan(math.pi / 5) ** 2)
     _require(abs(R - target) < 1e-12, "edge length departs from closed form")
-    _require(abs(R - 1.253739) < tol, f"edge length {R:.6f}")
+    _require(f"{R:.6f}" == "1.253739", f"edge length {R:.6f}")
 
-    fd = fundamental_domain()
-    emb, ball = fd.embedding, fd.ball
+    ball = fundamental_domain().ball
+    emb = embed_ball(ball)
     worst_edge = max(
         abs(hyp_distance(emb[u], emb[v]) - R) for u, v, _ in ball.edges
     )
@@ -363,7 +363,7 @@ def _check_fundamental_polygon(tol: float) -> str:
             )
     _require(set(poly.labels) == expected_labels, "corner label set differs")
 
-    emb = fd.embedding
+    emb = embed_ball(fd.ball)
     embedded = HPolygon(tuple(emb[w] for w in poly.labels))
     worst = max(
         abs(angle - fifths * math.pi / 5)

@@ -90,24 +90,33 @@ class Alphabet:
 
     `inverse[c]` is the code of the inverse of the letter with code c,
     and `_letters[c]` its (name, exponent) pair: codes 0..n-1 index
-    both tables from the start, codes ~0..~(n-1) from the end."""
+    both tables from the start, codes ~0..~(n-1) from the end.  Every
+    word over it shares it, so it refuses assignment and `del`."""
 
     __slots__ = ("generators", "_index", "inverse", "_letters")
 
     def __init__(self, generators: Iterable[Generator]):
-        self.generators = tuple(generators)
-        self._index: Dict[str, int] = {}
-        for i, g in enumerate(self.generators):
+        gens = tuple(generators)
+        index: Dict[str, int] = {}
+        for i, g in enumerate(gens):
             if not isinstance(g, Generator):
                 raise TypeError("Alphabet takes Generator instances")
-            if g.name in self._index:
+            if g.name in index:
                 raise ValueError(f"duplicate generator name {g.name!r}")
-            self._index[g.name] = i
-        gens = self.generators
-        self.inverse = tuple(i if g.involutive else ~i for i, g in enumerate(gens))
-        self.inverse += tuple(reversed(range(len(gens))))
-        self._letters = tuple((g.name, 1) for g in gens)
-        self._letters += tuple((g.name, -1) for g in reversed(gens))
+            index[g.name] = i
+        inverse = tuple(i if g.involutive else ~i for i, g in enumerate(gens))
+        inverse += tuple(reversed(range(len(gens))))
+        letters = tuple((g.name, 1) for g in gens) + tuple((g.name, -1) for g in gens[::-1])
+        for field, value in zip(self.__slots__, (gens, index, inverse, letters)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Alphabet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Alphabet, (self.generators,)
 
     def index(self, name: str) -> int:
         return self._index[name]

@@ -31,7 +31,6 @@ from cactus45.dirichlet import (
     side_pairings,
     vertex_cycles,
 )
-from cactus45.geometry import embed_ball
 from cactus45.verify import CRITERIA, run_criterion
 
 import fixtures
@@ -357,9 +356,9 @@ def test_every_cache_is_bounded_by_eight():
     assert all(type(size) is int and size <= 8 for size in caches.values()), caches
 
 
-def test_the_only_tolerance_constant_is_the_embedding_one():
-    # the construction is exact; a float tolerance belongs to drawing
-    # and embedding alone
+def test_no_module_defines_a_tolerance_constant():
+    # the construction is exact, and the embedding composes isometries
+    # with no closure check to tolerate
     names = []
     for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -374,13 +373,12 @@ def test_the_only_tolerance_constant_is_the_embedding_one():
                 for t in targets
                 if isinstance(t, ast.Name) and t.id.endswith("_TOL")
             ]
-    assert names == ["geometry.EMBED_TOL"]
+    assert names == []
 
 
 def test_the_exact_stages_import_no_float_machinery():
     # dirichlet.py builds the polygon, pairings, cycles and presentation
-    # exactly; from geometry it takes only the embedding it caches for
-    # the float cross-checks and the drawing
+    # exactly, and takes nothing from geometry
     tree = ast.parse((Path(cactus45.__file__).parent / "dirichlet.py").read_text())
     modules = {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -396,7 +394,7 @@ def test_the_exact_stages_import_no_float_machinery():
         if isinstance(node, ast.ImportFrom) and node.module == "geometry"
         for alias in node.names
     )
-    assert from_geometry == ["HPoint", "embed_ball"]
+    assert from_geometry == []
 
 
 def test_fundamental_domain_matches_stage_functions():
@@ -410,7 +408,4 @@ def test_fundamental_domain_matches_stage_functions():
     assert fd.pairings == tuple(pairings)
     assert fd.cycles == tuple(cycles)
     assert fd.presentation == poincare_presentation(cycles)
-    assert fd.embedding == embed_ball(build_ball(J4P, 4))
-    assert set(fd.embedding) == set(fd.ball.vertices)
-    with pytest.raises(TypeError):  # shared by every caller, so read-only
-        fd.embedding[fd.ball.identity()] = None
+    assert type(fd)._fields == ("ball", "polygon", "pairings", "cycles", "presentation")

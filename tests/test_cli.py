@@ -385,6 +385,13 @@ def test_verify_all_passes(capsys):
     assert all(c["passed"] for c in results["criteria"])
 
 
+def test_verify_all_passes_at_a_tight_tolerance(capsys):
+    # the float cross-checks deviate by about 1e-14 at most
+    code, report, _ = run_json(capsys, "verify-all", "--tolerance", "1e-12")
+    assert code == EXIT_OK
+    assert report["results"]["passed"] is True
+
+
 def test_verify_all_text_lines(capsys):
     code, out, _ = run(capsys, "verify-all", "--format", "text")
     assert code == EXIT_OK

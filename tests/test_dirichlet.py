@@ -57,7 +57,7 @@ def polygon():
 
 @pytest.fixture(scope="module")
 def embedded(polygon):
-    emb = fundamental_domain().embedding
+    emb = geometry.embed_ball(fundamental_domain().ball)
     return HPolygon(tuple(emb[w] for w in polygon.labels))
 
 
@@ -352,7 +352,6 @@ def test_the_exact_stages_build_without_an_embedding(monkeypatch):
     def refuse(ball):
         raise AssertionError("an exact stage embedded the ball")
 
-    monkeypatch.setattr(dirichlet, "embed_ball", refuse)
     monkeypatch.setattr(geometry, "embed_ball", refuse)
     polygon = dirichlet._polygon(build_ball(J4P, 4))
     pairings = side_pairings(polygon)
@@ -363,21 +362,13 @@ def test_the_exact_stages_build_without_an_embedding(monkeypatch):
     assert poincare_presentation(cycles) == fd.presentation
 
 
-def test_the_pipeline_embeds_once_after_the_presentation(monkeypatch):
-    calls = []
-    present, embed = dirichlet.poincare_presentation, dirichlet.embed_ball
-    monkeypatch.setattr(
-        dirichlet, "poincare_presentation",
-        lambda cycles: calls.append("presentation") or present(cycles),
-    )
-    monkeypatch.setattr(
-        dirichlet, "embed_ball", lambda ball: calls.append("embedding") or embed(ball)
-    )
-    fresh = fundamental_domain.__wrapped__()
-    assert calls == ["presentation", "embedding"]
-    fd = fundamental_domain()
-    assert fresh.presentation == fd.presentation
-    assert fresh.embedding == fd.embedding
+def test_the_pipeline_never_embeds(monkeypatch):
+    def refuse(ball):
+        raise AssertionError("the pipeline embedded the ball")
+
+    monkeypatch.setattr(geometry, "embed_ball", refuse)
+    # a ball is equal only to itself, and an evicted engine builds anew
+    assert fundamental_domain.__wrapped__()[1:] == fundamental_domain()[1:]
 
 
 def test_anchored_five_cycle(cycles):

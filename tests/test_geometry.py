@@ -5,16 +5,25 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cactus45 import build_ball, canonical_form, j4prime_presentation, vertex_link
+from cactus45 import (
+    build_ball,
+    canonical_form,
+    j4_presentation,
+    j4prime_presentation,
+    vertex_link,
+)
 from cactus45.geometry import (
     HPoint,
     Mobius,
+    _compose,
+    _edge_symmetries,
     edge_length_45,
     embed_ball,
     hyp_distance,
     render_svg,
     to_klein,
 )
+from cactus45.words import Word
 
 from fixtures import A_WORDS
 from geometry_oracle import (
@@ -145,6 +154,32 @@ def test_embedding_contracts_graph_distance(ball4, emb4):
         u, v = rng.choice(vs), rng.choice(vs)
         graph_d = len(canonical_form(invert(u) * v, P))
         assert hyp_distance(emb4[u], emb4[v]) <= R * graph_d + 1e-6
+
+
+def test_every_spelling_of_a_vertex_composes_to_its_point(ball4, emb4):
+    # a relator or a generator square spliced into a vertex's normal
+    # form spells the same vertex, and each composes to the identity, so
+    # the edge symmetries along the longer spelling land on the same point
+    edge = _edge_symmetries(P.alphabet.names())
+    splices = P.forms + tuple((c, c) for c in range(len(P.alphabet)))
+    rng = random.Random(45)
+    vertices = list(ball4.vertices)
+    for _ in range(200):
+        v = rng.choice(vertices)
+        codes = list(v.codes)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(codes))
+            codes[i:i] = rng.choice(splices)
+        assert canonical_form(Word._from_codes(P.alphabet, codes), P) == v
+        iso = (Mobius(1.0, 0j), False)
+        for c in codes:
+            iso = _compose(iso, edge[c])
+        assert abs(iso[0](0j) - emb4[v].z) < 1e-12
+
+
+def test_embedding_refuses_another_presentation():
+    with pytest.raises(ValueError, match="J4' presentation"):
+        embed_ball(build_ball(j4_presentation(), 1))
 
 
 def test_bisector_basics():

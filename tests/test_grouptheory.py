@@ -30,6 +30,7 @@ from cactus45.grouptheory import (
 )
 from cactus45.grouptheory import _eliminate
 from cactus45.cactus import j4prime_presentation
+from cactus45.dirichlet import fundamental_domain
 from cactus45.words import (
     Alphabet,
     Generator,
@@ -298,6 +299,20 @@ def test_ten_generator_word_goes_through_tietze():
     res = word_problem_search(Word.parse(TEN.alphabet, "g1"), TEN)
     assert res.oracle == "tietze+dehn"
     assert res.status == "NONTRIVIAL"
+
+
+def test_the_derived_presentation_goes_through_tietze():
+    # the corner cycles give the ten-generator relator classes, some of
+    # them stored inverted, so the presentation is not TEN but decides
+    # its words the same way
+    P = fundamental_domain().presentation
+    assert P != TEN and P.alphabet == TEN.alphabet and P.forms == TEN.forms
+    for r in P.relators:
+        res = word_problem_search(r, P, "tietze")
+        assert (res.status, res.oracle) == ("TRIVIAL", "tietze+dehn")
+        assert res.certificate.check(FIVE)
+    res = word_problem_search(P.word("g1"), P)
+    assert (res.status, res.oracle) == ("NONTRIVIAL", "tietze+dehn")
 
 
 def test_search_rejects_words_over_another_alphabet():

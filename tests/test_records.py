@@ -25,7 +25,7 @@ from cactus45.cactus import (
     project_to_symmetric,
 )
 from cactus45.complex import build_ball, check_tiling
-from cactus45.geometry import HPoint, HPolygon, Mobius
+from cactus45.geometry import HPoint, HPolygon, Mobius, embed_ball
 from cactus45.words import Alphabet, Generator, Word
 
 PP = j4prime_presentation()
@@ -45,6 +45,7 @@ def _pair(name, monkeypatch):
     """Two unequal instances of the record called name, and its fields;
     the more fields they differ in, the more the equality test sees."""
     fd = dirichlet.fundamental_domain()
+    emb = embed_ball(fd.ball)
     F = grouptheory.one_relator_presentation()
     u, v = PP.word("s12 s34 s13"), PP.word("s34 s12 s13 s23 s23")
     f, g = grouptheory.alt_isomorphism_pair()
@@ -63,13 +64,13 @@ def _pair(name, monkeypatch):
         fields = ("ok", "vertex_count", "edge_count", "face_count", "interior_count", "failures")
         return (check_tiling(build_ball(PP, 3)), check_tiling(build_ball(PP, 4))), fields
     if name == "HPoint":
-        return (fd.embedding[u[:2]], fd.embedding[u[:1]]), ("x", "y")
+        return (emb[u[:2]], emb[u[:1]]), ("x", "y")
     if name == "Mobius":
         t = Mobius.translation(0.25 + 0.5j)
         return (t, t.inverse()), ("a", "b")
     if name == "HPolygon":
-        corners = [tuple(fd.embedding[w] for w in p.labels) for p in (fd.polygon,)]
-        corners.append(tuple(fd.embedding[w] for w in build_ball(PP, 2).faces[0].boundary))
+        corners = [tuple(emb[w] for w in p.labels) for p in (fd.polygon,)]
+        corners.append(tuple(emb[w] for w in build_ball(PP, 2).faces[0].boundary))
         return tuple(map(HPolygon, corners)), ("vertices",)
     if name == "LabeledPolygon":
         p = fd.polygon
@@ -87,7 +88,7 @@ def _pair(name, monkeypatch):
         )
         return pair, ("euler_characteristic", "orientable", "name")
     if name == "FundamentalDomain":
-        fields = ("ball", "polygon", "pairings", "cycles", "presentation", "embedding")
+        fields = ("ball", "polygon", "pairings", "cycles", "presentation")
         return (fd, fd._replace(pairings=fd.pairings[::-1])), fields
     if name in ("TrivialityCertificate", "SearchResult"):
         trivial = grouptheory.word_problem_search(F.relators[0], F)
@@ -146,6 +147,11 @@ RECORDS = (
 )
 
 
+def _ball_fields(ball):
+    return (ball.presentation, ball.radius, ball.vertices, ball.neighbor,
+            ball.edges, ball.faces, ball.interior)
+
+
 def _hash(value):
     try:
         return hash(value)
@@ -184,9 +190,13 @@ def test_records_keep_their_semantics(name, monkeypatch):
             delattr(a, field)
     assert a == twin
     assert copy.copy(a) == a
-    # the domain's embedding is a read-only MappingProxyType, on purpose
-    if name != "FundamentalDomain":
-        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        if name == "FundamentalDomain":
+            # a ball is equal only to itself, so its copy is compared by
+            # everything it was built from and holds
+            assert _ball_fields(copied.ball) == _ball_fields(a.ball)
+            copied = copied._replace(ball=a.ball)
+        assert copied == a
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(a) == f"{name}({shown})"
 
@@ -223,6 +233,22 @@ def test_words_and_presentations_copy_pickle_and_refuse_del():
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
     assert pickle.loads(pickle.dumps(PP)).forms == PP.forms
+
+
+def test_alphabets_refuse_assignment_and_del_and_copy_equal():
+    # words, presentations and engines share one alphabet per group
+    A = PP.alphabet
+    for field in Alphabet.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(A, field, getattr(A, field, None))
+    for field in Alphabet.__slots__:
+        with pytest.raises(AttributeError):
+            delattr(A, field)
+    assert A.names() == ("s12", "s13", "s23", "s24", "s34")
+    assert str(project_to_symmetric(PP.word("s12 s13"), 4)) == "(123)"
+    for twin in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert twin == A and hash(twin) == hash(A)
+        assert (twin.inverse, twin._letters, twin._index) == (A.inverse, A._letters, A._index)
 
 
 def _hom_with_a_foreign_image():

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import cactus45.reference as ref
-from cactus45 import action, verify
+from cactus45 import action, geometry, verify
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
 from cactus45.complex import _construct, build_ball
@@ -292,3 +292,24 @@ def test_criterion_13_catches_a_planted_non_isometry(monkeypatch):
     result = verify.run_criterion(13)
     assert not result.passed
     assert result.details == "action does not preserve the graph metric"
+
+
+def test_criterion_6_compares_the_edge_length_at_the_tables_precision():
+    # the tabled 1.253739 is 3.3e-7 off the closed form, so it is read
+    # at its six places; the tolerance bounds the embedding alone
+    assert verify.run_criterion(6, 1e-9).passed
+
+
+def test_criterion_6_passes_only_the_embeddings_reflecting_set(monkeypatch):
+    # of the 32 choices of reflecting edge symmetries, one places the
+    # tiling; every other leaves edges off the length R
+    passing = []
+    for k in range(len(J4P.alphabet) + 1):
+        for chosen in itertools.combinations(J4P.alphabet.names(), k):
+            monkeypatch.setattr(geometry, "_REFLECTING", frozenset(chosen))
+            result = verify.run_criterion(6)
+            if result.passed:
+                passing.append(chosen)
+            else:
+                assert result.details.startswith("edge length deviation")
+    assert passing == [("s12", "s23", "s34")]
