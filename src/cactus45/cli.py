@@ -295,8 +295,8 @@ _PALETTE = [f"hsl({i * 36}, 70%, 45%)" for i in range(10)]
 
 
 def _render_layers(what: str) -> List[dict]:
-    fd = fundamental_domain()
-    emb, identity = embed_ball(fd.ball), fd.ball.identity()
+    tiling = build_ball(j4prime_presentation(), 4)
+    emb, identity = embed_ball(tiling), tiling.identity()
 
     def edges(ball, color: str, width: int) -> dict:
         segments = [(emb[u], emb[v]) for u, v, _ in ball.edges]
@@ -312,8 +312,9 @@ def _render_layers(what: str) -> List[dict]:
         dots = {"kind": "points", "points": points, "color": "black"}
         return [edges(inner, "steelblue", 2), dots]
     if what == "tiling":
-        return [edges(fd.ball, "black", 1), origin("red")]
+        return [edges(tiling, "black", 1), origin("red")]
     # the fundamental polygon over the tiling, paired sides sharing color
+    fd = fundamental_domain()
     side_color = {}
     for index, row in enumerate(fd.pairings):
         for side in (row.source, row.target):
@@ -321,7 +322,7 @@ def _render_layers(what: str) -> List[dict]:
     colors = [side_color[frozenset(side)] for side in fd.polygon.sides()]
     corners = HPolygon(tuple(emb[w] for w in fd.polygon.labels))
     polygon = {"kind": "polygon", "polygon": corners, "side_colors": colors}
-    return [edges(fd.ball, "#cccccc", 1), polygon, origin("black")]
+    return [edges(tiling, "#cccccc", 1), polygon, origin("black")]
 
 
 def _write(path: str, data: bytes) -> None:

@@ -72,9 +72,6 @@ class CayleyBall:
             for v in f.boundary:
                 self._faces_at.setdefault(v, []).append(f)
 
-    def distance(self, v: Word) -> int:
-        return self.vertices[v]
-
     def faces_at(self, v: Word) -> List[Face]:
         return self._faces_at.get(v, [])
 

@@ -479,11 +479,11 @@ def classify_identified_surface(
 
 
 class FundamentalDomain(NamedTuple):
-    """The fixed objects of the proof, in the order they are built: the
-    radius-4 J4' ball, the 20-gon, the ten side pairings, the six corner
-    cycles and the presentation they induce: exact, with no embedding."""
+    """The fixed objects of the proof, in the order they are built from
+    the radius-4 J4' ball: the 20-gon, the ten side pairings, the six
+    corner cycles and the presentation they induce.  Exact, with no
+    embedding; the ball stays with its engine (`build_ball(J4P, 4)`)."""
 
-    ball: CayleyBall
     polygon: LabeledPolygon
     pairings: Tuple[SidePairing, ...]
     cycles: Tuple[VertexCycle, ...]
@@ -493,9 +493,8 @@ class FundamentalDomain(NamedTuple):
 @lru_cache(maxsize=1)
 def fundamental_domain() -> FundamentalDomain:
     """The pipeline run once; every later call returns the same record."""
-    ball = build_ball(J4P, 4)
-    polygon = _polygon(ball)
+    polygon = _polygon(build_ball(J4P, 4))
     pairings = tuple(side_pairings(polygon))
     cycles = tuple(vertex_cycles(polygon, pairings))
     presentation = poincare_presentation(cycles)
-    return FundamentalDomain(ball, polygon, pairings, cycles, presentation)
+    return FundamentalDomain(polygon, pairings, cycles, presentation)

@@ -35,10 +35,15 @@ one of the presentation's relator forms (`Presentation.forms`, the
 table the engine's swaps are read from) and a deletion or insertion
 only of a square x x.
 
+Spheres are neither sunk nor sorted: the shortlex language is regular
+(Cannon 1984, Niblo-Reeves 1998), and `RewriteSystem.spheres` walks its
+automaton, read off the swap table.  No level outlives its call.
+
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
 u · s14^p with u in J4' (`cactus.push_s14_right`); the length is
-|u| + p, and s14 is a left descent exactly when p = 1.
+|u| + p, and s14 is a left descent exactly when p = 1.  So J4's sphere
+of length L is read off the J4' spheres of lengths L and L - 1.
 
 Every answer is exact: no operation is cut off by a search limit.
 """
@@ -46,7 +51,8 @@ Every answer is exact: no operation is cut off by a search limit.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .words import Move, Presentation, Record, Word
 from . import cactus
@@ -160,7 +166,6 @@ class RewriteSystem:
             raise ValueError("rewrite layer handles involutive alphabets only")
         self.presentation = P
         self.n = len(P.alphabet)
-        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
         squares = set()
@@ -263,6 +268,36 @@ class RewriteSystem:
             self._lift(g1, k, x, trace) for k, x in enumerate(g2)
         )
 
+    def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
+        """The spheres S_0, S_1, ... in turn, each a list of normal forms
+        in shortlex order, walked on the shortlex automaton.
+
+        A normal form t has the state (D, C): D is its set of right
+        descents, and C the set of letters that a lesser left descent
+        x < t[k], pushed right through t[k:] as `_lift` walks it,
+        arrives as at the end.  t·z is a normal form exactly when z is
+        in neither, and then D(t·z) = {z} ∪ {y : swap[(z, y)][0] ∈ D(t)}
+        and C(t·z) = {swap[(c, z)][1] : c ∈ C(t) ∪ {x < z}}, taken where
+        the swap exists.  For `sort` puts the least left descent at each
+        position, and a left descent of t[k:]·z that t[k:] lacks must
+        arrive at the end as z.  A state's row is read off the swap
+        table when the walk first meets it, and dropped with the walk.
+        Letters are appended in increasing order, so each level is
+        already in shortlex order: nothing is sorted or deduplicated."""
+        rows, level = {}, [((), (frozenset(), frozenset()))]
+        while True:
+            yield [t for t, _ in level]
+            level = [(t + (z,), state) for t, s in level
+                     for z, state in rows.get(s) or rows.setdefault(s, self._row(*s))]
+
+    def _row(self, D: FrozenSet[int], C: FrozenSet[int]) -> list:
+        """The letters z that extend a normal form in state (D, C), each
+        with the state of t·z."""
+        swap = self.swap
+        return [(z, (frozenset([z] + [y for (x, y), sq in swap.items() if x == z and sq[0] in D]),
+                     frozenset(swap[c, z][1] for c in C.union(range(z)) if (c, z) in swap)))
+                for z in range(self.n) if z not in D and z not in C]
+
 
 class SplitSystem:
     """J4 through the split g = u · s14^p with u in J4'.  A geodesic is
@@ -272,7 +307,6 @@ class SplitSystem:
     def __init__(self, P: Presentation):
         self.presentation = P
         self.n = len(P.alphabet)
-        self._spheres: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
 
@@ -321,6 +355,16 @@ class SplitSystem:
     def lift(self, g1, g2, trace: Trace) -> bool:
         # equal elements share p, and moves on u leave the trailing s14 alone
         return g1[1] == g2[1] and self._inner(trace, self.inner.lift, g1[0], g2[0])
+
+    def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
+        """J4's spheres, read off the J4' spheres S'_L: |u · s14^p| is
+        |u| + p, so S_L is the J4 images of S'_L and the normal forms of
+        u · s14 for u in S'_{L-1}, merged by one sort."""
+        outer, last = cactus.J4P_TO_J4, []
+        for level in self.inner.spheres():
+            yield sorted([tuple(outer[x] for x in t) for t in level]
+                         + [self.sort((list(u), 1)) for u in last])
+            last = level
 
 
 @lru_cache(maxsize=8)
@@ -378,27 +422,12 @@ def canonical_form(w: Word, P: Presentation) -> Word:
     return Word._from_codes(P.alphabet, system_for(P).normal_form(_codes(w, P)))
 
 
-def _sphere_tuples(sys, L: int) -> Tuple[Tuple[int, ...], ...]:
-    cached = sys._spheres.get(L)
-    if cached is None:
-        if L == 0:
-            cached = ((),)
-        else:
-            found = set()
-            for t in _sphere_tuples(sys, L - 1):
-                for g in range(sys.n):
-                    c = sys.normal_form(t + (g,), start=L - 1)
-                    if len(c) == L:
-                        found.add(c)
-            cached = tuple(sorted(found))
-        sys._spheres[L] = cached
-    return cached
-
-
 def sphere(P: Presentation, L: int, budget: Optional[RewriteBudget] = None):
     """Canonical representatives of the elements of geodesic length
-    exactly L, sorted shortlex.  `budget` is ignored; it is accepted
-    only because `perfbench/passrun.py` passes one."""
+    exactly L, sorted shortlex: level L of the engine's `spheres` walk,
+    of which nothing outlives the call.  `budget` is ignored; it is
+    accepted only because `perfbench/passrun.py` passes one."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    return [Word._from_codes(P.alphabet, t) for t in _sphere_tuples(system_for(P), L)]
+    level = next(islice(system_for(P).spheres(), L, None))
+    return [Word._from_codes(P.alphabet, t) for t in level]

@@ -309,11 +309,13 @@ def _check_complex_structure(tol: float) -> str:
 
 def _check_geometry_metrics(tol: float) -> str:
     R = edge_length_45()
-    target = math.acosh(1.0 / math.tan(math.pi / 5) ** 2)
-    _require(abs(R - target) < 1e-12, "edge length departs from closed form")
+    # the half-edge identity of the regular {4,5} tiling, independent of
+    # the arccosh(cot^2(pi/5)) that computes R
+    half = math.cos(math.pi / 4) / math.sin(math.pi / 5)
+    _require(abs(math.cosh(R / 2) - half) < 1e-12, "edge length departs from closed form")
     _require(f"{R:.6f}" == "1.253739", f"edge length {R:.6f}")
 
-    ball = fundamental_domain().ball
+    ball = build_ball(j4prime_presentation(), 4)
     emb = embed_ball(ball)
     worst_edge = max(
         abs(hyp_distance(emb[u], emb[v]) - R) for u, v, _ in ball.edges
@@ -363,7 +365,7 @@ def _check_fundamental_polygon(tol: float) -> str:
             )
     _require(set(poly.labels) == expected_labels, "corner label set differs")
 
-    emb = embed_ball(fd.ball)
+    emb = embed_ball(build_ball(j4prime_presentation(), 4))
     embedded = HPolygon(tuple(emb[w] for w in poly.labels))
     worst = max(
         abs(angle - fifths * math.pi / 5)
@@ -420,10 +422,9 @@ def _check_corner_cycles(tol: float) -> str:
     _require(len(cycles) == 6, f"{len(cycles)} corner cycles")
     for c in cycles:
         _require(c.nu == 1, "cycle multiplicity differs from 1")
-        angle_sum = sum(c.fifths) * math.pi / 5
         _require(
-            abs(angle_sum - 2 * math.pi) < tol,
-            f"cycle angle sum {angle_sum:.8f}",
+            sum(c.fifths) == 10,
+            f"cycle angle sum {sum(c.fifths) * math.pi / 5:.8f}",
         )
 
     five = next(c for c in cycles if len(c.generators) == 5)

@@ -1,8 +1,9 @@
 """Reference oracle for the rewrite layer: the budgeted closure search
 that `cactus45.rewrite` ran before its exact engine, the certificate
-replay that rebuilt the whole word after every move, and the equality
+replay that rebuilt the whole word after every move, the equality
 test that sank each word twice (once for its normal form, once more for
-the certificate's paths).
+the certificate's paths), and the sink-and-sort sphere enumeration
+that the shortlex automaton replaced.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -150,6 +151,25 @@ def oracle_for(P: Presentation) -> ClosureOracle:
     if P not in _ORACLES:
         _ORACLES[P] = ClosureOracle(P)
     return _ORACLES[P]
+
+
+def sink_and_sort_spheres(P: Presentation):
+    """The spheres S_0, S_1, ... as `rewrite.sphere` listed them before
+    it walked the shortlex automaton: every normal form of length L - 1
+    extended by every letter, sunk and sorted from the geodesic prefix,
+    and the results of length L deduplicated and sorted shortlex."""
+    sys = system_for(P)
+    level, L = [()], 0
+    while True:
+        yield level
+        L += 1
+        level = sorted({
+            c
+            for t in level
+            for g in range(sys.n)
+            for c in [sys.normal_form(t + (g,), start=L - 1)]
+            if len(c) == L
+        })
 
 
 def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):

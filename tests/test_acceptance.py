@@ -408,4 +408,4 @@ def test_fundamental_domain_matches_stage_functions():
     assert fd.pairings == tuple(pairings)
     assert fd.cycles == tuple(cycles)
     assert fd.presentation == poincare_presentation(cycles)
-    assert type(fd)._fields == ("ball", "polygon", "pairings", "cycles", "presentation")
+    assert type(fd)._fields == ("polygon", "pairings", "cycles", "presentation")

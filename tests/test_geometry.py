@@ -71,6 +71,13 @@ def test_edge_length_value():
     assert abs(math.cosh(R) - 1.894427) < 1e-6
 
 
+def test_edge_length_meets_the_half_edge_identity():
+    # in the regular {4,5} tiling the right triangle of a square's
+    # centre, a corner and a side midpoint has angles pi/4 and pi/5,
+    # so cosh(R/2) = cos(pi/4)/sin(pi/5)
+    assert abs(math.cosh(R / 2) - math.cos(math.pi / 4) / math.sin(math.pi / 5)) < 1e-15
+
+
 def test_hpoint_validation():
     with pytest.raises(ValueError):
         HPoint(1.0, 0.0)

@@ -45,7 +45,7 @@ def _pair(name, monkeypatch):
     """Two unequal instances of the record called name, and its fields;
     the more fields they differ in, the more the equality test sees."""
     fd = dirichlet.fundamental_domain()
-    emb = embed_ball(fd.ball)
+    emb = embed_ball(build_ball(PP, 4))
     F = grouptheory.one_relator_presentation()
     u, v = PP.word("s12 s34 s13"), PP.word("s34 s12 s13 s23 s23")
     f, g = grouptheory.alt_isomorphism_pair()
@@ -88,7 +88,7 @@ def _pair(name, monkeypatch):
         )
         return pair, ("euler_characteristic", "orientable", "name")
     if name == "FundamentalDomain":
-        fields = ("ball", "polygon", "pairings", "cycles", "presentation")
+        fields = ("polygon", "pairings", "cycles", "presentation")
         return (fd, fd._replace(pairings=fd.pairings[::-1])), fields
     if name in ("TrivialityCertificate", "SearchResult"):
         trivial = grouptheory.word_problem_search(F.relators[0], F)
@@ -147,11 +147,6 @@ RECORDS = (
 )
 
 
-def _ball_fields(ball):
-    return (ball.presentation, ball.radius, ball.vertices, ball.neighbor,
-            ball.edges, ball.faces, ball.interior)
-
-
 def _hash(value):
     try:
         return hash(value)
@@ -168,7 +163,7 @@ def test_records_keep_their_semantics(name, monkeypatch):
     twin = cls(*values)
     keyed = cls(**dict(zip(fields, values)))
     # equal by fields, and hashed as the tuple of them (a field that is
-    # a dict or a ball leaves both unhashable)
+    # a dict leaves both unhashable)
     assert twin == a and keyed == a and not twin != a
     assert a != b and not a == b
     # a copy of a that takes one field from b is not a
@@ -191,11 +186,6 @@ def test_records_keep_their_semantics(name, monkeypatch):
     assert a == twin
     assert copy.copy(a) == a
     for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        if name == "FundamentalDomain":
-            # a ball is equal only to itself, so its copy is compared by
-            # everything it was built from and holds
-            assert _ball_fields(copied.ball) == _ball_fields(a.ball)
-            copied = copied._replace(ball=a.ball)
         assert copied == a
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(a) == f"{name}({shown})"

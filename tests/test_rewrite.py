@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -369,6 +371,46 @@ def test_full_group_spheres_match_closure_oracle():
     for L in range(5):
         assert sphere(P4, L) == [o.decode(t) for t in o.sphere(L)]
     assert [len(sphere(P4, L)) for L in range(6)] == [1, 6, 20, 55, 145, 380]
+
+
+def _involutive(names, squares):
+    """The presentation on involutions `names` with every x x and the
+    given length-4 relators."""
+    alphabet = Alphabet([Generator(x, involutive=True) for x in names.split()])
+    texts = [f"{x} {x}" for x in names.split()] + squares
+    return Presentation(alphabet, [Word.parse(alphabet, t) for t in texts])
+
+
+# the right-angled Coxeter group of a pentagon, whose Davis complex is
+# also the {4,5} tiling, and Z/2 x Z/2 free product Z/2
+PENTAGON = _involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])
+KLEIN_FREE = _involutive("a b c", ["a b a b"])
+
+
+@pytest.mark.parametrize(
+    "P, top",
+    [(PP, 8), (P4, 7), (PENTAGON, 9), (KLEIN_FREE, 9)],
+    ids=["j4p", "j4", "pentagon", "klein-free"],
+)
+def test_sphere_walk_equals_sink_and_sort(P, top):
+    levels = rewrite_oracle.sink_and_sort_spheres(P)
+    for L in range(top + 1):
+        assert [w.codes for w in sphere(P, L)] == next(levels)
+
+
+def test_no_sphere_outlives_its_call():
+    for P in (PP, P4):
+        sphere(P, 1)  # the engines exist before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sphere(PP, 9)
+        sphere(P4, 8)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
 
 
 @pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])

@@ -197,17 +197,18 @@ def test_verify_all_work_counts(monkeypatch):
     assert calls["canonical_form"] == 0 and calls["parse"] == 0
     # tabled spellings are read off the ball, so no criterion parses one
     # to canonicalise it: criterion 2 builds the twenty and their inverses,
-    # criterion 6 the fundamental domain, and criterion 1 parses only the
+    # criterion 7 the fundamental domain, and criterion 1 parses only the
     # two spellings it certifies equal
     canonicalised = {k: v for k, v in calls.items() if k.startswith("canonical_form in")}
-    assert canonicalised == {"canonical_form in 2": 30, "canonical_form in 6": 2}
+    assert canonicalised == {"canonical_form in 2": 30, "canonical_form in 7": 2}
     assert calls["parse in 1"] == 2
     # normal forms only where a word can match: criterion 3 projects and
-    # never rewrites; criterion 6 builds the fundamental domain (orbit
+    # never rewrites; criterion 7 builds the fundamental domain (orbit
     # sites, the Voronoi cell, side pairings); 13 sorts one candidate
     # fixer per vertex of the radius-3 ball and the sampled products
     assert (calls["sort in 3"], calls["geodesic in 3"]) == (0, 0)
-    assert (calls["sort in 6"], calls["geodesic in 6"]) == (181, 2315)
+    assert (calls["sort in 6"], calls["geodesic in 6"]) == (0, 0)
+    assert (calls["sort in 7"], calls["geodesic in 7"]) == (181, 2315)
     assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 933)
 
 
@@ -215,7 +216,7 @@ def test_a_missing_face_fails_criterion_5(monkeypatch):
     # without one face whose farthest corner is at distance 3, the
     # interior vertices on it lose a face and their pentagon link
     ball = build_ball(J4P, 4)
-    face = next(f for f in ball.faces if max(map(ball.distance, f.boundary)) == 3)
+    face = next(f for f in ball.faces if max(map(ball.vertices.get, f.boundary)) == 3)
     planted = without_face(ball, face)
     # the engine keeps only the planted ball, so criterion 5 reads its
     # smaller balls off it
@@ -298,6 +299,28 @@ def test_criterion_6_compares_the_edge_length_at_the_tables_precision():
     # the tabled 1.253739 is 3.3e-7 off the closed form, so it is read
     # at its six places; the tolerance bounds the embedding alone
     assert verify.run_criterion(6, 1e-9).passed
+
+
+def test_criterion_6_fails_an_edge_length_off_the_half_edge_identity(monkeypatch):
+    R = geometry.edge_length_45()
+    monkeypatch.setattr(verify, "edge_length_45", lambda: R + 1e-10)
+    result = verify.run_criterion(6)
+    assert not result.passed
+    assert result.details == "edge length departs from closed form"
+
+
+def test_criterion_9_decides_each_angle_sum_exactly(monkeypatch):
+    # the tolerance does not enter: the angle sums pass at any, and a
+    # sum of 9 fifths fails at any
+    assert verify.run_criterion(9, 1e-300).passed
+    fd = fundamental_domain()
+    first = fd.cycles[0]
+    short = first._replace(fifths=(first.fifths[0] - 1,) + first.fifths[1:])
+    planted = fd._replace(cycles=(short,) + fd.cycles[1:])
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(9, 1.0)
+    assert not result.passed
+    assert result.details == "cycle angle sum 5.65486678"
 
 
 def test_criterion_6_passes_only_the_embeddings_reflecting_set(monkeypatch):
