@@ -336,7 +336,10 @@ class SplitSystem:
 
     def sort(self, g) -> Tuple[int, ...]:
         w, p = g
-        w = self.inner.sort(w)
+        return self._place(self.inner.sort(w), p)
+
+    def _place(self, w: Sequence[int], p: int) -> Tuple[int, ...]:
+        """The normal form of w · s14^p, w a J4' normal form."""
         outer = cactus.J4P_TO_J4
         if not p:
             return tuple(outer[x] for x in w)
@@ -359,11 +362,12 @@ class SplitSystem:
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """J4's spheres, read off the J4' spheres S'_L: |u · s14^p| is
         |u| + p, so S_L is the J4 images of S'_L and the normal forms of
-        u · s14 for u in S'_{L-1}, merged by one sort."""
+        u · s14 for u in S'_{L-1}, merged by one sort; each u is a
+        normal form already, so s14 is placed in it with no sort of u."""
         outer, last = cactus.J4P_TO_J4, []
         for level in self.inner.spheres():
             yield sorted([tuple(outer[x] for x in t) for t in level]
-                         + [self.sort((list(u), 1)) for u in last])
+                         + [self._place(u, 1) for u in last])
             last = level
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import reference as ref
 from .action import (
@@ -55,7 +55,7 @@ from .grouptheory import (
     verify_mutual_inverse,
 )
 from .rewrite import sphere, system_for, words_equal
-from .words import Word, same_relator_class
+from .words import Word, invert, same_relator_class
 
 
 class VerificationError(AssertionError):
@@ -416,6 +416,16 @@ def _check_pairing_rows(tol: float) -> str:
 # criterion 9: corner cycles and the induced presentation
 
 
+def _walks(cycle) -> Iterator[Tuple[Tuple[Word, ...], Tuple[int, ...]]]:
+    """The cycle's corners and generator codes as the walk reads them
+    from each corner, either way round: turned back, the walk visits
+    the corners in reverse and reads its word inverted."""
+    corners, word = cycle.vertices, cycle.word
+    for vs, gs in ((corners, word.codes), (corners[:1] + corners[:0:-1], invert(word).codes)):
+        for r in range(len(vs)):
+            yield vs[r:] + vs[:r], gs[r:] + gs[:r]
+
+
 def _check_corner_cycles(tol: float) -> str:
     fd = fundamental_domain()
     cycles = fd.cycles
@@ -438,12 +448,18 @@ def _check_corner_cycles(tol: float) -> str:
     threes = [c for c in cycles if len(c.generators) == 3]
     _require(len(threes) == 5, "expected five three-term cycles")
     for entry in ref.THREE_TERM_CYCLES:
-        want = {_canon(t) for t in entry["vertices"]}
-        match = [c for c in threes if set(c.vertices) == want]
+        want = tuple(_canon(t) for t in entry["vertices"])
+        match = [c for c in threes if set(c.vertices) == set(want)]
         _require(len(match) == 1, f"cycle with corners {entry['vertices']}")
         _require(
             sorted(match[0].fifths) == sorted(entry["fifths"]),
             f"angle classes of cycle {entry['vertices']}",
+        )
+        # the walk from the row's first corner, the way the row goes round
+        gens = dict(_walks(match[0])).get(want, ())
+        _require(
+            tuple(map(TRANSLATIONS.spell, gens)) == tuple(entry["generators"]),
+            f"generators of cycle {entry['vertices']}",
         )
 
     pres = fd.presentation

@@ -336,3 +336,78 @@ def test_criterion_6_passes_only_the_embeddings_reflecting_set(monkeypatch):
             else:
                 assert result.details.startswith("edge length deviation")
     assert passing == [("s12", "s23", "s34")]
+
+
+def _with_entry(table, key, value):
+    """A copy of a tuple or dict table with one entry replaced."""
+    if isinstance(table, dict):
+        return {**table, key: value}
+    return table[:key] + (value,) + table[key + 1:]
+
+
+@pytest.mark.parametrize(
+    "number, table, key, value, message",
+    [
+        (1, "SPHERE3_WORDS", 5, "s12 s12 s13", "length-3 spelling 's12 s12 s13' shortens"),
+        (1, "SPHERE3_WORDS", 5, "s13 s23 s34",
+         "length-3 list does not cover the sphere element-by-element"),
+        (2, "TRANSLATION_GENERATORS", "g9", (11, 1),
+         "g9 does not move the identity to short word 11"),
+        (2, "TRANSLATION_GENERATORS", "g2", (2, 1), "g2 parity"),
+        (2, "INVERSE_PARTNERS", 7, 14, "short words 7 and 14 are not inverse"),
+        (4, "SHORT_PURE_WORDS", 3, "s13 s34 s23 s24", "conjugation identity fails at index 3"),
+    ],
+)
+def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, key, value, message):
+    assert verify.run_criterion(number).passed
+    monkeypatch.setattr(ref, table, _with_entry(getattr(ref, table), key, value))
+    result = verify.run_criterion(number)
+    assert not result.passed
+    assert result.details == message
+
+
+def _inverse(name):
+    return name[: -len("^-1")] if name.endswith("^-1") else name + "^-1"
+
+
+def _rotated(row):
+    """The row read from its second corner."""
+    return {key: row[key][1:] + row[key][:1] for key in ("vertices", "generators", "fifths")}
+
+
+def _turned(row):
+    """The row read from its first corner the other way round: the
+    corners in reverse, the generator word inverted."""
+    vs, fifths = row["vertices"], row["fifths"]
+    return {
+        "vertices": vs[:1] + vs[:0:-1],
+        "generators": tuple(map(_inverse, reversed(row["generators"]))),
+        "fifths": fifths[:1] + fifths[:0:-1],
+    }
+
+
+@pytest.mark.parametrize("row", range(5))
+def test_criterion_9_reads_a_three_term_row_from_any_corner_either_way(monkeypatch, row):
+    # the computed cycles match rows 2, 4 and 5 forwards and rows 1 and
+    # 3 turned round; each row passes however it is read
+    cycles = ref.THREE_TERM_CYCLES
+    for read in (_rotated, _turned, lambda r: _rotated(_turned(r))):
+        monkeypatch.setattr(ref, "THREE_TERM_CYCLES", _with_entry(cycles, row, read(cycles[row])))
+        assert verify.run_criterion(9).passed
+    # turned round without inverting its word, the row no longer matches
+    turned = dict(_turned(cycles[row]), generators=cycles[row]["generators"][::-1])
+    monkeypatch.setattr(ref, "THREE_TERM_CYCLES", _with_entry(cycles, row, turned))
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == f"generators of cycle {turned['vertices']}"
+
+
+def test_criterion_9_fails_a_swapped_generator(monkeypatch):
+    # row 1's g8^-1 replaced by g9^-1: the corners and angles still match
+    first = ref.THREE_TERM_CYCLES[0]
+    assert first["generators"] == ("g4^-1", "g8^-1", "g3")
+    planted = dict(first, generators=("g4^-1", "g9^-1", "g3"))
+    monkeypatch.setattr(ref, "THREE_TERM_CYCLES", _with_entry(ref.THREE_TERM_CYCLES, 0, planted))
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == "generators of cycle ('s13 s34', 's24 s34', 's34 s23')"
