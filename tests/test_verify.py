@@ -2,8 +2,8 @@
 against `canonical_form`, the level-by-level parity law of criterion 3
 against `project_to_symmetric`, a mutation of one letter's image, a
 missing face in criterion 5, planted faults in criterion 13's action
-checks, and the work one ``verify-all`` run does in its costliest
-stages."""
+checks, one wrong table entry for criteria 1, 2, 4 and 9, and the work
+one ``verify-all`` run does in its costliest stages."""
 
 import itertools
 import sys
