@@ -298,8 +298,8 @@ def _render_layers(what: str) -> List[dict]:
     tiling = build_ball(j4prime_presentation(), 4)
     emb, identity = embed_ball(tiling), tiling.identity()
 
-    def edges(ball, color: str, width: int) -> dict:
-        segments = [(emb[u], emb[v]) for u, v, _ in ball.edges]
+    def edges(ball_edges, color: str, width: int) -> dict:
+        segments = [(emb[u], emb[v]) for u, v, _ in ball_edges]
         return {"kind": "segments", "segments": segments, "color": color,
                 "width": width}
 
@@ -307,12 +307,17 @@ def _render_layers(what: str) -> List[dict]:
         return {"kind": "points", "points": [(emb[identity], "e")], "color": color}
 
     if what == "ball":
-        inner = build_ball(j4prime_presentation(), 3)
-        points = [(emb[v], "e") if v == identity else emb[v] for v in inner.vertices]
+        # the radius-3 ball, cut out of the tiling by distance
+        dist = tiling.vertices
+        inner = [e for e in tiling.edges if max(dist[e[0]], dist[e[1]]) <= 3]
+        points = [
+            (emb[v], "e") if v == identity else emb[v]
+            for v, d in dist.items() if d <= 3
+        ]
         dots = {"kind": "points", "points": points, "color": "black"}
         return [edges(inner, "steelblue", 2), dots]
     if what == "tiling":
-        return [edges(tiling, "black", 1), origin("red")]
+        return [edges(tiling.edges, "black", 1), origin("red")]
     # the fundamental polygon over the tiling, paired sides sharing color
     fd = fundamental_domain()
     side_color = {}
@@ -322,7 +327,7 @@ def _render_layers(what: str) -> List[dict]:
     colors = [side_color[frozenset(side)] for side in fd.polygon.sides()]
     corners = HPolygon(tuple(emb[w] for w in fd.polygon.labels))
     polygon = {"kind": "polygon", "polygon": corners, "side_colors": colors}
-    return [edges(tiling, "#cccccc", 1), polygon, origin("black")]
+    return [edges(tiling.edges, "#cccccc", 1), polygon, origin("black")]
 
 
 def _write(path: str, data: bytes) -> None:

@@ -10,7 +10,7 @@ all of its faces are present.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .rewrite import sphere, system_for
 from .words import Presentation, Word, shortlex_key
@@ -84,48 +84,15 @@ class CayleyBall:
     def identity(self) -> Word:
         return self._identity
 
-    def restricted(self, r: int) -> "CayleyBall":
-        """The ball of radius r, 1 <= r <= radius, read off this one; it
-        equals `build_ball(presentation, r)`.  A vertex is interior there
-        when it is interior here and every face at it lies within r."""
-        if not 1 <= r <= self.radius:
-            raise ValueError(f"radius {r} is outside 1..{self.radius}")
-        dist = self.vertices
-        vertices = {v: d for v, d in dist.items() if d <= r}
-        neighbor = {
-            v: {g: u for g, u in self.neighbor[v].items() if dist[u] <= r}
-            for v in vertices
-        }
-
-        def within(f: Face) -> bool:
-            return max(dist[v] for v in f.boundary) <= r
-
-        return CayleyBall(
-            self.presentation,
-            r,
-            vertices,
-            neighbor,
-            tuple(e for e in self.edges if max(dist[e[0]], dist[e[1]]) <= r),
-            tuple(f for f in self.faces if within(f)),
-            frozenset(
-                v for v in self.interior
-                if dist[v] <= r and all(within(f) for f in self.faces_at(v))
-            ),
-        )
-
 
 def build_ball(P: Presentation, radius: int) -> CayleyBall:
     """Ball of the given radius around the identity, kept by the engine
-    `system_for(P)` and dropped with it; a radius below the largest kept
-    is read off that ball.  A CayleyBall is never mutated."""
+    `system_for(P)` and dropped with it.  A CayleyBall is never mutated."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sys = system_for(P)
-    largest = max(sys.balls, default=0)
-    if radius > largest:
+    if radius not in sys.balls:
         sys.balls[radius] = _construct(P, sys, radius)
-    elif radius not in sys.balls:
-        sys.balls[radius] = sys.balls[largest].restricted(radius)
     return sys.balls[radius]
 
 
@@ -198,32 +165,40 @@ def vertex_link(ball: CayleyBall, v: Word) -> List[Word]:
     """
     if not ball.is_interior(v):
         raise PartialLinkError(f"vertex {v} is not interior; its link is partial")
-    link_adj: Dict[Word, List[Word]] = {}
+    link = []
     for f in ball.faces_at(v):
-        cyc = f.boundary
-        i = cyc.index(v)
-        a, b = cyc[(i - 1) % 4], cyc[(i + 1) % 4]
-        link_adj.setdefault(a, []).append(b)
-        link_adj.setdefault(b, []).append(a)
+        i = f.boundary.index(v)
+        link.append((f.boundary[i - 1], f.boundary[(i + 1) % 4]))
     neighbors = sorted(ball.neighbor[v].values(), key=shortlex_key)
-    if sorted(link_adj, key=shortlex_key) != neighbors:
+    if sorted({x for pair in link for x in pair}, key=shortlex_key) != neighbors:
         raise PartialLinkError(f"link of {v} does not cover its neighbors")
-    start = neighbors[0]
-    if len(link_adj[start]) != 2:
-        raise PartialLinkError(f"link of {v} is not a cycle at {start}")
-    order = [start, min(link_adj[start], key=shortlex_key)]
+    try:
+        return _cycle(link)
+    except ValueError as exc:
+        raise PartialLinkError(f"link of {v} {exc}") from None
+
+
+def _cycle(edges: Iterable[Tuple[Word, Word]]) -> List[Word]:
+    """The vertices of the graph with these edges as one cycle, from the
+    shortlex-least vertex toward the lesser of its two neighbors;
+    ValueError unless the graph is a single cycle."""
+    adj: Dict[Word, List[Word]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for x, nbrs in adj.items():
+        if len(nbrs) != 2 or nbrs[0] == nbrs[1]:
+            raise ValueError(f"is not a cycle at {x}")
+    start = min(adj, key=shortlex_key)
+    order = [start, min(adj[start], key=shortlex_key)]
     while True:
         prev, cur = order[-2], order[-1]
-        nxt = [x for x in link_adj[cur] if x != prev]
-        if len(link_adj[cur]) != 2 or len(nxt) != 1:
-            raise PartialLinkError(f"link of {v} is not a single cycle at {cur}")
-        if nxt[0] == start:
+        nxt = adj[cur][0] if adj[cur][1] == prev else adj[cur][1]
+        if nxt == start:
             break
-        order.append(nxt[0])
-        if len(order) > len(neighbors):
-            raise PartialLinkError(f"link walk at {v} exceeded vertex degree")
-    if len(order) != len(neighbors):
-        raise PartialLinkError(f"link of {v} splits into several cycles")
+        order.append(nxt)
+    if len(order) != len(adj):
+        raise ValueError("splits into several cycles")
     return order
 
 

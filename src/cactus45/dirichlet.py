@@ -43,7 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .action import TRANSLATIONS, TWENTY, image_geodesic
 from .cactus import J4P
-from .complex import CayleyBall, build_ball
+from .complex import CayleyBall, _cycle, build_ball
 from .rewrite import canonical_form, system_for
 from .words import Presentation, Word, shortlex_key
 
@@ -214,23 +214,10 @@ def _polygon(ball: CayleyBall) -> LabeledPolygon:
         raise ValueError(f"boundary has {len(boundary)} segments, expected 20")
 
     # chain the segments into a single closed corner cycle
-    adj: Dict[Word, List[Word]] = {}
-    for seg in boundary:
-        u, v = tuple(seg)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise ValueError("boundary is not a simple closed curve")
-    start = min(adj, key=shortlex_key)
-    cycle = [start, min(adj[start], key=shortlex_key)]
-    while True:
-        a, b = cycle[-2], cycle[-1]
-        nxt = adj[b][0] if adj[b][1] == a else adj[b][1]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-    if len(cycle) != 20:
-        raise ValueError("boundary does not close into a 20-gon")
+    try:
+        cycle = _cycle(tuple(seg) for seg in boundary)
+    except ValueError as exc:
+        raise ValueError(f"boundary {exc}") from None
 
     # orient counterclockwise: the identity's neighbours run
     # counterclockwise in alphabet order, so once around the identity

@@ -191,12 +191,12 @@ def _segment_path(p: complex, q: complex) -> str:
     )
 
 
-def render_svg(layers: Sequence[dict], size: int = 1000) -> str:
-    """Deterministic SVG of the unit disk with point, segment, polygon,
-    and label layers drawn in input order."""
+def render_svg(layers: Sequence[dict]) -> str:
+    """Deterministic 1000-pixel SVG of the unit disk with point, segment
+    and polygon layers drawn in input order."""
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 1000 1000">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="1000" '
+        'height="1000" viewBox="0 0 1000 1000">',
         '<circle cx="500" cy="500" r="499" fill="white" stroke="black" '
         'stroke-width="1"/>',
     ]
@@ -208,10 +208,7 @@ def render_svg(layers: Sequence[dict], size: int = 1000) -> str:
             for entry in layer["points"]:
                 p, label = entry if isinstance(entry, tuple) else (entry, None)
                 x, y = _svg_xy(_z(p))
-                rad = layer.get("radius", 3)
-                out.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{rad}"/>'
-                )
+                out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3"/>')
                 if label is not None:
                     out.append(
                         f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}" '
@@ -228,15 +225,13 @@ def render_svg(layers: Sequence[dict], size: int = 1000) -> str:
             out.append("</g>")
         elif kind == "polygon":
             poly: HPolygon = layer["polygon"]
-            side_colors = layer.get("side_colors")
+            side_colors = layer["side_colors"]
             n = poly.n_sides
             for i in range(n):
                 p = poly.vertices[i].z
                 q = poly.vertices[(i + 1) % n].z
-                col = side_colors[i] if side_colors else color
-                width = layer.get("width", 2)
                 out.append(
-                    f'<g stroke="{col}" stroke-width="{width}" fill="none">'
+                    f'<g stroke="{side_colors[i]}" stroke-width="2" fill="none">'
                     + _segment_path(p, q)
                     + "</g>"
                 )

@@ -345,11 +345,12 @@ class SplitSystem:
             return tuple(outer[x] for x in w)
         # s14 is a left descent of u · s14 throughout, and w[k] is the
         # least descent of w[k:]; s14 comes once w[k] sorts after it,
-        # and s14 · v = mirror(v) · s14 for the rest v
+        # and s14 · v = mirror(v) · s14 for the rest v, a geodesic since
+        # mirroring keeps length: it is sorted, not sunk
         k = 0
         while k < len(w) and outer[w[k]] < cactus.S14:
             k += 1
-        rest = self.inner.normal_form([cactus.J4P_MIRROR[x] for x in w[k:]])
+        rest = self.inner.sort([cactus.J4P_MIRROR[x] for x in w[k:]])
         return tuple(outer[x] for x in w[:k]) + (cactus.S14,) + tuple(outer[x] for x in rest)
 
     def normal_form(self, t: Sequence[int], start: int = 0) -> Tuple[int, ...]:

@@ -281,20 +281,22 @@ def _check_reversal_conjugation(tol: float) -> str:
 
 
 def _check_complex_structure(tol: float) -> str:
-    # the tabled faces, and then both smaller balls, come off the radius-4 ball
+    # the tabled faces and the radius-2 counts come off the radius-4 ball
     expected_faces = {
         frozenset(_canon(x) for x in row) for row in ref.IDENTITY_FACES
     }
-    ball2 = build_ball(j4prime_presentation(), 2)
-    _require(len(ball2.edges) == 25, f"radius-2 ball has {len(ball2.edges)} edges")
-    got = {f.vertex_set for f in ball2.faces_at(ball2.identity())}
+    ball = build_ball(j4prime_presentation(), 4)
+    dist = ball.vertices
+    edges2 = sum(max(dist[u], dist[v]) <= 2 for u, v, _ in ball.edges)
+    _require(edges2 == 25, f"radius-2 ball has {edges2} edges")
+    got = {f.vertex_set for f in ball.faces_at(ball.identity())}
     _require(got == expected_faces, "faces at the identity differ")
-    _require(
-        len(ball2.faces) == 5, "radius-2 ball should close no other face"
-    )
+    faces2 = sum(max(map(dist.get, f.boundary)) <= 2 for f in ball.faces)
+    _require(faces2 == 5, "radius-2 ball should close no other face")
 
-    # degree, faces and a pentagon link at every interior vertex
-    report = check_tiling(build_ball(j4prime_presentation(), 3))
+    # degree, faces and a pentagon link at every interior vertex; the
+    # interior holds the radius-3 ball's
+    report = check_tiling(ball)
     _require(report.ok, f"tiling check failures: {report.failures}")
     return (
         "radius-2 ball has 25 edges and exactly the 5 listed squares at the "

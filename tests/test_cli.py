@@ -360,8 +360,8 @@ def test_render_dirichlet_pairs_side_colors(tmp_path, capsys):
 
 
 def test_render_ball_builds_one_ball_from_scratch(tmp_path, capsys, monkeypatch):
-    # the drawing's radius-3 ball is read off the radius-4 ball that the
-    # fundamental domain builds
+    # the drawing's radius-3 ball is cut by distance out of the radius-4
+    # ball it embeds, so no smaller ball is built
     built = []
 
     def constructing(P, engine, radius):

@@ -11,7 +11,7 @@ from cactus45 import (
     j4prime_presentation,
     vertex_link,
 )
-from cactus45.complex import _construct
+from cactus45.complex import _construct, _cycle
 from cactus45.rewrite import system_for
 from cactus45.words import Alphabet, Generator, Presentation, Word, shortlex_key
 
@@ -178,24 +178,100 @@ def test_radius_four_interior_count():
     assert report.interior_count == 21
 
 
-def test_restricted_ball_is_the_smaller_ball():
-    # build_ball reads a smaller radius off the largest ball kept, so the
-    # comparison is with a ball built from scratch
+def _cut(ball, r):
+    """The ball's vertices, neighbours, edges, faces and interior within
+    distance r of the identity.  A vertex is interior at radius r when it
+    is interior in the ball and every face at it lies within r."""
+    dist = ball.vertices
+
+    def within(f):
+        return max(dist[v] for v in f.boundary) <= r
+
+    vertices = {v: d for v, d in dist.items() if d <= r}
+    neighbor = {
+        v: {g: u for g, u in ball.neighbor[v].items() if dist[u] <= r}
+        for v in vertices
+    }
+    edges = tuple(e for e in ball.edges if max(dist[e[0]], dist[e[1]]) <= r)
+    faces = tuple(f for f in ball.faces if within(f))
+    interior = {
+        v for v in ball.interior
+        if dist[v] <= r and all(within(f) for f in ball.faces_at(v))
+    }
+    return vertices, neighbor, edges, faces, interior
+
+
+def test_balls_nest():
+    # a smaller ball is the larger one cut down by distance
     big = build_ball(P, 6)
     for r in range(1, 6):
-        small, built = big.restricted(r), _construct(P, system_for(P), r)
+        small = _construct(P, system_for(P), r)
+        vertices, neighbor, edges, faces, interior = _cut(big, r)
         assert small.radius == r
-        assert small.vertices == built.vertices
-        assert list(small.vertices) == list(built.vertices)
-        assert small.neighbor == built.neighbor
-        assert small.edges == built.edges
-        assert small.faces == built.faces
-        assert small.interior == built.interior
-        for v in small.vertices:
-            assert small.faces_at(v) == built.faces_at(v)
-    for r in (0, 7, -1):
-        with pytest.raises(ValueError):
-            big.restricted(r)
+        assert list(small.vertices.items()) == list(vertices.items())
+        assert small.neighbor == neighbor
+        assert small.edges == edges
+        assert small.faces == faces
+        assert small.interior == interior
+
+
+def test_build_ball_keeps_each_radius_it_builds(monkeypatch):
+    built = []
+
+    def constructing(P, engine, radius):
+        built.append(radius)
+        return _construct(P, engine, radius)
+
+    monkeypatch.setattr(system_for(P), "balls", {})
+    monkeypatch.setattr("cactus45.complex._construct", constructing)
+    for r in (4, 2, 4, 2, 5):
+        assert build_ball(P, r).radius == r
+    assert built == [4, 2, 5]
+
+
+def _square(a, b, c, d):
+    return [(a, b), (b, c), (c, d), (d, a)]
+
+
+def test_cycle_walks_from_the_least_vertex_toward_its_lesser_neighbour():
+    a, b, c, d = (w(t) for t in ("s12", "s13", "s23", "s24"))
+    assert _cycle(_square(d, b, a, c)) == [a, b, d, c]
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a path: its ends have one neighbour
+        (_square(*map(w, ("s12", "s13", "s23", "s24")))[:3], "is not a cycle at s12"),
+        # two disjoint triangles
+        (
+            [(w(x), w(y)) for x, y in (
+                ("s12", "s13"), ("s13", "s23"), ("s23", "s12"),
+                ("s24", "s34"), ("s34", "s12 s13"), ("s12 s13", "s24"),
+            )],
+            "splits into several cycles",
+        ),
+        # a doubled edge is no cycle
+        ([(w("s12"), w("s13"))] * 2, "is not a cycle at s12"),
+    ],
+    ids=["path", "two-cycles", "digon"],
+)
+def test_cycle_rejects_a_graph_that_is_not_one_cycle(edges, message):
+    with pytest.raises(ValueError) as exc:
+        _cycle(edges)
+    assert str(exc.value) == message
+
+
+def test_a_link_that_is_not_one_cycle_is_a_partial_link(ball2):
+    # without one of its faces the identity's link still covers its five
+    # neighbours, but is a path whose ends are that face's corners next
+    # to the identity
+    e = ball2.identity()
+    face = ball2.faces_at(e)[0]
+    ends = {x for x in face.boundary if x in ball2.neighbor[e].values()}
+    with pytest.raises(PartialLinkError) as exc:
+        vertex_link(without_face(ball2, face), e)
+    assert str(exc.value) in {f"link of {e} is not a cycle at {x}" for x in ends}
 
 
 def test_ball_cache_is_shared_and_bounded():

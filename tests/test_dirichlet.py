@@ -7,7 +7,7 @@ import pytest
 from cactus45 import j4prime_presentation
 from cactus45.cactus import J4P, project_to_symmetric
 from cactus45 import dirichlet, geometry
-from cactus45.complex import build_ball
+from cactus45.complex import _cycle, build_ball
 from cactus45.dirichlet import (
     _orbit_sites,
     _voronoi_keeps,
@@ -360,6 +360,14 @@ def test_the_exact_stages_build_without_an_embedding(monkeypatch):
     assert tuple(pairings) == fd.pairings
     assert tuple(cycles) == fd.cycles
     assert poincare_presentation(cycles) == fd.presentation
+
+
+def test_a_boundary_that_is_not_one_cycle_is_refused(monkeypatch):
+    # the shared cycle walk, handed the boundary less one segment, finds
+    # a path, and the polygon stage reports a broken boundary
+    monkeypatch.setattr(dirichlet, "_cycle", lambda segments: _cycle(list(segments)[1:]))
+    with pytest.raises(ValueError, match="^boundary is not a cycle at "):
+        dirichlet._polygon(build_ball(J4P, 4))
 
 
 def test_the_pipeline_never_embeds(monkeypatch):

@@ -1,9 +1,10 @@
 """The registry's own machinery: tabled spellings read off the ball
 against `canonical_form`, the level-by-level parity law of criterion 3
 against `project_to_symmetric`, a mutation of one letter's image, a
-missing face in criterion 5, planted faults in criterion 13's action
-checks, one wrong table entry for criteria 1, 2, 4 and 9, and the work
-one ``verify-all`` run does in its costliest stages."""
+missing face and a missing edge in criterion 5, planted faults in
+criterion 13's action checks, one wrong table entry for criteria 1, 2,
+4, 7, 8 and 9, planted objects for criteria 6 to 12, and the work one
+``verify-all`` run does in its costliest stages."""
 
 import itertools
 import sys
@@ -15,8 +16,9 @@ import cactus45.reference as ref
 from cactus45 import action, geometry, verify
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
-from cactus45.complex import _construct, build_ball
+from cactus45.complex import CayleyBall, _construct, build_ball
 from cactus45.dirichlet import fundamental_domain
+from cactus45.grouptheory import STANDARD_ELIMINATIONS, GroupHom, surface_isomorphism_pair
 from cactus45.rewrite import RewriteSystem, canonical_form, sphere, system_for
 from cactus45.words import Word, invert
 
@@ -188,7 +190,7 @@ def test_verify_all_work_counts(monkeypatch):
     results = verify.run_all()
     assert all(r.passed for r in results), [r.details for r in results if not r.passed]
     # one J4' ball, radius 4, built by criterion 1's first tabled
-    # spelling: criterion 5 reads its smaller balls off it
+    # spelling: criterion 5 reads its radius-2 counts off it
     assert built == [4]
     assert (calls["sort in 5"], calls["geodesic in 5"]) == (0, 0)
     assert 0 < calls["project in 3"] <= 5
@@ -214,16 +216,86 @@ def test_verify_all_work_counts(monkeypatch):
 
 def test_a_missing_face_fails_criterion_5(monkeypatch):
     # without one face whose farthest corner is at distance 3, the
-    # interior vertices on it lose a face and their pentagon link
+    # interior vertices on it lose a face and their pentagon link; the
+    # engine keeps only the planted ball, and criterion 5 reads only it
     ball = build_ball(J4P, 4)
     face = next(f for f in ball.faces if max(map(ball.vertices.get, f.boundary)) == 3)
     planted = without_face(ball, face)
-    # the engine keeps only the planted ball, so criterion 5 reads its
-    # smaller balls off it
     monkeypatch.setattr(system_for(J4P), "balls", {4: planted})
     result = verify.run_criterion(5)
     assert not result.passed
     assert result.details.startswith("tiling check failures")
+    for v in face.vertex_set & ball.interior:
+        assert f"vertex {v}: 4 faces != 5" in result.details
+
+
+def test_a_missing_near_edge_fails_criterion_5(monkeypatch):
+    # the first edge, from the identity, is within distance 2
+    ball = build_ball(J4P, 4)
+    planted = CayleyBall(
+        J4P, 4, ball.vertices, ball.neighbor, ball.edges[1:], ball.faces, ball.interior
+    )
+    monkeypatch.setattr(system_for(J4P), "balls", {4: planted})
+    result = verify.run_criterion(5)
+    assert not result.passed
+    assert result.details == "radius-2 ball has 24 edges"
+
+
+def test_a_clockwise_polygon_fails_criterion_7(monkeypatch):
+    # the same corners and angles, listed clockwise: the embedded
+    # polygon's interior angles are then the exterior ones
+    fd = fundamental_domain()
+    poly = fd.polygon
+    turned = poly._replace(labels=poly.labels[::-1], angle_fifths=poly.angle_fifths[::-1])
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: fd._replace(polygon=turned))
+    result = verify.run_criterion(7)
+    assert not result.passed
+    assert result.details == "numeric corner angle deviation 3.77e+00"
+
+
+def test_a_side_pairing_that_fixes_its_corners_fails_criterion_8(monkeypatch):
+    # the rows still match the table, but the action no longer carries
+    # g1's source side onto its target
+    monkeypatch.setattr(verify, "gamma", lambda g, w: w)
+    result = verify.run_criterion(8)
+    assert not result.passed
+    assert result.details == "g1 does not carry its source corner to its target"
+
+
+def test_a_missing_elimination_fails_criterion_10(monkeypatch):
+    # without the last elimination g3 survives beside the five
+    monkeypatch.setattr(verify, "STANDARD_ELIMINATIONS", STANDARD_ELIMINATIONS[:-1])
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.details == "surviving generators ('g2', 'g3', 'g4', 'g8', 'g9', 'g10')"
+
+
+def test_an_inverted_image_fails_criterion_11(monkeypatch):
+    # g(g4) = a3^-1 in place of a3 sends the five-generator relator to
+    # a nontrivial word of the surface group
+    f, g = surface_isomorphism_pair()
+    images = dict(g.images, g4=invert(g.images["g4"]))
+    planted = GroupHom(g.source, g.target, images, g.name)
+    monkeypatch.setattr(verify, "surface_isomorphism_pair", lambda: (f, planted))
+    result = verify.run_criterion(11)
+    assert not result.passed
+    assert result.details == (
+        "g not verified: (('g2 g9 g10^-1 g8^-1 g4 g9 g2 g10 g8^-1 g4^-1', "
+        "'dehn', 'NONTRIVIAL'),)"
+    )
+
+
+def test_a_side_glued_the_other_way_fails_criterion_12(monkeypatch):
+    # g1's target side turned round glues its corners crosswise, and the
+    # quotient has one corner class fewer
+    fd = fundamental_domain()
+    first = fd.pairings[0]
+    turned = first._replace(target=first.target[::-1])
+    planted = fd._replace(pairings=(turned,) + fd.pairings[1:])
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(12)
+    assert not result.passed
+    assert result.details == "Euler characteristic -4"
 
 
 def test_criterion_13_catches_a_planted_element_that_fixes_a_vertex(monkeypatch):
@@ -356,6 +428,11 @@ def _with_entry(table, key, value):
         (2, "TRANSLATION_GENERATORS", "g2", (2, 1), "g2 parity"),
         (2, "INVERSE_PARTNERS", 7, 14, "short words 7 and 14 are not inverse"),
         (4, "SHORT_PURE_WORDS", 3, "s13 s34 s23 s24", "conjugation identity fails at index 3"),
+        # a 3pi/5 corner listed among the 2pi/5 ones
+        (7, "CORNERS_AT_2PI5", 0, "s12 s23", "corner s12 s23 should sit at 2pi/5"),
+        # g1's source and target sides exchanged
+        (8, "SIDE_PAIRING_TABLE", "g1", (("s13 s24", "s13 s23"), ("s34 s12", "s34 s13")),
+         "pairing row g1 differs from the table"),
     ],
 )
 def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, key, value, message):
