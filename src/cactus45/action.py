@@ -25,6 +25,7 @@ from .words import Alphabet, Generator, Record, Word, invert
 
 _J4 = j4_presentation()
 _J4P = j4prime_presentation()
+_ENGINE = system_for(_J4P)  # kept on _J4P, so bound once
 _ID4 = Permutation.identity(4)
 _FULL_REVERSAL = Permutation((4, 3, 2, 1))
 
@@ -95,13 +96,13 @@ def image_geodesic(g: PureElement, codes: Sequence[int], start: int = 0) -> List
     canonical passes its length, and only the image letters sink."""
     if g.parity:
         codes = [J4P_MIRROR[c] for c in codes]
-    return system_for(_J4P).geodesic([*g.j4p_form.codes, *codes], start=start)
+    return _ENGINE.geodesic([*g.j4p_form.codes, *codes], start=start)
 
 
 def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
     """The vertex g.j4p_form · mirror^parity(codes), in normal form; the
     form may be any spelling, so all of it is sunk."""
-    return Word._from_codes(_J4P.alphabet, system_for(_J4P).sort(image_geodesic(g, codes)))
+    return Word._from_codes(_J4P.alphabet, _ENGINE.sort(image_geodesic(g, codes)))
 
 
 def gamma(g: PureElement, h: Word) -> Word:

@@ -10,9 +10,10 @@ all of its faces are present.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
-from .rewrite import sphere, system_for
+from .rewrite import system_for
 from .words import Presentation, Word, shortlex_key
 
 
@@ -86,23 +87,22 @@ class CayleyBall:
 
 
 def build_ball(P: Presentation, radius: int) -> CayleyBall:
-    """Ball of the given radius around the identity, kept by the engine
-    `system_for(P)` and dropped with it.  A CayleyBall is never mutated."""
+    """Ball of the given radius around the identity, built once and kept
+    on P, with which it dies.  A CayleyBall is never mutated."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    return P.derived(_construct, radius)
+
+
+def _construct(P: Presentation, radius: int) -> CayleyBall:
     sys = system_for(P)
-    if radius not in sys.balls:
-        sys.balls[radius] = _construct(P, sys, radius)
-    return sys.balls[radius]
-
-
-def _construct(P: Presentation, sys, radius: int) -> CayleyBall:
     vertices: Dict[Word, int] = {}
     words: Dict[Tuple[int, ...], Word] = {}
-    for L in range(radius + 1):
-        for v in sphere(P, L):
+    # the spheres S_0 .. S_radius off one walk of the engine
+    for L, level in enumerate(islice(sys.spheres(), radius + 1)):
+        for t in level:
+            words[t] = v = Word._from_codes(P.alphabet, t)
             vertices[v] = L
-            words[v.codes] = v
 
     neighbor: Dict[Word, Dict[str, Word]] = {}
     edge_set = set()

@@ -30,14 +30,13 @@ run counterclockwise in alphabet order, and so do the first letters of
 the corners on a counterclockwise walk.  No stage reads a float.
 
 `fundamental_domain()` runs these stages once, in this order, and keeps
-the exact result, with no embedding; it is the one place the package
-memoises them.  The stage functions recompute on every call.
+the exact result, with no embedding, on J4' (`Presentation.derived`).
+The stage functions recompute on every call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product as _iproduct, takewhile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -47,18 +46,6 @@ from .complex import CayleyBall, _cycle, build_ball
 from .rewrite import canonical_form, system_for
 from .words import Presentation, Word, shortlex_key
 
-__all__ = [
-    "FundamentalDomain",
-    "LabeledPolygon",
-    "SidePairing",
-    "SurfaceClass",
-    "VertexCycle",
-    "classify_identified_surface",
-    "fundamental_domain",
-    "poincare_presentation",
-    "side_pairings",
-    "vertex_cycles",
-]
 
 class LabeledPolygon(NamedTuple):
     """Compact polygon whose corners are tiling vertices, listed
@@ -469,7 +456,7 @@ class FundamentalDomain(NamedTuple):
     """The fixed objects of the proof, in the order they are built from
     the radius-4 J4' ball: the 20-gon, the ten side pairings, the six
     corner cycles and the presentation they induce.  Exact, with no
-    embedding; the ball stays with its engine (`build_ball(J4P, 4)`)."""
+    embedding; the ball stays on J4' (`build_ball(J4P, 4)`)."""
 
     polygon: LabeledPolygon
     pairings: Tuple[SidePairing, ...]
@@ -477,10 +464,14 @@ class FundamentalDomain(NamedTuple):
     presentation: Presentation
 
 
-@lru_cache(maxsize=1)
 def fundamental_domain() -> FundamentalDomain:
-    """The pipeline run once; every later call returns the same record."""
-    polygon = _polygon(build_ball(J4P, 4))
+    """The pipeline run once and kept on J4'; every later call returns
+    the same record."""
+    return J4P.derived(_domain)
+
+
+def _domain(P: Presentation) -> FundamentalDomain:
+    polygon = _polygon(build_ball(P, 4))
     pairings = tuple(side_pairings(polygon))
     cycles = tuple(vertex_cycles(polygon, pairings))
     presentation = poincare_presentation(cycles)

@@ -14,7 +14,6 @@ one-relator groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -31,30 +30,6 @@ from .words import (
     substitute,
     _substituted,
 )
-
-__all__ = [
-    "GroupHom",
-    "STANDARD_ELIMINATIONS",
-    "SearchResult",
-    "TrivialityCertificate",
-    "WellDefinedVerdict",
-    "abelianization_invariants",
-    "alt_isomorphism_pair",
-    "alt_one_relator_presentation",
-    "dehn_reduce",
-    "exponent_vector",
-    "hom_well_defined",
-    "in_integer_row_span",
-    "one_relator_presentation",
-    "piece_ratio",
-    "standard_expansion_images",
-    "surface_isomorphism_pair",
-    "surface_presentation",
-    "ten_generator_presentation",
-    "tietze_eliminate",
-    "verify_mutual_inverse",
-    "word_problem_search",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +266,6 @@ def piece_ratio(P: Presentation) -> Fraction:
     return Fraction(min(best, shortest - 1), shortest)
 
 
-@lru_cache(maxsize=8)
 def _dehn_rules(P: Presentation):
     """(rules, their key lengths) for P: rules maps the shortest
     more-than-half prefix of each relator form (the reducer meets no
@@ -330,7 +304,7 @@ def dehn_reduce(
     """
     if w.alphabet != P.alphabet:
         raise ValueError("word over a different alphabet")
-    rules, lengths = _dehn_rules(P)
+    rules, lengths = P.derived(_dehn_rules)
     inverse = P.alphabet.inverse
     moves: List[Move] = []
     stack: List[int] = []

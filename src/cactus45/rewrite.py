@@ -50,7 +50,6 @@ Every answer is exact: no operation is cut off by a search limit.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -166,7 +165,6 @@ class RewriteSystem:
             raise ValueError("rewrite layer handles involutive alphabets only")
         self.presentation = P
         self.n = len(P.alphabet)
-        self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
         squares = set()
         for r in P.relators:
@@ -302,19 +300,14 @@ class RewriteSystem:
 class SplitSystem:
     """J4 through the split g = u · s14^p with u in J4'.  A geodesic is
     held as the pair (u, p), u a geodesic list of J4' letter codes; it
-    spells u · s14^p.  Traces are in J4 letter codes."""
+    spells u · s14^p.  Traces are in J4 letter codes.  `inner` is the
+    J4' engine, the one `system_for` keeps on J4'."""
 
     def __init__(self, P: Presentation):
         self.presentation = P
         self.n = len(P.alphabet)
-        self.balls = {}  # radius -> CayleyBall, kept by complex.build_ball
         self.relator_words = _relator_words(P)
-
-    @property
-    def inner(self) -> RewriteSystem:
-        """The J4' engine `system_for` holds now; a stored one would
-        outlive its eviction, and the package would run two."""
-        return system_for(cactus.j4prime_presentation())
+        self.inner = system_for(cactus.j4prime_presentation())
 
     def _inner(self, trace: Trace, step, *args, **kwargs):
         """step(*args, trace, **kwargs) on the J4' engine, its moves
@@ -372,10 +365,13 @@ class SplitSystem:
             last = level
 
 
-@lru_cache(maxsize=8)
-def system_for(P: Presentation):
-    """The exact engine for P, built once per presentation."""
+def _engine(P: Presentation):
     return SplitSystem(P) if P == cactus.j4_presentation() else RewriteSystem(P)
+
+
+def system_for(P: Presentation):
+    """The exact engine for P, built on first use and kept on P."""
+    return P.derived(_engine)
 
 
 def _codes(w: Word, P: Presentation) -> Tuple[int, ...]:

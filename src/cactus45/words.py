@@ -352,9 +352,14 @@ class Presentation:
     code tuples, after cyclic reduction with the alphabet's inverses (an
     involution square has no form).  A rotation class already listed
     adds nothing; a proper power keeps its repeated rotations.
-    `is_form` looks a code tuple up in it."""
+    `is_form` looks a code tuple up in it.
 
-    __slots__ = ("alphabet", "relators", "forms", "_form_set", "_hash")
+    `derived` keeps each value derived from the presentation (its
+    engine and balls, its Dehn rules, J4''s fundamental domain) in one
+    memo, which equality, hashing, copy and pickle ignore: a copy starts
+    with it empty, and each value dies with its presentation."""
+
+    __slots__ = ("alphabet", "relators", "forms", "_form_set", "_hash", "_memo")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
         seen = []
@@ -384,8 +389,9 @@ class Presentation:
         object.__setattr__(self, "relators", tuple(seen))
         object.__setattr__(self, "forms", tuple(sorted(forms)))
         object.__setattr__(self, "_form_set", frozenset(forms))
-        # immutable, so hashed once: engines are looked up by presentation
+        # immutable, so hashed once
         object.__setattr__(self, "_hash", hash((alphabet, frozenset(seen))))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Presentation is immutable")
@@ -414,6 +420,14 @@ class Presentation:
 
     def is_form(self, codes: Tuple[int, ...]) -> bool:
         return codes in self._form_set
+
+    def derived(self, build, *args):
+        """build(self, *args), built on first use and kept in the memo;
+        the presentation is immutable, so the value never goes stale."""
+        memo, key = self._memo, (build, *args)
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
 
 class Move(NamedTuple):

@@ -1,7 +1,9 @@
 """Negative-control helpers for Cayley balls: damaged copies that the
-structure checks must reject."""
+structure checks must reject, and balls built afresh and counted."""
 
 from __future__ import annotations
+
+from typing import List
 
 from cactus45.complex import CayleyBall, Face
 
@@ -21,3 +23,24 @@ def without_face(ball: CayleyBall, face: Face) -> CayleyBall:
         kept,
         ball.interior,
     )
+
+
+def forget(monkeypatch, P, *builds) -> None:
+    """Drop every value P keeps from one of builds, until the test ends
+    and the monkeypatch puts each back: the next use builds it afresh."""
+    for key in [k for k in P._memo if k[0] in builds]:
+        monkeypatch.delitem(P._memo, key)
+
+
+def radii_built(monkeypatch) -> List[int]:
+    """The list to which each CayleyBall built from now on appends its
+    radius; `complex._construct` builds every ball the package makes."""
+    built: List[int] = []
+    init = CayleyBall.__init__
+
+    def counting(self, presentation, radius, *rest):
+        built.append(radius)
+        init(self, presentation, radius, *rest)
+
+    monkeypatch.setattr(CayleyBall, "__init__", counting)
+    return built

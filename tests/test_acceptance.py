@@ -323,37 +323,21 @@ def test_record_methods_are_written_only_in_words():
     assert found == []
 
 
-def _caches():
-    """(module.function, maxsize) for every cache decorator in the
-    package; a bare decorator, a size that is not a literal and
-    `functools.cache` read None."""
+def test_no_module_caches_outside_the_presentation_memo():
+    # every derived value is kept by `Presentation.derived`, on the
+    # presentation it comes from: no module reaches for functools or a
+    # cache decorator
+    found = []
     for path in sorted(Path(cactus45.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for dec in node.decorator_list:
-                call = dec if isinstance(dec, ast.Call) else None
-                target = call.func if call else dec
-                name = getattr(target, "id", getattr(target, "attr", None))
-                if name not in ("lru_cache", "cache"):
-                    continue
-                given = []
-                if call is not None:
-                    given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
-                known = name == "lru_cache" and len(given) == 1 and isinstance(given[0], ast.Constant)
-                yield f"{path.stem}.{node.name}", given[0].value if known else None
-
-
-def test_every_cache_is_bounded_by_eight():
-    # the engines (which keep their balls), the Dehn rules and the
-    # one-value record
-    caches = dict(_caches())
-    assert sorted(caches) == [
-        "dirichlet.fundamental_domain",
-        "grouptheory._dehn_rules",
-        "rewrite.system_for",
-    ]
-    assert all(type(size) is int and size <= 8 for size in caches.values()), caches
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [f"{path.stem}:{n}" for n in names if n in ("functools", "lru_cache", "cache")]
+    assert found == []
 
 
 def test_no_module_defines_a_tolerance_constant():

@@ -20,9 +20,10 @@ from cactus45.cli import (
     main,
 )
 from cactus45.complex import _construct
-from cactus45.dirichlet import fundamental_domain
+from cactus45.dirichlet import _domain
 from cactus45.reference import CENTRAL_IMAGES, TRANSLATION_GENERATORS
-from cactus45.rewrite import system_for
+
+from complex_helpers import forget, radii_built
 
 
 def run(capsys, *argv):
@@ -362,15 +363,8 @@ def test_render_dirichlet_pairs_side_colors(tmp_path, capsys):
 def test_render_ball_builds_one_ball_from_scratch(tmp_path, capsys, monkeypatch):
     # the drawing's radius-3 ball is cut by distance out of the radius-4
     # ball it embeds, so no smaller ball is built
-    built = []
-
-    def constructing(P, engine, radius):
-        built.append(radius)
-        return _construct(P, engine, radius)
-
-    monkeypatch.setattr("cactus45.complex._construct", constructing)
-    fundamental_domain.cache_clear()
-    system_for(j4prime_presentation()).balls.clear()
+    forget(monkeypatch, j4prime_presentation(), _construct, _domain)
+    built = radii_built(monkeypatch)
     code, _, _ = run(capsys, "render", "--what", "ball", "--svg", str(tmp_path / "ball.svg"))
     assert code == EXIT_OK
     assert built == [4]

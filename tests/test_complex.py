@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import pytest
@@ -12,10 +13,11 @@ from cactus45 import (
     vertex_link,
 )
 from cactus45.complex import _construct, _cycle
+from cactus45.grouptheory import _dehn_rules, dehn_reduce
 from cactus45.rewrite import system_for
 from cactus45.words import Alphabet, Generator, Presentation, Word, shortlex_key
 
-from complex_helpers import without_face
+from complex_helpers import forget, radii_built, without_face
 from fixtures import FACES_AT_E
 
 P = j4prime_presentation()
@@ -205,7 +207,7 @@ def test_balls_nest():
     # a smaller ball is the larger one cut down by distance
     big = build_ball(P, 6)
     for r in range(1, 6):
-        small = _construct(P, system_for(P), r)
+        small = _construct(P, r)
         vertices, neighbor, edges, faces, interior = _cut(big, r)
         assert small.radius == r
         assert list(small.vertices.items()) == list(vertices.items())
@@ -216,14 +218,8 @@ def test_balls_nest():
 
 
 def test_build_ball_keeps_each_radius_it_builds(monkeypatch):
-    built = []
-
-    def constructing(P, engine, radius):
-        built.append(radius)
-        return _construct(P, engine, radius)
-
-    monkeypatch.setattr(system_for(P), "balls", {})
-    monkeypatch.setattr("cactus45.complex._construct", constructing)
+    forget(monkeypatch, P, _construct)
+    built = radii_built(monkeypatch)
     for r in (4, 2, 4, 2, 5):
         assert build_ball(P, r).radius == r
     assert built == [4, 2, 5]
@@ -274,18 +270,20 @@ def test_a_link_that_is_not_one_cycle_is_a_partial_link(ball2):
     assert str(exc.value) in {f"link of {e} is not a cycle at {x}" for x in ends}
 
 
-def test_ball_cache_is_shared_and_bounded():
-    # a ball dies with its engine: the engines of eight other
-    # presentations push a throwaway one's engine out of the cache, and
-    # its ball goes with it
-    def one_letter(name):
-        alphabet = Alphabet([Generator(name, involutive=True)])
-        x = Word.parse(alphabet, name)
-        return Presentation(alphabet, [x * x])
-
-    assert build_ball(P, 3) is build_ball(P, 3)
-    dead = weakref.ref(build_ball(one_letter("throwaway"), 1))
-    for i in range(8):
-        system_for(one_letter(f"evictor{i}"))
+def test_derived_values_die_with_their_presentation():
+    # a throwaway presentation keeps its engine, its ball and its Dehn
+    # table, and nothing else holds them: they die with it
+    alphabet = Alphabet([Generator("throwaway", involutive=True)])
+    x = Word.parse(alphabet, "throwaway")
+    Q = Presentation(alphabet, [x * x])
+    assert canonical_form(x * x * x, Q) == x
+    assert dehn_reduce(x * x, Q).is_identity()
+    assert build_ball(Q, 1) is build_ball(Q, 1)
+    engine, ball = weakref.ref(system_for(Q)), weakref.ref(build_ball(Q, 1))
+    table = Q.derived(_dehn_rules)
+    held = sys.getrefcount(table)
+    del Q
     gc.collect()
-    assert dead() is None
+    assert engine() is None and ball() is None
+    # a tuple takes no weak reference: the memo's count is the one lost
+    assert sys.getrefcount(table) == held - 1

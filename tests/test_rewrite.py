@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -23,8 +25,8 @@ from cactus45.rewrite import (
     system_for,
     words_equal,
 )
-from cactus45 import words
-from cactus45.complex import build_ball
+from cactus45 import rewrite, words
+from cactus45.complex import _construct, build_ball
 from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
@@ -244,27 +246,27 @@ def test_rewrite_layer_rejects_noninvolutive_alphabet():
         canonical_form(Word.parse(free, "a"), P)
 
 
-def test_engine_cache_holds_at_most_eight_presentations():
-    from cactus45.words import Alphabet, Generator, Presentation
+def test_a_copy_of_a_presentation_starts_with_an_empty_memo():
+    # the memo is no part of the value: a copy or a pickle equals J4'
+    # and derives its own engine
+    J4P = j4prime_presentation()
+    engine = system_for(J4P)
+    assert J4P._memo
+    for twin in (copy.copy(J4P), copy.deepcopy(J4P), pickle.loads(pickle.dumps(J4P))):
+        assert twin == J4P and hash(twin) == hash(J4P)
+        assert twin._memo == {}
+        assert system_for(twin) is not engine
+        assert list(twin._memo) == [(rewrite._engine,)]
 
-    for i in range(20):
-        alphabet = Alphabet([Generator(f"x{i}", involutive=True)])
-        x = Word.parse(alphabet, f"x{i}")
-        assert canonical_form(x * x * x, Presentation(alphabet, [x * x])) == x
-    assert system_for.cache_info().currsize <= 8
 
-
-def test_one_j4prime_engine_after_eviction(monkeypatch):
-    # nine other presentations push J4' out of the engine cache; the
-    # action, the spheres and J4's split engine then all run on the one
-    # J4' engine the cache builds afresh
+def test_one_j4prime_engine(monkeypatch):
+    # J4's split engine holds the J4' engine that J4' keeps; the action,
+    # the spheres and J4's words all run on that one engine
     from cactus45.action import TWENTY, gamma
 
     J4P, J4 = j4prime_presentation(), j4_presentation()
-    for i in range(9):
-        alphabet = Alphabet([Generator(f"y{i}", involutive=True)])
-        y = Word.parse(alphabet, f"y{i}")
-        system_for(Presentation(alphabet, [y * y]))
+    engine = system_for(J4P)
+    assert system_for(J4).inner is engine
     ran = []
     geodesic = RewriteSystem.geodesic
 
@@ -273,13 +275,12 @@ def test_one_j4prime_engine_after_eviction(monkeypatch):
         return geodesic(self, *args, **kwargs)
 
     monkeypatch.setattr(RewriteSystem, "geodesic", recording)
-    engine = system_for(J4P)
     gamma(TWENTY[0], J4P.word("s12 s23"))
     assert len(sphere(J4P, 3)) == 40
     assert words_equal(J4.word("s12 s14"), J4.word("s14 s34"), J4)
     assert ran and set(ran) == {id(engine)}
     assert system_for(J4P) is engine
-    assert build_ball(J4P, 4) is system_for(J4P).balls[4]
+    assert build_ball(J4P, 4) is J4P._memo[(_construct, 4)]
 
 
 # ---------------------------------------------------------------------------

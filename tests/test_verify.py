@@ -13,16 +13,22 @@ from collections import Counter
 import pytest
 
 import cactus45.reference as ref
-from cactus45 import action, geometry, verify
+from cactus45 import action, dirichlet, geometry, verify
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
 from cactus45.complex import CayleyBall, _construct, build_ball
 from cactus45.dirichlet import fundamental_domain
-from cactus45.grouptheory import STANDARD_ELIMINATIONS, GroupHom, surface_isomorphism_pair
+from cactus45.grouptheory import (
+    STANDARD_ELIMINATIONS,
+    GroupHom,
+    one_relator_presentation,
+    surface_isomorphism_pair,
+    surface_presentation,
+)
 from cactus45.rewrite import RewriteSystem, canonical_form, sphere, system_for
-from cactus45.words import Word, invert
+from cactus45.words import Alphabet, Presentation, Word, invert, same_relator_class
 
-from complex_helpers import without_face
+from complex_helpers import forget, radii_built, without_face
 
 
 def _letter_images():
@@ -178,15 +184,8 @@ def test_verify_all_work_counts(monkeypatch):
 
     # the fundamental domain is rebuilt inside the run, so its orbit
     # sites and pairings are counted too
-    fundamental_domain.cache_clear()
-    system_for(J4P).balls.clear()
-    built = []
-
-    def constructing(P, engine, radius):
-        built.append(radius)
-        return _construct(P, engine, radius)
-
-    monkeypatch.setattr("cactus45.complex._construct", constructing)
+    forget(monkeypatch, J4P, _construct, dirichlet._domain)
+    built = radii_built(monkeypatch)
     results = verify.run_all()
     assert all(r.passed for r in results), [r.details for r in results if not r.passed]
     # one J4' ball, radius 4, built by criterion 1's first tabled
@@ -217,11 +216,12 @@ def test_verify_all_work_counts(monkeypatch):
 def test_a_missing_face_fails_criterion_5(monkeypatch):
     # without one face whose farthest corner is at distance 3, the
     # interior vertices on it lose a face and their pentagon link; the
-    # engine keeps only the planted ball, and criterion 5 reads only it
+    # radius-4 ball J4' keeps is the planted one, and criterion 5 reads
+    # only it
     ball = build_ball(J4P, 4)
     face = next(f for f in ball.faces if max(map(ball.vertices.get, f.boundary)) == 3)
     planted = without_face(ball, face)
-    monkeypatch.setattr(system_for(J4P), "balls", {4: planted})
+    monkeypatch.setitem(J4P._memo, (_construct, 4), planted)
     result = verify.run_criterion(5)
     assert not result.passed
     assert result.details.startswith("tiling check failures")
@@ -235,7 +235,7 @@ def test_a_missing_near_edge_fails_criterion_5(monkeypatch):
     planted = CayleyBall(
         J4P, 4, ball.vertices, ball.neighbor, ball.edges[1:], ball.faces, ball.interior
     )
-    monkeypatch.setattr(system_for(J4P), "balls", {4: planted})
+    monkeypatch.setitem(J4P._memo, (_construct, 4), planted)
     result = verify.run_criterion(5)
     assert not result.passed
     assert result.details == "radius-2 ball has 24 edges"
@@ -253,6 +253,24 @@ def test_a_clockwise_polygon_fails_criterion_7(monkeypatch):
     assert result.details == "numeric corner angle deviation 3.77e+00"
 
 
+def test_a_length_3_vertex_inside_the_polygon_fails_criterion_7(monkeypatch):
+    # an embedding that puts one length-3 vertex, not a corner, on the
+    # identity's point leaves the corner angles alone
+    labels = fundamental_domain().polygon.labels
+    text = next(t for t in ref.SPHERE3_WORDS if verify._canon(t) not in labels)
+    embed = verify.embed_ball
+
+    def planted(ball):
+        emb = embed(ball)
+        emb[verify._canon(text)] = emb[ball.identity()]
+        return emb
+
+    monkeypatch.setattr(verify, "embed_ball", planted)
+    result = verify.run_criterion(7)
+    assert not result.passed
+    assert result.details == f"length-3 vertex {text} lies strictly inside the polygon"
+
+
 def test_a_side_pairing_that_fixes_its_corners_fails_criterion_8(monkeypatch):
     # the rows still match the table, but the action no longer carries
     # g1's source side onto its target
@@ -268,6 +286,84 @@ def test_a_missing_elimination_fails_criterion_10(monkeypatch):
     result = verify.run_criterion(10)
     assert not result.passed
     assert result.details == "surviving generators ('g2', 'g3', 'g4', 'g8', 'g9', 'g10')"
+
+
+def test_a_wrong_final_relator_fails_criterion_10(monkeypatch):
+    # the expected word with its first two letters exchanged
+    F = one_relator_presentation()
+    codes = F.relators[0].codes
+    swapped = Word._from_codes(F.alphabet, codes[1::-1] + codes[2:])
+    planted = Presentation(F.alphabet, [swapped])
+    monkeypatch.setattr(verify, "one_relator_presentation", lambda: planted)
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.details == "final relator is not the expected ten-letter word"
+
+
+def test_a_lost_torsion_factor_fails_criterion_10(monkeypatch):
+    # invariants that drop the torsion of a one-relator presentation
+    real = verify.abelianization_invariants
+
+    def planted(P):
+        rank, torsion = real(P)
+        return (rank, ()) if len(P.relators) == 1 else (rank, torsion)
+
+    monkeypatch.setattr(verify, "abelianization_invariants", planted)
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.details == "abelianization changed: (4, (2,)) vs (4, ())"
+
+
+def _planted_reports(monkeypatch, plant):
+    """Criterion 11 with each well-definedness report passed through
+    plant(index, report): alt f, alt g, surface f, surface g."""
+    real, seen = verify.hom_well_defined, []
+
+    def planted(h):
+        seen.append(h)
+        return plant(len(seen) - 1, real(h))
+
+    monkeypatch.setattr(verify, "hom_well_defined", planted)
+    return verify.run_criterion(11)
+
+
+def test_a_truncated_certificate_fails_criterion_11(monkeypatch):
+    # the first certificate of the first report loses its last move
+    def truncate(i, report):
+        if i:
+            return report
+        first, *rest = report.certificates
+        assert first.moves
+        cut = first._replace(moves=first.moves[:-1])
+        return report._replace(certificates=(cut, *rest))
+
+    result = _planted_reports(monkeypatch, truncate)
+    assert not result.passed
+    assert result.details == "a triviality certificate does not replay"
+
+
+def test_surface_images_not_decided_by_dehn_fail_criterion_11(monkeypatch):
+    # the surface-side report names another route for its images
+    def reroute(i, report):
+        rows = tuple((word, "tietze+dehn", status) for word, _, status in report.details)
+        return report._replace(details=rows) if i == 3 else report
+
+    result = _planted_reports(monkeypatch, reroute)
+    assert not result.passed
+    assert result.details == (
+        "surface-side images decided by {'tietze+dehn'}, not greedy reduction"
+    )
+
+
+def test_a_surface_relator_with_long_pieces_fails_criterion_11(monkeypatch):
+    # the surface relator squared is a proper power: each rotation
+    # meets itself, and every proper subword is a piece
+    S = surface_presentation()
+    doubled = Presentation(S.alphabet, [S.relators[0] * S.relators[0]])
+    monkeypatch.setattr(verify, "surface_presentation", lambda: doubled)
+    result = verify.run_criterion(11)
+    assert not result.passed
+    assert result.details == "surface relator piece ratio 19/20"
 
 
 def test_an_inverted_image_fails_criterion_11(monkeypatch):
@@ -393,6 +489,34 @@ def test_criterion_9_decides_each_angle_sum_exactly(monkeypatch):
     result = verify.run_criterion(9, 1.0)
     assert not result.passed
     assert result.details == "cycle angle sum 5.65486678"
+
+
+def test_relabelled_presentation_generators_fail_criterion_9(monkeypatch):
+    # the same relators over the generators listed in reverse
+    fd = fundamental_domain()
+    pres = fd.presentation
+    turned = Alphabet(pres.alphabet.generators[::-1])
+    relators = [Word.parse(turned, str(r)) for r in pres.relators]
+    planted = fd._replace(presentation=Presentation(turned, relators))
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == "presentation generators differ"
+
+
+def test_a_missing_cycle_relator_fails_criterion_9(monkeypatch):
+    # the first tabled relator squared in its place: still six relators
+    fd = fundamental_domain()
+    pres = fd.presentation
+    first = ref.CYCLE_RELATORS[0]
+    want = pres.word(first)
+    kept = [r for r in pres.relators if not same_relator_class(r, want)]
+    assert len(kept) == 5
+    planted = fd._replace(presentation=Presentation(pres.alphabet, kept + [want * want]))
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == f"relator {first} missing up to rotation and inversion"
 
 
 def test_criterion_6_passes_only_the_embeddings_reflecting_set(monkeypatch):
