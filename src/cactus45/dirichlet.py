@@ -1,16 +1,12 @@
 """Fundamental polygon for the pure-subgroup action on the tiling.
 
-The construction runs in three stages.  First the word-metric Voronoi
-cell around the identity vertex is computed exactly: a tiling vertex is
-kept when no orbit point of the pure subgroup is strictly closer in the
-graph metric.  A site w can be strictly closer than the identity to a
-vertex v only when |w| < 2|v|, so v is tested against those sites
-alone, and only when its parent is kept: the cell is star-shaped about
-the identity.  On a ball of radius r the sites are the orbit points
-shorter than 2r among the twenty shortest pure elements and their
-pairwise products; on the radius-4 ball these are the 120 of length
-four and six, and they give the same cell as every orbit point within
-distance seven.
+The construction runs in three stages.  First the word-metric Dirichlet
+cell around the identity vertex is read off the symmetric group: a
+tiling vertex is kept when no orbit point of the pure subgroup is
+strictly closer to it than the identity, and that is so exactly when
+it is a shortest vertex of its pure orbit.  The orbits are the twelve
+classes of S4 modulo the full reversal (`_cell`), so the cell is exact
+over the whole orbit, with no list of sites and no rewriting.
 Second, the cell is adapted to the square 2-cells of the tiling: a
 square with all four corners kept is taken whole, and a square with
 exactly three corners kept is cut along the diagonal joining its two
@@ -37,14 +33,13 @@ The stage functions recompute on every call.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as _iproduct, takewhile
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .action import TRANSLATIONS, TWENTY, image_geodesic
-from .cactus import J4P
+from .cactus import J4P, project_to_symmetric
 from .complex import CayleyBall, _cycle, build_ball
 from .rewrite import canonical_form, system_for
-from .words import Presentation, Word, shortlex_key
+from .words import Presentation, Word
 
 
 class LabeledPolygon(NamedTuple):
@@ -117,61 +112,58 @@ class SurfaceClass(NamedTuple):
 # polygon construction
 
 
-def _orbit_sites(below: int) -> List[Word]:
-    """The orbit points shorter than `below` among the twenty shortest
-    pure elements and their pairwise products.
+def _cell(ball: CayleyBall) -> Set[Word]:
+    """The vertices of the ball that are shortest in their pure orbit,
+    which is the Dirichlet cell of the identity vertex.
 
-    `TWENTY`, in shortlex order of its orbit points, comes first so the
-    common exclusions short-circuit.  A site w is tested against v only
-    when |w| < 2|v|, so on a ball of radius r the sites shorter than 2r
-    are the ones that can decide the cell; every product is sunk, and
-    only those are sorted into normal form.
+    Write pi for `project_to_symmetric` (letters act left to right) and
+    w0 = (4 3 2 1) for the image of s14.  The proof has three steps.
+    - A pure g = u s14^p has pi(u) = w0^p, and it carries the vertex h
+      to u mirror^p(h), where mirror is conjugation by s14.  So
+      pi(g h) = w0^p w0^p pi(h) w0^p = pi(h) w0^p, and the right coset
+      pi(h)<w0> is constant on each orbit.
+    - J4 acts transitively on the vertices, with stabilizer {1, s14},
+      and the pure subgroup is the kernel of J4 -> S4.  So it has
+      |S4/<w0>| = 12 orbits on the vertices, one per coset.
+    - d(v, g e) = |g^-1 v|, and g^-1 v runs over v's orbit as g runs
+      over the pure subgroup.  So no orbit point is strictly closer to
+      v than the identity exactly when |v| is least in v's orbit.
+
+    Normal forms are prefix-closed, so each vertex's image is its
+    parent's followed by its last letter's.  Its coset is keyed by the
+    lesser of that image and its composite with w0, which maps each
+    value i to 5 - i.  The ball holds every vertex no longer than its
+    radius, so a class that meets it has its least length there.  The
+    class minima are 0, 1 (five classes), 2 (five) and 3 (one), so a
+    ball of radius less than 3 misses a class, and it is refused.
     """
-    engine = system_for(J4P)
-    shorts = sorted(TWENTY, key=lambda g: shortlex_key(g.j4p_form))
-    seen = dict.fromkeys(g.j4p_form for g in shorts if len(g.j4p_form) < below)
-    for g, h in _iproduct(shorts, shorts):
-        sunk = image_geodesic(g, h.j4p_form.codes, start=len(g.j4p_form))
-        if 0 < len(sunk) < below:
-            seen.setdefault(Word._from_codes(J4P.alphabet, engine.sort(sunk)))
-    return list(seen)
-
-
-def _voronoi_keeps(ball, sites: Sequence[Word]):
-    """Vertices v with |w^-1 v| >= |v| for every site w; the generators
-    are involutions, so w^-1 v is spelled by reverse(w) followed by v.
-    The sites are orbit points, which are geodesic, and so is their
-    reversal: only the letters of v are sunk onto it.  Only sites with
-    |w| < 2|v| are tested: for a longer site the triangle inequality
-    gives |w^-1 v| >= |w| - |v| >= |v|.
-
-    The cell is geodesically star-shaped about the identity: for u on a
-    geodesic from e to a kept v and any site s, d(u, s) >= d(v, s) -
-    d(u, v) >= d(v, e) - d(u, v) = d(u, e).  So v, taken by length, is
-    tested only when its parent, the normal form v minus its last
-    letter, is kept."""
-    sys = system_for(ball.presentation)
-    by_length = sorted((w.codes[::-1] for w in sites), key=len)
-    levels: Dict[int, List[Word]] = {}
-    for v in ball.vertices:
-        levels.setdefault(len(v), []).append(v)
-    kept = {()}
-    for L in range(1, ball.radius + 1):
-        near = list(takewhile(lambda s: len(s) < 2 * L, by_length))
-        for v in levels.get(L, ()):
-            tv = v.codes
-            if tv[:-1] in kept and all(
-                len(sys.geodesic(s + tv, start=len(s))) >= L for s in near
-            ):
-                kept.add(tv)
-    return {v for v in ball.vertices if v.codes in kept}
+    alphabet = ball.presentation.alphabet
+    letters = [
+        project_to_symmetric(Word._from_codes(alphabet, (c,)), 4).images
+        for c in range(len(alphabet))
+    ]
+    image = {(): (1, 2, 3, 4)}
+    coset: Dict[Word, Tuple[int, ...]] = {}
+    least: Dict[Tuple[int, ...], int] = {}
+    for v, length in ball.vertices.items():
+        t = v.codes
+        if t:
+            image[t] = tuple([letters[t[-1]][i - 1] for i in image[t[:-1]]])
+        p = image[t]
+        coset[v] = key = min(p, tuple([5 - i for i in p]))
+        least[key] = min(least.get(key, length), length)
+    if len(least) != 12:
+        raise ValueError(
+            f"the radius-{ball.radius} ball meets {len(least)} of the 12 pure orbits"
+        )
+    return {v for v, key in coset.items() if ball.vertices[v] == least[key]}
 
 
 def _polygon(ball: CayleyBall) -> LabeledPolygon:
     """Cell-adapted fundamental 20-gon around the identity vertex.  A
     kept piece, a whole square or the kept half of a cut square, lists
     its corners, their angles in fifths of pi and its sides' kinds."""
-    keep = _voronoi_keeps(ball, _orbit_sites(2 * ball.radius))
+    keep = _cell(ball)
     pieces = []
     for face in ball.faces:
         b = face.boundary

@@ -9,8 +9,7 @@ from cactus45.cactus import J4P, project_to_symmetric
 from cactus45 import dirichlet, geometry
 from cactus45.complex import _cycle, build_ball
 from cactus45.dirichlet import (
-    _orbit_sites,
-    _voronoi_keeps,
+    _cell,
     classify_identified_surface,
     fundamental_domain,
     poincare_presentation,
@@ -30,7 +29,7 @@ from cactus45.rewrite import RewriteSystem, canonical_form, sphere
 from cactus45.words import Alphabet, Generator, Word, invert, same_relator_class
 
 from geometry_oracle import angle_sum, side_lengths
-from voronoi_oracle import site_distance, voronoi_keeps
+from voronoi_oracle import voronoi_keeps
 from fixtures import (
     ANGLE_3PI5_CORNERS,
     ANGLE_4PI5_CORNERS,
@@ -168,61 +167,51 @@ def test_word_metric_membership(polygon):
 
 
 # ---------------------------------------------------------------------------
-# the word-metric Voronoi cell
+# the word-metric Dirichlet cell
 
 
 def _all_sites():
     """TWENTY and every nontrivial pairwise product, composed from
-    scratch: the 360 orbit points that `_orbit_sites` filters by length."""
+    scratch: 360 orbit points, out to distance eight."""
     found = {g.j4p_form for g in TWENTY}
     found |= {g.compose(h).j4p_form for g in TWENTY for h in TWENTY}
     found.discard(Word(J4P.alphabet, ()))
     return found
 
 
+def _coset(v, side):
+    """The class of the vertex v in S4 modulo the full reversal, as the
+    pair of images that spell it: the right coset maps each image i to
+    5 - i, the left one reverses the image tuple."""
+    p = project_to_symmetric(v, 4).images
+    other = tuple(5 - i for i in p) if side == "right" else p[::-1]
+    return frozenset((p, other))
+
+
 @pytest.mark.parametrize("radius", [3, 4])
-def test_pruned_keeps_match_the_all_sites_oracle(radius):
-    # the oracle tests every vertex against all 360 sites; the pruned
-    # test reads only sites shorter than 2 * radius, and only vertices
-    # whose parent is kept
+def test_coset_cell_matches_the_all_sites_oracle(radius):
+    # the oracle tests every vertex against all 360 sites; the cell
+    # keeps each vertex shortest in its S4 class
     ball = build_ball(J4P, radius)
-    keep = _voronoi_keeps(ball, _orbit_sites(2 * radius))
+    keep = _cell(ball)
     assert keep == voronoi_keeps(ball, _all_sites())
     assert len(keep) == 31
 
 
 @pytest.mark.parametrize("radius", [3, 4])
 def test_kept_vertices_have_kept_parents(radius):
-    # the star shape the parent prune rests on, read off the oracle's
+    # the cell is star-shaped about the identity, read off the oracle's
     # cell: a kept vertex's normal form minus its last letter is kept
     ball = build_ball(J4P, radius)
-    keep = voronoi_keeps(ball, _orbit_sites(2 * radius))
+    keep = voronoi_keeps(ball, _all_sites())
     parents = {Word._from_codes(J4P.alphabet, v.codes[:-1]) for v in keep if len(v)}
     assert parents <= keep
     assert len(parents) > 1
 
 
-def test_no_long_site_is_strictly_closer():
-    # the bound the prune rests on: a site w with |w| >= 2|v| is never
-    # strictly closer to v than the identity is, for any ball vertex v
-    ball = build_ball(J4P, 4)
-    sites = _all_sites()
-    assert set(_orbit_sites(8)) == {w for w in sites if len(w) < 8}
-    checked = 0
-    for w in sites:
-        for v in ball.vertices:
-            if len(w) >= 2 * len(v):
-                assert site_distance(ball, w, v) >= len(v)
-                checked += 1
-    # 20 sites of length 4, 100 of length 6 and 240 of length 8, against
-    # the 21, 61 and 166 vertices of length at most 2, 3 and 4
-    assert checked == 20 * 21 + 100 * 61 + 240 * 166
-
-
 def test_site_list_decides_the_radius_four_cell():
-    # on the radius-4 ball only sites with |w| < 8 can exclude a vertex;
-    # the orbit points there are the vertices of length 4 and 6 whose
-    # image in S4 is central, and they cut out the same cell
+    # the orbit points of length 4 and 6 are the vertices whose image in
+    # S4 is central, and they cut out the same cell as the S4 classes
     ball = build_ball(J4P, 4)
     central = {(1, 2, 3, 4), (4, 3, 2, 1)}
     orbit = [
@@ -232,25 +221,49 @@ def test_site_list_decides_the_radius_four_cell():
         if project_to_symmetric(v, 4).images in central
     ]
     assert len(orbit) == 140
-    assert voronoi_keeps(ball, orbit) == _voronoi_keeps(ball, _orbit_sites(8))
+    assert voronoi_keeps(ball, orbit) == _cell(ball)
 
 
-def test_voronoi_keeps_geodesic_count(monkeypatch):
-    # a deterministic work count: the all-sites loop made 15,023 calls,
-    # and testing every vertex against the sites shorter than 2|v| 2,451;
-    # counted on the class, since undoing a patch of the J4' engine
+def test_the_right_coset_is_constant_on_orbits():
+    # every one of the twenty generators and inverses keeps each vertex
+    # of the radius-3 ball in its class, and the ball meets all twelve
+    ball = build_ball(J4P, 3)
+    classes = {v: _coset(v, "right") for v in ball.vertices}
+    assert len(set(classes.values())) == 12
+    for g in TWENTY:
+        for v, c in classes.items():
+            assert _coset(gamma(g, v), "right") == c
+
+
+def test_the_left_coset_is_not_constant_on_orbits():
+    # w0 pi(v) also splits S4 into twelve pairs, and its least members
+    # happen to cut the same 31-vertex cell; only the action tells the
+    # two sides apart
+    ball = build_ball(J4P, 3)
+    classes = {v: _coset(v, "left") for v in ball.vertices}
+    least = {}
+    for v, c in classes.items():
+        least[c] = min(least.get(c, len(v)), len(v))
+    assert len(least) == 12
+    assert {v for v, c in classes.items() if len(v) == least[c]} == _cell(ball)
+    assert any(_coset(gamma(g, v), "left") != c for g in TWENTY for v, c in classes.items())
+
+
+def test_a_ball_that_misses_an_orbit_is_refused():
+    # the twelfth class, that of s13 s24 s23, is first met at length 3
+    with pytest.raises(ValueError, match="^the radius-2 ball meets 11 of the 12 pure orbits$"):
+        _cell(build_ball(J4P, 2))
+
+
+def test_the_cell_makes_no_geodesic_or_sort_call(monkeypatch):
+    # patched on the class, since undoing a patch of the J4' engine
     # itself would leave a bound method stored on it
-    ball, sites = build_ball(J4P, 4), _orbit_sites(8)
-    geodesic = RewriteSystem.geodesic
+    ball = build_ball(J4P, 4)
     calls = []
-
-    def counted(self, t, trace=None, start=0):
-        calls.append(len(t))
-        return geodesic(self, t, trace, start)
-
-    monkeypatch.setattr(RewriteSystem, "geodesic", counted)
-    _voronoi_keeps(ball, sites)
-    assert len(calls) == 1699
+    for name in ("geodesic", "sort"):
+        monkeypatch.setattr(RewriteSystem, name, lambda self, *a, _n=name, **k: calls.append(_n))
+    assert len(_cell(ball)) == 31
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

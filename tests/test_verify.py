@@ -3,7 +3,8 @@ against `canonical_form`, the level-by-level parity law of criterion 3
 against `project_to_symmetric`, a mutation of one letter's image, a
 missing face and a missing edge in criterion 5, planted faults in
 criterion 13's action checks, one wrong table entry for criteria 1, 2,
-4, 7, 8 and 9, planted objects for criteria 6 to 12, and the work one
+4, 7, 8 and 9, planted objects for criteria 6 to 12, criterion 7's
+side count, distinct labels and label set, and the work one
 ``verify-all`` run does in its costliest stages."""
 
 import itertools
@@ -182,8 +183,8 @@ def test_verify_all_work_counts(monkeypatch):
     _replace(monkeypatch, action.gamma, acting_through(action.gamma))
     monkeypatch.setattr(PureElement, "compose", acting_through(PureElement.compose))
 
-    # the fundamental domain is rebuilt inside the run, so its orbit
-    # sites and pairings are counted too
+    # the fundamental domain is rebuilt inside the run, so its cell and
+    # pairings are counted too
     forget(monkeypatch, J4P, _construct, dirichlet._domain)
     built = radii_built(monkeypatch)
     results = verify.run_all()
@@ -204,12 +205,14 @@ def test_verify_all_work_counts(monkeypatch):
     assert canonicalised == {"canonical_form in 2": 30, "canonical_form in 7": 2}
     assert calls["parse in 1"] == 2
     # normal forms only where a word can match: criterion 3 projects and
-    # never rewrites; criterion 7 builds the fundamental domain (orbit
-    # sites, the Voronoi cell, side pairings); 13 sorts one candidate
+    # never rewrites; criterion 7 builds the fundamental domain, whose
+    # cell is read off S4 with no rewriting: its 216 geodesics are the
+    # side pairings' 200 images, the cycles' 14 compositions and the
+    # anchor's two canonical forms; 13 sorts one candidate
     # fixer per vertex of the radius-3 ball and the sampled products
     assert (calls["sort in 3"], calls["geodesic in 3"]) == (0, 0)
     assert (calls["sort in 6"], calls["geodesic in 6"]) == (0, 0)
-    assert (calls["sort in 7"], calls["geodesic in 7"]) == (181, 2315)
+    assert (calls["sort in 7"], calls["geodesic in 7"]) == (41, 216)
     assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 933)
 
 
@@ -269,6 +272,38 @@ def test_a_length_3_vertex_inside_the_polygon_fails_criterion_7(monkeypatch):
     result = verify.run_criterion(7)
     assert not result.passed
     assert result.details == f"length-3 vertex {text} lies strictly inside the polygon"
+
+
+def _with_labels(monkeypatch, labels):
+    """Criterion 7 handed the fundamental polygon with other labels."""
+    fd = fundamental_domain()
+    polygon = fd.polygon._replace(labels=labels)
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: fd._replace(polygon=polygon))
+
+
+def test_a_polygon_missing_a_corner_fails_criterion_7(monkeypatch):
+    _with_labels(monkeypatch, fundamental_domain().polygon.labels[:-1])
+    result = verify.run_criterion(7)
+    assert not result.passed
+    assert result.details == "19 sides"
+
+
+def test_a_repeated_corner_label_fails_criterion_7(monkeypatch):
+    # twenty labels, the last one a second copy of the first
+    labels = fundamental_domain().polygon.labels
+    _with_labels(monkeypatch, labels[:-1] + labels[:1])
+    result = verify.run_criterion(7)
+    assert not result.passed
+    assert result.details == "corner labels are not 20 distinct words"
+
+
+def test_a_corner_missing_from_the_table_fails_criterion_7(monkeypatch):
+    # every corner the table names still sits at its angle, but the
+    # polygon has one corner more than the table
+    monkeypatch.setattr(ref, "CORNERS_AT_4PI5", ref.CORNERS_AT_4PI5[:-1])
+    result = verify.run_criterion(7)
+    assert not result.passed
+    assert result.details == "corner label set differs"
 
 
 def test_a_side_pairing_that_fixes_its_corners_fails_criterion_8(monkeypatch):

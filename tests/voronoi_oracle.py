@@ -1,11 +1,11 @@
 """Reference oracle for the word-metric Voronoi cell: every orbit site
-tested against every ball vertex, with no pruning by length.
+tested against every ball vertex, by rewriting.
 
-`cactus45.dirichlet._voronoi_keeps` tests a vertex v only against the
-sites w with |w| < 2|v|, since the triangle inequality rules the rest
-out, and only when v's parent is kept, since the cell is star-shaped.
-This module keeps the plain all-sites test so the tests can check that
-the pruned keep set is the same one.
+`cactus45.dirichlet._cell` keeps a vertex when it is shortest in its
+class of S4 modulo the full reversal, which is its pure orbit, and
+rewrites nothing.  This module keeps the plain metric test, so the
+tests can check that the two cells are the same against any list of
+orbit points.
 """
 
 from __future__ import annotations
