@@ -241,11 +241,12 @@ _J4_TO_J4P = {c: i for i, c in enumerate(J4P_TO_J4)}
 def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     """Rewrite a J_4 word as (word with no s14) · s14^parity.
 
-    Single left-to-right scan: each s14 toggles a parity flag, and any
-    later letter crossed by an odd number of s14's is replaced by its
-    mirrored interval.  Adjacent s14 pairs cancel through the parity
-    flag, so |output| + parity <= |input|.  The group element is
-    unchanged (same symmetric-group image, same J_4 class).
+    Single left-to-right scan, run on codes by `_push_s14_codes`: each
+    s14 toggles a parity flag, and any later letter crossed by an odd
+    number of s14's is replaced by its mirrored interval.  Adjacent s14
+    pairs cancel through the parity flag, so |output| + parity <=
+    |input|.  The group element is unchanged (same symmetric-group
+    image, same J_4 class).
 
     A list passed as `trace` receives the scan as relator moves on w,
     in J_4 letter codes: ("swap", i, (s14, x, s14, x')) turns s14 x at
@@ -253,9 +254,13 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     """
     if w.alphabet != J4.alphabet:
         raise ValueError("push_s14_right takes words over the J_4 alphabet")
-    parity = 0
-    out: List[int] = []
-    for c in w.codes:
+    out, parity = _push_s14_codes(w.codes, trace)
+    return Word._from_codes(J4P.alphabet, out), parity
+
+
+def _push_s14_codes(codes: Sequence[int], trace=None) -> Tuple[List[int], int]:
+    out, parity = [], 0
+    for c in codes:
         if c == S14:
             if parity and trace is not None:
                 trace.append(("delete", len(out), (S14, S14)))
@@ -267,4 +272,4 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
             out.append(mirrored)
         else:
             out.append(_J4_TO_J4P[c])
-    return Word._from_codes(J4P.alphabet, out), parity
+    return out, parity

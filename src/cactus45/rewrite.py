@@ -20,6 +20,9 @@ graph (Chepoi 2000).  Two exact operations on words follow:
     1998).  A letter is a left descent when, sunk rightward through the
     geodesic, it cancels.
 
+Every kernel (sink, flip, sort, automaton) reads one n x n table,
+`RewriteSystem.flip`: (y4, y3) at [y1][y2] for a form y1 y2 y3 y4, or None.
+
 Word equality sinks each word once, to a geodesic, and flips the first
 geodesic into the second letter by letter: each letter of the second
 must be a left descent of what remains of the first.  The words are
@@ -32,12 +35,12 @@ deletion becomes an "insert").  Each move's relator is a `Word` from
 the engine's table `relator_words`, built once: every relator form and
 every square x x.  `EqualityCertificate.verify` accepts a swap only by
 one of the presentation's relator forms (`Presentation.forms`, the
-table the engine's swaps are read from) and a deletion or insertion
+table the flip table is read from) and a deletion or insertion
 only of a square x x.
 
 Spheres are neither sunk nor sorted: the shortlex language is regular
 (Cannon 1984, Niblo-Reeves 1998), and `RewriteSystem.spheres` walks its
-automaton, read off the swap table.  No level outlives its call.
+automaton, read off the flip table.  No level outlives its call.
 
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
@@ -182,25 +185,25 @@ class RewriteSystem:
                     raise ValueError(f"letters {idx[i - 1], idx[i]} lie on a degenerate square")
         if len(squares) != self.n:
             raise ValueError("every generator needs its square relator")
-        # (y1, y2) -> (y4, y3) for every relator form y1 y2 y3 y4
-        self.swap: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # flip[y1][y2] == (y4, y3) for every relator form y1 y2 y3 y4, else None
+        self.flip: List[List[Optional[Tuple[int, int]]]] = [[None] * self.n for _ in range(self.n)]
         for y in P.forms:
-            if self.swap.setdefault(y[:2], (y[3], y[2])) != (y[3], y[2]):
+            if self.flip[y[0]][y[1]] not in (None, (y[3], y[2])):
                 raise ValueError(f"letters {y[:2]} lie on two squares")
-        link = {a: {b for (x, b) in self.swap if x == a} for a in range(self.n)}
-        for a, b in self.swap:
-            if link[a] & link[b]:
-                raise ValueError("the link has a triangle: not a CAT(0) square complex")
+            self.flip[y[0]][y[1]] = (y[3], y[2])
+        link = [{b for b, sq in enumerate(row) if sq} for row in self.flip]
+        if any(link[a] & link[b] for a in range(self.n) for b in link[a]):
+            raise ValueError("the link has a triangle: not a CAT(0) square complex")
 
     def geodesic(self, t: Sequence[int], trace: Trace = None, start: int = 0) -> List[int]:
         """A geodesic spelling of t, by sinking each letter leftward;
         t[:start] must be geodesic, and only the letters after it sink."""
-        swap = self.swap
+        flip = self.flip
         w: List[int] = list(t[:start])
         for g in t[start:]:
             cur, moved, i = g, [], len(w) - 1
             while i >= 0 and w[i] != cur:
-                sq = swap.get((w[i], cur))
+                sq = flip[w[i]][cur]
                 if sq is None:
                     break
                 cur = sq[0]
@@ -210,9 +213,8 @@ class RewriteSystem:
                 if trace is not None:  # the squares crossed, read off w again
                     cur = g
                     for j in range(len(w) - 1, i, -1):
-                        a = w[j]
-                        b, c = swap[(a, cur)]
-                        trace.append(("swap", j, (a, cur, c, b)))
+                        b, c = flip[w[j]][cur]
+                        trace.append(("swap", j, (w[j], cur, c, b)))
                         cur = b
                     trace.append(("delete", i, (cur, cur)))
                 w[i:] = moved[::-1]
@@ -223,19 +225,19 @@ class RewriteSystem:
     def _lift(self, w: List[int], k: int, x: int, trace: Trace) -> bool:
         """If x is a left descent of the geodesic w[k:], flip squares so
         that w[k] == x and return True; else leave w alone."""
-        swap, cur, j = self.swap, x, k
-        while j < len(w) and w[j] != cur:
-            sq = swap.get((cur, w[j]))
+        flip, cur, j, n = self.flip, x, k, len(w)
+        while j < n and w[j] != cur:
+            sq = flip[cur][w[j]]
             if sq is None:
                 return False
             cur = sq[1]
             j += 1
-        if j == len(w):
+        if j == n:
             return False
         # the squares crossed by the sink, flipped from the right
         for i in range(j - 1, k - 1, -1):
             a, b = w[i], w[i + 1]
-            c, d = swap[(a, b)]
+            c, d = flip[a][b]
             if trace is not None:
                 trace.append(("swap", i, (a, b, d, c)))
             w[i], w[i + 1] = c, d
@@ -262,9 +264,12 @@ class RewriteSystem:
         g1 == g2.  Each flip reorders two hyperplanes that the geodesics
         cross in opposite orders, so the flips are as few as possible.
         On False, g1 still spells its element."""
-        return len(g1) == len(g2) and all(
-            self._lift(g1, k, x, trace) for k, x in enumerate(g2)
-        )
+        if len(g1) != len(g2):
+            return False
+        for k, x in enumerate(g2):
+            if not self._lift(g1, k, x, trace):
+                return False
+        return True
 
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """The spheres S_0, S_1, ... in turn, each a list of normal forms
@@ -274,11 +279,11 @@ class RewriteSystem:
         descents, and C the set of letters that a lesser left descent
         x < t[k], pushed right through t[k:] as `_lift` walks it,
         arrives as at the end.  t·z is a normal form exactly when z is
-        in neither, and then D(t·z) = {z} ∪ {y : swap[(z, y)][0] ∈ D(t)}
-        and C(t·z) = {swap[(c, z)][1] : c ∈ C(t) ∪ {x < z}}, taken where
-        the swap exists.  For `sort` puts the least left descent at each
+        in neither, and then D(t·z) = {z} ∪ {y : flip[z][y][0] ∈ D(t)}
+        and C(t·z) = {flip[c][z][1] : c ∈ C(t) ∪ {x < z}}, taken where
+        the flip exists.  For `sort` puts the least left descent at each
         position, and a left descent of t[k:]·z that t[k:] lacks must
-        arrive at the end as z.  A state's row is read off the swap
+        arrive at the end as z.  A state's row is read off the flip
         table when the walk first meets it, and dropped with the walk.
         Letters are appended in increasing order, so each level is
         already in shortlex order: nothing is sorted or deduplicated."""
@@ -291,9 +296,9 @@ class RewriteSystem:
     def _row(self, D: FrozenSet[int], C: FrozenSet[int]) -> list:
         """The letters z that extend a normal form in state (D, C), each
         with the state of t·z."""
-        swap = self.swap
-        return [(z, (frozenset([z] + [y for (x, y), sq in swap.items() if x == z and sq[0] in D]),
-                     frozenset(swap[c, z][1] for c in C.union(range(z)) if (c, z) in swap)))
+        flip = self.flip
+        return [(z, (frozenset([z] + [y for y, sq in enumerate(flip[z]) if sq and sq[0] in D]),
+                     frozenset(flip[c][z][1] for c in C.union(range(z)) if flip[c][z])))
                 for z in range(self.n) if z not in D and z not in C]
 
 
@@ -323,9 +328,9 @@ class SplitSystem:
     def geodesic(self, t: Sequence[int], trace: Trace = None, start: int = 0):
         # a geodesic prefix holds at most one s14 (two would merge), and
         # pushes to a J4' geodesic one letter shorter per s14
-        u, p = cactus.push_s14_right(Word._from_codes(self.presentation.alphabet, t), trace)
+        u, p = cactus._push_s14_codes(t, trace)
         inner_start = start - t[:start].count(cactus.S14)
-        return self._inner(trace, self.inner.geodesic, u.codes, start=inner_start), p
+        return self._inner(trace, self.inner.geodesic, u, start=inner_start), p
 
     def sort(self, g) -> Tuple[int, ...]:
         w, p = g

@@ -3,7 +3,8 @@ that `cactus45.rewrite` ran before its exact engine, the certificate
 replay that rebuilt the whole word after every move, the equality
 test that sank each word twice (once for its normal form, once more for
 the certificate's paths), and the sink-and-sort sphere enumeration
-that the shortlex automaton replaced.
+that the shortlex automaton replaced; and the seeded relator walks
+that plant equal pairs for the tests.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -249,3 +250,33 @@ def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) 
         for kind, pos, r in reversed(backward)
     ]
     return EqualityResult(True, EQUAL, EqualityCertificate(tuple(moves)))
+
+
+def flip_at_random(P, t, count, rng):
+    """`count` attempts at a square flip at a random position of the
+    index list t, in place."""
+    o = oracle_for(P)
+    for _ in range(count):
+        p = rng.randrange(max(len(t) - 1, 1))
+        flips = o.flips.get(tuple(t[p : p + 2]))
+        if flips:
+            t[p : p + 2] = rng.choice(flips)
+
+
+def relator_walk(P, w, length, rng):
+    """A spelling of w's element with at least `length` letters, reached
+    by random relator moves: square insertions, each followed by a few
+    square flips, and a round of flips at the end."""
+    o = oracle_for(P)
+    t = list(o.encode(w))
+    while len(t) < length:
+        p, g = rng.randrange(len(t) + 1), rng.randrange(o.n)
+        t[p:p] = [g, g]
+        flip_at_random(P, t, 8, rng)
+    flip_at_random(P, t, len(t), rng)
+    return o.decode(t)
+
+
+def random_word(P, length, rng):
+    names = P.alphabet.names()
+    return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])

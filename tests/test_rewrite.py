@@ -31,7 +31,7 @@ from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
 import rewrite_oracle
-from rewrite_oracle import oracle_for, rewrite_neighbors
+from rewrite_oracle import flip_at_random, oracle_for, random_word, relator_walk, rewrite_neighbors
 
 from fixtures import (
     A_INVERSE_PAIRS,
@@ -287,36 +287,6 @@ def test_one_j4prime_engine(monkeypatch):
 # the exact engine against the closure oracle, and on long random words
 
 
-def flip_at_random(P, t, count, rng):
-    """`count` attempts at a square flip at a random position of the
-    index list t, in place."""
-    o = oracle_for(P)
-    for _ in range(count):
-        p = rng.randrange(max(len(t) - 1, 1))
-        flips = o.flips.get(tuple(t[p : p + 2]))
-        if flips:
-            t[p : p + 2] = rng.choice(flips)
-
-
-def relator_walk(P, w, length, rng):
-    """A spelling of w's element with at least `length` letters, reached
-    by random relator moves: square insertions, each followed by a few
-    square flips, and a round of flips at the end."""
-    o = oracle_for(P)
-    t = list(o.encode(w))
-    while len(t) < length:
-        p, g = rng.randrange(len(t) + 1), rng.randrange(o.n)
-        t[p:p] = [g, g]
-        flip_at_random(P, t, 8, rng)
-    flip_at_random(P, t, len(t), rng)
-    return o.decode(t)
-
-
-def random_word(P, length, rng):
-    names = P.alphabet.names()
-    return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])
-
-
 def test_normal_form_matches_closure_oracle_on_all_short_words():
     sys, o = system_for(PP), oracle_for(PP)
     count = 0
@@ -518,6 +488,38 @@ def test_planted_fake_relator_is_rejected():
     assert real.verify(PP, pw("s12 s34"), pw("s34 s12"))
     back = EqualityCertificate((Move(0, pw("s13 s12 s13 s23"), "swap").inverted(),))
     assert back.verify(PP, pw("s23 s13"), pw("s13 s12"))
+
+
+# a square whose letters are not two commuting ones: a b a c turns
+# a b into c a, so the table's two entries differ from the pair itself
+BENT = _involutive("a b c", ["a b a c"])
+
+
+@pytest.mark.parametrize("P", [PP, BENT, KLEIN_FREE], ids=["j4p", "bent", "klein-free"])
+def test_the_flip_table_is_read_off_the_forms(P):
+    engine = system_for(P)
+    n = len(P.alphabet)
+    assert len(engine.flip) == n and all(len(row) == n for row in engine.flip)
+    for y in P.forms:
+        assert engine.flip[y[0]][y[1]] == (y[3], y[2]), y
+    on_squares = {y[:2] for y in P.forms}
+    for a, b in itertools.product(range(n), repeat=2):
+        if (a, b) not in on_squares:
+            assert engine.flip[a][b] is None, (a, b)
+    assert not hasattr(engine, "swap")
+
+
+def test_flip_table_of_the_bent_square():
+    a, b, c = range(3)
+    flips = {(a, b): (c, a), (b, a): (a, c), (a, c): (b, a), (c, a): (a, b)}
+    flip = system_for(BENT).flip
+    assert {(x, y): flip[x][y] for x in range(3) for y in range(3) if flip[x][y]} == flips
+
+
+def test_a_pair_on_two_squares_is_refused():
+    # a b lies on a b a b and on a b c b
+    with pytest.raises(ValueError, match=r"letters \(0, 1\) lie on two squares"):
+        RewriteSystem(_involutive("a b c", ["a b a b", "a b c b"]))
 
 
 def test_engine_rejects_complexes_that_are_not_cat0():

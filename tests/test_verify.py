@@ -2,10 +2,12 @@
 against `canonical_form`, the level-by-level parity law of criterion 3
 against `project_to_symmetric`, a mutation of one letter's image, a
 missing face and a missing edge in criterion 5, planted faults in
-criterion 13's action checks, one wrong table entry for criteria 1, 2,
-4, 7, 8 and 9, planted objects for criteria 6 to 12, criterion 7's
-side count, distinct labels and label set, and the work one
-``verify-all`` run does in its costliest stages."""
+criterion 13's action checks (a lift that compares spellings, odd
+orbit distances), one wrong table entry for criteria 1, 2, 4, 7, 8 and
+9, equality certificates that do not replay for criteria 1 and 2,
+planted objects for criteria 6 to 12, criterion 7's side count,
+distinct labels and label set, and the work one ``verify-all`` run
+does in its costliest stages."""
 
 import itertools
 import sys
@@ -476,6 +478,47 @@ def test_criterion_13_catches_a_planted_action_law_failure(monkeypatch):
     assert result.details == "action law fails on a sampled pair"
 
 
+def test_criterion_13_catches_a_lift_that_compares_spellings(monkeypatch):
+    # an engine whose lift compares the two geodesics letter by letter:
+    # the images g(g'(h)) and (g g')(h) are one vertex spelled apart
+    engine = system_for(J4P)
+
+    class Literal:
+        def __getattr__(self, name):
+            return getattr(engine, name)
+
+        def lift(self, g1, g2, trace):
+            return g1 == g2
+
+    monkeypatch.setattr(verify, "system_for", lambda P: Literal())
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == "action law fails on a sampled pair"
+
+
+def test_criterion_13_catches_an_odd_orbit_distance(monkeypatch):
+    # one letter is no pure element: it moves the identity an odd distance
+    planted = (PureElement(J4P.word("s12"), 0),) + action.TWENTY[1:]
+    monkeypatch.setattr(verify, "TWENTY", planted)
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == "orbit distance of a short element is odd"
+
+
+def test_criterion_13_catches_a_product_at_an_odd_distance(monkeypatch):
+    # every product gains a letter
+    compose = PureElement.compose
+
+    def planted(g, h):
+        gh = compose(g, h)
+        return PureElement(gh.j4p_form * J4P.word("s12"), gh.parity)
+
+    monkeypatch.setattr(PureElement, "compose", planted)
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == "orbit distance of a product is odd"
+
+
 def test_criterion_13_catches_a_planted_non_isometry(monkeypatch):
     # the action conjugated by the swap of the identity vertex with s12
     # is still a free action, but no isometry: d(s12, h) and |h| differ
@@ -592,11 +635,40 @@ def _with_entry(table, key, value):
         # g1's source and target sides exchanged
         (8, "SIDE_PAIRING_TABLE", "g1", (("s13 s24", "s13 s23"), ("s34 s12", "s34 s13")),
          "pairing row g1 differs from the table"),
+        # a spelling whose last two letters are turned round
+        (1, "EQUIVALENT_SPELLINGS", 1, "s34 s13 s24 s23", "alternative spelling pair not equal"),
     ],
 )
 def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, key, value, message):
     assert verify.run_criterion(number).passed
     monkeypatch.setattr(ref, table, _with_entry(getattr(ref, table), key, value))
+    result = verify.run_criterion(number)
+    assert not result.passed
+    assert result.details == message
+
+
+def _truncated(result):
+    """The result with its certificate's last move dropped."""
+    moves = result.certificate.moves
+    assert moves
+    return result._replace(certificate=result.certificate._replace(moves=moves[:-1]))
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [_truncated, lambda result: result._replace(certificate=None)],
+    ids=["truncated", "missing"],
+)
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        (1, "alternative spelling certificate does not replay"),
+        (2, "inverse certificate for pair (1, 17) does not replay"),
+    ],
+)
+def test_a_certificate_that_does_not_replay_fails_its_criterion(monkeypatch, plant, number, message):
+    real = verify.words_equal
+    monkeypatch.setattr(verify, "words_equal", lambda *args, **kw: plant(real(*args, **kw)))
     result = verify.run_criterion(number)
     assert not result.passed
     assert result.details == message
