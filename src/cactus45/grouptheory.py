@@ -26,6 +26,7 @@ from .words import (
     Word,
     free_reduce,
     invert,
+    replay,
     same_relator_class,
     substitute,
     _substituted,
@@ -182,6 +183,28 @@ def abelianization_invariants(P: Presentation) -> Tuple[int, Tuple[int, ...]]:
 # triviality certificates
 
 
+def _splice(
+    P: Presentation, left: List[int], right: List[int], kind: str, form: Tuple[int, ...]
+) -> None:
+    """The edit of a triviality move at the cursor of `words.replay`: an
+    insert of one of P's relator forms, the rotations Dehn's algorithm
+    uses.  A freely reduced form spliced into a freely reduced word
+    cancels outward from its two seams only."""
+    if kind != "insert":
+        raise ValueError(f"unknown move kind {kind!r}")
+    if not P.is_form(form):
+        raise ValueError("move splices in a non-relator word")
+    inverse = P.alphabet.inverse
+    for c in form:
+        if left and left[-1] == inverse[c]:
+            left.pop()
+        else:
+            left.append(c)
+    while left and right and left[-1] == inverse[right[-1]]:
+        left.pop()
+        right.pop()
+
+
 class TrivialityCertificate(NamedTuple):
     """Inserts (`Move` of kind "insert") that take `word` to the empty
     word, each splice followed by free reduction: deleting a relator
@@ -191,39 +214,11 @@ class TrivialityCertificate(NamedTuple):
     moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation) -> Word:
-        """Apply the moves to the freely reduced word; the result is
-        freely reduced.  An insert must splice in one of P's relator
-        forms, the rotations Dehn's algorithm uses; ValueError on any
-        other move.  The word is held as the codes left of the cursor
-        and, reversed, those right of it: a freely reduced form spliced
-        into a freely reduced word cancels outward from its two seams
-        only."""
-        alphabet = P.alphabet
-        if self.word.alphabet != alphabet:
-            raise ValueError("word over a different alphabet")
-        inverse = alphabet.inverse
-        left, right = list(free_reduce(self.word).codes), []
-        for mv in self.moves:
-            if mv.kind != "insert":
-                raise ValueError(f"unknown move kind {mv.kind!r}")
-            form = mv.relator.codes
-            if mv.relator.alphabet != alphabet or not P.is_form(form):
-                raise ValueError("move splices in a non-relator word")
-            if not 0 <= mv.position <= len(left) + len(right):
-                raise ValueError("insertion position out of range")
-            while len(left) > mv.position:
-                right.append(left.pop())
-            while len(left) < mv.position:
-                left.append(right.pop())
-            for c in form:
-                if left and left[-1] == inverse[c]:
-                    left.pop()
-                else:
-                    left.append(c)
-            while left and right and left[-1] == inverse[right[-1]]:
-                left.pop()
-                right.pop()
-        return Word._from_codes(alphabet, left + right[::-1])
+        """The word the moves make of the freely reduced word, by
+        `words.replay`; the result is freely reduced.  An insert must
+        splice in one of P's relator forms; ValueError on any other
+        move."""
+        return replay(P, free_reduce(self.word), self.moves, _splice)
 
     def check(self, P: Presentation) -> bool:
         """Replay to the empty word, then re-check the abelian invariant

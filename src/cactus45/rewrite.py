@@ -33,10 +33,10 @@ inequality.  Every step above is a relator move: a square crossing is a
 first sink and the flips, then the second sink's moves inverted (a
 deletion becomes an "insert").  Each move's relator is a `Word` from
 the engine's table `relator_words`, built once: every relator form and
-every square x x.  `EqualityCertificate.verify` accepts a swap only by
-one of the presentation's relator forms (`Presentation.forms`, the
-table the flip table is read from) and a deletion or insertion
-only of a square x x.
+every square x x.  `EqualityCertificate.verify` replays the moves with
+`words.replay`, accepting a swap only by one of the presentation's
+relator forms (`Presentation.forms`, the table the flip table is read
+from) and a deletion or insertion only of a square x x.
 
 Spheres are neither sunk nor sorted: the shortlex language is regular
 (Cannon 1984, Niblo-Reeves 1998), and `RewriteSystem.spheres` walks its
@@ -56,7 +56,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .words import Move, Presentation, Record, Word
+from .words import Move, Presentation, Record, Word, replay
 from . import cactus
 
 PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
@@ -78,51 +78,42 @@ class RewriteBudget(Record):
         super().__init__(slack, max_states)
 
 
+def _square_move(
+    P: Presentation, left: List[int], right: List[int], kind: str, r: Tuple[int, ...]
+) -> None:
+    """The edit of an equality move at the cursor of `words.replay`: a
+    swap by one of P's relator forms, or a deletion or insertion of a
+    square x x."""
+    if kind == "swap":
+        allowed = P.is_form(r)
+    else:
+        allowed = len(r) == 2 and r[0] == r[1] and 0 <= r[0] < len(P.alphabet.generators)
+        allowed = allowed and kind in ("delete", "insert")
+    if not allowed:
+        raise ValueError(f"{kind} by {r}, not a relator of {P}")
+    if kind == "insert":
+        right += r
+    elif right[-2:] != [r[1], r[0]]:
+        raise ValueError(f"{kind} mismatch at the cursor")
+    elif kind == "swap":
+        right[-2:] = r[2], r[3]
+    else:
+        del right[-2:]
+
+
 class EqualityCertificate(NamedTuple):
     moves: Tuple[Move, ...]
 
     def replay(self, P: Presentation, w: Word) -> Word:
-        """Apply the moves to w, as `Move.apply` would one by one;
-        ValueError on a move that does not fit the word or whose relator
-        is not a relator of P: a swap's must be one of P's relator forms,
-        a deletion's or insertion's a square x x.  The word is held as
-        the codes left of the cursor and, reversed, those right of it,
-        so a move costs the distance the cursor travels to it.  Only a
-        presentation with an exact engine has certificates: its forms
-        are the squares' rotations, and every generator has its square.
-        Any other presentation raises ValueError."""
-        if w.alphabet != P.alphabet:
-            raise ValueError("word over a different alphabet")
+        """The word the moves make of w, by `words.replay`; ValueError
+        on a move that does not fit the word or whose relator is not a
+        relator of P: a swap's must be one of P's relator forms, a
+        deletion's or insertion's a square x x.  Only a presentation
+        with an exact engine has certificates: its forms are the
+        squares' rotations, and every generator has its square.  Any
+        other presentation raises ValueError."""
         system_for(P)
-        n = len(P.alphabet)
-        left, right = list(w.codes), []
-        for pos, relator, kind in self.moves:
-            rc = relator.codes
-            if kind == "swap":
-                allowed = P.is_form(rc)
-            else:
-                allowed = len(rc) == 2 and rc[0] == rc[1] and 0 <= rc[0] < n
-            if relator.alphabet != P.alphabet or not allowed:
-                raise ValueError(f"{kind} by {relator}, not a relator of {P}")
-            size = len(left) + len(right)
-            limit = size if kind == "insert" else size - 2
-            if not 0 <= pos <= max(limit, 0):
-                raise ValueError(f"move position {pos} out of range for length {size}")
-            while len(left) > pos:
-                right.append(left.pop())
-            while len(left) < pos:
-                left.append(right.pop())
-            if kind == "insert":
-                right += (rc[1], rc[0])
-            elif right[-2:] != [rc[1], rc[0]]:
-                raise ValueError(f"{kind} mismatch at {pos}")
-            elif kind == "swap":
-                right[-2:] = (rc[2], rc[3])
-            elif kind == "delete":
-                del right[-2:]
-            else:
-                raise ValueError(f"unknown move kind {kind!r}")
-        return Word._from_codes(P.alphabet, left + right[::-1])
+        return replay(P, w, self.moves, _square_move)
 
     def verify(self, P: Presentation, w1: Word, w2: Word) -> bool:
         try:
@@ -246,10 +237,13 @@ class RewriteSystem:
     def sort(self, w: List[int]) -> Tuple[int, ...]:
         """Flip the geodesic w, in place, into the shortlex-least one: at
         each position the least left descent of what remains."""
+        flip = self.flip
         for k in range(len(w)):
-            # w[k] is a left descent of w[k:]; only a lesser one moves it
-            for x in range(w[k]):
-                if self._lift(w, k, x, None):
+            # w[k] is a left descent of w[k:]; only a lesser one moves
+            # it, and only one that lies on a square with it
+            y = w[k]
+            for x in range(y):
+                if flip[x][y] and self._lift(w, k, x, None):
                     break
         return tuple(w)
 

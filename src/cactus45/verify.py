@@ -267,7 +267,7 @@ def _check_reversal_conjugation(tol: float) -> str:
         rhs = P4.word(ref.SHORT_PURE_WORDS[13 - i] + " s14")
         res = words_equal(lhs, rhs, P4, certificate=True)
         _require(
-            res.equal and res.certificate.verify(P4, lhs, rhs),
+            res.equal and res.certificate is not None and res.certificate.verify(P4, lhs, rhs),
             f"conjugation identity fails at index {i}",
         )
     return (

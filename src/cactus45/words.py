@@ -15,9 +15,11 @@ written only at the API boundary: `Word(alphabet, letters)`,
 and `Alphabet.spell`.
 
 Relator moves have one vocabulary, fixed here as well: a presentation
-lists once, in `forms`, the relator rotations a move may use, and a
-`Move` is the step of both certificates (square moves proving equality
-in the rewrite layer, Dehn splices proving triviality in grouptheory).
+lists once, in `forms`, the relator rotations a move may use, a `Move`
+is the step of both certificates (square moves proving equality in the
+rewrite layer, Dehn splices proving triviality in grouptheory), and
+`replay` is the one cursor that replays either kind, each certificate
+passing only its own edit at the cursor.
 
 Records generate no code at import.  A plain record is a `NamedTuple`,
 like `Move`; one that validates its fields, or must not act as a tuple,
@@ -439,9 +441,7 @@ class Move(NamedTuple):
     y1 y2 y3 y4 and replaces the pair (y1, y2) at `position` by
     (y4, y3).  Equality certificates insert and delete squares x x;
     triviality certificates insert relator forms, each followed by free
-    reduction.  `apply` checks only that the move fits the word; whether
-    `relator` is a relator at all is checked by the certificates'
-    `replay`."""
+    reduction.  `replay` makes the moves of either kind."""
 
     position: int
     relator: Word
@@ -451,29 +451,34 @@ class Move(NamedTuple):
     def letters(self) -> Tuple[Letter, ...]:
         return self.relator.letters
 
-    def apply(self, w: Word) -> Word:
-        cs, rc, pos = w.codes, self.relator.codes, self.position
-        width = {"insert": 0, "swap": 2}.get(self.kind, len(rc))  # codes replaced
-        if not 0 <= pos <= max(len(cs) - width, 0):
-            raise ValueError(f"move position {pos} out of range for {w}")
-        if self.kind == "swap":
-            if len(rc) != 4 or cs[pos : pos + 2] != rc[0:2]:
-                raise ValueError(f"swap mismatch at {pos}: {w}")
-            new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
-        elif self.kind == "delete":
-            if cs[pos : pos + len(rc)] != rc:
-                raise ValueError(f"delete mismatch at {pos}: {w}")
-            new = cs[:pos] + cs[pos + len(rc) :]
-        elif self.kind == "insert":
-            new = cs[:pos] + rc + cs[pos:]
-        else:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        return Word._from_codes(w.alphabet, new)
 
-    def inverted(self) -> "Move":
-        if self.kind == "swap":
-            r = self.relator
-            return Move(self.position, Word._from_codes(r.alphabet, r.codes[::-1]), "swap")
-        if self.kind == "delete":
-            return Move(self.position, self.relator, "insert")
-        return Move(self.position, self.relator, "delete")
+def replay(P: Presentation, w: Word, moves: Iterable[Move], edit) -> Word:
+    """The word that the moves make of w, a word over P.
+
+    The word is a gap buffer: `left` holds the codes left of the cursor
+    and `right` those right of it in reverse, so right[-1] follows the
+    cursor, and the cursor jumps to each move's position by one slice.
+    Each move's alphabet, and its position (0 to the word's length), is
+    checked here; edit(P, left, right, kind, relator codes) then makes
+    the move at the cursor, or raises ValueError on a move that its
+    certificate does not accept.  ValueError on any other failed check."""
+    alphabet = P.alphabet
+    if w.alphabet != alphabet:
+        raise ValueError("word over a different alphabet")
+    left, right = list(w.codes), []
+    for pos, relator, kind in moves:
+        # `is` first: comparing alphabets calls Alphabet.__eq__
+        if relator.alphabet is not alphabet and relator.alphabet != alphabet:
+            raise ValueError(f"{kind} by {relator}, a word over a different alphabet")
+        gap, size = len(left), len(left) + len(right)
+        if not 0 <= pos <= size:
+            raise ValueError(f"move position {pos} out of range for length {size}")
+        if pos < gap:
+            right += left[pos:][::-1]
+            del left[pos:]
+        elif pos > gap:
+            cut = size - pos  # right[:cut] stays right of the cursor
+            left += right[cut:][::-1]
+            del right[cut:]
+        edit(P, left, right, kind, relator.codes)
+    return Word._from_codes(alphabet, left + right[::-1])

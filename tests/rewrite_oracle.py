@@ -1,6 +1,8 @@
 """Reference oracle for the rewrite layer: the budgeted closure search
 that `cactus45.rewrite` ran before its exact engine, the certificate
-replay that rebuilt the whole word after every move, the equality
+replay that rebuilds the whole word after every move (`apply`, with
+`inverted`, the methods a `Move` carried before both certificate kinds
+shared `words.replay`), the equality
 test that sank each word twice (once for its normal form, once more for
 the certificate's paths), and the sink-and-sort sphere enumeration
 that the shortlex automaton replaced; and the seeded relator walks
@@ -199,9 +201,40 @@ def _stored_moves(P: Presentation):
     return swaps, squares
 
 
+def apply(move: Move, w: Word) -> Word:
+    """The word the move makes of w, rebuilt whole; checks only that the
+    move fits the word, not that its relator is a relator."""
+    cs, rc, pos = w.codes, move.relator.codes, move.position
+    width = {"insert": 0, "swap": 2}.get(move.kind, len(rc))  # codes replaced
+    if not 0 <= pos <= max(len(cs) - width, 0):
+        raise ValueError(f"move position {pos} out of range for {w}")
+    if move.kind == "swap":
+        if len(rc) != 4 or cs[pos : pos + 2] != rc[0:2]:
+            raise ValueError(f"swap mismatch at {pos}: {w}")
+        new = cs[:pos] + (rc[3], rc[2]) + cs[pos + 2 :]
+    elif move.kind == "delete":
+        if cs[pos : pos + len(rc)] != rc:
+            raise ValueError(f"delete mismatch at {pos}: {w}")
+        new = cs[:pos] + cs[pos + len(rc) :]
+    elif move.kind == "insert":
+        new = cs[:pos] + rc + cs[pos:]
+    else:
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    return Word._from_codes(w.alphabet, new)
+
+
+def inverted(move: Move) -> Move:
+    """The move that undoes `move`: a swap by the reversed relator, or a
+    deletion for an insertion and back."""
+    pos, r, kind = move
+    if kind == "swap":
+        return Move(pos, Word._from_codes(r.alphabet, r.codes[::-1]), "swap")
+    return Move(pos, r, "insert" if kind == "delete" else "delete")
+
+
 def replay(cert: EqualityCertificate, P: Presentation, w: Word) -> Word:
-    """Apply the moves one by one through `Move.apply`, which rebuilds
-    the word each time; a move's relator must be one P stores."""
+    """Apply the moves one by one through `apply`, which rebuilds the
+    word each time; a move's relator must be one P stores."""
     if w.alphabet != P.alphabet:
         raise ValueError("word over a different alphabet")
     swaps, squares = _stored_moves(P)
@@ -209,7 +242,7 @@ def replay(cert: EqualityCertificate, P: Presentation, w: Word) -> Word:
         allowed = swaps if m.kind == "swap" else squares
         if m.relator.alphabet != P.alphabet or m.relator.codes not in allowed:
             raise ValueError(f"{m.kind} by {m.relator}, not a relator of {P}")
-        w = m.apply(w)
+        w = apply(m, w)
     return w
 
 
@@ -246,7 +279,7 @@ def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) 
     forward, backward = _paths(sys, t1, t2)
     moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
     moves += [
-        Move(pos, Word._from_codes(P.alphabet, r), kind).inverted()
+        inverted(Move(pos, Word._from_codes(P.alphabet, r), kind))
         for kind, pos, r in reversed(backward)
     ]
     return EqualityResult(True, EQUAL, EqualityCertificate(tuple(moves)))

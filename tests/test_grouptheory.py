@@ -793,6 +793,33 @@ def test_linear_replay_agrees_with_rebuilding_oracle(P, seed):
                 assert expected in (None, new)
 
 
+def test_the_splice_cursor_reaches_both_ends_of_the_word():
+    # w's first and last letters cancel against the relator's ends, so
+    # a splice at either end of w cancels at its seam
+    (r,) = SURF.relators
+    inv = invert(r)
+    w = Word.parse(SURF.alphabet, "a5^-1 a2 a1^-1")
+    n = len(w)
+    cases = [
+        ([], w),
+        ([Move(0, r, "insert")], free_reduce(r * w)),
+        ([Move(n, r, "insert")], free_reduce(w * r)),
+        # out to the end, back to 0, where r^-1 cancels the r spliced
+        # there, and to the end again, where r^-1 cancels the first r
+        (
+            [Move(n, r, "insert"), Move(0, r, "insert"),
+             Move(0, inv, "insert"), Move(n - 2 + len(r), inv, "insert")],
+            w,
+        ),
+        ([Move(n + 1, r, "insert")], "refused"),
+        ([Move(-1, r, "insert")], "refused"),
+    ]
+    for moves, expected in cases:
+        cert = TrivialityCertificate(w, tuple(moves))
+        got = _replay_outcome(TrivialityCertificate.replay, cert, SURF)
+        assert got == _replay_outcome(dehn_oracle.replay, cert, SURF) == expected
+
+
 def test_replay_accepts_exactly_the_inserts_spelling_a_relator_form():
     # the reference lists every rotation of each cyclically reduced
     # relator and of its inverse as (name, exponent) letters; a letter

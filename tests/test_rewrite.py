@@ -31,7 +31,15 @@ from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
 import rewrite_oracle
-from rewrite_oracle import flip_at_random, oracle_for, random_word, relator_walk, rewrite_neighbors
+from rewrite_oracle import (
+    apply,
+    flip_at_random,
+    inverted,
+    oracle_for,
+    random_word,
+    relator_walk,
+    rewrite_neighbors,
+)
 
 from fixtures import (
     A_INVERSE_PAIRS,
@@ -408,7 +416,7 @@ def _replay_outcome(replay, cert, P, w):
 def test_linear_replay_agrees_with_rebuilding_oracle(P):
     rng = random.Random(7)
     square = Word._from_codes(P.alphabet, (0, 0))
-    for length in (20, 80, 300):
+    for length in (20, 80, 300, 1000):
         for _ in range(3):
             u = random_word(P, length, rng)
             v = relator_walk(P, u, length + 40, rng)
@@ -429,6 +437,36 @@ def test_linear_replay_agrees_with_rebuilding_oracle(P):
                 new = _replay_outcome(EqualityCertificate.replay, cert, P, u)
                 assert new == _replay_outcome(rewrite_oracle.replay, cert, P, u)
                 assert expected in (None, new)
+
+
+def test_the_cursor_reaches_both_ends_of_the_word():
+    # w starts and ends on the commuting pair s12 s34, so a swap fits at
+    # its first and at its last position
+    w = pw("s12 s34 s23 s12 s34")
+    n = len(w)
+    sq, swap = pw("s13 s13"), pw("s12 s34 s12 s34")
+    cases = [
+        ([], w),
+        ([Move(0, sq, "insert")], pw("s13 s13 s12 s34 s23 s12 s34")),
+        ([Move(n, sq, "insert")], pw("s12 s34 s23 s12 s34 s13 s13")),
+        ([Move(0, swap, "swap"), Move(n - 2, swap, "swap")], pw("s34 s12 s23 s34 s12")),
+        # out to the end, back to 0, to the end again and back to 0
+        (
+            [Move(n, sq, "insert"), Move(0, sq, "insert"),
+             Move(n + 2, sq, "delete"), Move(0, sq, "delete")],
+            w,
+        ),
+        ([Move(n - 2, swap, "swap"), Move(0, swap, "swap")], pw("s34 s12 s23 s34 s12")),
+        # past either end, or a pair that runs over the end
+        ([Move(n + 1, sq, "insert")], "refused"),
+        ([Move(-1, sq, "insert")], "refused"),
+        ([Move(n - 1, swap, "swap")], "refused"),
+        ([Move(n, sq, "insert"), Move(n + 1, sq, "delete")], "refused"),
+    ]
+    for moves, expected in cases:
+        cert = EqualityCertificate(tuple(moves))
+        got = _replay_outcome(EqualityCertificate.replay, cert, PP, w)
+        assert got == _replay_outcome(rewrite_oracle.replay, cert, PP, w) == expected
 
 
 def flip_distance(P, u, v):
@@ -486,7 +524,7 @@ def test_planted_fake_relator_is_rejected():
     # a genuine relator rotation and its reverse are accepted
     real = EqualityCertificate((Move(0, pw("s12 s34 s12 s34"), "swap"),))
     assert real.verify(PP, pw("s12 s34"), pw("s34 s12"))
-    back = EqualityCertificate((Move(0, pw("s13 s12 s13 s23"), "swap").inverted(),))
+    back = EqualityCertificate((inverted(Move(0, pw("s13 s12 s13 s23"), "swap")),))
     assert back.verify(PP, pw("s23 s13"), pw("s13 s12"))
 
 
@@ -660,17 +698,44 @@ def test_moves_of_both_certificate_kinds_are_plain_records():
         assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
         assert Move(m.position + 1, m.relator, m.kind) != m
         assert m.letters == m.relator.letters
-        assert m.inverted().inverted() == m
+        assert inverted(inverted(m)) == m
     # each equality move takes u one step towards v, and back
     w = u
     for m in equal:
-        nxt = m.apply(w)
-        assert m.inverted().apply(nxt) == w
+        nxt = apply(m, w)
+        assert apply(inverted(m), nxt) == w
         w = nxt
     assert w == v
     swap = next(m for m in equal if m.kind == "swap")
     reverse = Word._from_codes(PP.alphabet, swap.relator.codes[::-1])
-    assert swap.inverted() == Move(swap.position, reverse, "swap")
+    assert inverted(swap) == Move(swap.position, reverse, "swap")
     cut = trivial[0]
-    assert cut.inverted() == Move(cut.position, cut.relator, "delete")
-    assert cut.apply(F.relators[0]) == F.relators[0][: cut.position] * cut.relator * F.relators[0][cut.position :]
+    assert inverted(cut) == Move(cut.position, cut.relator, "delete")
+    assert apply(cut, F.relators[0]) == F.relators[0][: cut.position] * cut.relator * F.relators[0][cut.position :]
+
+
+# the oracle's own moves, over small alphabets of either kind
+INV = Alphabet([Generator(n, involutive=True) for n in ("x", "y", "z")])
+FREE = Alphabet([Generator(n) for n in ("a", "b", "c")])
+
+
+def test_move_applies_a_relator_at_a_position():
+    word = Word.parse(FREE, "a b")
+    insert = Move(1, Word.parse(FREE, "c a^-1"), "insert")
+    assert insert.letters == (("c", 1), ("a", -1))
+    assert apply(insert, word) == Word.parse(FREE, "a c a^-1 b")
+    assert apply(inverted(insert), apply(insert, word)) == word
+    swap = Move(0, Word.parse(INV, "x y z x"), "swap")
+    assert apply(swap, Word.parse(INV, "x y")) == Word.parse(INV, "x z")
+    assert inverted(swap).relator == Word.parse(INV, "x z y x")
+    delete, shift = Move(2, Word.parse(FREE, "a b"), "delete"), Move(0, Word.parse(FREE, "a"), "shift")
+    for bad in (delete, shift):
+        with pytest.raises(ValueError):
+            apply(bad, word)
+
+
+def test_a_swap_by_a_relator_not_four_letters_long_is_refused():
+    # the pair matches, but there is no y4 y3 to swap it for
+    for rel in ("x y", "x y z", "x y z x y"):
+        with pytest.raises(ValueError, match="swap mismatch"):
+            apply(Move(0, Word.parse(INV, rel), "swap"), Word.parse(INV, "x y z"))

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 import cactus45.reference as ref
-from cactus45 import action, dirichlet, geometry, verify
+from cactus45 import action, dirichlet, geometry, verify, words
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, project_to_symmetric
 from cactus45.complex import CayleyBall, _construct, build_ball
@@ -24,12 +24,13 @@ from cactus45.dirichlet import fundamental_domain
 from cactus45.grouptheory import (
     STANDARD_ELIMINATIONS,
     GroupHom,
+    TrivialityCertificate,
     one_relator_presentation,
     surface_isomorphism_pair,
     surface_presentation,
 )
-from cactus45.rewrite import RewriteSystem, canonical_form, sphere, system_for
-from cactus45.words import Alphabet, Presentation, Word, invert, same_relator_class
+from cactus45.rewrite import EqualityCertificate, RewriteSystem, canonical_form, sphere, system_for
+from cactus45.words import Alphabet, Move, Presentation, Word, invert, same_relator_class
 
 from complex_helpers import forget, radii_built, without_face
 
@@ -116,6 +117,50 @@ def _replace(monkeypatch, fn, wrapper):
     for name, module in list(sys.modules.items()):
         if name.startswith("cactus45") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, wrapper)
+
+
+def test_every_certificate_the_criteria_check_is_replayed_in_words(monkeypatch):
+    # one replay path: each certificate a criterion checks, of either
+    # kind, goes through `words.replay`, and a move cannot replay itself
+    running = [None]  # the criterion being run
+    checked, replayed = [], []
+    real = words.replay
+
+    def replay(P, w, moves, edit):
+        replayed.append((running[0], moves))
+        return real(P, w, moves, edit)
+
+    def checking(fn):
+        def run(cert, *args):
+            checked.append((running[0], cert.moves))
+            return fn(cert, *args)
+
+        return run
+
+    def in_criterion(number, check):
+        def run(tol):
+            running[0] = number
+            try:
+                return check(tol)
+            finally:
+                running[0] = None
+
+        return run
+
+    _replace(monkeypatch, real, replay)
+    monkeypatch.setattr(EqualityCertificate, "verify", checking(EqualityCertificate.verify))
+    monkeypatch.setattr(TrivialityCertificate, "check", checking(TrivialityCertificate.check))
+    monkeypatch.setattr(
+        verify,
+        "CRITERIA",
+        tuple((n, name, in_criterion(n, fn)) for n, name, fn in verify.CRITERIA),
+    )
+    results = verify.run_all()
+    assert all(r.passed for r in results), [r.details for r in results if not r.passed]
+    assert {n for n, _ in checked} == {1, 2, 4, 11}
+    through_words = {(n, id(moves)) for n, moves in replayed}
+    assert all((n, id(moves)) in through_words for n, moves in checked)
+    assert not hasattr(Move, "apply") and not hasattr(Move, "inverted")
 
 
 def test_verify_all_work_counts(monkeypatch):
@@ -664,6 +709,7 @@ def _truncated(result):
     [
         (1, "alternative spelling certificate does not replay"),
         (2, "inverse certificate for pair (1, 17) does not replay"),
+        (4, "conjugation identity fails at index 1"),
     ],
 )
 def test_a_certificate_that_does_not_replay_fails_its_criterion(monkeypatch, plant, number, message):

@@ -5,7 +5,6 @@ import pytest
 from cactus45.words import (
     Alphabet,
     Generator,
-    Move,
     Presentation,
     Word,
     cyclic_reduce,
@@ -222,27 +221,6 @@ def test_presentation_lists_its_relator_forms_once():
     assert len(Q.forms) == 6 and Q.forms == tuple(sorted(Q.forms))
     assert Q.is_form(w(FREE, "c^-1 b^-1 a^-1").codes)
     assert not Q.is_form(w(FREE, "a c b").codes)
-
-
-def test_move_applies_a_relator_at_a_position():
-    word = w(FREE, "a b")
-    insert = Move(1, w(FREE, "c a^-1"), "insert")
-    assert insert.letters == (("c", 1), ("a", -1))
-    assert insert.apply(word) == w(FREE, "a c a^-1 b")
-    assert insert.inverted().apply(insert.apply(word)) == word
-    swap = Move(0, w(INV, "x y z x"), "swap")
-    assert swap.apply(w(INV, "x y")) == w(INV, "x z")
-    assert swap.inverted().relator == w(INV, "x z y x")
-    for bad in (Move(2, w(FREE, "a b"), "delete"), Move(0, w(FREE, "a"), "shift")):
-        with pytest.raises(ValueError):
-            bad.apply(word)
-
-
-def test_a_swap_by_a_relator_not_four_letters_long_is_refused():
-    # the pair matches, but there is no y4 y3 to swap it for
-    for rel in ("x y", "x y z", "x y z x y"):
-        with pytest.raises(ValueError, match="swap mismatch"):
-            Move(0, w(INV, rel), "swap").apply(w(INV, "x y z"))
 
 
 def test_word_immutable_and_hashable():
