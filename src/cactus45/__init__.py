@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # the layer that defines each public name
 _LAYERS = {
-    "words": """Alphabet Generator Move Presentation Word cyclic_reduce free_reduce
+    "words": """Alphabet Generator Move Presentation Verdict Word cyclic_reduce free_reduce
         invert normalize_relator same_relator_class shortlex_key substitute""",
     "cactus": """IntervalGenerator Permutation cactus_presentation is_pure
         j4_presentation j4prime_presentation project_to_symmetric push_s14_right
@@ -23,12 +23,12 @@ _LAYERS = {
     "dirichlet": """FundamentalDomain LabeledPolygon SidePairing SurfaceClass VertexCycle
         classify_identified_surface fundamental_domain poincare_presentation side_pairings
         vertex_cycles""",
-    "grouptheory": """STANDARD_ELIMINATIONS GroupHom SearchResult TrivialityCertificate
+    "grouptheory": """STANDARD_ELIMINATIONS GroupHom TrivialityCertificate
         WellDefinedVerdict abelianization_invariants alt_isomorphism_pair
         alt_one_relator_presentation dehn_reduce hom_well_defined one_relator_presentation
         piece_ratio surface_isomorphism_pair surface_presentation ten_generator_presentation
         tietze_eliminate verify_mutual_inverse word_problem_search""",
-    "rewrite": "EqualityCertificate EqualityResult canonical_form sphere words_equal",
+    "rewrite": "EqualityCertificate canonical_form sphere words_equal",
     "verify": "CriterionResult run_all run_criterion",
 }
 _SOURCE = {name: layer for layer, names in _LAYERS.items() for name in names.split()}

@@ -73,9 +73,6 @@ class PureElement(Record):
     def is_identity(self) -> bool:
         return self.parity == 0 and len(self.j4p_form) == 0
 
-    def __mul__(self, other: "PureElement") -> "PureElement":
-        return self.compose(other)
-
     def compose(self, other: "PureElement") -> "PureElement":
         return PureElement(
             _translate(self, other.j4p_form.codes), (self.parity + other.parity) % 2

@@ -46,7 +46,7 @@ from .grouptheory import (
 )
 from .rewrite import sphere
 from .verify import run_all
-from .words import Presentation
+from .words import TRIVIAL, Presentation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -503,7 +503,7 @@ def _text_isocheck(report: RunReport) -> List[str]:
     for key in ("forward", "backward", "round_trips"):
         block = r[key]
         checked = len(block["checks"])
-        trivial = sum(1 for c in block["checks"] if c["status"] == "TRIVIAL")
+        trivial = sum(1 for c in block["checks"] if c["status"] == TRIVIAL)
         lines.append(
             f"  {key} ({block['map']}): {block['verdict']} "
             f"[{trivial}/{checked} identities trivial]"

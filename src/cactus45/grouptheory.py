@@ -5,10 +5,10 @@ fundamental polygon to a single relator on five generators.  All three
 one-relator groups here have piece ratio 1/10 < 1/6, so Dehn's greedy
 small-cancellation reduction decides their word problem exactly
 (Greendlinger's lemma; Lyndon-Schupp, Combinatorial Group Theory,
-Ch. V): an empty reduction comes with a replayable certificate, a
-nonempty one is the witness of nontriviality.  Homomorphism verdicts
-chain that decider to certify the isomorphisms with the two companion
-one-relator groups.
+Ch. V): its `words.Verdict` carries a replayable certificate for an
+empty reduction, and a nonempty one as the witness of nontriviality.
+Homomorphism verdicts chain that decider to certify the isomorphisms
+with the two companion one-relator groups.
 """
 
 from __future__ import annotations
@@ -18,12 +18,17 @@ from math import gcd
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .words import (
+    NONTRIVIAL,
+    TRIVIAL,
     Alphabet,
     Generator,
     Move,
     Presentation,
     Record,
+    Verdict,
     Word,
+    _codes_over,
+    _free,
     free_reduce,
     invert,
     replay,
@@ -297,13 +302,11 @@ def dehn_reduce(
     always holds such a match (Greendlinger's lemma), so the result is
     empty exactly when w represents the identity.
     """
-    if w.alphabet != P.alphabet:
-        raise ValueError("word over a different alphabet")
-    rules, lengths = P.derived(_dehn_rules)
     inverse = P.alphabet.inverse
+    pending = _free(_codes_over(w, P.alphabet), inverse)[::-1]
+    rules, lengths = P.derived(_dehn_rules)
     moves: List[Move] = []
     stack: List[int] = []
-    pending = list(reversed(free_reduce(w).codes))
     while pending:
         letter = pending.pop()
         if stack and stack[-1] == inverse[letter]:
@@ -334,50 +337,33 @@ def dehn_reduce(
 # exact word problem
 
 
-class SearchResult(NamedTuple):
-    """Exact verdict of `word_problem_search`.
-
-    status is "TRIVIAL", with a replay-checked certificate, or
-    "NONTRIVIAL", with the nonempty Dehn-reduced word as witness;
-    oracle names the route taken, "dehn" or "tietze+dehn".
-    """
-
-    status: str
-    certificate: Optional[TrivialityCertificate] = None
-    witness: Optional[Word] = None
-    oracle: str = "dehn"
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.status == "NONTRIVIAL"
-
-
-def _dehn_decide(w: Word, P: Presentation, oracle: str) -> SearchResult:
+def _dehn_decide(w: Word, P: Presentation, oracle: str) -> Verdict:
     reduced, moves = dehn_reduce(w, P, with_moves=True)
     if len(reduced):
-        return SearchResult("NONTRIVIAL", witness=reduced, oracle=oracle)
+        return Verdict(NONTRIVIAL, oracle, witness=reduced)
     cert = TrivialityCertificate(w, moves)
     if not cert.check(P):
-        raise RuntimeError("reduction produced an unreplayable certificate")
-    return SearchResult("TRIVIAL", cert, oracle=oracle)
+        raise AssertionError("internal error: certificate failed to replay")
+    return Verdict(TRIVIAL, oracle, cert)
 
 
-def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> SearchResult:
-    """Decide whether w is trivial in P.
+def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Verdict:
+    """Decide whether w is trivial in P: TRIVIAL, with a replay-checked
+    certificate, or NONTRIVIAL, with the nonempty Dehn-reduced word as
+    witness; the verdict's oracle names the route taken.
 
     Words of the ten-generator presentation are expanded through the
     standard Tietze eliminations into the five-generator one-relator
     group ("tietze+dehn"); oracle="tietze" accepts only such words.
-    Any other presentation must have piece ratio below 1/6: there
-    Dehn's algorithm decides the word problem (Greendlinger's lemma),
-    so a nonempty reduced word proves w nontrivial.  ValueError for a
+    Any other presentation ("dehn") must have piece ratio below 1/6:
+    there Dehn's algorithm decides the word problem (Greendlinger's
+    lemma), so a nonempty reduced word proves w nontrivial.  ValueError for a
     word over another alphabet, on every route, and for a presentation
     with no such decider.
     """
     if oracle not in ("auto", "tietze"):
         raise ValueError(f"unknown oracle {oracle!r}")
-    if w.alphabet != P.alphabet:
-        raise ValueError("word over a different alphabet")
+    _codes_over(w, P.alphabet)
     if P.alphabet == _TEN.alphabet and P.forms == _TEN.forms:
         return _dehn_decide(substitute(w, _STANDARD_IMAGES), _FIVE, "tietze+dehn")
     if oracle == "tietze":
@@ -391,7 +377,7 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Searc
 
 def _eliminate(
     P: Presentation,
-    eliminations: Sequence[Tuple[str, Union[str, Word]]],
+    eliminations: Sequence[Tuple[str, str]],
 ) -> Tuple[Presentation, Dict[str, Word]]:
     """The reduced presentation of `tietze_eliminate`, and each
     generator of P as a word in the survivors.
@@ -405,15 +391,11 @@ def _eliminate(
     images: Dict[int, Sequence[int]] = {a: (a,) for a in range(len(A))}
     eliminated: List[int] = []
     current = P
-    for gen_name, defining_raw in eliminations:
+    for gen_name, text in eliminations:
         if gen_name not in A or A.index(gen_name) in eliminated:
             raise ValueError(f"{gen_name} is not a generator at this stage")
         g = A.index(gen_name)
-        defining = (
-            Word._from_codes(A, A.read(defining_raw))
-            if isinstance(defining_raw, str)
-            else Word(A, defining_raw.letters)
-        )
+        defining = Word._from_codes(A, A.read(text))
         claim = free_reduce(Word._from_codes(A, (g,)) * invert(defining))
         if not any(len(r) <= 3 and same_relator_class(r, claim) for r in P.relators):
             raise ValueError(
@@ -447,7 +429,7 @@ def _eliminate(
 
 def tietze_eliminate(
     P: Presentation,
-    eliminations: Sequence[Tuple[str, Union[str, Word]]],
+    eliminations: Sequence[Tuple[str, str]],
 ) -> Presentation:
     """Remove generators whose defining words short relators justify.
 
@@ -504,9 +486,9 @@ class WellDefinedVerdict(NamedTuple):
     certificates: Tuple[Optional[TrivialityCertificate], ...]
 
 
-def _verdict(rows: Sequence[Tuple[str, SearchResult]]) -> WellDefinedVerdict:
+def _verdict(rows: Sequence[Tuple[str, Verdict]]) -> WellDefinedVerdict:
     return WellDefinedVerdict(
-        "verified" if all(r.status == "TRIVIAL" for _, r in rows) else "refuted",
+        "verified" if all(r.status == TRIVIAL for _, r in rows) else "refuted",
         tuple((label, r.oracle, r.status) for label, r in rows),
         tuple(r.certificate for _, r in rows),
     )

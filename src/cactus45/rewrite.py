@@ -56,11 +56,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .words import Move, Presentation, Record, Word, replay
+from .words import EQUAL, PROVEN_UNEQUAL, Move, Presentation, Record, Verdict, Word
+from .words import _codes_over, replay
 from . import cactus
-
-PROVEN_UNEQUAL = "PROVEN-UNEQUAL"
-EQUAL = "EQUAL"
 
 
 class RewriteBudget(Record):
@@ -120,19 +118,6 @@ class EqualityCertificate(NamedTuple):
             return self.replay(P, w1) == w2
         except ValueError:
             return False
-
-
-class EqualityResult(NamedTuple):
-    """`certificate` is set for EQUAL when one was asked for; `witness`
-    holds the two distinct normal forms of a PROVEN-UNEQUAL pair."""
-
-    equal: bool
-    status: str
-    certificate: Optional[EqualityCertificate] = None
-    witness: Optional[Tuple[Word, Word]] = None
-
-    def __bool__(self) -> bool:
-        return self.equal
 
 
 # A trace collects the moves of a computation as (kind, position,
@@ -373,16 +358,11 @@ def system_for(P: Presentation):
     return P.derived(_engine)
 
 
-def _codes(w: Word, P: Presentation) -> Tuple[int, ...]:
-    if w.alphabet != P.alphabet:
-        raise ValueError("word over a different alphabet")
-    return w.codes
-
-
 def words_equal(
     w1: Word, w2: Word, P: Presentation, *, certificate: bool = False
-) -> EqualityResult:
-    """Exact equality in the presented group.
+) -> Verdict:
+    """Exact equality in the presented group, decided by the oracle
+    "rewrite".
 
     Each word is sunk once to a geodesic, and the first geodesic is
     flipped into the second letter by letter.  EQUAL when that succeeds,
@@ -392,7 +372,7 @@ def words_equal(
     same geodesics, as witness.
     """
     sys = system_for(P)
-    t1, t2 = _codes(w1, P), _codes(w2, P)
+    t1, t2 = _codes_over(w1, P.alphabet), _codes_over(w2, P.alphabet)
     forward, backward = ([], []) if certificate else (None, None)
     g1, g2 = sys.geodesic(t1, forward), sys.geodesic(t2, backward)
     if not sys.lift(g1, g2, forward):
@@ -400,9 +380,9 @@ def words_equal(
         if c1 == c2:
             raise AssertionError("internal error: equal normal forms failed to lift")
         witness = (Word._from_codes(P.alphabet, c1), Word._from_codes(P.alphabet, c2))
-        return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
+        return Verdict(PROVEN_UNEQUAL, "rewrite", witness=witness)
     if not certificate:
-        return EqualityResult(True, EQUAL)
+        return Verdict(EQUAL, "rewrite")
     # a sink's moves are swaps and deletes; inverted, a swap reverses
     # its relator and a delete becomes an insert
     table = sys.relator_words
@@ -414,12 +394,12 @@ def words_equal(
     cert = EqualityCertificate(tuple(moves))
     if not cert.verify(P, w1, w2):
         raise AssertionError("internal error: certificate failed to replay")
-    return EqualityResult(True, EQUAL, cert)
+    return Verdict(EQUAL, "rewrite", cert)
 
 
 def canonical_form(w: Word, P: Presentation) -> Word:
     """The shortlex-least geodesic spelling of w."""
-    return Word._from_codes(P.alphabet, system_for(P).normal_form(_codes(w, P)))
+    return Word._from_codes(P.alphabet, system_for(P).normal_form(_codes_over(w, P.alphabet)))
 
 
 def sphere(P: Presentation, L: int, budget: Optional[RewriteBudget] = None):

@@ -14,12 +14,13 @@ written only at the API boundary: `Word(alphabet, letters)`,
 `Word.letters`, iteration, indexing, `parse`, `str`, `Alphabet.read`
 and `Alphabet.spell`.
 
-Relator moves have one vocabulary, fixed here as well: a presentation
-lists once, in `forms`, the relator rotations a move may use, a `Move`
-is the step of both certificates (square moves proving equality in the
-rewrite layer, Dehn splices proving triviality in grouptheory), and
-`replay` is the one cursor that replays either kind, each certificate
-passing only its own edit at the cursor.
+Both word problems share one vocabulary, fixed here as well: a
+presentation lists once, in `forms`, the relator rotations a move may
+use, a `Move` is the step of both certificates (square moves proving
+equality in the rewrite layer, Dehn splices proving triviality in
+grouptheory), `replay` is the one cursor that replays either kind, each
+certificate passing only its own edit at the cursor, and a `Verdict` is
+the answer of either decider, with its four statuses.
 
 Records generate no code at import.  A plain record is a `NamedTuple`,
 like `Move`; one that validates its fields, or must not act as a tuple,
@@ -225,7 +226,7 @@ class Word:
         return self.alphabet._letters[self.codes[i]]
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word._from_codes(self.alphabet, self.codes + other.codes)
 
@@ -233,7 +234,7 @@ class Word:
         return (
             isinstance(other, Word)
             and self.codes == other.codes
-            and self.alphabet == other.alphabet
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __hash__(self) -> int:
@@ -241,6 +242,14 @@ class Word:
 
     def is_identity(self) -> bool:
         return not self.codes
+
+
+def _codes_over(w: Word, alphabet: Alphabet) -> Tuple[int, ...]:
+    """w's codes; ValueError unless w is a word over alphabet.  `is`
+    first: comparing alphabets calls Alphabet.__eq__."""
+    if w.alphabet is not alphabet and w.alphabet != alphabet:
+        raise ValueError("word over a different alphabet")
+    return w.codes
 
 
 def _free(codes: Iterable[int], inverse) -> List[int]:
@@ -452,6 +461,38 @@ class Move(NamedTuple):
         return self.relator.letters
 
 
+EQUAL, PROVEN_UNEQUAL = "EQUAL", "PROVEN-UNEQUAL"
+TRIVIAL, NONTRIVIAL = "TRIVIAL", "NONTRIVIAL"
+
+
+class Verdict(NamedTuple):
+    """The exact answer of either word problem, and what backs it.
+
+    `rewrite.words_equal` answers EQUAL, with an `EqualityCertificate`
+    when one was asked for, or PROVEN_UNEQUAL, with the two distinct
+    normal forms as witness.  `grouptheory.word_problem_search` answers
+    TRIVIAL, with a `TrivialityCertificate`, or NONTRIVIAL, with the
+    nonempty Dehn-reduced word as witness.  `oracle` names the decider
+    that answered.  True exactly for EQUAL and TRIVIAL; `equal` and
+    `nontrivial` read the status."""
+
+    status: str
+    oracle: str
+    certificate: object = None
+    witness: object = None
+
+    def __bool__(self) -> bool:
+        return self.status in (EQUAL, TRIVIAL)
+
+    @property
+    def equal(self) -> bool:
+        return self.status == EQUAL
+
+    @property
+    def nontrivial(self) -> bool:
+        return self.status == NONTRIVIAL
+
+
 def replay(P: Presentation, w: Word, moves: Iterable[Move], edit) -> Word:
     """The word that the moves make of w, a word over P.
 
@@ -463,11 +504,8 @@ def replay(P: Presentation, w: Word, moves: Iterable[Move], edit) -> Word:
     the move at the cursor, or raises ValueError on a move that its
     certificate does not accept.  ValueError on any other failed check."""
     alphabet = P.alphabet
-    if w.alphabet != alphabet:
-        raise ValueError("word over a different alphabet")
-    left, right = list(w.codes), []
+    left, right = list(_codes_over(w, alphabet)), []
     for pos, relator, kind in moves:
-        # `is` first: comparing alphabets calls Alphabet.__eq__
         if relator.alphabet is not alphabet and relator.alphabet != alphabet:
             raise ValueError(f"{kind} by {relator}, a word over a different alphabet")
         gap, size = len(left), len(left) + len(right)

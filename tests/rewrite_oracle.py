@@ -24,16 +24,17 @@ from collections import deque
 from typing import Dict, Tuple
 
 from cactus45.cactus import J4P_TO_J4, push_s14_right
-from cactus45.rewrite import (
+from cactus45.rewrite import EqualityCertificate, SplitSystem, system_for
+from cactus45.words import (
     EQUAL,
     PROVEN_UNEQUAL,
-    EqualityCertificate,
-    EqualityResult,
     Move,
-    SplitSystem,
-    system_for,
+    Presentation,
+    Verdict,
+    Word,
+    invert,
+    rotations,
 )
-from cactus45.words import Presentation, Word, invert, rotations
 
 
 def _key(t):
@@ -265,7 +266,7 @@ def _paths(sys, t1, t2):
     return forward, backward
 
 
-def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) -> EqualityResult:
+def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) -> Verdict:
     """Equality decided by comparing the two normal forms; the paths of
     a certificate are computed afresh from the words."""
     sys = system_for(P)
@@ -273,16 +274,16 @@ def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) 
     c1, c2 = sys.normal_form(t1), sys.normal_form(t2)
     if c1 != c2:
         witness = (Word._from_codes(P.alphabet, c1), Word._from_codes(P.alphabet, c2))
-        return EqualityResult(False, PROVEN_UNEQUAL, witness=witness)
+        return Verdict(PROVEN_UNEQUAL, "rewrite_oracle", witness=witness)
     if not certificate:
-        return EqualityResult(True, EQUAL)
+        return Verdict(EQUAL, "rewrite_oracle")
     forward, backward = _paths(sys, t1, t2)
     moves = [Move(pos, Word._from_codes(P.alphabet, r), kind) for kind, pos, r in forward]
     moves += [
         inverted(Move(pos, Word._from_codes(P.alphabet, r), kind))
         for kind, pos, r in reversed(backward)
     ]
-    return EqualityResult(True, EQUAL, EqualityCertificate(tuple(moves)))
+    return Verdict(EQUAL, "rewrite_oracle", EqualityCertificate(tuple(moves)))
 
 
 def flip_at_random(P, t, count, rng):

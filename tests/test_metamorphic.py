@@ -1,0 +1,175 @@
+"""Metamorphic relations: a decider's verdict must keep under a symmetry
+of its group, which needs no oracle and holds at any word length.
+
+  * `words_equal` on J4' keeps its status under the mirror (conjugation
+    by s14, `J4P_MIRROR`), an automorphism of J4';
+  * it keeps its status when both words are conjugated by one word u;
+  * `word_problem_search` on the surface group keeps its status under
+    the index shift a_i -> a_{i+1 mod 5}, which rotates the relator
+    a1 a1 a2 a2 ... a5 a5 and so is an automorphism.
+
+Words are seeded and up to 500 letters long.  Each relation is also
+shown to catch one planted fault.  An engine that lacks one of J4''s
+squares answers for another group: the mirror exposes it, but
+conjugation, an automorphism of every group, cannot.  A flip entry in
+the wrong order on the mirror-fixed square s12 s34 s12 s34 is the
+converse: conjugation exposes it, the mirror cannot.  Dehn's algorithm
+without the rules that cut an a1 fails the index shift.  An error that
+a fault raises counts as an outcome, so a relation also breaks when
+one side raises and the other does not.
+"""
+
+import copy
+import random
+
+from cactus45 import grouptheory, rewrite
+from cactus45.action import mirror_word
+from cactus45.cactus import j4prime_presentation
+from cactus45.grouptheory import surface_presentation, word_problem_search
+from cactus45.rewrite import canonical_form, system_for, words_equal
+from cactus45.words import EQUAL, NONTRIVIAL, PROVEN_UNEQUAL, TRIVIAL, Word, free_reduce, invert
+
+from rewrite_oracle import random_word
+
+PP = j4prime_presentation()
+SURF = surface_presentation()
+
+
+def _j4p_pairs(seed, count=40):
+    """(w1, w2, u): w1 a normal form of up to 500 letters, w2 the same
+    with one square flipped (equal) or one letter changed (unequal), and
+    u a random word of up to 500 letters to conjugate both by."""
+    rng, flip = random.Random(seed), system_for(PP).flip
+    for i in range(count):
+        t = list(canonical_form(random_word(PP, rng.randrange(10, 500), rng), PP).codes)
+        if i % 2 == 0:
+            squares = [p for p in range(len(t) - 1) if flip[t[p]][t[p + 1]]]
+            p = rng.choice(squares)
+            w2 = t[:p] + list(flip[t[p]][t[p + 1]]) + t[p + 2:]
+        else:
+            p = rng.randrange(len(t))
+            w2 = t[:p] + [(t[p] + rng.randrange(1, 5)) % 5] + t[p + 1:]
+        u = random_word(PP, rng.randrange(1, 500), rng)
+        yield Word._from_codes(PP.alphabet, t), Word._from_codes(PP.alphabet, w2), u
+
+
+def _outcome(w1, w2):
+    """The status of words_equal, or the type of the error a faulty
+    engine raised: its own self-check, or a flip it reads off a pair
+    that lies on no square."""
+    try:
+        return words_equal(w1, w2, PP).status
+    except (AssertionError, TypeError) as error:
+        return type(error).__name__
+
+
+def _mirror_breaks(pairs):
+    return sum(
+        _outcome(w1, w2) != _outcome(mirror_word(w1), mirror_word(w2)) for w1, w2, _ in pairs
+    )
+
+
+def _conjugation_breaks(pairs):
+    return sum(
+        _outcome(w1, w2) != _outcome(u * w1 * invert(u), u * w2 * invert(u)) for w1, w2, u in pairs
+    )
+
+
+def _faulty_engine(monkeypatch, plant):
+    """words_equal on a copy of the J4' engine whose flip table plant(flip)
+    has changed in place."""
+    engine = copy.copy(system_for(PP))
+    engine.flip = [row[:] for row in engine.flip]
+    plant(engine.flip)
+    monkeypatch.setattr(rewrite, "system_for", lambda P: engine)
+
+
+def test_words_equal_keeps_its_status_under_the_mirror_and_conjugation():
+    pairs = list(_j4p_pairs(1901))
+    statuses = [_outcome(w1, w2) for w1, w2, _ in pairs]
+    assert statuses == [EQUAL, PROVEN_UNEQUAL] * 20
+    assert _mirror_breaks(pairs) == 0
+    assert _conjugation_breaks(pairs) == 0
+
+
+def test_the_mirror_catches_an_engine_without_one_square(monkeypatch):
+    # s12 s13 s23 s13 mirrors to s34 s24 s23 s24, another square, so the
+    # engine without it decides a group that the mirror does not fix
+    square = sorted(PP.word("s12 s13 s23 s13").codes)
+
+    def drop(flip):
+        for form in PP.forms:
+            if sorted(form) == square:
+                flip[form[0]][form[1]] = None
+
+    pairs = list(_j4p_pairs(1901))
+    _faulty_engine(monkeypatch, drop)
+    assert _mirror_breaks(pairs) > 0
+    assert _conjugation_breaks(pairs) == 0
+
+
+def test_conjugation_catches_a_flip_entry_in_the_wrong_order(monkeypatch):
+    # the square s12 s34 s12 s34 is its own mirror image, and so is the
+    # fault: the mirror cannot see it
+    s12, s34 = PP.alphabet.index("s12"), PP.alphabet.index("s34")
+
+    def reverse(flip):
+        flip[s34][s12] = flip[s34][s12][::-1]
+
+    pairs = list(_j4p_pairs(1901))
+    _faulty_engine(monkeypatch, reverse)
+    assert _conjugation_breaks(pairs) > 0
+    assert _mirror_breaks(pairs) == 0
+
+
+def _shift(w):
+    """a_i -> a_{i+1 mod 5} on the codes of a surface word."""
+    shifted = [(c + 1) % 5 if c >= 0 else ~((~c + 1) % 5) for c in w.codes]
+    return Word._from_codes(SURF.alphabet, shifted)
+
+
+def _surface_words(seed, count=40):
+    """Products of conjugates of the relator and its inverse, freely
+    reduced to at most 500 letters (trivial), and the same with one
+    letter inserted (nontrivial: the letter's exponent sum is odd)."""
+    rng = random.Random(seed)
+    forms = [Word._from_codes(SURF.alphabet, form) for form in SURF.forms]
+    for i in range(count):
+        w = Word(SURF.alphabet)
+        while len(w) < rng.randrange(20, 450):
+            u = Word(SURF.alphabet, [(rng.choice(SURF.alphabet.names()), rng.choice((1, -1)))
+                                     for _ in range(rng.randrange(0, 8))])
+            w = free_reduce(w * u * rng.choice(forms) * invert(u))
+        if i % 2:
+            p = rng.randrange(len(w) + 1)
+            w = w[:p] * Word(SURF.alphabet, [(rng.choice(SURF.alphabet.names()), 1)]) * w[p:]
+        yield w
+
+
+def _shift_breaks(words):
+    return sum(
+        word_problem_search(w, SURF).status != word_problem_search(_shift(w), SURF).status
+        for w in words
+    )
+
+
+def test_word_problem_search_keeps_its_status_under_the_index_shift():
+    words = list(_surface_words(1902))
+    assert max(map(len, words)) <= 500
+    assert [word_problem_search(w, SURF).status for w in words] == [TRIVIAL, NONTRIVIAL] * 20
+    assert _shift_breaks(words) == 0
+
+
+def test_the_index_shift_catches_missing_dehn_rules(monkeypatch):
+    # one missing rule goes unseen: a trivial word holds seven letters of
+    # a relator form (Greendlinger), so the next rotation's rule cuts it
+    real = grouptheory._dehn_rules
+    a1 = SURF.alphabet.index("a1")
+
+    def without_a1(P):
+        rules, lengths = real(P)
+        return {key: cut for key, cut in rules.items() if a1 not in key}, lengths
+
+    words = list(_surface_words(1902))
+    monkeypatch.setattr(grouptheory, "_dehn_rules", without_a1)
+    assert _shift_breaks(words) > 0

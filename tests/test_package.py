@@ -46,6 +46,10 @@ def test_words_equal_loads_only_its_layers():
     assert loaded == ["cactus", "rewrite", "words"]
 
 
+def test_the_verdict_record_loads_only_words():
+    assert _loaded_after("from cactus45 import Verdict") == ["words"]
+
+
 def test_the_cli_loads_every_layer_at_start():
     # the commands share one set of module-level imports, so a change to
     # per-command imports has to change this test
@@ -64,7 +68,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_every_public_name_is_its_layers_object():
-    assert len(cactus45.__all__) == len(set(cactus45.__all__)) == 72
+    assert len(cactus45.__all__) == len(set(cactus45.__all__)) == 71
     for name in cactus45.__all__:
         layer = importlib.import_module(f"cactus45.{cactus45._SOURCE[name]}")
         value = getattr(cactus45, name)

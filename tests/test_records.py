@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from cactus45 import action, cli, dirichlet, grouptheory, rewrite, verify
+from cactus45 import action, cli, dirichlet, grouptheory, rewrite, verify, words
 from cactus45.cactus import (
     IntervalGenerator,
     Permutation,
@@ -90,11 +90,12 @@ def _pair(name, monkeypatch):
     if name == "FundamentalDomain":
         fields = ("polygon", "pairings", "cycles", "presentation")
         return (fd, fd._replace(pairings=fd.pairings[::-1])), fields
-    if name in ("TrivialityCertificate", "SearchResult"):
+    if name == "Verdict":
         trivial = grouptheory.word_problem_search(F.relators[0], F)
-        if name == "SearchResult":
-            other = grouptheory.word_problem_search(F.relators[0][:3], F)
-            return (trivial, other), ("status", "certificate", "witness", "oracle")
+        unequal = rewrite.words_equal(u, v[:3], PP)
+        return (trivial, unequal), ("status", "oracle", "certificate", "witness")
+    if name == "TrivialityCertificate":
+        trivial = grouptheory.word_problem_search(F.relators[0], F)
         other = grouptheory.word_problem_search(F.relators[0][1:] * F.relators[0][:1], F)
         return (trivial.certificate, other.certificate), ("word", "moves")
     if name == "GroupHom":
@@ -104,11 +105,8 @@ def _pair(name, monkeypatch):
         return pair, ("verdict", "details", "certificates")
     if name == "RewriteBudget":
         return (rewrite.RewriteBudget(), rewrite.RewriteBudget(slack=4)), ("slack", "max_states")
-    if name in ("EqualityCertificate", "EqualityResult"):
+    if name == "EqualityCertificate":
         equal = rewrite.words_equal(u, v, PP, certificate=True)
-        if name == "EqualityResult":
-            unequal = rewrite.words_equal(u, v[:3], PP)
-            return (equal, unequal), ("equal", "status", "certificate", "witness")
         back = rewrite.words_equal(v, u, PP, certificate=True)
         return (equal.certificate, back.certificate), ("moves",)
     if name == "CriterionResult":
@@ -136,12 +134,11 @@ RECORDS = (
     "SurfaceClass",
     "FundamentalDomain",
     "TrivialityCertificate",
-    "SearchResult",
+    "Verdict",
     "GroupHom",
     "WellDefinedVerdict",
     "RewriteBudget",
     "EqualityCertificate",
-    "EqualityResult",
     "CriterionResult",
     "RunReport",
 )
@@ -201,8 +198,8 @@ def test_small_records_show_their_fields():
     budget = rewrite.RewriteBudget(slack=4)
     assert repr(budget) == "RewriteBudget(slack=4, max_states=200000)"
     assert repr(action.PureElement.identity()) == "PureElement(j4p_form=Word(e), parity=0)"
-    assert repr(grouptheory.SearchResult("NONTRIVIAL")) == (
-        "SearchResult(status='NONTRIVIAL', certificate=None, witness=None, oracle='dehn')"
+    assert repr(words.Verdict(words.NONTRIVIAL, "dehn")) == (
+        "Verdict(status='NONTRIVIAL', oracle='dehn', certificate=None, witness=None)"
     )
 
 

@@ -64,6 +64,13 @@ def jw(text):
     return Word.parse(P4.alphabet, text)
 
 
+def test_a_certificate_that_fails_its_replay_is_an_internal_error(monkeypatch):
+    # a replay that makes no move leaves the first word, not the second
+    monkeypatch.setattr(rewrite, "replay", lambda P, w, moves, edit: w)
+    with pytest.raises(AssertionError, match="^internal error: certificate failed to replay$"):
+        words_equal(PP.word("s12 s34"), PP.word("s34 s12"), PP, certificate=True)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         RewriteBudget(slack=1)

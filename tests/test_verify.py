@@ -463,6 +463,52 @@ def test_an_inverted_image_fails_criterion_11(monkeypatch):
     )
 
 
+def test_a_well_defined_map_that_is_no_inverse_fails_criterion_11(monkeypatch):
+    # g sends every generator to the identity: each relator goes to the
+    # empty word, so g is well defined, but no round trip comes back
+    f, g = surface_isomorphism_pair()
+    empty = {name: Word(g.target.alphabet) for name in g.images}
+    planted = GroupHom(g.source, g.target, empty, g.name)
+    monkeypatch.setattr(verify, "surface_isomorphism_pair", lambda: (f, planted))
+    result = verify.run_criterion(11)
+    assert not result.passed
+    rows = tuple((f"g(f(a{i}))", "dehn", "NONTRIVIAL") for i in range(1, 6))
+    rows += tuple((f"f(g({x}))", "dehn", "NONTRIVIAL") for x in ("g2", "g4", "g8", "g9", "g10"))
+    assert result.details == f"round trips of f/g not verified: {rows}"
+
+
+def _planted_surface(monkeypatch, **fields):
+    """Criterion 12 with the classified surface's fields replaced."""
+    real = verify.classify_identified_surface
+    monkeypatch.setattr(
+        verify, "classify_identified_surface", lambda *a: real(*a)._replace(**fields)
+    )
+    return verify.run_criterion(12)
+
+
+def test_an_orientable_surface_fails_criterion_12(monkeypatch):
+    result = _planted_surface(monkeypatch, orientable=True)
+    assert not result.passed
+    assert result.details == "surface reported orientable"
+
+
+def test_a_misnamed_surface_fails_criterion_12(monkeypatch):
+    result = _planted_surface(monkeypatch, name="N_4 = #_4 RP^2")
+    assert not result.passed
+    assert result.details == "surface reported as N_4 = #_4 RP^2"
+
+
+def test_a_lost_corner_class_fails_criterion_12(monkeypatch):
+    # the surface is classified off the polygon and its pairings, so only
+    # the count of corner classes sees the lost cycle
+    fd = fundamental_domain()
+    planted = fd._replace(cycles=fd.cycles[:-1])
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(12)
+    assert not result.passed
+    assert result.details == "corner classes minus side pairs plus one face is not -3"
+
+
 def test_a_side_glued_the_other_way_fails_criterion_12(monkeypatch):
     # g1's target side turned round glues its corners crosswise, and the
     # quotient has one corner class fewer

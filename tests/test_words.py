@@ -3,9 +3,14 @@ import random
 import pytest
 
 from cactus45.words import (
+    EQUAL,
+    NONTRIVIAL,
+    PROVEN_UNEQUAL,
+    TRIVIAL,
     Alphabet,
     Generator,
     Presentation,
+    Verdict,
     Word,
     cyclic_reduce,
     free_reduce,
@@ -233,6 +238,70 @@ def test_word_immutable_and_hashable():
 def test_concatenation_requires_same_alphabet():
     with pytest.raises(ValueError):
         w(FREE, "a") * w(INV, "x")
+
+
+def test_both_deciders_answer_with_one_verdict_record():
+    from cactus45.cactus import j4_presentation, j4prime_presentation
+    from cactus45.grouptheory import (
+        surface_presentation,
+        ten_generator_presentation,
+        word_problem_search,
+    )
+    from cactus45.rewrite import words_equal
+
+    answers = []
+    for P in (j4prime_presentation(), j4_presentation()):
+        u = P.word("s12 s34 s13")
+        answers += [
+            (words_equal(u, P.word("s34 s12 s13"), P, certificate=True), EQUAL, "rewrite"),
+            (words_equal(u, u[:2], P, certificate=True), PROVEN_UNEQUAL, "rewrite"),
+        ]
+    routes = ((surface_presentation(), "dehn"), (ten_generator_presentation(), "tietze+dehn"))
+    for P, oracle in routes:
+        answers += [
+            (word_problem_search(P.relators[0], P), TRIVIAL, oracle),
+            (word_problem_search(Word._from_codes(P.alphabet, (1,)), P), NONTRIVIAL, oracle),
+        ]
+    for v, status, oracle in answers:
+        assert type(v) is Verdict and (v.status, v.oracle) == (status, oracle)
+        proved = status in (EQUAL, TRIVIAL)
+        assert bool(v) is proved
+        assert (v.certificate is not None) is proved and (v.witness is not None) is not proved
+        assert v.equal is (status == EQUAL) and v.nontrivial is (status == NONTRIVIAL)
+    # EQUAL carries a certificate only when one was asked for
+    P = j4prime_presentation()
+    assert words_equal(P.word("s12"), P.word("s12"), P) == Verdict(EQUAL, "rewrite")
+
+
+def test_every_decider_refuses_a_word_over_another_alphabet():
+    # one check in words: an equal alphabet that is another object passes
+    # by Alphabet.__eq__, and any other alphabet is refused alike
+    import copy
+
+    from cactus45.cactus import j4prime_presentation
+    from cactus45.grouptheory import dehn_reduce, surface_presentation, word_problem_search
+    from cactus45.rewrite import _square_move, canonical_form, words_equal
+    from cactus45.words import replay
+
+    P, S = j4prime_presentation(), surface_presentation()
+    twin = copy.deepcopy(P.alphabet)
+    assert twin is not P.alphabet and twin == P.alphabet
+    u = Word.parse(twin, "s12 s34 s12")
+    assert words_equal(u, u, P) and canonical_form(u, P) == P.word("s34")
+    assert replay(P, u, (), _square_move) == u
+    a1 = Word.parse(copy.deepcopy(S.alphabet), "a1")
+    assert dehn_reduce(a1, S) == a1 and word_problem_search(a1, S).nontrivial
+    foreign = Word.parse(S.alphabet, "a1 a2")
+    refusals = [
+        lambda: words_equal(foreign, foreign, P),
+        lambda: canonical_form(foreign, P),
+        lambda: replay(P, foreign, (), _square_move),
+        lambda: dehn_reduce(P.word("s12"), S),
+        lambda: word_problem_search(P.word("s12"), S),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="^word over a different alphabet$"):
+            refused()
 
 
 MIXED = Alphabet(

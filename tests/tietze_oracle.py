@@ -11,7 +11,7 @@ empty word.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple
 
 from cactus45.words import (
     Alphabet,
@@ -32,20 +32,16 @@ def _expand_partial(w: Word, partial: Mapping[str, Word]) -> Word:
 
 def eliminate(
     P: Presentation,
-    eliminations: Sequence[Tuple[str, Union[str, Word]]],
+    eliminations: Sequence[Tuple[str, str]],
 ) -> Tuple[Presentation, Dict[str, Word]]:
     """The reduced presentation, and each generator of P as a word in
     the survivors; ValueError where `tietze_eliminate` raises one."""
     current = P
     partial: Dict[str, Word] = {}
-    for gen_name, defining_raw in eliminations:
+    for gen_name, text in eliminations:
         if gen_name not in current.alphabet:
             raise ValueError(f"{gen_name} is not a generator at this stage")
-        defining = (
-            Word.parse(P.alphabet, defining_raw)
-            if isinstance(defining_raw, str)
-            else Word(P.alphabet, defining_raw.letters)
-        )
+        defining = Word.parse(P.alphabet, text)
         claim = free_reduce(Word.parse(P.alphabet, gen_name) * invert(defining))
         if not any(len(r) <= 3 and same_relator_class(r, claim) for r in P.relators):
             raise ValueError(f"elimination {gen_name} = {defining} is not backed")
