@@ -11,35 +11,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .cactus import (
-    J4P_MIRROR,
-    J4P_TO_J4,
-    S14,
-    Permutation,
-    j4_presentation,
-    j4prime_presentation,
-    project_to_symmetric,
-)
+from .cactus import J4P_MIRROR, J4P_TO_J4, S14, W0, j4_presentation, j4prime_presentation, s4_table
 from .rewrite import canonical_form, sphere, system_for
 from .words import Alphabet, Generator, Record, Word, invert
 
 _J4 = j4_presentation()
 _J4P = j4prime_presentation()
 _ENGINE = system_for(_J4P)  # kept on _J4P, so bound once
-_ID4 = Permutation.identity(4)
-_FULL_REVERSAL = Permutation((4, 3, 2, 1))
 
 
 def mirror_word(w: Word) -> Word:
     """Letterwise mirror relabeling (conjugation by the full reversal)."""
-    if w.alphabet != _J4P.alphabet:
+    if w.alphabet is not _J4P.alphabet and w.alphabet != _J4P.alphabet:
         raise ValueError("mirror_word takes words over the J_4' alphabet")
     return Word._from_codes(w.alphabet, [J4P_MIRROR[c] for c in w.codes])
 
 
 def embed_with_reversal(vertex: Word, parity: int) -> Word:
     """The six-generator word vertex · s14^parity."""
-    if vertex.alphabet != _J4P.alphabet:
+    if vertex.alphabet is not _J4P.alphabet and vertex.alphabet != _J4P.alphabet:
         raise ValueError("embed_with_reversal takes words over the J_4' alphabet")
     return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
 
@@ -53,16 +43,15 @@ class PureElement(Record):
     def __init__(self, j4p_form: Word, parity: int):
         if parity not in (0, 1):
             raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
-        if j4p_form.alphabet != _J4P.alphabet:
+        if j4p_form.alphabet is not _J4P.alphabet and j4p_form.alphabet != _J4P.alphabet:
             raise ValueError(f"{j4p_form} is not a word over the J_4' alphabet")
         super().__init__(j4p_form, parity)
 
     @classmethod
     def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":
-        if project_to_symmetric(embed_with_reversal(vertex, parity), 4) != _ID4:
-            raise ValueError(
-                f"{vertex} with reversal parity {parity} is not pure"
-            )
+        # pure exactly when vertex · s14^parity maps to the identity, index 0
+        if s4_table(_J4).fold(embed_with_reversal(vertex, parity).codes):
+            raise ValueError(f"{vertex} with reversal parity {parity} is not pure")
         return cls(canonical_form(vertex, _J4P), parity)
 
     @classmethod
@@ -104,7 +93,7 @@ def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
 
 def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
-    if h.alphabet != _J4P.alphabet:
+    if h.alphabet is not _J4P.alphabet and h.alphabet != _J4P.alphabet:
         raise ValueError("gamma acts on words over the J_4' alphabet")
     return _translate(g, h.codes)
 
@@ -166,11 +155,11 @@ def pure_elements_within(max_dist: int) -> List[PureElement]:
             "outside the verified range"
         )
     found: List[PureElement] = []
+    table = s4_table(_J4P)
     for L in range(1, max_dist + 1):
         for v in sphere(_J4P, L):
-            p = project_to_symmetric(v, 4)
-            if p == _ID4:
-                found.append(PureElement.from_vertex(v, 0))
-            elif p == _FULL_REVERSAL:
-                found.append(PureElement.from_vertex(v, 1))
+            # a pure v · s14^parity: v maps to the identity or to w0
+            parity = {0: 0, W0: 1}.get(table.fold(v.codes))
+            if parity is not None:
+                found.append(PureElement.from_vertex(v, parity))
     return found

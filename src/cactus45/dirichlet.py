@@ -36,7 +36,7 @@ from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .action import TRANSLATIONS, TWENTY, image_geodesic
-from .cactus import J4P, project_to_symmetric
+from .cactus import J4P, S4, s4_table
 from .complex import CayleyBall, _cycle, build_ball
 from .rewrite import canonical_form, system_for
 from .words import Presentation, Word
@@ -116,8 +116,9 @@ def _cell(ball: CayleyBall) -> Set[Word]:
     """The vertices of the ball that are shortest in their pure orbit,
     which is the Dirichlet cell of the identity vertex.
 
-    Write pi for `project_to_symmetric` (letters act left to right) and
-    w0 = (4 3 2 1) for the image of s14.  The proof has three steps.
+    Write pi for the projection to S4 (`cactus.s4_table`; letters act
+    left to right) and w0 = (4 3 2 1) for the image of s14.  The proof
+    has three steps.
     - A pure g = u s14^p has pi(u) = w0^p, and it carries the vertex h
       to u mirror^p(h), where mirror is conjugation by s14.  So
       pi(g h) = w0^p w0^p pi(h) w0^p = pi(h) w0^p, and the right coset
@@ -129,28 +130,24 @@ def _cell(ball: CayleyBall) -> Set[Word]:
       over the pure subgroup.  So no orbit point is strictly closer to
       v than the identity exactly when |v| is least in v's orbit.
 
-    Normal forms are prefix-closed, so each vertex's image is its
-    parent's followed by its last letter's.  Its coset is keyed by the
-    lesser of that image and its composite with w0, which maps each
-    value i to 5 - i.  The ball holds every vertex no longer than its
-    radius, so a class that meets it has its least length there.  The
+    Normal forms are prefix-closed, so each vertex's image is one step
+    of the table from its parent's.  Its coset is keyed by the lesser of
+    that image and its composite with w0, which maps each value i to
+    5 - i.  The ball holds every vertex no longer than its radius, so a
+    class that meets it has its least length there.  The
     class minima are 0, 1 (five classes), 2 (five) and 3 (one), so a
     ball of radius less than 3 misses a class, and it is refused.
     """
-    alphabet = ball.presentation.alphabet
-    letters = [
-        project_to_symmetric(Word._from_codes(alphabet, (c,)), 4).images
-        for c in range(len(alphabet))
-    ]
-    image = {(): (1, 2, 3, 4)}
+    step = s4_table(ball.presentation).step
+    keys = [min(p.images, tuple([5 - i for i in p.images])) for p in S4]
+    image = {(): 0}  # each vertex's index in S4
     coset: Dict[Word, Tuple[int, ...]] = {}
     least: Dict[Tuple[int, ...], int] = {}
     for v, length in ball.vertices.items():
         t = v.codes
         if t:
-            image[t] = tuple([letters[t[-1]][i - 1] for i in image[t[:-1]]])
-        p = image[t]
-        coset[v] = key = min(p, tuple([5 - i for i in p]))
+            image[t] = step[image[t[:-1]]][t[-1]]
+        coset[v] = key = keys[image[t]]
         least[key] = min(least.get(key, length), length)
     if len(least) != 12:
         raise ValueError(

@@ -23,13 +23,15 @@ graph (Chepoi 2000).  Two exact operations on words follow:
 Every kernel (sink, flip, sort, automaton) reads one n x n table,
 `RewriteSystem.flip`: (y4, y3) at [y1][y2] for a form y1 y2 y3 y4, or None.
 
-Word equality sinks each word once, to a geodesic, and flips the first
+Word equality first maps both words to S4 (`cactus.s4_table`): words
+with distinct images are unequal, and the images are the witness.
+Otherwise it sinks each word once, to a geodesic, and flips the first
 geodesic into the second letter by letter: each letter of the second
 must be a left descent of what remains of the first.  The words are
-equal exactly when that succeeds; otherwise the two geodesics are
-sorted into their normal forms, which differ and are the witness of the
-inequality.  Every step above is a relator move: a square crossing is a
-"swap", a cancellation a "delete".  An equality certificate is the
+equal exactly when that succeeds; otherwise the two normal forms,
+sorted from the geodesics, differ and are the witness.  Every step
+above is a relator move: a square crossing is a "swap", a
+cancellation a "delete".  An equality certificate is the
 first sink and the flips, then the second sink's moves inverted (a
 deletion becomes an "insert").  Each move's relator is a `Word` from
 the engine's table `relator_words`, built once: every relator form and
@@ -361,18 +363,24 @@ def system_for(P: Presentation):
 def words_equal(
     w1: Word, w2: Word, P: Presentation, *, certificate: bool = False
 ) -> Verdict:
-    """Exact equality in the presented group, decided by the oracle
-    "rewrite".
+    """Exact equality in the presented group.
 
-    Each word is sunk once to a geodesic, and the first geodesic is
-    flipped into the second letter by letter.  EQUAL when that succeeds,
-    with a replay-checked certificate if asked for: the moves of the
-    first sink and of the flips, then the second sink's moves inverted.
-    Otherwise PROVEN-UNEQUAL, with the two normal forms, sorted from the
-    same geodesics, as witness.
+    Words whose images in S4 differ (P has a `cactus.s4_table`) are
+    PROVEN-UNEQUAL by the oracle "s4", with the two images as witness.
+    Otherwise the oracle is "rewrite": each word is sunk once to a
+    geodesic, and the first is flipped into the second letter by letter.
+    EQUAL when that succeeds, with a replay-checked certificate if asked
+    for: the moves of the first sink and of the flips, then the second
+    sink's moves inverted.  Otherwise PROVEN-UNEQUAL, with the two normal
+    forms, sorted from the same geodesics, as witness.
     """
     sys = system_for(P)
     t1, t2 = _codes_over(w1, P.alphabet), _codes_over(w2, P.alphabet)
+    s4 = cactus.s4_table(P)
+    if s4 is not None:
+        i1, i2 = s4.fold(t1), s4.fold(t2)
+        if i1 != i2:
+            return Verdict(PROVEN_UNEQUAL, "s4", witness=(cactus.S4[i1], cactus.S4[i2]))
     forward, backward = ([], []) if certificate else (None, None)
     g1, g2 = sys.geodesic(t1, forward), sys.geodesic(t2, backward)
     if not sys.lift(g1, g2, forward):

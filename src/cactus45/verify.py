@@ -32,13 +32,7 @@ from .action import (
     orbit_point,
     pure_elements_within,
 )
-from .cactus import (
-    J4P_MIRROR,
-    Permutation,
-    j4_presentation,
-    j4prime_presentation,
-    project_to_symmetric,
-)
+from .cactus import J4P_MIRROR, S4, S4Table, j4_presentation, j4prime_presentation, s4_table
 from .complex import build_ball, check_tiling
 from .dirichlet import classify_identified_surface, fundamental_domain
 from .geometry import HPolygon, edge_length_45, embed_ball, hyp_distance
@@ -179,9 +173,7 @@ def _check_pure_enumeration(tol: float) -> str:
             and ginv.parity == parity,
             f"{TRANSLATIONS.spell(~c)} does not match short word {idx}",
         )
-    _require(
-        set(twenty) == set(TWENTY), "enumeration differs from generators and inverses"
-    )
+    _require(set(twenty) == set(TWENTY), "enumeration differs from generators and inverses")
 
     identity = P.word("e")
     for i, j in ref.INVERSE_PARTNERS.items():
@@ -202,52 +194,35 @@ def _check_pure_enumeration(tol: float) -> str:
 # criterion 3: displayed symmetric-group images and the parity law
 
 
-def _then(image: Tuple[int, ...], letter: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The image tuple of a word followed by a letter, from theirs."""
-    return tuple([letter[i - 1] for i in image])
-
-
-def _image_levels(
-    letters: Sequence[Tuple[int, ...]], max_length: int
-) -> List[Dict[Tuple[int, ...], Tuple[int, ...]]]:
-    """For each length up to max_length, the image tuples of the
-    permutations of the words of that length, each with the first such
-    word in lexicographic order, as letter codes; `letters` holds the
-    image tuple of each letter.  A word's image is its prefix's image
-    followed by its last letter's, so each level is read off the one
-    before; it holds at most one entry per permutation."""
-    level = {tuple(range(1, len(letters[0]) + 1)): ()}
-    levels = [level]
+def _image_levels(table: S4Table, max_length: int) -> List[Dict[int, Tuple[int, ...]]]:
+    """For each length up to max_length, the images of the words of
+    that length, as indices into `cactus.S4`, each with the first such
+    word in lexicographic order, as letter codes.  A word's image is its
+    prefix's image followed by its last letter's, one step of the table,
+    so each level is read off the one before; it holds at most one
+    entry per permutation."""
+    levels: List[Dict[int, Tuple[int, ...]]] = [{0: ()}]
     for _ in range(max_length):
-        nxt: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for image, codes in level.items():
-            for c, letter in enumerate(letters):
-                nxt.setdefault(_then(image, letter), codes + (c,))
-        level = nxt
-        levels.append(level)
+        nxt: Dict[int, Tuple[int, ...]] = {}
+        for image, codes in levels[-1].items():
+            for c, j in enumerate(table.step[image]):
+                nxt.setdefault(j, codes + (c,))
+        levels.append(nxt)
     return levels
 
 
 def _check_central_images(tol: float) -> str:
     P = j4prime_presentation()
-    letters = [
-        project_to_symmetric(Word._from_codes(P.alphabet, (c,)), 4).images
-        for c in range(len(P.alphabet))
-    ]
+    table = s4_table(P)
     for i, expected in ref.CENTRAL_IMAGES.items():
-        image = tuple(range(1, 5))
-        for c in P.word(ref.SHORT_PURE_WORDS[i]).codes:
-            image = _then(image, letters[c])
-        image = str(Permutation(image))
-        _require(
-            image == expected, f"short word {i} projects to {image}, not {expected}"
-        )
+        image = str(S4[table.fold(P.word(ref.SHORT_PURE_WORDS[i]).codes)])
+        _require(image == expected, f"short word {i} projects to {image}, not {expected}")
 
     # every word of a length has its image in that length's level, so
     # the law holds on all 3,906 words when it holds on each level
-    for length, level in enumerate(_image_levels(letters, 5)):
+    for length, level in enumerate(_image_levels(table, 5)):
         for image, codes in level.items():
-            if Permutation(image).sign() != (-1) ** length:
+            if S4[image].sign() != (-1) ** length:
                 word = Word._from_codes(P.alphabet, codes)
                 raise VerificationError(f"parity law fails on {word}")
     return (

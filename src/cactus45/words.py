@@ -315,7 +315,7 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     for img in images.values():
         if target is None:
             target = img.alphabet
-        elif img.alphabet != target:
+        elif img.alphabet is not target and img.alphabet != target:
             raise ValueError("substitution images span different alphabets")
     gens = w.alphabet.generators
     table = {i: images[g.name].codes for i, g in enumerate(gens) if g.name in images}
@@ -378,7 +378,7 @@ class Presentation:
         # presentations must be able to store
         strict = {c: ~c for c in range(-len(alphabet), len(alphabet))}
         for r in relators:
-            if r.alphabet != alphabet:
+            if r.alphabet is not alphabet and r.alphabet != alphabet:
                 raise ValueError("relator over a different alphabet")
             sr = _cyclic(r.codes, strict)
             if not sr:
@@ -469,12 +469,12 @@ class Verdict(NamedTuple):
     """The exact answer of either word problem, and what backs it.
 
     `rewrite.words_equal` answers EQUAL, with an `EqualityCertificate`
-    when one was asked for, or PROVEN_UNEQUAL, with the two distinct
-    normal forms as witness.  `grouptheory.word_problem_search` answers
-    TRIVIAL, with a `TrivialityCertificate`, or NONTRIVIAL, with the
-    nonempty Dehn-reduced word as witness.  `oracle` names the decider
-    that answered.  True exactly for EQUAL and TRIVIAL; `equal` and
-    `nontrivial` read the status."""
+    when one was asked for, or PROVEN_UNEQUAL, witnessed by the two S4
+    images when they differ (oracle "s4"), else by the normal forms.
+    `grouptheory.word_problem_search` answers TRIVIAL, with a
+    `TrivialityCertificate`, or NONTRIVIAL, witnessed by the nonempty
+    Dehn-reduced word.  `oracle` names the decider.  True exactly for
+    EQUAL and TRIVIAL; `equal` and `nontrivial` read the status."""
 
     status: str
     oracle: str

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Tuple
 
-from cactus45.cactus import J4P_TO_J4, push_s14_right
+from cactus45.cactus import J4P_TO_J4, Permutation, push_s14_right
 from cactus45.rewrite import EqualityCertificate, SplitSystem, system_for
 from cactus45.words import (
     EQUAL,
@@ -284,6 +284,25 @@ def words_equal(w1: Word, w2: Word, P: Presentation, certificate: bool = False) 
         for kind, pos, r in reversed(backward)
     ]
     return Verdict(EQUAL, "rewrite_oracle", EqualityCertificate(tuple(moves)))
+
+
+def s4_image(w: Word) -> Permutation:
+    """w's image in S4, read off its letters' names: s{p}{q} reverses
+    the positions p to q, and the first letter acts first."""
+    images = (1, 2, 3, 4)
+    for name, _ in w.letters:
+        p, q = int(name[1]), int(name[2])
+        images = tuple(p + q - i if p <= i <= q else i for i in images)
+    return Permutation(images)
+
+
+def expected_route(u: Word, v: Word, want: Verdict):
+    """The oracle and witness of `cactus45.rewrite.words_equal` on u and
+    v, where `want` is this module's verdict on them: the two S4 images
+    when they differ, else the oracle "rewrite" and want's witness (the
+    normal forms of an unequal pair, None for an equal one)."""
+    images = s4_image(u), s4_image(v)
+    return ("s4", images) if images[0] != images[1] else ("rewrite", want.witness)
 
 
 def flip_at_random(P, t, count, rng):

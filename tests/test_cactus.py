@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from cactus45 import cactus
 from cactus45.cactus import (
     J4P_MIRROR,
+    S4,
     Permutation,
     cactus_presentation,
     is_pure,
@@ -11,9 +13,10 @@ from cactus45.cactus import (
     j4prime_presentation,
     project_to_symmetric,
     push_s14_right,
+    s4_table,
     subgroup_presentation,
 )
-from cactus45.words import Word, same_relator_class
+from cactus45.words import Alphabet, Generator, Presentation, Word, same_relator_class
 
 from fixtures import A_WORDS, PI_A
 
@@ -156,6 +159,45 @@ def test_projection_matches_a_fold_of_reversals(P):
             folded = folded.then(reversal[nm])
         word = Word(P.alphabet, [(nm, 1) for nm in letters])
         assert project_to_symmetric(word, 4) == folded
+
+
+@pytest.mark.parametrize("P", [j4_presentation(), j4prime_presentation()])
+def test_s4_table_holds_each_letters_reversal(P):
+    table = s4_table(P)
+    assert table is s4_table(P)  # built once, kept on P
+    assert S4[0] == Permutation.identity(4) and len(set(S4)) == 24
+    names = P.alphabet.names()
+    assert table.letters == tuple(reversal_permutation(4, int(nm[1]), int(nm[2])) for nm in names)
+    assert len(table.step) == 24
+    for i, row in enumerate(table.step):
+        assert [S4[j] for j in row] == [S4[i].then(x) for x in table.letters]
+    assert S4[cactus.W0] == Permutation((4, 3, 2, 1))
+
+
+@pytest.mark.parametrize("P", [j4_presentation(), j4prime_presentation()])
+def test_an_altered_letter_image_is_refused_at_build(monkeypatch, P):
+    # every other image of any one letter breaks some relator, so the
+    # table is not built
+    for name in P.alphabet.names():
+        for other in S4:
+            if other != cactus._INTERVAL_IMAGES[name]:
+                with monkeypatch.context() as m:
+                    m.setitem(cactus._INTERVAL_IMAGES, name, other)
+                    assert cactus._s4_table(P) is None, (name, other)
+    assert cactus._s4_table(P) == s4_table(P)
+
+
+def test_only_intervals_of_1_to_4_get_an_s4_table():
+    # the J4' relators over other names, J5's intervals, and a free
+    # alphabet named like J4''s
+    J4P = j4prime_presentation()
+    plain = Alphabet(Generator(nm, involutive=True) for nm in "pqrst")
+    renamed = Presentation(plain, [Word._from_codes(plain, r.codes) for r in J4P.relators])
+    free = Alphabet(Generator(nm) for nm in J4P.alphabet.names())
+    for P in (renamed, cactus_presentation(5), Presentation(free, [])):
+        assert s4_table(P) is None
+    # a relator that maps to a transposition
+    assert s4_table(Presentation(J4P.alphabet, [*J4P.relators, pw("s12")])) is None
 
 
 def test_projection_rejects_an_interval_outside_the_range():

@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from cactus45 import action, cli, dirichlet, grouptheory, rewrite, verify, words
+from cactus45 import action, cactus, cli, dirichlet, grouptheory, rewrite, verify, words
 from cactus45.cactus import (
     IntervalGenerator,
     Permutation,
@@ -56,6 +56,8 @@ def _pair(name, monkeypatch):
         return interval_generators(4)[1:5:3], ("p", "q")
     if name == "Permutation":
         return (project_to_symmetric(u, 4), project_to_symmetric(u[:2], 4)), ("images",)
+    if name == "S4Table":
+        return (cactus.s4_table(PP), cactus.s4_table(j4_presentation())), ("letters", "step")
     if name == "PureElement":
         return action.TWENTY[:2], ("j4p_form", "parity")
     if name == "Face":
@@ -132,6 +134,7 @@ RECORDS = (
     "Generator",
     "IntervalGenerator",
     "Permutation",
+    "S4Table",
     "PureElement",
     "Face",
     "TilingReport",

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from cactus45.rewrite import (
     system_for,
     words_equal,
 )
-from cactus45 import rewrite, words
+from cactus45 import cactus, rewrite, words
 from cactus45.complex import _construct, build_ball
 from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
@@ -33,12 +34,14 @@ from cactus45.words import Alphabet, Generator, Presentation, Word
 import rewrite_oracle
 from rewrite_oracle import (
     apply,
+    expected_route,
     flip_at_random,
     inverted,
     oracle_for,
     random_word,
     relator_walk,
     rewrite_neighbors,
+    s4_image,
 )
 
 from fixtures import (
@@ -193,6 +196,7 @@ def test_unequal_by_projection_is_proven():
     res = words_equal(pw("s12"), pw("s13"), PP)
     assert not res.equal
     assert res.status == PROVEN_UNEQUAL
+    assert (res.oracle, res.witness) == ("s4", (s4_image(pw("s12")), s4_image(pw("s13"))))
 
 
 def test_unequal_same_projection_is_not_found():
@@ -202,7 +206,7 @@ def test_unequal_same_projection_is_not_found():
     assert project_to_symmetric(w1, 4).images == project_to_symmetric(w2, 4).images
     res = words_equal(w1, w2, PP)
     assert not res.equal
-    assert res.status == PROVEN_UNEQUAL
+    assert (res.status, res.oracle) == (PROVEN_UNEQUAL, "rewrite")
     assert res.witness == (canonical_form(w1, PP), canonical_form(w2, PP))
 
 
@@ -580,9 +584,11 @@ def test_engine_rejects_complexes_that_are_not_cat0():
 
 def _pairs(P, rng):
     """Seeded pairs: equal ones by relator walks, unequal ones that are
-    random, one letter apart, or equal up to a last letter (the flips
-    then get far before they fail); in J4 some differ in s14 parity."""
+    random, one letter apart, one pure word apart (the same S4 image),
+    or equal up to a last letter (the flips then get far before they
+    fail); in J4 some differ in s14 parity."""
     names = P.alphabet.names()
+    pure = P.word("s13 s24 s13 s24")  # a translation, so nontrivial
     for length in (0, 1, 6, 20, 60):
         for _ in range(6):
             u = random_word(P, length, rng)
@@ -592,21 +598,72 @@ def _pairs(P, rng):
             yield u, v
             yield u, random_word(P, length, rng)
             yield u, v[:p] * g * v[p:]
+            yield u, v[:p] * pure * v[p:]
             yield u * g, relator_walk(P, u, length + 12, rng) * Word(P.alphabet, [(rng.choice(names), 1)])
 
 
 @pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
 def test_words_equal_matches_the_two_sink_oracle(P):
+    # the oracle decides by two normal forms; a pair whose S4 images
+    # differ is decided by them, with the images as witness
     rng = random.Random(1207)
-    seen = {True: 0, False: 0}
+    seen = Counter()
     for u, v in _pairs(P, rng):
         for certificate in (True, False):
             got = words_equal(u, v, P, certificate=certificate)
             want = rewrite_oracle.words_equal(u, v, P, certificate=certificate)
-            assert (got.equal, got.status, got.witness) == (want.equal, want.status, want.witness)
+            assert (got.equal, got.status) == (want.equal, want.status)
+            assert (got.oracle, got.witness) == expected_route(u, v, want), (u, v)
             assert got.certificate == want.certificate, (u, v)
-        seen[got.equal] += 1
+        seen[got.equal, got.oracle] += 1
+    # both witnesses of inequality, and equal pairs, on each group
+    assert set(seen) == {(True, "rewrite"), (False, "rewrite"), (False, "s4")}
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("P", [PP, P4], ids=["j4p", "j4"])
+def test_a_pair_with_two_s4_images_is_neither_sunk_nor_sorted(monkeypatch, P):
+    rng = random.Random(33)
+    u = random_word(P, 200, rng)
+    v = relator_walk(P, u, 300, rng) * P.word("s12")
+    system_for(P)
+    sinks = _count_calls(monkeypatch, RewriteSystem, "geodesic")
+    sorts = _count_calls(monkeypatch, RewriteSystem, "sort")
+    for certificate in (False, True):
+        got = words_equal(u, v, P, certificate=certificate)
+        assert (got.status, got.oracle, got.certificate) == (PROVEN_UNEQUAL, "s4", None)
+        assert got.witness == (s4_image(u), s4_image(v))
+    assert sinks == [] and sorts == []
+    # one pure word apart, the pair has one image and is rewritten
+    pure = u * P.word("s13 s24 s13 s24")
+    got = words_equal(u, pure, P)
+    assert len(sinks) == 2 and sorts  # J4 sorts again after placing s14
+    forms = canonical_form(u, P), canonical_form(pure, P)
+    assert (got.oracle, got.witness) == ("rewrite", forms)
+
+
+def test_a_presentation_with_no_s4_table_is_decided_by_rewriting():
+    # J4''s relators over names that are no intervals
+    plain = Alphabet(Generator(nm, involutive=True) for nm in "pqrst")
+    P = Presentation(plain, [Word._from_codes(plain, r.codes) for r in PP.relators])
+    assert cactus.s4_table(P) is None
+    u, v = P.word("p t q"), P.word("t p q")
+    assert words_equal(u, v, P, certificate=True).certificate.verify(P, u, v)
+    got = words_equal(u, u[:2], P)
+    assert (got.status, got.oracle) == (PROVEN_UNEQUAL, "rewrite")
+    assert got.witness == (canonical_form(u, P), canonical_form(u[:2], P))
+
+
+def test_a_refused_s4_table_leaves_words_equal_to_rewriting(monkeypatch):
+    # s12 sent to the identity: a fresh copy of J4' builds no table, and
+    # a pair one letter apart is sunk and sorted
+    monkeypatch.setitem(cactus._INTERVAL_IMAGES, "s12", cactus.S4[0])
+    P = copy.deepcopy(PP)
+    u = P.word("s13 s12")
+    got = words_equal(u, u[:1], P)
+    assert cactus.s4_table(P) is None
+    assert (got.status, got.oracle) == (PROVEN_UNEQUAL, "rewrite")
+    assert got.witness == (canonical_form(u, P), canonical_form(u[:1], P))
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -1,6 +1,7 @@
 """The registry's own machinery: tabled spellings read off the ball
 against `canonical_form`, the level-by-level parity law of criterion 3
-against `project_to_symmetric`, a mutation of one letter's image, a
+against `project_to_symmetric`, a mutation of one letter's image in the
+S4 table for criteria 2 and 3, a wrong enumeration for criterion 2, a
 missing face and a missing edge in criterion 5, planted faults in
 criterion 13's action checks (a lift that compares spellings, odd
 orbit distances), one wrong table entry for criteria 1, 2, 4, 7, 8 and
@@ -16,9 +17,9 @@ from collections import Counter
 import pytest
 
 import cactus45.reference as ref
-from cactus45 import action, dirichlet, geometry, verify, words
+from cactus45 import action, cactus, dirichlet, geometry, verify, words
 from cactus45.action import PureElement
-from cactus45.cactus import J4P, project_to_symmetric
+from cactus45.cactus import J4P, S4, Permutation, S4Table, project_to_symmetric, s4_table
 from cactus45.complex import CayleyBall, _construct, build_ball
 from cactus45.dirichlet import fundamental_domain
 from cactus45.grouptheory import (
@@ -33,13 +34,6 @@ from cactus45.rewrite import EqualityCertificate, RewriteSystem, canonical_form,
 from cactus45.words import Alphabet, Move, Presentation, Word, invert, same_relator_class
 
 from complex_helpers import forget, radii_built, without_face
-
-
-def _letter_images():
-    return [
-        project_to_symmetric(Word._from_codes(J4P.alphabet, (c,)), 4).images
-        for c in range(len(J4P.alphabet))
-    ]
 
 
 def _tabled_spellings():
@@ -80,7 +74,7 @@ def test_image_levels_match_the_projection():
     # each length, each projected from scratch: every length's image set
     # is criterion 3's level, which keeps the first word to reach each
     names = J4P.alphabet.names()
-    levels = verify._image_levels(_letter_images(), 5)
+    levels = verify._image_levels(s4_table(J4P), 5)
     assert len(levels) == 6
     total = 0
     for length, level in enumerate(levels):
@@ -89,27 +83,47 @@ def test_image_levels_match_the_projection():
             word = Word(J4P.alphabet, [(nm, 1) for nm in combo])
             first.setdefault(project_to_symmetric(word, 4).images, word.codes)
             total += 1
-        assert level == first
+        assert {S4[i].images: codes for i, codes in level.items()} == first
         assert list(level.values()) == sorted(first.values())
     assert total == 3906
 
 
+def _plant_s23_as_identity(monkeypatch, *presentations):
+    """Each presentation's S4 table with s23 sent to the identity, an
+    even permutation: a table its build refuses, planted past the build."""
+    for P in presentations:
+        letters = list(s4_table(P).letters)
+        letters[P.alphabet.index("s23")] = Permutation.identity(4)
+        monkeypatch.setitem(P._memo, (cactus._s4_table,), S4Table.of(letters))
+
+
 def test_an_even_letter_image_breaks_criterion_3(monkeypatch):
-    # s23 projected to the identity, an even permutation
-    s23 = J4P.alphabet.index("s23")
-
-    def mutated(w, n):
-        if w.codes == (s23,):
-            return project_to_symmetric(Word(J4P.alphabet, ()), n)
-        return project_to_symmetric(w, n)
-
-    monkeypatch.setattr(verify, "project_to_symmetric", mutated)
+    _plant_s23_as_identity(monkeypatch, J4P)
     assert not verify.run_criterion(3).passed
     # with the displayed images out of the way, the parity law catches it
     monkeypatch.setattr(ref, "CENTRAL_IMAGES", {})
     result = verify.run_criterion(3)
     assert not result.passed
     assert result.details == "parity law fails on s23"
+
+
+def test_a_wrong_s4_table_breaks_criterion_2(monkeypatch):
+    # on J4' and J4 alike: the sphere words that look pure change
+    _plant_s23_as_identity(monkeypatch, J4P, cactus.J4)
+    result = verify.run_criterion(2)
+    assert not result.passed
+    assert result.details == "expected 20 elements, got 14"
+
+
+def test_an_enumeration_that_is_not_the_twenty_fails_criterion_2(monkeypatch):
+    # twenty elements, one of them the identity in place of the last
+    real = verify.pure_elements_within
+    monkeypatch.setattr(
+        verify, "pure_elements_within", lambda d: [*real(d)[:-1], PureElement.identity()]
+    )
+    result = verify.run_criterion(2)
+    assert not result.passed
+    assert result.details == "enumeration differs from generators and inverses"
 
 
 def _replace(monkeypatch, fn, wrapper):
@@ -210,11 +224,12 @@ def test_verify_all_work_counts(monkeypatch):
         "CRITERIA",
         tuple((n, name, in_criterion(n, fn)) for n, name, fn in verify.CRITERIA),
     )
-    for fn, key in (
-        (project_to_symmetric, per_criterion("project")),
-        (action.pure_elements_within, per_criterion("enumerate")),
-    ):
-        _replace(monkeypatch, fn, counted(fn, key))
+    monkeypatch.setattr(S4Table, "fold", counted(S4Table.fold, per_criterion("project")))
+    _replace(
+        monkeypatch,
+        action.pure_elements_within,
+        counted(action.pure_elements_within, per_criterion("enumerate")),
+    )
     # canonical forms and parses are counted twice: inside the action,
     # and in the criterion that runs them
     canon = counted(canonical_form, in_action("canonical_form"))
@@ -240,7 +255,11 @@ def test_verify_all_work_counts(monkeypatch):
     # spelling: criterion 5 reads its radius-2 counts off it
     assert built == [4]
     assert (calls["sort in 5"], calls["geodesic in 5"]) == (0, 0)
-    assert 0 < calls["project in 3"] <= 5
+    # criterion 3 folds its ten central words, and reads each level's
+    # images off the table's steps; criterion 2 folds the 165 vertices
+    # within distance 4, its 20 pure elements and both words of each of
+    # its 11 certified products
+    assert (calls["project in 3"], calls["project in 2"]) == (10, 165 + 20 + 22)
     assert calls["enumerate in 2"] == 1
     assert sum(v for k, v in calls.items() if k.startswith("enumerate")) == 1
     assert calls["canonical_form"] == 0 and calls["parse"] == 0
@@ -728,6 +747,9 @@ def _with_entry(table, key, value):
          "pairing row g1 differs from the table"),
         # a spelling whose last two letters are turned round
         (1, "EQUIVALENT_SPELLINGS", 1, "s34 s13 s24 s23", "alternative spelling pair not equal"),
+        # an inverse's short word, then its parity
+        (2, "TRANSLATION_INVERSES", "g1", (17, 1), "g1^-1 does not match short word 17"),
+        (2, "TRANSLATION_INVERSES", "g2", (11, 1), "g2^-1 does not match short word 11"),
     ],
 )
 def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, key, value, message):

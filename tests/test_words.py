@@ -247,15 +247,22 @@ def test_both_deciders_answer_with_one_verdict_record():
         ten_generator_presentation,
         word_problem_search,
     )
-    from cactus45.rewrite import words_equal
+    from cactus45.rewrite import canonical_form, words_equal
+    from rewrite_oracle import s4_image
 
     answers = []
     for P in (j4prime_presentation(), j4_presentation()):
         u = P.word("s12 s34 s13")
+        pure = u * P.word("s13 s24 s13 s24")  # the same S4 image as u
         answers += [
             (words_equal(u, P.word("s34 s12 s13"), P, certificate=True), EQUAL, "rewrite"),
-            (words_equal(u, u[:2], P, certificate=True), PROVEN_UNEQUAL, "rewrite"),
+            (words_equal(u, u[:2], P, certificate=True), PROVEN_UNEQUAL, "s4"),
+            (words_equal(u, pure, P, certificate=True), PROVEN_UNEQUAL, "rewrite"),
         ]
+        # an UNEQUAL witness is the two S4 images when they differ,
+        # else the two normal forms
+        assert answers[-2][0].witness == (s4_image(u), s4_image(u[:2]))
+        assert answers[-1][0].witness == (canonical_form(u, P), canonical_form(pure, P))
     routes = ((surface_presentation(), "dehn"), (ten_generator_presentation(), "tietze+dehn"))
     for P, oracle in routes:
         answers += [
