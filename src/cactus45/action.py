@@ -22,14 +22,14 @@ _ENGINE = system_for(_J4P)  # kept on _J4P, so bound once
 
 def mirror_word(w: Word) -> Word:
     """Letterwise mirror relabeling (conjugation by the full reversal)."""
-    if w.alphabet is not _J4P.alphabet and w.alphabet != _J4P.alphabet:
+    if w.alphabet != _J4P.alphabet:
         raise ValueError("mirror_word takes words over the J_4' alphabet")
     return Word._from_codes(w.alphabet, [J4P_MIRROR[c] for c in w.codes])
 
 
 def embed_with_reversal(vertex: Word, parity: int) -> Word:
     """The six-generator word vertex · s14^parity."""
-    if vertex.alphabet is not _J4P.alphabet and vertex.alphabet != _J4P.alphabet:
+    if vertex.alphabet != _J4P.alphabet:
         raise ValueError("embed_with_reversal takes words over the J_4' alphabet")
     return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
 
@@ -43,7 +43,7 @@ class PureElement(Record):
     def __init__(self, j4p_form: Word, parity: int):
         if parity not in (0, 1):
             raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
-        if j4p_form.alphabet is not _J4P.alphabet and j4p_form.alphabet != _J4P.alphabet:
+        if j4p_form.alphabet != _J4P.alphabet:
             raise ValueError(f"{j4p_form} is not a word over the J_4' alphabet")
         super().__init__(j4p_form, parity)
 
@@ -93,7 +93,7 @@ def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
 
 def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
-    if h.alphabet is not _J4P.alphabet and h.alphabet != _J4P.alphabet:
+    if h.alphabet != _J4P.alphabet:
         raise ValueError("gamma acts on words over the J_4' alphabet")
     return _translate(g, h.codes)
 

@@ -147,65 +147,100 @@ class Permutation(Record):
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def then_reversal(self, p: int, q: int) -> "Permutation":
-        """self followed by the reversal of the positions p..q."""
-        if not 1 <= p < q <= len(self.images):
-            raise ValueError(f"bad interval [{p},{q}] for n={len(self.images)}")
-        return Permutation(tuple(p + q - i if p <= i <= q else i for i in self.images))
-
     def then(self, other: "Permutation") -> "Permutation":
         """Composite: apply self first, then other."""
         if len(self.images) != len(other.images):
             raise ValueError("size mismatch")
         return Permutation(tuple(other.images[i - 1] for i in self.images))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(sorted(range(1, len(self.images) + 1), key=self))
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
     def sign(self) -> int:
         """(-1)^(n - number of cycles), fixed points counted as cycles."""
-        return (-1) ** sum(len(c) - 1 for c in self.cycles())
+        images = self.images
+        seen = [False] * len(images)
+        cycles = 0
+        for start in range(len(images)):
+            if not seen[start]:
+                cycles += 1
+                i = start
+                while not seen[i]:
+                    seen[i] = True
+                    i = images[i] - 1
+        return -1 if (len(images) - cycles) % 2 else 1
 
     def cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least element,
         sorted by that element."""
-        seen, out = set(), []
+        seen = set()
+        out = []
         for start in range(1, len(self.images) + 1):
-            cyc, i = [], start
-            while i not in seen:
-                seen.add(i)
+            if start in seen:
+                continue
+            cyc = [start]
+            seen.add(start)
+            i = self(start)
+            while i != start:
                 cyc.append(i)
+                seen.add(i)
                 i = self(i)
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
 
     def __str__(self) -> str:
-        sep = "" if len(self.images) <= 9 else " "
-        return "".join("(" + sep.join(map(str, c)) + ")" for c in self.cycles()) or "e"
+        cycs = self.cycles()
+        if not cycs:
+            return "e"
+        if len(self.images) <= 9:
+            return "".join("(" + "".join(str(i) for i in c) + ")" for c in cycs)
+        return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycs)
+
+
+def _parse_interval_name(name: str) -> Tuple[int, int]:
+    body = name[1:]
+    if "_" in body:
+        ps, qs = body.split("_", 1)
+        return int(ps), int(qs)
+    return int(body[0]), int(body[1:])
+
+
+def project_to_symmetric(w: Word, n: int) -> Permutation:
+    """Image of a cactus word in the symmetric group; letters compose
+    left to right (first letter acts first)."""
+    gens = w.alphabet.generators
+    perm = tuple(range(1, n + 1))
+    for c in w.codes:
+        p, q = _parse_interval_name(gens[c].name)
+        if not 1 <= p < q <= n:
+            raise ValueError(f"bad interval [{p},{q}] for n={n}")
+        perm = tuple(p + q - i if p <= i <= q else i for i in perm)
+    return Permutation(perm)
+
+
+def is_pure(w: Word, n: int) -> bool:
+    return project_to_symmetric(w, n).is_identity()
 
 
 # the 24 permutations of 1..4, the identity first: an S4 table's indices
 S4 = tuple(map(Permutation, permutations(range(1, 5))))
 _S4_INDEX = {p: i for i, p in enumerate(S4)}
 W0 = _S4_INDEX[Permutation((4, 3, 2, 1))]  # the full reversal, s14's image
-_INTERVAL_IMAGES = {g.name: S4[0].then_reversal(g.p, g.q) for g in interval_generators(4)}
+_INTERVAL_IMAGES = {nm: project_to_symmetric(J4.word(nm), 4) for nm in J4.alphabet.names()}
 
 
 class S4Table(NamedTuple):
-    """The projection to S4 on one presentation's letter codes: the
-    permutation of each letter, and step[i][c], the index in `S4` of
-    S4[i] followed by letter c.  A word's image is one lookup per letter."""
+    """The projection to S4 on one presentation's letter codes:
+    step[i][c] is the index in `S4` of S4[i] followed by letter c, so
+    S4[step[0][c]] is letter c's permutation.  A word's image is one
+    lookup per letter."""
 
-    letters: Tuple[Permutation, ...]
     step: Tuple[Tuple[int, ...], ...]
 
     @classmethod
     def of(cls, letters: Sequence[Permutation]) -> "S4Table":
-        return cls(tuple(letters), tuple(tuple(_S4_INDEX[p.then(x)] for x in letters) for p in S4))
+        return cls(tuple(tuple(_S4_INDEX[p.then(x)] for x in letters) for p in S4))
 
     def fold(self, codes: Iterable[int]) -> int:
         """The index in `S4` of the image of the word `codes`."""
@@ -228,33 +263,6 @@ def s4_table(P: Presentation) -> Optional[S4Table]:
     generator of P is an interval of 1..4 and each relator maps to e, so
     that words of P with distinct images are unequal in P."""
     return P.derived(_s4_table)
-
-
-def _parse_interval_name(name: str) -> Tuple[int, int]:
-    body = name[1:]
-    if "_" in body:
-        ps, qs = body.split("_", 1)
-        return int(ps), int(qs)
-    return int(body[0]), int(body[1:])
-
-
-def project_to_symmetric(w: Word, n: int) -> Permutation:
-    """Image of a cactus word in the symmetric group; letters compose
-    left to right (first letter acts first).  For n = 4, words of J_4
-    and J_4' fold through their presentation's `s4_table`; other words
-    are read off their letters' names."""
-    if n == 4:
-        for P in (J4P, J4):
-            if w.alphabet is P.alphabet:
-                return S4[s4_table(P).fold(w.codes)]
-    gens, perm = w.alphabet.generators, Permutation.identity(n)
-    for c in w.codes:
-        perm = perm.then_reversal(*_parse_interval_name(gens[c].name))
-    return perm
-
-
-def is_pure(w: Word, n: int) -> bool:
-    return project_to_symmetric(w, n).is_identity()
 
 
 # letter codes of J_4 and J_4' follow the order of interval_generators
@@ -281,7 +289,7 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     in J_4 letter codes: ("swap", i, (s14, x, s14, x')) turns s14 x at
     position i into x' s14 and ("delete", i, (s14, s14)) cancels a pair.
     """
-    if w.alphabet is not J4.alphabet and w.alphabet != J4.alphabet:
+    if w.alphabet != J4.alphabet:
         raise ValueError("push_s14_right takes words over the J_4 alphabet")
     out, parity = _push_s14_codes(w.codes, trace)
     return Word._from_codes(J4P.alphabet, out), parity

@@ -146,8 +146,7 @@ def embed_ball(ball: CayleyBall) -> Dict[Word, HPoint]:
     counterclockwise at 2*pi/5 steps in alphabet order.  A vertex's
     isometry is its parent's (its normal form less the last letter)
     after that letter's edge symmetry, and the vertex is its image of 0."""
-    alphabet = ball.presentation.alphabet
-    if alphabet is not J4P.alphabet and alphabet != J4P.alphabet:
+    if ball.presentation.alphabet != J4P.alphabet:
         raise ValueError("embedding requires the J4' presentation")
     edge = _edge_symmetries(J4P.alphabet.names())
     iso = {(): (Mobius(1.0, 0j), False)}

@@ -467,13 +467,12 @@ class GroupHom(Record):
         for gen_name in source.alphabet.names():
             if gen_name not in images:
                 raise ValueError(f"no image for generator {gen_name}")
-            image = images[gen_name].alphabet
-            if image is not target.alphabet and image != target.alphabet:
+            if images[gen_name].alphabet != target.alphabet:
                 raise ValueError(f"image of {gen_name} is not a target word")
         super().__init__(source, target, images, name)
 
     def apply(self, w: Word) -> Word:
-        if w.alphabet is not self.source.alphabet and w.alphabet != self.source.alphabet:
+        if w.alphabet != self.source.alphabet:
             raise ValueError("word is not over the source alphabet")
         return substitute(w, self.images)
 
@@ -507,9 +506,9 @@ def hom_well_defined(h: GroupHom, oracle: str = "auto") -> WellDefinedVerdict:
 
 def verify_mutual_inverse(f: GroupHom, g: GroupHom) -> WellDefinedVerdict:
     """Certify g(f(x)) x^-1 trivial for every generator x (both ways)."""
-    if f.target.alphabet is not g.source.alphabet and f.target.alphabet != g.source.alphabet:
+    if f.target.alphabet != g.source.alphabet:
         raise ValueError("f.target and g.source do not match")
-    if g.target.alphabet is not f.source.alphabet and g.target.alphabet != f.source.alphabet:
+    if g.target.alphabet != f.source.alphabet:
         raise ValueError("g.target and f.source do not match")
     rows = []
     for first, second in ((f, g), (g, f)):

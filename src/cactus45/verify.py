@@ -173,7 +173,9 @@ def _check_pure_enumeration(tol: float) -> str:
             and ginv.parity == parity,
             f"{TRANSLATIONS.spell(~c)} does not match short word {idx}",
         )
-    _require(set(twenty) == set(TWENTY), "enumeration differs from generators and inverses")
+    _require(
+        set(twenty) == set(TWENTY), "enumeration differs from generators and inverses"
+    )
 
     identity = P.word("e")
     for i, j in ref.INVERSE_PARTNERS.items():

@@ -315,7 +315,7 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     for img in images.values():
         if target is None:
             target = img.alphabet
-        elif img.alphabet is not target and img.alphabet != target:
+        elif img.alphabet != target:
             raise ValueError("substitution images span different alphabets")
     gens = w.alphabet.generators
     table = {i: images[g.name].codes for i, g in enumerate(gens) if g.name in images}
@@ -378,7 +378,7 @@ class Presentation:
         # presentations must be able to store
         strict = {c: ~c for c in range(-len(alphabet), len(alphabet))}
         for r in relators:
-            if r.alphabet is not alphabet and r.alphabet != alphabet:
+            if r.alphabet != alphabet:
                 raise ValueError("relator over a different alphabet")
             sr = _cyclic(r.codes, strict)
             if not sr:

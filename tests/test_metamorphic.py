@@ -37,9 +37,12 @@ SURF = surface_presentation()
 
 def _j4p_pairs(seed, count=40):
     """(w1, w2, u): w1 a normal form of up to 500 letters, w2 the same
-    with one square flipped (equal) or one letter changed (unequal), and
-    u a random word of up to 500 letters to conjugate both by."""
+    with one square flipped (equal) or with the translation s13 s24 s13
+    s24 inserted (unequal), and u a random word of up to 500 letters to
+    conjugate both by.  The inserted word is pure, so an unequal pair
+    keeps one S4 image and only the rewrite engine can tell it apart."""
     rng, flip = random.Random(seed), system_for(PP).flip
+    pure = list(PP.word("s13 s24 s13 s24").codes)
     for i in range(count):
         t = list(canonical_form(random_word(PP, rng.randrange(10, 500), rng), PP).codes)
         if i % 2 == 0:
@@ -47,8 +50,8 @@ def _j4p_pairs(seed, count=40):
             p = rng.choice(squares)
             w2 = t[:p] + list(flip[t[p]][t[p + 1]]) + t[p + 2:]
         else:
-            p = rng.randrange(len(t))
-            w2 = t[:p] + [(t[p] + rng.randrange(1, 5)) % 5] + t[p + 1:]
+            p = rng.randrange(len(t) + 1)
+            w2 = t[:p] + pure + t[p:]
         u = random_word(PP, rng.randrange(1, 500), rng)
         yield Word._from_codes(PP.alphabet, t), Word._from_codes(PP.alphabet, w2), u
 
@@ -58,9 +61,11 @@ def _outcome(w1, w2):
     engine raised: its own self-check, or a flip it reads off a pair
     that lies on no square."""
     try:
-        return words_equal(w1, w2, PP).status
+        verdict = words_equal(w1, w2, PP)
     except (AssertionError, TypeError) as error:
         return type(error).__name__
+    assert verdict.oracle == "rewrite", (w1, w2)  # no pair is told apart in S4
+    return verdict.status
 
 
 def _mirror_breaks(pairs):
@@ -119,6 +124,7 @@ def test_conjugation_catches_a_flip_entry_in_the_wrong_order(monkeypatch):
     pairs = list(_j4p_pairs(1901))
     _faulty_engine(monkeypatch, reverse)
     assert _conjugation_breaks(pairs) > 0
+    assert _conjugation_breaks(pairs[1::2]) > 0  # the unequal pairs alone
     assert _mirror_breaks(pairs) == 0
 
 

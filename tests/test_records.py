@@ -57,7 +57,7 @@ def _pair(name, monkeypatch):
     if name == "Permutation":
         return (project_to_symmetric(u, 4), project_to_symmetric(u[:2], 4)), ("images",)
     if name == "S4Table":
-        return (cactus.s4_table(PP), cactus.s4_table(j4_presentation())), ("letters", "step")
+        return (cactus.s4_table(PP), cactus.s4_table(j4_presentation())), ("step",)
     if name == "PureElement":
         return action.TWENTY[:2], ("j4p_form", "parity")
     if name == "Face":

@@ -92,7 +92,7 @@ def _plant_s23_as_identity(monkeypatch, *presentations):
     """Each presentation's S4 table with s23 sent to the identity, an
     even permutation: a table its build refuses, planted past the build."""
     for P in presentations:
-        letters = list(s4_table(P).letters)
+        letters = [S4[j] for j in s4_table(P).step[0]]
         letters[P.alphabet.index("s23")] = Permutation.identity(4)
         monkeypatch.setitem(P._memo, (cactus._s4_table,), S4Table.of(letters))
 
