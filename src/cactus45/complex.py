@@ -98,14 +98,17 @@ def _construct(P: Presentation, radius: int) -> CayleyBall:
     sys = system_for(P)
     vertices: Dict[Word, int] = {}
     words: Dict[Tuple[int, ...], Word] = {}
-    # the spheres S_0 .. S_radius off one walk of the engine
+    # the spheres S_0 .. S_radius off one walk of the engine, each in
+    # shortlex order, so a vertex's place in `vertices` is its rank
     for L, level in enumerate(islice(sys.spheres(), radius + 1)):
         for t in level:
             words[t] = v = Word._from_codes(P.alphabet, t)
             vertices[v] = L
+    rank = {v: i for i, v in enumerate(vertices)}
 
+    # each edge from its lower-ranked end; the letters are involutions
     neighbor: Dict[Word, Dict[str, Word]] = {}
-    edge_set = set()
+    edges: List[Tuple[Word, Word, str]] = []
     names = P.alphabet.names()
     for v in vertices:
         nbrs: Dict[str, Word] = {}
@@ -113,12 +116,13 @@ def _construct(P: Presentation, radius: int) -> CayleyBall:
             wc = words.get(sys.normal_form(v.codes + (g,), start=len(v)))
             if wc is not None:
                 nbrs[names[g]] = wc
-                a, b = sorted((v, wc), key=shortlex_key)
-                edge_set.add((a, b, names[g]))
+                if rank[v] < rank[wc]:
+                    edges.append((v, wc, names[g]))
         neighbor[v] = nbrs
 
-    # with an engine, every relator form is a square's rotation; the
-    # reversed rotations trace the same cells
+    # edges and faces are built once each, but every relator form is a
+    # rotation of a square or of its reverse: each square is still traced
+    # from every corner both ways
     squares = dict.fromkeys(P.forms)
     faces_by_set: Dict[FrozenSet[Word], Face] = {}
     interior = set()
@@ -141,19 +145,15 @@ def _construct(P: Presentation, radius: int) -> CayleyBall:
             if cycle_t[4] != tv:
                 raise AssertionError(f"relator trace failed to close at {v}")
             cycle = [words[t] for t in cycle_t[:4]]
-            if len(set(cycle)) == 4:
-                f = Face.from_cycle(cycle)
-                faces_by_set.setdefault(f.vertex_set, f)
+            corners = frozenset(cycle)
+            if len(corners) == 4 and corners not in faces_by_set:
+                faces_by_set[corners] = Face.from_cycle(cycle)
         if all_inside:
             interior.add(v)
 
-    faces = tuple(
-        sorted(faces_by_set.values(), key=lambda f: [shortlex_key(x) for x in f.boundary])
-    )
-    edges = tuple(
-        sorted(edge_set, key=lambda e: (shortlex_key(e[0]), shortlex_key(e[1]), e[2]))
-    )
-    return CayleyBall(P, radius, vertices, neighbor, edges, faces, frozenset(interior))
+    faces = tuple(sorted(faces_by_set.values(), key=lambda f: [rank[x] for x in f.boundary]))
+    edges.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
+    return CayleyBall(P, radius, vertices, neighbor, tuple(edges), faces, frozenset(interior))
 
 
 def vertex_link(ball: CayleyBall, v: Word) -> List[Word]:

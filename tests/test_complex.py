@@ -1,6 +1,7 @@
 import gc
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,13 @@ from cactus45 import (
     j4prime_presentation,
     vertex_link,
 )
-from cactus45.complex import _construct, _cycle
+from cactus45 import complex as complex_module
+from cactus45.complex import Face, _construct, _cycle
 from cactus45.grouptheory import _dehn_rules, dehn_reduce
 from cactus45.rewrite import system_for
 from cactus45.words import Alphabet, Generator, Presentation, Word, shortlex_key
 
-from complex_helpers import forget, radii_built, without_face
+from complex_helpers import forget, plain_ball, radii_built, without_face
 from fixtures import FACES_AT_E
 
 P = j4prime_presentation()
@@ -215,6 +217,54 @@ def test_balls_nest():
         assert small.edges == edges
         assert small.faces == faces
         assert small.interior == interior
+
+
+def test_the_ball_equals_the_plain_ball():
+    # sink-and-sort spheres, canonical neighbours, both-ended edges and
+    # neighbour-walked squares, all ordered by the oracle's shortlex key
+    ball, plain = _construct(P, 4), plain_ball(P, 4)
+    assert list(ball.vertices.items()) == list(plain.vertices.items())
+    assert ball.neighbor == plain.neighbor
+    assert ball.edges == plain.edges
+    assert ball.faces == plain.faces
+    assert ball.interior == plain.interior
+    assert (len(ball.edges), len(ball.faces), len(ball.interior)) == (225, 60, 21)
+
+
+def test_the_ball_builds_each_face_once_and_sorts_on_ranks(monkeypatch):
+    # every square is still traced from each corner both ways, 4,560
+    # normal forms, but each of the 60 faces is built once, and nothing
+    # outside `Face.from_cycle` asks for a shortlex key: ranks come off
+    # the walk's order
+    forget(monkeypatch, P, _construct)
+    calls, building = Counter(), []
+    from_cycle = Face.from_cycle.__func__
+
+    def counted_from_cycle(cls, cycle):
+        calls["from_cycle"] += 1
+        building.append(cycle)
+        try:
+            return from_cycle(cls, cycle)
+        finally:
+            building.pop()
+
+    def counted_key(v):
+        if not building:
+            calls["shortlex_key"] += 1
+        return shortlex_key(v)
+
+    engine = type(system_for(P))
+    normal_form = engine.normal_form
+
+    def counted_normal_form(self, t, start=0):
+        calls["normal_form"] += 1
+        return normal_form(self, t, start)
+
+    monkeypatch.setattr(Face, "from_cycle", classmethod(counted_from_cycle))
+    monkeypatch.setattr(complex_module, "shortlex_key", counted_key)
+    monkeypatch.setattr(engine, "normal_form", counted_normal_form)
+    assert len(build_ball(P, 4).faces) == 60
+    assert calls == {"from_cycle": 60, "normal_form": 4560}
 
 
 def test_build_ball_keeps_each_radius_it_builds(monkeypatch):

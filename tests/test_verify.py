@@ -2,7 +2,8 @@
 against `canonical_form`, the level-by-level parity law of criterion 3
 against `project_to_symmetric`, a mutation of one letter's image in the
 S4 table for criteria 2 and 3, a wrong enumeration for criterion 2, a
-missing face and a missing edge in criterion 5, planted faults in
+missing face (one at the identity, one farther out), a missing and a
+doubled edge and an extra square in criterion 5, planted faults in
 criterion 13's action checks (a lift that compares spellings, odd
 orbit distances), one wrong table entry for criteria 1, 2, 4, 7, 8 and
 9, equality certificates that do not replay for criteria 1 and 2,
@@ -20,7 +21,7 @@ import cactus45.reference as ref
 from cactus45 import action, cactus, dirichlet, geometry, verify, words
 from cactus45.action import PureElement
 from cactus45.cactus import J4P, S4, Permutation, S4Table, project_to_symmetric, s4_table
-from cactus45.complex import CayleyBall, _construct, build_ball
+from cactus45.complex import CayleyBall, Face, _construct, build_ball
 from cactus45.dirichlet import fundamental_domain
 from cactus45.grouptheory import (
     STANDARD_ELIMINATIONS,
@@ -282,6 +283,17 @@ def test_verify_all_work_counts(monkeypatch):
     assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 933)
 
 
+def _plant_ball(monkeypatch, edges=None, faces=None):
+    """The radius-4 ball of J4', with its edges or faces replaced, kept
+    in the memo that criterion 5 reads."""
+    ball = build_ball(J4P, 4)
+    planted = CayleyBall(
+        J4P, 4, ball.vertices, ball.neighbor, edges or ball.edges, faces or ball.faces,
+        ball.interior,
+    )
+    monkeypatch.setitem(J4P._memo, (_construct, 4), planted)
+
+
 def test_a_missing_face_fails_criterion_5(monkeypatch):
     # without one face whose farthest corner is at distance 3, the
     # interior vertices on it lose a face and their pentagon link; the
@@ -300,14 +312,38 @@ def test_a_missing_face_fails_criterion_5(monkeypatch):
 
 def test_a_missing_near_edge_fails_criterion_5(monkeypatch):
     # the first edge, from the identity, is within distance 2
-    ball = build_ball(J4P, 4)
-    planted = CayleyBall(
-        J4P, 4, ball.vertices, ball.neighbor, ball.edges[1:], ball.faces, ball.interior
-    )
-    monkeypatch.setitem(J4P._memo, (_construct, 4), planted)
+    _plant_ball(monkeypatch, edges=build_ball(J4P, 4).edges[1:])
     result = verify.run_criterion(5)
     assert not result.passed
     assert result.details == "radius-2 ball has 24 edges"
+
+
+def test_a_doubled_near_edge_fails_criterion_5(monkeypatch):
+    # the first edge, from the identity, listed twice
+    edges = build_ball(J4P, 4).edges
+    _plant_ball(monkeypatch, edges=edges[:1] + edges)
+    result = verify.run_criterion(5)
+    assert not result.passed
+    assert result.details == "radius-2 ball has 26 edges"
+
+
+def test_a_missing_face_at_the_identity_fails_criterion_5(monkeypatch):
+    ball = build_ball(J4P, 4)
+    _plant_ball(monkeypatch, faces=without_face(ball, ball.faces_at(ball.identity())[0]).faces)
+    result = verify.run_criterion(5)
+    assert not result.passed
+    assert result.details == "faces at the identity differ"
+
+
+def test_an_extra_near_square_fails_criterion_5(monkeypatch):
+    # four vertices at distance 2 as one more square: the identity keeps
+    # its five faces, but the radius-2 ball closes a sixth
+    ball = build_ball(J4P, 4)
+    corners = [v for v, d in ball.vertices.items() if d == 2][:4]
+    _plant_ball(monkeypatch, faces=ball.faces + (Face.from_cycle(corners),))
+    result = verify.run_criterion(5)
+    assert not result.passed
+    assert result.details == "radius-2 ball should close no other face"
 
 
 def test_a_clockwise_polygon_fails_criterion_7(monkeypatch):
