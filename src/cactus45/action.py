@@ -3,19 +3,21 @@ the vertex words of the five-generator subgroup.
 
 A pure element is stored in split form: a word over the five
 short-interval generators times an optional trailing full reversal.
-Acting on a vertex then amounts to concatenation — the full reversal
-is absorbed by the mirror relabeling — followed by canonicalization.
+`PureElement` is its only constructor: it takes any spelling of the
+vertex word, refuses one whose element is not pure, and stores the
+normal form.  Acting on a vertex then amounts to concatenation (the
+full reversal is absorbed by the mirror relabeling) followed by
+sinking the new letters and sorting.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .cactus import J4P_MIRROR, J4P_TO_J4, S14, W0, j4_presentation, j4prime_presentation, s4_table
-from .rewrite import canonical_form, sphere, system_for
+from .cactus import J4P_MIRROR, W0, j4prime_presentation, s4_table
+from .rewrite import sphere, system_for
 from .words import Alphabet, Generator, Record, Word, invert
 
-_J4 = j4_presentation()
 _J4P = j4prime_presentation()
 _ENGINE = system_for(_J4P)  # kept on _J4P, so bound once
 
@@ -27,16 +29,11 @@ def mirror_word(w: Word) -> Word:
     return Word._from_codes(w.alphabet, [J4P_MIRROR[c] for c in w.codes])
 
 
-def embed_with_reversal(vertex: Word, parity: int) -> Word:
-    """The six-generator word vertex · s14^parity."""
-    if vertex.alphabet != _J4P.alphabet:
-        raise ValueError("embed_with_reversal takes words over the J_4' alphabet")
-    return Word._from_codes(_J4.alphabet, [J4P_TO_J4[c] for c in vertex.codes] + [S14] * parity)
-
-
 class PureElement(Record):
     """A pure element as its split form: the canonical five-generator
-    vertex word, then a full reversal when parity is 1."""
+    vertex word, then a full reversal when parity is 1.  Any spelling of
+    the vertex word is accepted; the element must be pure, and the
+    normal form is what is stored, so equal elements compare equal."""
 
     __slots__ = ("j4p_form", "parity")
 
@@ -45,14 +42,11 @@ class PureElement(Record):
             raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
         if j4p_form.alphabet != _J4P.alphabet:
             raise ValueError(f"{j4p_form} is not a word over the J_4' alphabet")
-        super().__init__(j4p_form, parity)
-
-    @classmethod
-    def from_vertex(cls, vertex: Word, parity: int) -> "PureElement":
-        # pure exactly when vertex · s14^parity maps to the identity, index 0
-        if s4_table(_J4).fold(embed_with_reversal(vertex, parity).codes):
-            raise ValueError(f"{vertex} with reversal parity {parity} is not pure")
-        return cls(canonical_form(vertex, _J4P), parity)
+        # pure exactly when the vertex word maps to s14^parity's image
+        if s4_table(_J4P).fold(j4p_form.codes) != (0, W0)[parity]:
+            raise ValueError(f"{j4p_form} with reversal parity {parity} is not pure")
+        form = _ENGINE.normal_form(j4p_form.codes)
+        super().__init__(Word._from_codes(_J4P.alphabet, form), parity)
 
     @classmethod
     def identity(cls) -> "PureElement":
@@ -63,39 +57,31 @@ class PureElement(Record):
         return self.parity == 0 and len(self.j4p_form) == 0
 
     def compose(self, other: "PureElement") -> "PureElement":
-        return PureElement(
-            _translate(self, other.j4p_form.codes), (self.parity + other.parity) % 2
-        )
+        # the image geodesic is sorted once, by the constructor
+        image = Word._from_codes(_J4P.alphabet, image_geodesic(self, other.j4p_form.codes))
+        return PureElement(image, (self.parity + other.parity) % 2)
 
     def inverse(self) -> "PureElement":
         # (v · s14^p)^-1 = mirror^p(v^-1) · s14^p
         j4p_inv = invert(self.j4p_form)
-        if self.parity:
-            j4p_inv = mirror_word(j4p_inv)
-        return PureElement(canonical_form(j4p_inv, _J4P), self.parity)
+        return PureElement(mirror_word(j4p_inv) if self.parity else j4p_inv, self.parity)
 
 
-def image_geodesic(g: PureElement, codes: Sequence[int], start: int = 0) -> List[int]:
+def image_geodesic(g: PureElement, codes: Sequence[int]) -> List[int]:
     """The vertex g.j4p_form · mirror^parity(codes) as a geodesic of J4'
-    letter codes, sunk but not sorted.  The first `start` letters of
-    g.j4p_form must be geodesic; a caller that knows the form is
-    canonical passes its length, and only the image letters sink."""
+    letter codes, sunk but not sorted; g.j4p_form is a normal form, so
+    only the image letters sink."""
     if g.parity:
         codes = [J4P_MIRROR[c] for c in codes]
-    return _ENGINE.geodesic([*g.j4p_form.codes, *codes], start=start)
-
-
-def _translate(g: PureElement, codes: Tuple[int, ...]) -> Word:
-    """The vertex g.j4p_form · mirror^parity(codes), in normal form; the
-    form may be any spelling, so all of it is sunk."""
-    return Word._from_codes(_J4P.alphabet, _ENGINE.sort(image_geodesic(g, codes)))
+    form = g.j4p_form.codes
+    return _ENGINE.geodesic([*form, *codes], start=len(form))
 
 
 def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
     if h.alphabet != _J4P.alphabet:
         raise ValueError("gamma acts on words over the J_4' alphabet")
-    return _translate(g, h.codes)
+    return Word._from_codes(_J4P.alphabet, _ENGINE.sort(image_geodesic(g, h.codes)))
 
 
 def orbit_point(g: PureElement) -> Word:
@@ -123,10 +109,7 @@ GENERATOR_TABLE: Dict[str, tuple] = {
 # g(i+1) and ~i its inverse.  TWENTY, built once at import, holds the
 # element of each code, indexed the way `TRANSLATIONS.inverse` is
 TRANSLATIONS = Alphabet(Generator(name) for name in GENERATOR_TABLE)
-_GENS = [
-    PureElement.from_vertex(_J4P.word(text), parity)
-    for text, parity in GENERATOR_TABLE.values()
-]
+_GENS = [PureElement(_J4P.word(text), parity) for text, parity in GENERATOR_TABLE.values()]
 TWENTY: Tuple[PureElement, ...] = (*_GENS, *(g.inverse() for g in reversed(_GENS)))
 
 
@@ -161,5 +144,5 @@ def pure_elements_within(max_dist: int) -> List[PureElement]:
             # a pure v · s14^parity: v maps to the identity or to w0
             parity = {0: 0, W0: 1}.get(table.fold(v.codes))
             if parity is not None:
-                found.append(PureElement.from_vertex(v, parity))
+                found.append(PureElement(v, parity))
     return found

@@ -50,6 +50,10 @@ class TilingReport(NamedTuple):
 
 
 class CayleyBall:
+    """A ball of the Cayley complex: `vertices` maps each vertex to its
+    distance from the identity and lists them in shortlex order, sphere
+    by sphere, the order of the walk that built them."""
+
     def __init__(
         self,
         presentation: Presentation,
@@ -212,7 +216,9 @@ def check_tiling(ball: CayleyBall) -> TilingReport:
     for f in ball.faces:
         if len(f.vertex_set) != 4:
             failures.append(f"face {f.boundary} is not a combinatorial square")
-    for v in sorted(ball.interior, key=shortlex_key):
+    for v in ball.vertices:  # in shortlex order
+        if v not in ball.interior:
+            continue
         if ball.degree(v) != 5:
             failures.append(f"vertex {v}: degree {ball.degree(v)} != 5")
         n_faces = len(ball.faces_at(v))

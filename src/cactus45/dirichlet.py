@@ -232,7 +232,7 @@ def side_pairings(D: LabeledPolygon) -> List[SidePairing]:
         # and pairs no side, so only the others are sorted
         images: Dict[Word, Optional[Word]] = {}
         for w in D.labels:
-            sunk = image_geodesic(g, w.codes, start=len(g.j4p_form))
+            sunk = image_geodesic(g, w.codes)
             images[w] = (
                 Word._from_codes(J4P.alphabet, engine.sort(sunk))
                 if len(sunk) <= longest

@@ -469,6 +469,9 @@ class GroupHom(Record):
                 raise ValueError(f"no image for generator {gen_name}")
             if images[gen_name].alphabet != target.alphabet:
                 raise ValueError(f"image of {gen_name} is not a target word")
+        for gen_name in images:
+            if gen_name not in source.alphabet:
+                raise ValueError(f"image of {gen_name}, which is not a source generator")
         super().__init__(source, target, images, name)
 
     def apply(self, w: Word) -> Word:

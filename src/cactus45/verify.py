@@ -576,10 +576,6 @@ def _check_action_properties(tol: float) -> str:
     ball = [v for L in range(4) for v in sphere(P, L)]
     _require(len(ball) == 61, f"radius-3 ball has {len(ball)} vertices")
 
-    def image(g, codes) -> List[int]:
-        # the forms of TWENTY and of their products are canonical
-        return image_geodesic(g, codes, start=len(g.j4p_form))
-
     # g fixes h exactly when g.j4p_form = h · mirror^p(h)^-1, p the
     # parity of g; the letters are involutions, so that inverse is the
     # mirrored reversal of h.  For parity 0 the product is the identity
@@ -612,8 +608,9 @@ def _check_action_properties(tol: float) -> str:
         for h in small_sphere:
             # two geodesics spell the same vertex exactly when one lifts
             # into the other
+            twice = image_geodesic(g, image_geodesic(gp, h.codes))
             _require(
-                engine.lift(image(prod, h.codes), image(g, image(gp, h.codes)), None),
+                engine.lift(image_geodesic(prod, h.codes), twice, None),
                 "action law fails on a sampled pair",
             )
 
@@ -627,7 +624,7 @@ def _check_action_properties(tol: float) -> str:
             h1, h2 = rng.choice(inner), rng.choice(inner)
             _require(
                 graph_distance(h1.codes, h2.codes)
-                == graph_distance(image(g, h1.codes), image(g, h2.codes)),
+                == graph_distance(image_geodesic(g, h1.codes), image_geodesic(g, h2.codes)),
                 "action does not preserve the graph metric",
             )
     return (

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,13 +13,13 @@ from cactus45 import (
     sphere,
     words_equal,
 )
+from cactus45.cactus import W0, s4_table
 from cactus45.words import Word
 from cactus45.action import (
     GENERATOR_TABLE,
     TRANSLATIONS,
     TWENTY,
     PureElement,
-    embed_with_reversal,
     gamma,
     mirror_word,
     orbit_point,
@@ -89,29 +91,21 @@ def test_unknown_generator_name():
             standard_generator(bad)
 
 
+def _embed(vertex, parity):
+    """The six-generator word vertex · s14^parity."""
+    return Word(J4.alphabet, list(vertex.letters) + [("s14", 1)] * parity)
+
+
 def test_split_form_certified():
     # each table spelling, inverted for an inverse code, equals the
     # split form of its entry in the six-generator group
-    spellings = [
-        embed_with_reversal(P.word(text), parity)
-        for text, parity in GENERATOR_TABLE.values()
-    ]
+    spellings = [_embed(P.word(text), parity) for text, parity in GENERATOR_TABLE.values()]
     for c in range(-len(TRANSLATIONS), len(TRANSLATIONS)):
         spelled = spellings[c] if c >= 0 else invert(spellings[~c])
-        split = embed_with_reversal(TWENTY[c].j4p_form, TWENTY[c].parity)
+        split = _embed(TWENTY[c].j4p_form, TWENTY[c].parity)
         res = words_equal(spelled, split, J4, certificate=True)
         assert res.equal and res.certificate is not None
         assert res.certificate.verify(J4, spelled, split)
-
-
-def test_embed_with_reversal_on_codes():
-    for parity in (0, 1):
-        v = TWENTY[3].j4p_form
-        want = Word(J4.alphabet, list(v.letters) + [("s14", 1)] * parity)
-        assert embed_with_reversal(v, parity) == want
-    assert embed_with_reversal(Word(P.alphabet, ()), 1) == J4.word("s14")
-    with pytest.raises(ValueError):
-        embed_with_reversal(J4.word("s12 s14"), 0)
 
 
 def test_table_is_indexed_by_letter_codes():
@@ -137,8 +131,19 @@ def test_from_word_roundtrip(gens):
 def test_from_word_rejects_impure():
     with pytest.raises(ValueError):
         action_oracle.from_word(J4.word("s12"))
-    with pytest.raises(ValueError):
-        PureElement.from_vertex(w(A_WORDS[1]), 0)
+    # g1's spelling is pure only with its reversal
+    with pytest.raises(ValueError, match="not pure"):
+        PureElement(w(A_WORDS[1]), 0)
+
+
+def test_the_constructor_stores_the_normal_form():
+    # g1's tabled spelling is not its normal form, yet it is g1
+    g1 = PureElement(w("s13 s24 s12 s34"), 1)
+    assert g1 == standard_generator("g1") and hash(g1) == hash(standard_generator("g1"))
+    assert g1.j4p_form == canonical_form(w("s13 s24 s12 s34"), P) != w("s13 s24 s12 s34")
+    for g in (g1, *TWENTY):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
 
 
 @pytest.mark.parametrize("parity", [2, -1])
@@ -146,7 +151,7 @@ def test_parity_outside_zero_one_is_refused(parity):
     # such an element would act as if its parity were 1
     with pytest.raises(ValueError, match="parity"):
         PureElement(w("s12"), parity)
-    assert PureElement(w("s12"), 1).parity == 1
+    assert PureElement(w("s13 s24 s12 s34"), 1).parity == 1
 
 
 def test_mirror_word_involution():
@@ -245,35 +250,47 @@ def test_parity_of_pi_images():
 
 
 def test_gamma_and_compose_match_word_oracle_on_the_ball():
-    # compose is the split-form group law of J4, so it is checked on
-    # every ball vertex at both parities, pure or not
+    # gamma on every ball vertex; compose, the split-form group law of
+    # J4, on the twenty and on every product of two of them
     ball = [v for L in range(4) for v in sphere(P, L)]
     assert len(ball) == 61
+    products = {g.compose(h) for g in TWENTY for h in TWENTY}
+    # the identity, the twenty (the three-term cycles make each a product
+    # of two), and 340 others
+    assert len(products) == 361 and set(TWENTY) < products
     for g in TWENTY:
         for h in ball:
             assert gamma(g, h) == action_oracle.gamma(g, h)
-            for parity in (0, 1):
-                other = PureElement(h, parity)
-                assert g.compose(other) == action_oracle.compose(g, other)
-        for other in TWENTY:
+        for other in (*TWENTY, *products):
             assert g.compose(other) == action_oracle.compose(g, other)
 
 
 def test_gamma_and_compose_match_word_oracle_on_random_words():
-    # unreduced words of up to 40 letters, on both sides of the product
+    # unreduced words of up to 40 letters, on both sides of the product;
+    # an element is built from the first random word that is pure at
+    # some parity, and stores its normal form
     rng = random.Random(1998)
     names = P.alphabet.names()
+    table = s4_table(P)
 
     def random_word():
         length = rng.randint(0, 40)
         return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])
 
+    def random_element():
+        while True:
+            u = random_word()
+            parity = {0: 0, W0: 1}.get(table.fold(u.codes))
+            if parity is not None:
+                g = PureElement(u, parity)
+                assert g.j4p_form == canonical_form(u, P)
+                return g
+
     for _ in range(200):
         u, v = random_word(), random_word()
         g = rng.choice(TWENTY)
         assert gamma(g, u) == action_oracle.gamma(g, u)
-        left = PureElement(u, rng.randint(0, 1))
-        right = PureElement(v, rng.randint(0, 1))
+        left, right = random_element(), random_element()
         assert gamma(left, v) == action_oracle.gamma(left, v)
         assert left.compose(right) == action_oracle.compose(left, right)
 

@@ -424,20 +424,22 @@ def test_cycles_are_words_over_the_translation_alphabet(cycles):
 
 
 def test_pairings_and_cycles_read_the_table(polygon, monkeypatch):
-    # the twenty elements are built once, at import: the stages build none
+    # the twenty elements are built once, at import: the pairings build
+    # none, and the cycles one for each composition along a cycle
     built = []
-    original = PureElement.from_vertex.__func__
+    original = PureElement.__init__
 
-    def counting(cls, vertex, parity):
-        built.append(vertex)
-        return original(cls, vertex, parity)
+    def counting(self, j4p_form, parity):
+        built.append(j4p_form)
+        original(self, j4p_form, parity)
 
-    monkeypatch.setattr(PureElement, "from_vertex", classmethod(counting))
+    monkeypatch.setattr(PureElement, "__init__", counting)
     pairings = side_pairings(polygon)
-    vertex_cycles(polygon, pairings)
     assert built == []
-    PureElement.from_vertex(P.word("s13 s24 s13 s24"), 0)
-    assert len(built) == 1  # the wrapper counts
+    cycles = vertex_cycles(polygon, pairings)
+    assert len(built) == sum(len(c.generators) - 1 for c in cycles) == 14
+    PureElement(P.word("s13 s24 s13 s24"), 0)
+    assert len(built) == 15  # the wrapper counts
 
 
 def test_cycle_walk_traverses_vertices(cycles):

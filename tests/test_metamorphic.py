@@ -6,17 +6,22 @@ of its group, which needs no oracle and holds at any word length.
   * it keeps its status when both words are conjugated by one word u;
   * `word_problem_search` on the surface group keeps its status under
     the index shift a_i -> a_{i+1 mod 5}, which rotates the relator
-    a1 a1 a2 a2 ... a5 a5 and so is an automorphism.
+    a1 a1 a2 a2 ... a5 a5 and so is an automorphism;
+  * on the surface group and the five-generator one-relator group it
+    keeps its status under inversion: w is trivial exactly when w^-1 is.
 
-Words are seeded and up to 500 letters long.  Each relation is also
-shown to catch one planted fault.  An engine that lacks one of J4''s
-squares answers for another group: the mirror exposes it, but
-conjugation, an automorphism of every group, cannot.  A flip entry in
-the wrong order on the mirror-fixed square s12 s34 s12 s34 is the
-converse: conjugation exposes it, the mirror cannot.  Dehn's algorithm
-without the rules that cut an a1 fails the index shift.  An error that
-a fault raises counts as an outcome, so a relation also breaks when
-one side raises and the other does not.
+Words are seeded and up to 500 letters long; `tests_slow` runs the
+same relations at up to 10,000.  Each relation is also shown to catch
+one planted fault.  An engine that lacks one of J4''s squares answers
+for another group: the mirror exposes it, but conjugation, an
+automorphism of every group, cannot.  A flip entry in the wrong order
+on the mirror-fixed square s12 s34 s12 s34 is the converse:
+conjugation exposes it, the mirror cannot.  Dehn's algorithm without
+the rules that cut an a1 fails the index shift.  Dehn's algorithm with
+rules for the relator's rotations alone, none for its inverse's, fails
+inversion; the index shift maps that rule set to itself, so it cannot
+see it.  An error that a fault raises counts as an outcome, so a
+relation also breaks when one side raises and the other does not.
 """
 
 import copy
@@ -25,26 +30,28 @@ import random
 from cactus45 import grouptheory, rewrite
 from cactus45.action import mirror_word
 from cactus45.cactus import j4prime_presentation
-from cactus45.grouptheory import surface_presentation, word_problem_search
+from cactus45.grouptheory import one_relator_presentation, surface_presentation, word_problem_search
 from cactus45.rewrite import canonical_form, system_for, words_equal
-from cactus45.words import EQUAL, NONTRIVIAL, PROVEN_UNEQUAL, TRIVIAL, Word, free_reduce, invert
+from cactus45.words import EQUAL, NONTRIVIAL, PROVEN_UNEQUAL, TRIVIAL, Word, invert
 
 from rewrite_oracle import random_word
 
 PP = j4prime_presentation()
 SURF = surface_presentation()
+FIVE = one_relator_presentation()
 
 
-def _j4p_pairs(seed, count=40):
-    """(w1, w2, u): w1 a normal form of up to 500 letters, w2 the same
-    with one square flipped (equal) or with the translation s13 s24 s13
-    s24 inserted (unequal), and u a random word of up to 500 letters to
-    conjugate both by.  The inserted word is pure, so an unequal pair
-    keeps one S4 image and only the rewrite engine can tell it apart."""
+def _j4p_pairs(seed, count=40, lengths=(10, 500)):
+    """(w1, w2, u): w1 the normal form of a random word whose length is
+    drawn from range(*lengths), w2 the same with one square flipped
+    (equal) or with the translation s13 s24 s13 s24 inserted (unequal),
+    and u a random word shorter than lengths[1] to conjugate both by.  The
+    inserted word is pure, so an unequal pair keeps one S4 image and
+    only the rewrite engine can tell it apart."""
     rng, flip = random.Random(seed), system_for(PP).flip
     pure = list(PP.word("s13 s24 s13 s24").codes)
     for i in range(count):
-        t = list(canonical_form(random_word(PP, rng.randrange(10, 500), rng), PP).codes)
+        t = list(canonical_form(random_word(PP, rng.randrange(*lengths), rng), PP).codes)
         if i % 2 == 0:
             squares = [p for p in range(len(t) - 1) if flip[t[p]][t[p + 1]]]
             p = rng.choice(squares)
@@ -52,7 +59,7 @@ def _j4p_pairs(seed, count=40):
         else:
             p = rng.randrange(len(t) + 1)
             w2 = t[:p] + pure + t[p:]
-        u = random_word(PP, rng.randrange(1, 500), rng)
+        u = random_word(PP, rng.randrange(1, lengths[1]), rng)
         yield Word._from_codes(PP.alphabet, t), Word._from_codes(PP.alphabet, w2), u
 
 
@@ -134,22 +141,26 @@ def _shift(w):
     return Word._from_codes(SURF.alphabet, shifted)
 
 
-def _surface_words(seed, count=40):
-    """Products of conjugates of the relator and its inverse, freely
-    reduced to at most 500 letters (trivial), and the same with one
-    letter inserted (nontrivial: the letter's exponent sum is odd)."""
-    rng = random.Random(seed)
-    forms = [Word._from_codes(SURF.alphabet, form) for form in SURF.forms]
+def _dehn_words(P, seed, count=40, bounds=(20, 450)):
+    """Products of conjugates of P's relator forms, freely reduced, grown
+    while shorter than a bound drawn from range(*bounds) at each step
+    (trivial), and the same with one letter inserted (nontrivial: each
+    exponent sum of the relator is even, and the letter's turns odd)."""
+    rng, inverse, names = random.Random(seed), P.alphabet.inverse, P.alphabet.names()
     for i in range(count):
-        w = Word(SURF.alphabet)
-        while len(w) < rng.randrange(20, 450):
-            u = Word(SURF.alphabet, [(rng.choice(SURF.alphabet.names()), rng.choice((1, -1)))
-                                     for _ in range(rng.randrange(0, 8))])
-            w = free_reduce(w * u * rng.choice(forms) * invert(u))
+        w = []  # freely reduced: a letter cancels against the last one
+        while len(w) < rng.randrange(*bounds):
+            u = Word(P.alphabet, [(rng.choice(names), rng.choice((1, -1)))
+                                  for _ in range(rng.randrange(0, 8))])
+            for c in (*u.codes, *rng.choice(P.forms), *invert(u).codes):
+                if w and w[-1] == inverse[c]:
+                    w.pop()
+                else:
+                    w.append(c)
         if i % 2:
             p = rng.randrange(len(w) + 1)
-            w = w[:p] * Word(SURF.alphabet, [(rng.choice(SURF.alphabet.names()), 1)]) * w[p:]
-        yield w
+            w[p:p] = [P.alphabet.index(rng.choice(names))]
+        yield Word._from_codes(P.alphabet, w)
 
 
 def _shift_breaks(words):
@@ -159,8 +170,15 @@ def _shift_breaks(words):
     )
 
 
+def _inversion_breaks(P, words):
+    return sum(
+        word_problem_search(w, P).status != word_problem_search(invert(w), P).status
+        for w in words
+    )
+
+
 def test_word_problem_search_keeps_its_status_under_the_index_shift():
-    words = list(_surface_words(1902))
+    words = list(_dehn_words(SURF, 1902))
     assert max(map(len, words)) <= 500
     assert [word_problem_search(w, SURF).status for w in words] == [TRIVIAL, NONTRIVIAL] * 20
     assert _shift_breaks(words) == 0
@@ -176,6 +194,32 @@ def test_the_index_shift_catches_missing_dehn_rules(monkeypatch):
         rules, lengths = real(P)
         return {key: cut for key, cut in rules.items() if a1 not in key}, lengths
 
-    words = list(_surface_words(1902))
+    words = list(_dehn_words(SURF, 1902))
     monkeypatch.setattr(grouptheory, "_dehn_rules", without_a1)
     assert _shift_breaks(words) > 0
+
+
+def test_word_problem_search_keeps_its_status_under_inversion():
+    for P, seed in ((SURF, 1902), (FIVE, 1903)):
+        words = list(_dehn_words(P, seed))
+        assert max(map(len, words)) <= 500
+        assert [word_problem_search(w, P).status for w in words] == [TRIVIAL, NONTRIVIAL] * 20
+        assert _inversion_breaks(P, words) == 0
+
+
+def test_inversion_catches_dehn_rules_for_the_relator_alone(monkeypatch):
+    # a rule is kept only when its key opens a rotation of the stored
+    # relator; the index shift sends each such rotation to another
+    real = grouptheory._dehn_rules
+
+    def relator_alone(P):
+        rules, lengths = real(P)
+        (r,) = (rel.codes for rel in P.relators)
+        keys = {(r[i:] + r[:i])[:take] for i in range(len(r)) for take in lengths}
+        return {key: cut for key, cut in rules.items() if key in keys}, lengths
+
+    surface, five = list(_dehn_words(SURF, 1902)), list(_dehn_words(FIVE, 1903))
+    monkeypatch.setattr(grouptheory, "_dehn_rules", relator_alone)
+    assert _inversion_breaks(SURF, surface) > 0
+    assert _inversion_breaks(FIVE, five) > 0
+    assert _shift_breaks(surface) == 0

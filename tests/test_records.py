@@ -260,6 +260,13 @@ def _hom_with_a_foreign_image():
     return grouptheory.GroupHom(f.source, f.target, images, f.name)
 
 
+def _hom_with_an_extra_image():
+    # the same map as f, with one image more, under a name f.source lacks
+    f, _ = grouptheory.alt_isomorphism_pair()
+    images = {**f.images, "zeta": f.images["alpha"]}
+    return grouptheory.GroupHom(f.source, f.target, images, f.name)
+
+
 # the refusals not tested beside their modules; the others are in
 # test_words (reserved names), test_cactus (a repeated image),
 # test_geometry (the boundary), test_action (parity), test_rewrite
@@ -275,7 +282,9 @@ def _hom_with_a_foreign_image():
         (lambda: HPoint(x=1.5, y=0.0), "not inside the unit disk"),
         (lambda: HPoint(float("nan"), 0.0), "not inside the unit disk"),
         (lambda: action.PureElement(j4_presentation().word("s14"), 0), "J_4' alphabet"),
+        (lambda: action.PureElement(PP.word("s12"), 0), "s12 with reversal parity 0 is not pure"),
         (_hom_with_a_foreign_image, "image of beta is not a target word"),
+        (_hom_with_an_extra_image, "image of zeta, which is not a source generator"),
     ],
     ids=[
         "generator-empty",
@@ -286,7 +295,9 @@ def _hom_with_a_foreign_image():
         "hpoint-outside",
         "hpoint-nan",
         "pure-alphabet",
+        "pure-not-pure",
         "hom-alphabet",
+        "hom-extra-image",
     ],
 )
 def test_records_still_validate_their_fields(build, message):

@@ -4,10 +4,11 @@ against `project_to_symmetric`, a mutation of one letter's image in the
 S4 table for criteria 2 and 3, a wrong enumeration for criterion 2, a
 missing face (one at the identity, one farther out), a missing and a
 doubled edge and an extra square in criterion 5, planted faults in
-criterion 13's action checks (a lift that compares spellings, odd
-orbit distances), one wrong table entry for criteria 1, 2, 4, 7, 8 and
-9, equality certificates that do not replay for criteria 1 and 2,
-planted objects for criteria 6 to 12, criterion 7's side count,
+criterion 13's action checks (a short ball, a lift that compares
+spellings, odd orbit distances, with invalid elements built past the
+`PureElement` constructor), one wrong table entry for criteria 1, 2,
+4, 7, 8 and 9, equality certificates that do not replay for criteria
+1 and 2, planted objects for criteria 6 to 12, criterion 7's side count,
 distinct labels and label set, and the work one ``verify-all`` run
 does in its costliest stages."""
 
@@ -258,29 +259,34 @@ def test_verify_all_work_counts(monkeypatch):
     assert (calls["sort in 5"], calls["geodesic in 5"]) == (0, 0)
     # criterion 3 folds its ten central words, and reads each level's
     # images off the table's steps; criterion 2 folds the 165 vertices
-    # within distance 4, its 20 pure elements and both words of each of
-    # its 11 certified products
-    assert (calls["project in 3"], calls["project in 2"]) == (10, 165 + 20 + 22)
+    # within distance 4, its 20 pure elements and the ten inverses it
+    # builds (each element's constructor checks it is pure), and both
+    # words of each of its 11 certified products; criteria 7 and 13 fold
+    # once for each element they compose
+    assert (calls["project in 3"], calls["project in 2"]) == (10, 165 + 20 + 10 + 22)
+    assert (calls["project in 7"], calls["project in 13"]) == (14, 12)
     assert calls["enumerate in 2"] == 1
     assert sum(v for k, v in calls.items() if k.startswith("enumerate")) == 1
     assert calls["canonical_form"] == 0 and calls["parse"] == 0
     # tabled spellings are read off the ball, so no criterion parses one
-    # to canonicalise it: criterion 2 builds the twenty and their inverses,
-    # criterion 7 the fundamental domain, and criterion 1 parses only the
-    # two spellings it certifies equal
+    # to canonicalise it: elements are put in normal form on the engine,
+    # so only criterion 7's fundamental domain canonicalises a word, and
+    # criterion 1 parses only the two spellings it certifies equal
     canonicalised = {k: v for k, v in calls.items() if k.startswith("canonical_form in")}
-    assert canonicalised == {"canonical_form in 2": 30, "canonical_form in 7": 2}
+    assert canonicalised == {"canonical_form in 7": 2}
     assert calls["parse in 1"] == 2
     # normal forms only where a word can match: criterion 3 projects and
     # never rewrites; criterion 7 builds the fundamental domain, whose
-    # cell is read off S4 with no rewriting: its 216 geodesics are the
-    # side pairings' 200 images, the cycles' 14 compositions and the
-    # anchor's two canonical forms; 13 sorts one candidate
-    # fixer per vertex of the radius-3 ball and the sampled products
+    # cell is read off S4 with no rewriting: its 230 geodesics are the
+    # side pairings' 200 images, two for each of the cycles' 14
+    # compositions (the image, then the constructor's normal form) and
+    # the anchor's two canonical forms; 13 sorts one candidate fixer per
+    # vertex of the radius-3 ball and the sampled products, each of its
+    # 12 products also sunk twice
     assert (calls["sort in 3"], calls["geodesic in 3"]) == (0, 0)
     assert (calls["sort in 6"], calls["geodesic in 6"]) == (0, 0)
-    assert (calls["sort in 7"], calls["geodesic in 7"]) == (41, 216)
-    assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 933)
+    assert (calls["sort in 7"], calls["geodesic in 7"]) == (41, 230)
+    assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 945)
 
 
 def _plant_ball(monkeypatch, edges=None, faces=None):
@@ -415,6 +421,30 @@ def test_a_side_pairing_that_fixes_its_corners_fails_criterion_8(monkeypatch):
     result = verify.run_criterion(8)
     assert not result.passed
     assert result.details == "g1 does not carry its source corner to its target"
+
+
+def test_a_domain_missing_a_pairing_fails_criterion_8(monkeypatch):
+    # the domain pairs nine sides: g10's row is gone
+    planted = fundamental_domain()._replace(pairings=fundamental_domain().pairings[:-1])
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    result = verify.run_criterion(8)
+    assert not result.passed
+    assert result.details == "pairing generators differ"
+
+
+def test_a_second_surviving_relator_fails_criterion_10(monkeypatch):
+    # the eliminations leave the five generators, with the commutator
+    # of g2 and g4 beside the ten-letter relator
+    real = verify.tietze_eliminate
+
+    def planted(P, eliminations):
+        after = real(P, eliminations)
+        return Presentation(after.alphabet, [*after.relators, after.word("g2 g4 g2^-1 g4^-1")])
+
+    monkeypatch.setattr(verify, "tietze_eliminate", planted)
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.details == "2 relators remain"
 
 
 def test_a_missing_elimination_fails_criterion_10(monkeypatch):
@@ -577,6 +607,15 @@ def test_a_side_glued_the_other_way_fails_criterion_12(monkeypatch):
     assert result.details == "Euler characteristic -4"
 
 
+def _unchecked(form, parity):
+    """A PureElement built past its constructor, which would refuse the
+    impure form or store its normal form: how a test plants an element
+    that is not pure, or not in normal form."""
+    element = object.__new__(PureElement)
+    words.Record.__init__(element, form, parity)
+    return element
+
+
 def test_criterion_13_catches_a_planted_element_that_fixes_a_vertex(monkeypatch):
     # the identity fixes every vertex; among the parity-0 elements only
     # the identity can, since g fixes h exactly when g.j4p_form = h h^-1
@@ -594,7 +633,7 @@ def test_criterion_13_catches_a_planted_parity_1_fixer(monkeypatch):
     h = J4P.word("s12 s13 s24")
     inverse = action.mirror_word(invert(h))
     form = canonical_form(J4P.word(f"{h} {inverse}"), J4P)
-    fixer = PureElement(form, 1)
+    fixer = _unchecked(form, 1)
     assert action.gamma(fixer, h) == h
     ball = [v for L in range(4) for v in sphere(J4P, L)]
     first = next(v for v in ball if action.gamma(fixer, v) == v)
@@ -614,14 +653,22 @@ def test_criterion_13_catches_a_planted_action_law_failure(monkeypatch):
     assert not z.is_identity and z not in action.TWENTY
     image_geodesic = action.image_geodesic
 
-    def shifted(g, codes, start=0):
-        gz = g.compose(z)
-        return image_geodesic(gz, codes, start=len(gz.j4p_form))
+    def shifted(g, codes):
+        return image_geodesic(g.compose(z), codes)
 
     monkeypatch.setattr(verify, "image_geodesic", shifted)
     result = verify.run_criterion(13)
     assert not result.passed
     assert result.details == "action law fails on a sampled pair"
+
+
+def test_criterion_13_catches_a_short_ball(monkeypatch):
+    # spheres whose length-3 level lacks its last vertex
+    real = verify.sphere
+    monkeypatch.setattr(verify, "sphere", lambda P, L: real(P, L)[: -1 if L == 3 else None])
+    result = verify.run_criterion(13)
+    assert not result.passed
+    assert result.details == "radius-3 ball has 60 vertices"
 
 
 def test_criterion_13_catches_a_lift_that_compares_spellings(monkeypatch):
@@ -644,7 +691,7 @@ def test_criterion_13_catches_a_lift_that_compares_spellings(monkeypatch):
 
 def test_criterion_13_catches_an_odd_orbit_distance(monkeypatch):
     # one letter is no pure element: it moves the identity an odd distance
-    planted = (PureElement(J4P.word("s12"), 0),) + action.TWENTY[1:]
+    planted = (_unchecked(J4P.word("s12"), 0),) + action.TWENTY[1:]
     monkeypatch.setattr(verify, "TWENTY", planted)
     result = verify.run_criterion(13)
     assert not result.passed
@@ -657,7 +704,7 @@ def test_criterion_13_catches_a_product_at_an_odd_distance(monkeypatch):
 
     def planted(g, h):
         gh = compose(g, h)
-        return PureElement(gh.j4p_form * J4P.word("s12"), gh.parity)
+        return _unchecked(gh.j4p_form * J4P.word("s12"), gh.parity)
 
     monkeypatch.setattr(PureElement, "compose", planted)
     result = verify.run_criterion(13)
@@ -678,8 +725,8 @@ def test_criterion_13_catches_a_planted_non_isometry(monkeypatch):
         form = engine.sort(list(codes))
         return list(s12) if form == e else list(e) if form == s12 else list(codes)
 
-    def conjugated(g, codes, start=0):
-        return swap(image_geodesic(g, swap(codes), start))
+    def conjugated(g, codes):
+        return swap(image_geodesic(g, swap(codes)))
 
     monkeypatch.setattr(verify, "image_geodesic", conjugated)
     result = verify.run_criterion(13)
