@@ -45,8 +45,11 @@ class PureElement(Record):
         # pure exactly when the vertex word maps to s14^parity's image
         if s4_table(_J4P).fold(j4p_form.codes) != (0, W0)[parity]:
             raise ValueError(f"{j4p_form} with reversal parity {parity} is not pure")
-        form = _ENGINE.normal_form(j4p_form.codes)
-        super().__init__(Word._from_codes(_J4P.alphabet, form), parity)
+        # a spelling the automaton accepts whole is the normal form
+        codes = j4p_form.codes
+        if _ENGINE.accepts(codes) < len(codes):
+            j4p_form = Word._from_codes(_J4P.alphabet, _ENGINE.normal_form(codes))
+        super().__init__(j4p_form, parity)
 
     @classmethod
     def identity(cls) -> "PureElement":

@@ -41,8 +41,12 @@ relator forms (`Presentation.forms`, the table the flip table is read
 from) and a deletion or insertion only of a square x x.
 
 Spheres are neither sunk nor sorted: the shortlex language is regular
-(Cannon 1984, Niblo-Reeves 1998), and `RewriteSystem.spheres` walks its
-automaton, read off the flip table.  No level outlives its call.
+(Cannon 1984, Niblo-Reeves 1998).  Its automaton, read off the flip
+table, is numbered on first use and kept on the presentation
+(`RewriteSystem.automaton`): each state has a row of (letter, next
+state) pairs and its set of right descents.  `walk` gives each normal
+form with its state, and Cayley balls read their tree edges off the
+rows (`complex._construct`).  No level outlives its call.
 
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
@@ -133,6 +137,17 @@ def _relator_words(P: Presentation) -> Dict[Tuple[int, ...], Word]:
     the relators a certificate's moves are built from."""
     squares = tuple((x, x) for x in range(len(P.alphabet)))
     return {r: Word._from_codes(P.alphabet, r) for r in P.forms + squares}
+
+
+class Automaton(NamedTuple):
+    """The shortlex automaton of an engine, states numbered from 0, the
+    empty word's.  rows[s] lists the letters z, in increasing order, for
+    which t·z is a normal form when t is one in state s, each with the
+    state of t·z; descents[s] is the set of right descents of such a t,
+    the letters z with |t·z| < |t|."""
+
+    rows: Tuple[Tuple[Tuple[int, int], ...], ...]
+    descents: Tuple[FrozenSet[int], ...]
 
 
 class RewriteSystem:
@@ -252,35 +267,42 @@ class RewriteSystem:
                 return False
         return True
 
+    @property
+    def automaton(self) -> Automaton:
+        """The shortlex automaton, numbered: built on first use, by a
+        walk or `accepts`, and kept on the presentation (`_automaton`)."""
+        return self.presentation.derived(_automaton)
+
+    def accepts(self, t: Sequence[int]) -> int:
+        """The length of the longest prefix of t that is a normal form,
+        read off the automaton's rows: a prefix of a normal form is one,
+        so t is a normal form exactly when this is len(t)."""
+        rows, s = self.automaton.rows, 0
+        for k, z in enumerate(t):
+            for y, nxt in rows[s]:
+                if y == z:
+                    s = nxt
+                    break
+            else:
+                return k
+        return len(t)
+
+    def walk(self) -> Iterator[List[Tuple[Tuple[int, ...], int]]]:
+        """The spheres S_0, S_1, ... in turn, each a list of (normal
+        form, automaton state) in shortlex order.  Letters are appended
+        off each state's row in increasing order, so each level is
+        already in shortlex order: nothing is sorted or deduplicated,
+        and no level outlives the next."""
+        rows, level = self.automaton.rows, [((), 0)]
+        while True:
+            yield level
+            level = [(t + (z,), nxt) for t, s in level for z, nxt in rows[s]]
+
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """The spheres S_0, S_1, ... in turn, each a list of normal forms
-        in shortlex order, walked on the shortlex automaton.
-
-        A normal form t has the state (D, C): D is its set of right
-        descents, and C the set of letters that a lesser left descent
-        x < t[k], pushed right through t[k:] as `_lift` walks it,
-        arrives as at the end.  t·z is a normal form exactly when z is
-        in neither, and then D(t·z) = {z} ∪ {y : flip[z][y][0] ∈ D(t)}
-        and C(t·z) = {flip[c][z][1] : c ∈ C(t) ∪ {x < z}}, taken where
-        the flip exists.  For `sort` puts the least left descent at each
-        position, and a left descent of t[k:]·z that t[k:] lacks must
-        arrive at the end as z.  A state's row is read off the flip
-        table when the walk first meets it, and dropped with the walk.
-        Letters are appended in increasing order, so each level is
-        already in shortlex order: nothing is sorted or deduplicated."""
-        rows, level = {}, [((), (frozenset(), frozenset()))]
-        while True:
+        in shortlex order, off `walk`."""
+        for level in self.walk():
             yield [t for t, _ in level]
-            level = [(t + (z,), state) for t, s in level
-                     for z, state in rows.get(s) or rows.setdefault(s, self._row(*s))]
-
-    def _row(self, D: FrozenSet[int], C: FrozenSet[int]) -> list:
-        """The letters z that extend a normal form in state (D, C), each
-        with the state of t·z."""
-        flip = self.flip
-        return [(z, (frozenset([z] + [y for y, sq in enumerate(flip[z]) if sq and sq[0] in D]),
-                     frozenset(flip[c][z][1] for c in C.union(range(z)) if flip[c][z])))
-                for z in range(self.n) if z not in D and z not in C]
 
 
 class SplitSystem:
@@ -339,6 +361,13 @@ class SplitSystem:
         # equal elements share p, and moves on u leave the trailing s14 alone
         return g1[1] == g2[1] and self._inner(trace, self.inner.lift, g1[0], g2[0])
 
+    automaton = None  # no rows until J4's states carry the phase of s14
+
+    def walk(self) -> Iterator[List[Tuple[Tuple[int, ...], None]]]:
+        """`spheres`, each normal form with the state None."""
+        for level in self.spheres():
+            yield [(t, None) for t in level]
+
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """J4's spheres, read off the J4' spheres S'_L: |u · s14^p| is
         |u| + p, so S_L is the J4 images of S'_L and the normal forms of
@@ -349,6 +378,36 @@ class SplitSystem:
             yield sorted([tuple(outer[x] for x in t) for t in level]
                          + [self._place(u, 1) for u in last])
             last = level
+
+
+def _automaton(P: Presentation) -> Automaton:
+    """The shortlex automaton of P's engine, numbered.
+
+    A normal form t has the state (D, C): D is its set of right
+    descents, and C the set of letters that a lesser left descent
+    x < t[k], pushed right through t[k:] as `_lift` walks it, arrives as
+    at the end.  t·z is a normal form exactly when z is in neither, and
+    then D(t·z) = {z} ∪ {y : flip[z][y][0] ∈ D(t)} and
+    C(t·z) = {flip[c][z][1] : c ∈ C(t) ∪ {x < z}}, taken where the flip
+    exists.  For `sort` puts the least left descent at each position,
+    and a left descent of t[k:]·z that t[k:] lacks must arrive at the
+    end as z.  The states reachable from the empty word's (∅, ∅) are
+    numbered in the order a breadth-first closure meets them, so state
+    0 is the empty word's; the (D, C) pairs live only here."""
+    engine = system_for(P)
+    flip, states = engine.flip, [(frozenset(), frozenset())]
+    number, rows = {states[0]: 0}, []
+    for D, C in states:  # grows as the closure meets new states
+        row = []
+        for z in (z for z in range(engine.n) if z not in D and z not in C):
+            nxt = (frozenset([z] + [y for y, sq in enumerate(flip[z]) if sq and sq[0] in D]),
+                   frozenset(flip[c][z][1] for c in C.union(range(z)) if flip[c][z]))
+            if nxt not in number:
+                number[nxt] = len(states)
+                states.append(nxt)
+            row.append((z, number[nxt]))
+        rows.append(tuple(row))
+    return Automaton(tuple(rows), tuple(D for D, _ in states))
 
 
 def _engine(P: Presentation):

@@ -4,8 +4,9 @@ replay that rebuilds the whole word after every move (`apply`, with
 `inverted`, the methods a `Move` carried before both certificate kinds
 shared `words.replay`), the equality
 test that sank each word twice (once for its normal form, once more for
-the certificate's paths), and the sink-and-sort sphere enumeration
-that the shortlex automaton replaced; and the seeded relator walks
+the certificate's paths), the sink-and-sort sphere enumeration
+that the shortlex automaton replaced, and the row and descent set that
+automaton must hold at a normal form; and the seeded relator walks
 that plant equal pairs for the tests.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
@@ -174,6 +175,19 @@ def sink_and_sort_spheres(P: Presentation):
             for c in [sys.normal_form(t + (g,), start=L - 1)]
             if len(c) == L
         })
+
+
+def row_and_descents(P: Presentation, t):
+    """What the shortlex automaton must hold at the normal form t, by
+    sinking and sorting each t·z whole: the letters z for which t·z is
+    its own normal form (its row), and those for which t·z is shorter
+    than t (its right descents)."""
+    sys = system_for(P)
+    forms = {z: sys.normal_form(t + (z,)) for z in range(sys.n)}
+    return (
+        {z for z, c in forms.items() if c == t + (z,)},
+        {z for z, c in forms.items() if len(c) < len(t)},
+    )
 
 
 def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):

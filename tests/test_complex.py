@@ -232,12 +232,15 @@ def test_the_ball_equals_the_plain_ball():
 
 
 def test_the_ball_builds_each_face_once_and_sorts_on_ranks(monkeypatch):
-    # every square is still traced from each corner both ways, 4,560
-    # normal forms, but each of the 60 faces is built once, and nothing
-    # outside `Face.from_cycle` asks for a shortlex key: ranks come off
-    # the walk's order
+    # every square is still traced from each corner both ways, 3,730 of
+    # the 3,790 normal forms, but each of the 60 faces is built once, and
+    # nothing outside `Face.from_cycle` asks for a shortlex key: ranks
+    # come off the walk's order.  The neighbours read each tree edge off
+    # the automaton's rows and each descent off its shorter end, so they
+    # put only the 60 non-tree edges (225 edges less 165 tree edges) to
+    # the engine, where reading every neighbour off it took 830 calls
     forget(monkeypatch, P, _construct)
-    calls, building = Counter(), []
+    calls, building, stepping = Counter(), [], [False]
     from_cycle = Face.from_cycle.__func__
 
     def counted_from_cycle(cls, cycle):
@@ -254,17 +257,26 @@ def test_the_ball_builds_each_face_once_and_sorts_on_ranks(monkeypatch):
         return shortlex_key(v)
 
     engine = type(system_for(P))
-    normal_form = engine.normal_form
+    normal_form, neighbors = engine.normal_form, complex_module._neighbors
 
     def counted_normal_form(self, t, start=0):
         calls["normal_form"] += 1
+        calls["normal_form in neighbors"] += stepping[0]
         return normal_form(self, t, start)
+
+    def counted_neighbors(*args):
+        stepping[0] = True
+        try:
+            return neighbors(*args)
+        finally:
+            stepping[0] = False
 
     monkeypatch.setattr(Face, "from_cycle", classmethod(counted_from_cycle))
     monkeypatch.setattr(complex_module, "shortlex_key", counted_key)
     monkeypatch.setattr(engine, "normal_form", counted_normal_form)
+    monkeypatch.setattr(complex_module, "_neighbors", counted_neighbors)
     assert len(build_ball(P, 4).faces) == 60
-    assert calls == {"from_cycle": 60, "normal_form": 4560}
+    assert calls == {"from_cycle": 60, "normal_form": 3790, "normal_form in neighbors": 60}
 
 
 def test_build_ball_keeps_each_radius_it_builds(monkeypatch):

@@ -10,18 +10,19 @@ of its group, which needs no oracle and holds at any word length.
   * on the surface group and the five-generator one-relator group it
     keeps its status under inversion: w is trivial exactly when w^-1 is.
 
-Words are seeded and up to 500 letters long; `tests_slow` runs the
-same relations at up to 10,000.  Each relation is also shown to catch
-one planted fault.  An engine that lacks one of J4''s squares answers
+Words are seeded and up to 500 letters long (at least 400 for the
+longest Dehn word); `tests_slow` runs the same relations at up to
+10,000.  Each relation is also shown to catch one planted fault.  An engine that lacks one of J4''s squares answers
 for another group: the mirror exposes it, but conjugation, an
 automorphism of every group, cannot.  A flip entry in the wrong order
 on the mirror-fixed square s12 s34 s12 s34 is the converse:
 conjugation exposes it, the mirror cannot.  Dehn's algorithm without
 the rules that cut an a1 fails the index shift.  Dehn's algorithm with
 rules for the relator's rotations alone, none for its inverse's, fails
-inversion; the index shift maps that rule set to itself, so it cannot
-see it.  An error that a fault raises counts as an outcome, so a
-relation also breaks when one side raises and the other does not.
+inversion on single conjugates of a relator form; the index shift maps
+that rule set to itself, so it cannot see it.  An error that a fault
+raises counts as an outcome, so a relation also breaks when one side
+raises and the other does not.
 """
 
 import copy
@@ -143,13 +144,14 @@ def _shift(w):
 
 def _dehn_words(P, seed, count=40, bounds=(20, 450)):
     """Products of conjugates of P's relator forms, freely reduced, grown
-    while shorter than a bound drawn from range(*bounds) at each step
+    while shorter than a bound drawn from range(*bounds) once per word
     (trivial), and the same with one letter inserted (nontrivial: each
     exponent sum of the relator is even, and the letter's turns odd)."""
     rng, inverse, names = random.Random(seed), P.alphabet.inverse, P.alphabet.names()
     for i in range(count):
+        bound = rng.randrange(*bounds)
         w = []  # freely reduced: a letter cancels against the last one
-        while len(w) < rng.randrange(*bounds):
+        while len(w) < bound:
             u = Word(P.alphabet, [(rng.choice(names), rng.choice((1, -1)))
                                   for _ in range(rng.randrange(0, 8))])
             for c in (*u.codes, *rng.choice(P.forms), *invert(u).codes):
@@ -179,7 +181,7 @@ def _inversion_breaks(P, words):
 
 def test_word_problem_search_keeps_its_status_under_the_index_shift():
     words = list(_dehn_words(SURF, 1902))
-    assert max(map(len, words)) <= 500
+    assert 400 <= max(map(len, words)) <= 500
     assert [word_problem_search(w, SURF).status for w in words] == [TRIVIAL, NONTRIVIAL] * 20
     assert _shift_breaks(words) == 0
 
@@ -202,14 +204,19 @@ def test_the_index_shift_catches_missing_dehn_rules(monkeypatch):
 def test_word_problem_search_keeps_its_status_under_inversion():
     for P, seed in ((SURF, 1902), (FIVE, 1903)):
         words = list(_dehn_words(P, seed))
-        assert max(map(len, words)) <= 500
+        assert 400 <= max(map(len, words)) <= 500
         assert [word_problem_search(w, P).status for w in words] == [TRIVIAL, NONTRIVIAL] * 20
         assert _inversion_breaks(P, words) == 0
 
 
 def test_inversion_catches_dehn_rules_for_the_relator_alone(monkeypatch):
     # a rule is kept only when its key opens a rotation of the stored
-    # relator; the index shift sends each such rotation to another
+    # relator; the index shift sends each such rotation to another.
+    # Inversion sees the fault only where a trivial word holds forms of
+    # one orientation: a longer product holds both, in w and in w^-1, the
+    # rules stall on both, and the relation holds (no break in either
+    # group's words of up to 500 letters).  So the words here are single
+    # conjugates of a relator form, each trivial one a break
     real = grouptheory._dehn_rules
 
     def relator_alone(P):
@@ -218,8 +225,9 @@ def test_inversion_catches_dehn_rules_for_the_relator_alone(monkeypatch):
         keys = {(r[i:] + r[:i])[:take] for i in range(len(r)) for take in lengths}
         return {key: cut for key, cut in rules.items() if key in keys}, lengths
 
-    surface, five = list(_dehn_words(SURF, 1902)), list(_dehn_words(FIVE, 1903))
+    surface = list(_dehn_words(SURF, 1902, bounds=(1, 2)))
+    five = list(_dehn_words(FIVE, 1903, bounds=(1, 2)))
     monkeypatch.setattr(grouptheory, "_dehn_rules", relator_alone)
-    assert _inversion_breaks(SURF, surface) > 0
-    assert _inversion_breaks(FIVE, five) > 0
+    assert _inversion_breaks(SURF, surface) == 20
+    assert _inversion_breaks(FIVE, five) == 20
     assert _shift_breaks(surface) == 0

@@ -31,6 +31,8 @@ from cactus45.complex import _construct, build_ball
 from cactus45.grouptheory import one_relator_presentation, word_problem_search
 from cactus45.words import Alphabet, Generator, Presentation, Word
 
+from complex_helpers import plain_ball
+
 import rewrite_oracle
 from rewrite_oracle import (
     apply,
@@ -386,6 +388,83 @@ def test_sphere_walk_equals_sink_and_sort(P, top):
     levels = rewrite_oracle.sink_and_sort_spheres(P)
     for L in range(top + 1):
         assert [w.codes for w in sphere(P, L)] == next(levels)
+
+
+def _automaton_faults(P, top):
+    """The normal forms of S_0 .. S_top at which the automaton's row or
+    descent set differs from the sink-and-sort oracle's, each with the
+    field that differs; the states are the walk's, and the walk's levels
+    must be the oracle's spheres.  Also the states no level meets."""
+    engine = system_for(P)
+    automaton, levels = engine.automaton, rewrite_oracle.sink_and_sort_spheres(P)
+    faults, unmet = [], set(range(len(automaton.rows)))
+    for L, level in enumerate(itertools.islice(engine.walk(), top + 1)):
+        if [t for t, _ in level] != next(levels):
+            faults.append((L, "level"))
+        for t, s in level:
+            unmet.discard(s)
+            row, descents = rewrite_oracle.row_and_descents(P, t)
+            if {z for z, _ in automaton.rows[s]} != row:
+                faults.append((t, "row"))
+            if automaton.descents[s] != descents:
+                faults.append((t, "descents"))
+    return faults, unmet
+
+
+@pytest.mark.parametrize(
+    "P, states", [(PP, 23), (PENTAGON, 17), (KLEIN_FREE, 5)], ids=["j4p", "pentagon", "klein-free"]
+)
+def test_the_automaton_rows_are_the_normal_form_extensions(P, states):
+    # state 0 is the empty word's; every state is met by length 6
+    automaton = system_for(P).automaton
+    assert len(automaton.rows) == len(automaton.descents) == states
+    assert [z for z, _ in automaton.rows[0]] == list(range(len(P.alphabet)))
+    assert automaton.descents[0] == frozenset()
+    assert all([z for z, _ in row] == sorted(z for z, _ in row) for row in automaton.rows)
+    assert _automaton_faults(P, 6) == ([], set())
+
+
+def test_a_letter_dropped_from_one_row_is_caught(monkeypatch):
+    # state 14, first met on the sphere of length 3, loses its last letter
+    real = system_for(PP).automaton
+    rows = list(real.rows)
+    rows[14] = rows[14][:-1]
+    monkeypatch.setitem(PP._memo, (rewrite._automaton,), real._replace(rows=tuple(rows)))
+    faults, _ = _automaton_faults(PP, 6)
+    assert (3, "level") not in faults and (4, "level") in faults
+    assert any(kind == "row" for _, kind in faults)
+    ball, plain = _construct(PP, 4), plain_ball(PP, 4)
+    assert list(ball.vertices.items()) != list(plain.vertices.items())
+
+
+def test_accepts_reads_the_longest_normal_form_prefix():
+    # normal forms are closed under prefixes, so the prefix of length k
+    # must be one and the prefix of length k + 1 not
+    rng, engine = random.Random(2101), system_for(PP)
+    for _ in range(200):
+        t = canonical_form(random_word(PP, rng.randrange(30), rng), PP).codes
+        t += tuple(rng.randrange(5) for _ in range(rng.randrange(4)))
+        k = engine.accepts(t)
+        assert engine.normal_form(t[:k]) == t[:k]
+        assert k == len(t) or engine.normal_form(t[:k + 1]) != t[:k + 1]
+
+
+def test_the_automaton_is_built_once_and_never_for_equality():
+    Q = _involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])
+    p, q = Q.word("p"), Q.word("q")
+
+    def built():
+        return [k for k in Q._memo if k[0] is rewrite._automaton]
+
+    assert words_equal(p * q, q * p, Q).equal and canonical_form(q * p, Q) == p * q
+    assert built() == []
+    assert len(sphere(Q, 4)) == 105
+    automaton = system_for(Q).automaton
+    assert built() == [(rewrite._automaton,)]
+    # p q r is a normal form; p r q spells it too, and p q p spells q
+    engine = system_for(Q)
+    assert [engine.accepts(t) for t in ((), (0, 1, 2), (0, 2, 1), (0, 1, 0))] == [0, 3, 2, 2]
+    assert len(sphere(Q, 5)) == 275 and system_for(Q).automaton is automaton
 
 
 def test_no_sphere_outlives_its_call():

@@ -275,18 +275,24 @@ def test_verify_all_work_counts(monkeypatch):
     canonicalised = {k: v for k, v in calls.items() if k.startswith("canonical_form in")}
     assert canonicalised == {"canonical_form in 7": 2}
     assert calls["parse in 1"] == 2
-    # normal forms only where a word can match: criterion 3 projects and
-    # never rewrites; criterion 7 builds the fundamental domain, whose
-    # cell is read off S4 with no rewriting: its 230 geodesics are the
-    # side pairings' 200 images, two for each of the cycles' 14
-    # compositions (the image, then the constructor's normal form) and
-    # the anchor's two canonical forms; 13 sorts one candidate fixer per
-    # vertex of the radius-3 ball and the sampled products, each of its
-    # 12 products also sunk twice
+    # normal forms only where a word can match, and a spelling that the
+    # automaton accepts whole is not sunk or sorted again: criterion 2's
+    # 20 enumerated vertices are normal forms, so it sinks and sorts only
+    # its ten orbit points and the five inverse spellings that are not
+    # normal forms, and sinks both words of its 11 certified products;
+    # criterion 3 projects and never rewrites; criterion 7 builds the
+    # fundamental domain, whose cell is read off S4 with no rewriting:
+    # its 220 geodesics are the side pairings' 200 images, one for each
+    # of the cycles' 14 compositions and one more for each of the four
+    # whose image is not a normal form, and the anchor's two canonical
+    # forms; 13 sorts one candidate fixer per vertex of the radius-3 ball
+    # and the six of its 12 sampled products whose image is not a normal
+    # form, and sinks each of those six products twice, the others once
+    assert (calls["sort in 2"], calls["geodesic in 2"]) == (15, 37)
     assert (calls["sort in 3"], calls["geodesic in 3"]) == (0, 0)
     assert (calls["sort in 6"], calls["geodesic in 6"]) == (0, 0)
-    assert (calls["sort in 7"], calls["geodesic in 7"]) == (41, 230)
-    assert (calls["sort in 13"], calls["geodesic in 13"]) == (73, 945)
+    assert (calls["sort in 7"], calls["geodesic in 7"]) == (31, 220)
+    assert (calls["sort in 13"], calls["geodesic in 13"]) == (67, 939)
 
 
 def _plant_ball(monkeypatch, edges=None, faces=None):

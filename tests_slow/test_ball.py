@@ -4,22 +4,18 @@
 
 The radius-8 ball of J4' is checked field by field against the ball
 built the plain way (`complex_helpers.plain_ball`), and `cactus45
-complex --radius 8` is run as a child process with its time and peak
-RSS bounded.  Times are for one run on a 2-core host with Python 3.11.
+complex --radius 8` is run as a child process (`launcher.run_cli`) with
+its time and peak RSS bounded.  Times are for one run on a 2-core host
+with Python 3.11.
 """
 
 import json
-import os
-import subprocess
-import sys
-import time
 
 from cactus45.cactus import J4P
 from cactus45.complex import _construct
 
 from complex_helpers import plain_ball
-
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from launcher import run_cli
 
 
 def test_the_radius_eight_ball_equals_the_plain_ball():
@@ -33,35 +29,16 @@ def test_the_radius_eight_ball_equals_the_plain_ball():
     assert ball.interior == plain.interior
 
 
-# A child's peak RSS counts its parent's resident size at the exec, so
-# the CLI is started from a small launcher, which reads the CLI's peak
-# with getrusage(RUSAGE_CHILDREN) and writes it, in kilobytes, to stderr.
-_LAUNCHER = """
-import resource, subprocess, sys
-code = subprocess.run(sys.argv[1:]).returncode
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
-sys.exit(code)
-"""
-
-
 def test_the_cli_builds_the_radius_eight_ball_in_bounded_time_and_memory():
     """Measured at 1.5-2.5 s and 24 MB peak RSS; the bounds leave room
     for a slower or busier host."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-m", "cactus45", "complex", "--radius", "8"]
-    start = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, *command],
-        capture_output=True, env=env, text=True, timeout=120,
-    )
-    seconds = time.perf_counter() - start
+    child = run_cli("complex", "--radius", "8")
     assert child.returncode == 0, child.stderr
-    peak_mb = int(child.stderr.split()[-1]) / 1024
     results = json.loads(child.stdout)["results"]
     assert results["tiling"] == {
         "failures": [], "interior_count": 1_161, "ok": True, "vertex_count": 7_981,
     }
     counts = [results[k] for k in ("vertex_count", "edge_count", "face_count", "interior_count")]
     assert counts == [7_981, 11_025, 3_045, 1_161]
-    assert seconds < 15
-    assert peak_mb < 40
+    assert child.seconds < 15
+    assert child.peak_mb < 40
