@@ -24,7 +24,7 @@ _ENGINE = system_for(_J4P)  # kept on _J4P, so bound once
 
 def mirror_word(w: Word) -> Word:
     """Letterwise mirror relabeling (conjugation by the full reversal)."""
-    if w.alphabet != _J4P.alphabet:
+    if w.alphabet is not _J4P.alphabet and w.alphabet != _J4P.alphabet:
         raise ValueError("mirror_word takes words over the J_4' alphabet")
     return Word._from_codes(w.alphabet, [J4P_MIRROR[c] for c in w.codes])
 
@@ -40,7 +40,7 @@ class PureElement(Record):
     def __init__(self, j4p_form: Word, parity: int):
         if parity not in (0, 1):
             raise ValueError(f"reversal parity must be 0 or 1, not {parity!r}")
-        if j4p_form.alphabet != _J4P.alphabet:
+        if j4p_form.alphabet is not _J4P.alphabet and j4p_form.alphabet != _J4P.alphabet:
             raise ValueError(f"{j4p_form} is not a word over the J_4' alphabet")
         # pure exactly when the vertex word maps to s14^parity's image
         if s4_table(_J4P).fold(j4p_form.codes) != (0, W0)[parity]:
@@ -82,7 +82,7 @@ def image_geodesic(g: PureElement, codes: Sequence[int]) -> List[int]:
 
 def gamma(g: PureElement, h: Word) -> Word:
     """Image of the vertex h under the pure element g."""
-    if h.alphabet != _J4P.alphabet:
+    if h.alphabet is not _J4P.alphabet and h.alphabet != _J4P.alphabet:
         raise ValueError("gamma acts on words over the J_4' alphabet")
     return Word._from_codes(_J4P.alphabet, _ENGINE.sort(image_geodesic(g, h.codes)))
 

@@ -225,8 +225,8 @@ def is_pure(w: Word, n: int) -> bool:
 
 # the 24 permutations of 1..4, the identity first: an S4 table's indices
 S4 = tuple(map(Permutation, permutations(range(1, 5))))
-_S4_INDEX = {p: i for i, p in enumerate(S4)}
-W0 = _S4_INDEX[Permutation((4, 3, 2, 1))]  # the full reversal, s14's image
+_S4_INDEX = {p.images: i for i, p in enumerate(S4)}  # by image tuple, in order
+W0 = _S4_INDEX[(4, 3, 2, 1)]  # the full reversal, s14's image
 _INTERVAL_IMAGES = {nm: project_to_symmetric(J4.word(nm), 4) for nm in J4.alphabet.names()}
 
 
@@ -240,7 +240,11 @@ class S4Table(NamedTuple):
 
     @classmethod
     def of(cls, letters: Sequence[Permutation]) -> "S4Table":
-        return cls(tuple(tuple(_S4_INDEX[p.then(x)] for x in letters) for p in S4))
+        """Each entry composed on image tuples, as `Permutation.then`
+        does, and looked up by its images: no `Permutation` is built."""
+        padded = [(0, *x.images) for x in letters]  # x[i] is i's image
+        return cls(tuple(tuple(_S4_INDEX[tuple(map(x.__getitem__, p))] for x in padded)
+                         for p in _S4_INDEX))
 
     def fold(self, codes: Iterable[int]) -> int:
         """The index in `S4` of the image of the word `codes`."""
@@ -289,7 +293,7 @@ def push_s14_right(w: Word, trace=None) -> Tuple[Word, int]:
     in J_4 letter codes: ("swap", i, (s14, x, s14, x')) turns s14 x at
     position i into x' s14 and ("delete", i, (s14, s14)) cancels a pair.
     """
-    if w.alphabet != J4.alphabet:
+    if w.alphabet is not J4.alphabet and w.alphabet != J4.alphabet:
         raise ValueError("push_s14_right takes words over the J_4 alphabet")
     out, parity = _push_s14_codes(w.codes, trace)
     return Word._from_codes(J4P.alphabet, out), parity

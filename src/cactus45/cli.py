@@ -81,15 +81,14 @@ def _presentation_dict(P: Presentation) -> dict:
     }
 
 
-def _abelianization_dict(invariants: Tuple[int, Tuple[int, ...]]) -> dict:
-    free_rank, torsion = invariants
+def _abelianization_dict(P: Presentation) -> dict:
+    free_rank, torsion = abelianization_invariants(P)
     return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
-def _abelianization_text(invariants: Tuple[int, Tuple[int, ...]]) -> str:
-    free_rank, torsion = invariants
-    parts = [f"Z^{free_rank}"] if free_rank else []
-    parts += [f"Z/{t}" for t in torsion]
+def _abelianization_text(data: dict) -> str:
+    parts = [f"Z^{data['free_rank']}"] if data["free_rank"] else []
+    parts += [f"Z/{t}" for t in data["torsion"]]
     return " x ".join(parts) if parts else "trivial"
 
 
@@ -245,9 +244,7 @@ def _cmd_dirichlet(args) -> Tuple[dict, dict, int]:
 def _cmd_presentation(args) -> Tuple[dict, dict, int]:
     pres = fundamental_domain().presentation
     results = _presentation_dict(pres)
-    results["abelianization"] = _abelianization_dict(
-        abelianization_invariants(pres)
-    )
+    results["abelianization"] = _abelianization_dict(pres)
     return {}, results, EXIT_OK
 
 
@@ -258,12 +255,8 @@ def _cmd_tietze(args) -> Tuple[dict, dict, int]:
         "before": _presentation_dict(before),
         "after": _presentation_dict(after),
         "eliminations": [list(pair) for pair in STANDARD_ELIMINATIONS],
-        "abelianization_before": _abelianization_dict(
-            abelianization_invariants(before)
-        ),
-        "abelianization_after": _abelianization_dict(
-            abelianization_invariants(after)
-        ),
+        "abelianization_before": _abelianization_dict(before),
+        "abelianization_after": _abelianization_dict(after),
     }
     return {}, results, EXIT_OK
 
@@ -469,11 +462,9 @@ def _presentation_text(data: dict) -> str:
 
 
 def _text_presentation(report: RunReport) -> List[str]:
-    inv = report.results["abelianization"]
     return [
         _presentation_text(report.results),
-        "abelianization: "
-        + _abelianization_text((inv["free_rank"], tuple(inv["torsion"]))),
+        "abelianization: " + _abelianization_text(report.results["abelianization"]),
     ]
 
 
@@ -487,13 +478,7 @@ def _text_tietze(report: RunReport) -> List[str]:
     ab_before = r["abelianization_before"]
     ab_after = r["abelianization_after"]
     same = " (unchanged)" if ab_before == ab_after else " (CHANGED)"
-    lines.append(
-        "abelianization: "
-        + _abelianization_text(
-            (ab_before["free_rank"], tuple(ab_before["torsion"]))
-        )
-        + same
-    )
+    lines.append("abelianization: " + _abelianization_text(ab_before) + same)
     return lines
 
 

@@ -29,6 +29,7 @@ from .words import (
     Word,
     _codes_over,
     _free,
+    _stored_relators,
     free_reduce,
     invert,
     replay,
@@ -383,14 +384,17 @@ def _eliminate(
     generator of P as a word in the survivors.
 
     The work is on the letter codes of P: `images[a]` spells generator
-    a in the generators not yet eliminated, and the relators stay over
-    P's alphabet until the survivors are known.  Recoding the survivors
+    a in the generators not yet eliminated, and the relators stay code
+    tuples over P's alphabet until the survivors are known.  They are
+    stored as a presentation stores them (`words._stored_relators`)
+    after every step, not only at the end: a rotation can bring together
+    letters that a later substitution cancels.  Recoding the survivors
     in order keeps shortlex order, so each stored relator is the one a
     presentation over the survivors alone would store."""
     A = P.alphabet
     images: Dict[int, Sequence[int]] = {a: (a,) for a in range(len(A))}
     eliminated: List[int] = []
-    current = P
+    relators = [r.codes for r in P.relators]
     for gen_name, text in eliminations:
         if gen_name not in A or A.index(gen_name) in eliminated:
             raise ValueError(f"{gen_name} is not a generator at this stage")
@@ -402,15 +406,13 @@ def _eliminate(
                 f"elimination {gen_name} = {defining} is not backed by a "
                 "relator of length at most 3"
             )
-        expanded = _substituted(defining.codes, images, A).codes
+        expanded = _substituted(defining.codes, images, A)
         if g in expanded or ~g in expanded:
             raise ValueError(f"definition of {gen_name} is cyclic")
         step = {a: (a,) for a in range(len(A))}
         step[g] = expanded
-        images = {a: _substituted(w, step, A).codes for a, w in images.items()}
-        current = Presentation(
-            A, [_substituted(r.codes, step, A) for r in current.relators]
-        )
+        images = {a: _substituted(w, step, A) for a, w in images.items()}
+        relators = _stored_relators([_substituted(r, step, A) for r in relators], len(A))
         eliminated.append(g)
     alive = [a for a in range(len(A)) if a not in eliminated]
     survivors = Alphabet(A.generators[a] for a in alive)
@@ -421,7 +423,7 @@ def _eliminate(
             survivors, [code[c] if c >= 0 else ~code[~c] for c in codes]
         )
 
-    reduced = Presentation(survivors, [recoded(r.codes) for r in current.relators])
+    reduced = Presentation(survivors, [recoded(r) for r in relators])
     return reduced, {
         A.generators[a].name: recoded(images[a]) for a in alive + eliminated
     }
@@ -445,11 +447,6 @@ def tietze_eliminate(
 _STANDARD_IMAGES: Dict[str, Word] = _eliminate(_TEN, STANDARD_ELIMINATIONS)[1]
 
 
-def standard_expansion_images() -> Dict[str, Word]:
-    """Each of the ten generators as a word in the five survivors."""
-    return dict(_STANDARD_IMAGES)
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms and their verification
 
@@ -467,7 +464,8 @@ class GroupHom(Record):
         for gen_name in source.alphabet.names():
             if gen_name not in images:
                 raise ValueError(f"no image for generator {gen_name}")
-            if images[gen_name].alphabet != target.alphabet:
+            over = images[gen_name].alphabet
+            if over is not target.alphabet and over != target.alphabet:
                 raise ValueError(f"image of {gen_name} is not a target word")
         for gen_name in images:
             if gen_name not in source.alphabet:
@@ -475,7 +473,7 @@ class GroupHom(Record):
         super().__init__(source, target, images, name)
 
     def apply(self, w: Word) -> Word:
-        if w.alphabet != self.source.alphabet:
+        if w.alphabet is not self.source.alphabet and w.alphabet != self.source.alphabet:
             raise ValueError("word is not over the source alphabet")
         return substitute(w, self.images)
 
@@ -509,9 +507,9 @@ def hom_well_defined(h: GroupHom, oracle: str = "auto") -> WellDefinedVerdict:
 
 def verify_mutual_inverse(f: GroupHom, g: GroupHom) -> WellDefinedVerdict:
     """Certify g(f(x)) x^-1 trivial for every generator x (both ways)."""
-    if f.target.alphabet != g.source.alphabet:
+    if f.target.alphabet is not g.source.alphabet and f.target.alphabet != g.source.alphabet:
         raise ValueError("f.target and g.source do not match")
-    if g.target.alphabet != f.source.alphabet:
+    if g.target.alphabet is not f.source.alphabet and g.target.alphabet != f.source.alphabet:
         raise ValueError("g.target and f.source do not match")
     rows = []
     for first, second in ((f, g), (g, f)):

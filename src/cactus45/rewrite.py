@@ -259,11 +259,13 @@ class RewriteSystem:
         letter; True exactly when they spell the same element, and then
         g1 == g2.  Each flip reorders two hyperplanes that the geodesics
         cross in opposite orders, so the flips are as few as possible.
-        On False, g1 still spells its element."""
+        A position that already holds g2's letter is passed by: `_lift`
+        would flip nothing there, so the trace is the same.  On False,
+        g1 still spells its element."""
         if len(g1) != len(g2):
             return False
         for k, x in enumerate(g2):
-            if not self._lift(g1, k, x, trace):
+            if g1[k] != x and not self._lift(g1, k, x, trace):
                 return False
         return True
 

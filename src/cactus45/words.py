@@ -289,8 +289,8 @@ def invert(w: Word) -> Word:
 
 def _substituted(
     codes: Iterable[int], table: Mapping[int, Sequence[int]], target: Alphabet
-) -> Word:
-    """The word over target that replaces each code c >= 0 by the codes
+) -> List[int]:
+    """The codes over target that replace each code c >= 0 by the codes
     table[c] and each ~c by their inverse, freely reduced."""
     inverse = target.inverse
     spelled: Dict[int, Sequence[int]] = {}
@@ -301,7 +301,7 @@ def _substituted(
             img = table[c] if c >= 0 else [inverse[x] for x in reversed(table[~c])]
             spelled[c] = img
         out.extend(img)
-    return Word._from_codes(target, _free(out, inverse))
+    return _free(out, inverse)
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
@@ -315,14 +315,15 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     for img in images.values():
         if target is None:
             target = img.alphabet
-        elif img.alphabet != target:
+        elif img.alphabet is not target and img.alphabet != target:
             raise ValueError("substitution images span different alphabets")
     gens = w.alphabet.generators
     table = {i: images[g.name].codes for i, g in enumerate(gens) if g.name in images}
     missing = {c if c >= 0 else ~c for c in w.codes} - table.keys()
     if missing:
         raise KeyError(f"no image for generator {gens[min(missing)].name!r}")
-    return _substituted(w.codes, table, w.alphabet if target is None else target)
+    target = w.alphabet if target is None else target
+    return Word._from_codes(target, _substituted(w.codes, table, target))
 
 
 def shortlex_key(w: Word) -> Tuple:
@@ -353,10 +354,26 @@ def same_relator_class(r1: Word, r2: Word) -> bool:
     return a == b or a == normalize_relator(invert(r2))
 
 
+def _stored_relators(relators: Iterable[Sequence[int]], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The code tuples a presentation on n generators stores for these
+    relators, as `Presentation` says; only x x^-1 pairs cancel, so that
+    an involution square is stored."""
+    strict = {c: ~c for c in range(-n, n)}
+    stored: Dict[Tuple[int, ...], None] = {}
+    for r in relators:
+        sr = _cyclic(r, strict)
+        if sr:
+            key = [2 * c if c >= 0 else 2 * ~c + 1 for c in sr]  # shortlex_key's
+            i = min(range(len(sr)), key=lambda i: key[i:] + key[:i])
+            stored.setdefault(tuple(sr[i:] + sr[:i]))
+    return tuple(stored)
+
+
 class Presentation:
     """Alphabet plus relators, stored cyclically reduced and rotated
     to their shortlex-least representative.  Relators that reduce to
-    the identity are dropped; duplicates (after normalisation) collapse.
+    the identity are dropped; duplicates (after normalisation) collapse,
+    the first kept.  `_stored_relators` does this on code tuples.
 
     `forms` is the one table of relator forms that every relator move
     reads: each rotation of each relator and of its inverse, as sorted
@@ -373,24 +390,16 @@ class Presentation:
     __slots__ = ("alphabet", "relators", "forms", "_form_set", "_hash", "_memo")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
-        seen = []
-        # cancels x x^-1 pairs only: involution squares are relators that
-        # presentations must be able to store
-        strict = {c: ~c for c in range(-len(alphabet), len(alphabet))}
-        for r in relators:
-            if r.alphabet != alphabet:
-                raise ValueError("relator over a different alphabet")
-            sr = _cyclic(r.codes, strict)
-            if not sr:
-                continue
-            n = min(rotations(Word._from_codes(alphabet, sr)), key=shortlex_key)
-            if n not in seen:
-                seen.append(n)
+        relators = list(relators)
+        if any(r.alphabet is not alphabet and r.alphabet != alphabet for r in relators):
+            raise ValueError("relator over a different alphabet")
+        stored = _stored_relators([r.codes for r in relators], len(alphabet))
+        seen = [Word._from_codes(alphabet, r) for r in stored]
         inverse = alphabet.inverse
         forms: List[Tuple[int, ...]] = []
         classes = set()
-        for r in seen:
-            base = tuple(_cyclic(r.codes, inverse))
+        for r in stored:
+            base = tuple(_cyclic(r, inverse))
             for b in (base, tuple(inverse[c] for c in reversed(base))):
                 rots = [b[i:] + b[:i] for i in range(len(b))]
                 if rots and min(rots) not in classes:

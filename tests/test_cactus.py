@@ -187,6 +187,38 @@ def test_an_altered_letter_image_is_refused_at_build(monkeypatch, P):
     assert cactus._s4_table(P) == s4_table(P)
 
 
+def _s4_table_through_records(letters):
+    """`S4Table.of` as it was built before it composed image tuples: one
+    `Permutation.then` per entry, looked up in `S4`."""
+    return cactus.S4Table(tuple(tuple(S4.index(p.then(x)) for x in letters) for p in S4))
+
+
+@pytest.mark.parametrize("P", [j4_presentation(), j4prime_presentation()])
+def test_the_s4_table_equals_the_one_built_through_permutation_records(P):
+    letters = [cactus._INTERVAL_IMAGES[nm] for nm in P.alphabet.names()]
+    assert cactus.S4Table.of(letters) == _s4_table_through_records(letters) == s4_table(P)
+    # any letters, not only reversals: every permutation, and a shuffle
+    rng = random.Random(37)
+    for letters in (list(S4), rng.sample(S4, 7)):
+        assert cactus.S4Table.of(letters) == _s4_table_through_records(letters)
+
+
+@pytest.mark.parametrize("P", [j4_presentation(), j4prime_presentation()])
+def test_an_s4_table_is_built_with_no_permutation_record(monkeypatch, P):
+    built = []
+    real = Permutation.__init__
+
+    def counted(self, images):
+        built.append(images)
+        real(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    fresh = Presentation(P.alphabet, P.relators)  # an empty memo
+    assert cactus.s4_table(fresh) == s4_table(P)
+    assert built == []
+    assert Permutation((2, 1, 3, 4)) and len(built) == 1  # the count sees a build
+
+
 def test_only_intervals_of_1_to_4_get_an_s4_table():
     # the J4' relators over other names, J5's intervals, and a free
     # alphabet named like J4''s

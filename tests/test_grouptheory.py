@@ -19,7 +19,6 @@ from cactus45.grouptheory import (
     in_integer_row_span,
     one_relator_presentation,
     piece_ratio,
-    standard_expansion_images,
     surface_isomorphism_pair,
     surface_presentation,
     ten_generator_presentation,
@@ -102,7 +101,7 @@ def test_standard_eliminations_match_fixture():
 
 
 def test_standard_expansion_images():
-    images = standard_expansion_images()
+    images = grouptheory._STANDARD_IMAGES
     assert str(images["g1"]) == "g2 g10"
     assert str(images["g6"]) == "g4 g9 g2 g10"
     assert str(images["g3"]) == "g4 g8"

@@ -765,13 +765,82 @@ def test_certified_equality_sinks_each_word_once(monkeypatch, P):
     system_for(P)
     sinks = _count_calls(monkeypatch, RewriteSystem, "geodesic")
     built = _count_calls(monkeypatch, Presentation, "__init__")
-    rotated = _count_calls(monkeypatch, words, "rotations")
+    stored = _count_calls(monkeypatch, words, "_stored_relators")
     res = words_equal(u, v, P, certificate=True)
     assert res.equal and len(sinks) == 2  # 4 when the paths sank the words again
     for _ in range(3):
         assert res.certificate.verify(P, u, v)
     # replay reads P.forms, listed once when P was built
-    assert built == [] and rotated == []
+    assert built == [] and stored == []
+
+
+def _plain_lift(sys, g1, g2, trace):
+    """`RewriteSystem.lift` as it was: every position through `_lift`,
+    also one that already holds g2's letter."""
+    return len(g1) == len(g2) and all(sys._lift(g1, k, x, trace) for k, x in enumerate(g2))
+
+
+def _lift_mismatches(lift):
+    """The seeded pairs of J4' geodesics g1, g2, of words of up to 500
+    letters, on which lift(sys, g1, g2, trace) and `_plain_lift` differ
+    in verdict, in the final g1 or in the trace.  Two pairs of each
+    draw are equal; the third is one letter off at the end, so its
+    flips get far before they fail."""
+    sys, rng, bad, verdicts, longest = system_for(PP), random.Random(4211), [], Counter(), 0
+    for length in (0, 3, 12, 40, 120, 300, 480):
+        for _ in range(4):
+            u = random_word(PP, length, rng)
+            v = relator_walk(PP, u, length + 20, rng)
+            g = sys.geodesic(u.codes)
+            flipped = list(g)
+            near = next((t for t in (g[:-1] + [z] for z in range(sys.n) if g and z != g[-1])
+                         if len(sys.geodesic(t)) == len(g)), [])
+            for t in (flipped, near):
+                flip_at_random(PP, t, len(t), rng)
+            longest = max(longest, len(v))
+            for w1, g2 in ((u, sys.geodesic(v.codes)), (v, flipped), (v, near)):
+                runs = []
+                for f in (lift, _plain_lift):
+                    g1, trace = sys.geodesic(w1.codes), []
+                    runs.append((f(sys, g1, g2, trace), g1, trace))
+                verdicts[runs[1][0]] += 1
+                if runs[0] != runs[1]:
+                    bad.append((w1, g2))
+    assert verdicts == {True: 60, False: 24} and longest == 500
+    return bad
+
+
+def test_lift_passes_letters_in_place_with_the_plain_trace():
+    assert _lift_mismatches(RewriteSystem.lift) == []
+
+
+def test_a_lift_that_also_passes_commuting_letters_is_caught():
+    def passes_commuting(sys, g1, g2, trace):
+        if len(g1) != len(g2):
+            return False
+        for k, x in enumerate(g2):
+            if g1[k] == x or sys.flip[g1[k]][x] == (x, g1[k]):
+                continue  # wrong: x commutes with g1[k], but g1[k] is not x
+            if not sys._lift(g1, k, x, trace):
+                return False
+        return True
+
+    assert len(_lift_mismatches(passes_commuting)) >= 10
+
+
+def test_lift_calls_the_flips_only_where_the_letters_differ(monkeypatch):
+    # a geodesic and a spelling of it reached by square flips
+    sys, rng = system_for(PP), random.Random(79)
+    g1 = sys.geodesic(random_word(PP, 60, rng).codes)
+    g2 = list(g1)
+    flip_at_random(PP, g2, 40, rng)
+    plain, differ = list(g1), 0
+    for k, x in enumerate(g2):
+        differ += plain[k] != x
+        assert sys._lift(plain, k, x, None)
+    calls = _count_calls(monkeypatch, RewriteSystem, "_lift")
+    assert sys.lift(g1, g2, None) and g1 == g2
+    assert len(calls) == differ == 8 < len(g2) == 32
 
 
 def test_replay_needs_a_presentation_with_an_engine():
