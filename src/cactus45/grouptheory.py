@@ -365,7 +365,7 @@ def word_problem_search(w: Word, P: Presentation, oracle: str = "auto") -> Verdi
     if oracle not in ("auto", "tietze"):
         raise ValueError(f"unknown oracle {oracle!r}")
     _codes_over(w, P.alphabet)
-    if P.alphabet == _TEN.alphabet and P.forms == _TEN.forms:
+    if P.forms == _TEN.forms and P.alphabet == _TEN.alphabet:
         return _dehn_decide(substitute(w, _STANDARD_IMAGES), _FIVE, "tietze+dehn")
     if oracle == "tietze":
         raise ValueError("the tietze oracle decides ten-generator words")

@@ -11,17 +11,18 @@ graph (Chepoi 2000).  Two exact operations on words follow:
     square on that pair (a relator rotation y1 y2 y3 y4 turns y1 y2 into
     y4 y3).  It cancels when it meets its equal; the word grows by the
     letter when a pair carries no square.  Only a cancellation moves
-    the word, so a trace records a letter's crossings only then, read
-    again off the word.  A geodesic sinks to itself with no move, so a
-    caller that extends a known geodesic passes its length and only the
-    letters after it are sunk.
+    the word, so only then are the crossings read again off the word,
+    to move it and to trace it.  A geodesic sinks to itself with no
+    move, so a caller that extends a known geodesic passes its length
+    and only the letters after it are sunk.
   * normal form: the shortlex-least geodesic is read off greedily, each
     letter being the least left descent of what remains (Niblo-Reeves
     1998).  A letter is a left descent when, sunk rightward through the
     geodesic, it cancels.
 
 Every kernel (sink, flip, sort, automaton) reads one n x n table,
-`RewriteSystem.flip`: (y4, y3) at [y1][y2] for a form y1 y2 y3 y4, or None.
+`RewriteSystem.flip`: (y4, y3) at [y1][y2] for a form y1 y2 y3 y4, or None;
+`sort` reads it as `below`, the letters x < y with flip[x][y] for each y.
 
 Word equality first maps both words to S4 (`cactus.s4_table`): words
 with distinct images are unequal, and the images are the witness.
@@ -187,31 +188,32 @@ class RewriteSystem:
         link = [{b for b, sq in enumerate(row) if sq} for row in self.flip]
         if any(link[a] & link[b] for a in range(self.n) for b in link[a]):
             raise ValueError("the link has a triangle: not a CAT(0) square complex")
+        self.below = [tuple(x for x in range(y) if self.flip[x][y]) for y in range(self.n)]
 
     def geodesic(self, t: Sequence[int], trace: Trace = None, start: int = 0) -> List[int]:
         """A geodesic spelling of t, by sinking each letter leftward;
         t[:start] must be geodesic, and only the letters after it sink."""
-        flip = self.flip
-        w: List[int] = list(t[:start])
+        flip, w = self.flip, list(t[:start])
         for g in t[start:]:
-            cur, moved, i = g, [], len(w) - 1
+            cur, i = g, len(w) - 1
             while i >= 0 and w[i] != cur:
                 sq = flip[w[i]][cur]
                 if sq is None:
                     break
                 cur = sq[0]
-                moved.append(sq[1])
                 i -= 1
             if i >= 0 and w[i] == cur:
-                if trace is not None:  # the squares crossed, read off w again
-                    cur = g
-                    for j in range(len(w) - 1, i, -1):
-                        b, c = flip[w[j]][cur]
+                # w[i] goes, and each letter after it becomes its square's far side
+                cur = g
+                for j in range(len(w) - 1, i, -1):
+                    b, c = flip[w[j]][cur]
+                    if trace is not None:
                         trace.append(("swap", j, (w[j], cur, c, b)))
-                        cur = b
+                    w[j], cur = c, b
+                if trace is not None:
                     trace.append(("delete", i, (cur, cur)))
-                w[i:] = moved[::-1]
-            else:  # no cancellation: the squares crossed are not used
+                del w[i]
+            else:  # no cancellation: nothing crossed is kept
                 w.append(g)
         return w
 
@@ -239,13 +241,11 @@ class RewriteSystem:
     def sort(self, w: List[int]) -> Tuple[int, ...]:
         """Flip the geodesic w, in place, into the shortlex-least one: at
         each position the least left descent of what remains."""
-        flip = self.flip
+        below, lift = self.below, self._lift
         for k in range(len(w)):
-            # w[k] is a left descent of w[k:]; only a lesser one moves
-            # it, and only one that lies on a square with it
-            y = w[k]
-            for x in range(y):
-                if flip[x][y] and self._lift(w, k, x, None):
+            # only a lesser left descent, on a square with w[k], displaces it
+            for x in below[w[k]]:
+                if lift(w, k, x, None):
                     break
         return tuple(w)
 

@@ -6,8 +6,9 @@ shared `words.replay`), the equality
 test that sank each word twice (once for its normal form, once more for
 the certificate's paths), the sink-and-sort sphere enumeration
 that the shortlex automaton replaced, and the row and descent set that
-automaton must hold at a normal form; and the seeded relator walks
-that plant equal pairs for the tests.
+automaton must hold at a normal form; the engine's sink and sort as
+they were before they were tuned (`plain_sink`, `plain_sort`); and the
+seeded relator walks that plant equal pairs for the tests.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -188,6 +189,47 @@ def row_and_descents(P: Presentation, t):
         {z for z, c in forms.items() if c == t + (z,)},
         {z for z, c in forms.items() if len(c) < len(t)},
     )
+
+
+def plain_sink(sys, t, trace=None):
+    """The geodesic of the letter codes t as `RewriteSystem.geodesic`
+    sank it before it was tuned: the far side of each square a letter
+    crosses is kept in a list, which replaces the word's tail when the
+    letter cancels and is dropped when it does not; the trace of a
+    cancellation is read off the word again."""
+    flip, w = sys.flip, []
+    for g in t:
+        cur, moved, i = g, [], len(w) - 1
+        while i >= 0 and w[i] != cur:
+            sq = flip[w[i]][cur]
+            if sq is None:
+                break
+            cur = sq[0]
+            moved.append(sq[1])
+            i -= 1
+        if i >= 0 and w[i] == cur:
+            if trace is not None:
+                cur = g
+                for j in range(len(w) - 1, i, -1):
+                    b, c = flip[w[j]][cur]
+                    trace.append(("swap", j, (w[j], cur, c, b)))
+                    cur = b
+                trace.append(("delete", i, (cur, cur)))
+            w[i:] = moved[::-1]
+        else:
+            w.append(g)
+    return w
+
+
+def plain_sort(sys, w):
+    """The shortlex-least spelling of the geodesic w, sorted in place as
+    `RewriteSystem.sort` did before it was tuned: at each position every
+    lesser letter is tried by `_lift`, in increasing order."""
+    for k in range(len(w)):
+        for x in range(w[k]):
+            if sys._lift(w, k, x, None):
+                break
+    return tuple(w)
 
 
 def rewrite_neighbors(w: Word, P: Presentation, slack: int = 2):

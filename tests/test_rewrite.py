@@ -843,6 +843,89 @@ def test_lift_calls_the_flips_only_where_the_letters_differ(monkeypatch):
     assert len(calls) == differ == 8 < len(g2) == 32
 
 
+_KERNEL_GROUPS = pytest.mark.parametrize(
+    "P", [PP, PENTAGON, KLEIN_FREE, BENT], ids=["j4p", "pentagon", "klein-free", "bent"]
+)
+
+
+@_KERNEL_GROUPS
+def test_below_lists_the_lesser_letters_on_a_square(P):
+    on_squares = {y[:2] for y in P.forms}
+    n = len(P.alphabet)
+    want = [tuple(x for x in range(y) if (x, y) in on_squares) for y in range(n)]
+    assert system_for(P).below == want
+    if P is PP:
+        assert want == [(), (0,), (1,), (2,), (0, 3)]
+
+
+def _sort_mismatches(P):
+    """The seeded geodesics of P, of words of up to 300 letters, on which
+    `sort` or `normal_form` differs from `rewrite_oracle.plain_sort`
+    after `plain_sink`; each geodesic is also sorted after random square
+    flips, so that most inputs are not normal forms already."""
+    sys, rng, bad, moved, longest = system_for(P), random.Random(3307), [], 0, 0
+    for length in (0, 1, 4, 15, 50, 120, 300):
+        for _ in range(4):
+            t = random_word(P, length, rng).codes
+            longest = max(longest, len(t))
+            g = rewrite_oracle.plain_sink(sys, t)
+            flipped = list(g)
+            flip_at_random(P, flipped, len(g), rng)
+            for w in (g, flipped):
+                want = rewrite_oracle.plain_sort(sys, list(w))
+                moved += want != tuple(w)
+                if sys.sort(list(w)) != want:
+                    bad.append(w)
+            if sys.normal_form(t) != rewrite_oracle.plain_sort(sys, g):
+                bad.append(t)
+    assert longest == 300 and moved >= 10
+    return bad
+
+
+@_KERNEL_GROUPS
+def test_sort_and_normal_form_agree_with_the_plain_sort(P):
+    assert _sort_mismatches(P) == []
+
+
+def test_a_sort_missing_one_lesser_letter_is_caught(monkeypatch):
+    # each of J4''s five entries of `below` dropped in turn
+    engine = system_for(PP)
+    real = engine.below
+    for y, xs in enumerate(real):
+        for x in xs:
+            planted = list(real)
+            planted[y] = tuple(z for z in xs if z != x)
+            monkeypatch.setattr(engine, "below", planted)
+            assert len(_sort_mismatches(PP)) >= 5, (y, x)
+
+
+@_KERNEL_GROUPS
+def test_the_sink_keeps_its_word_and_trace_with_or_without_a_trace(P):
+    # seeded words of up to 300 letters, nearly all of which cancel:
+    # the word is the same with a trace or without, and it and the trace
+    # are the plain sink's
+    sys, rng, cancelled = system_for(P), random.Random(6203), 0
+    for length in (4, 15, 50, 120, 300):
+        for _ in range(5):
+            t = random_word(P, length, rng).codes
+            trace, want_trace = [], []
+            g = sys.geodesic(t)
+            assert sys.geodesic(t, trace) == g == rewrite_oracle.plain_sink(sys, t, want_trace)
+            assert trace == want_trace, t
+            cancelled += len(g) < len(t)
+    assert cancelled >= 20
+
+
+def test_the_ball_makes_as_many_lifts_as_before_the_sort_was_tuned(monkeypatch):
+    # `below` drops the letters that the flip table turned away before
+    # any lift; the lifts themselves, the work, are the same
+    system_for(PP)
+    lifts = _count_calls(monkeypatch, RewriteSystem, "_lift")
+    forms = _count_calls(monkeypatch, RewriteSystem, "normal_form")
+    _construct(PP, 4)
+    assert (len(lifts), len(forms)) == (12_476, 3_790)
+
+
 def test_replay_needs_a_presentation_with_an_engine():
     u, v = pw("s12 s34"), pw("s34 s12")
     cert = words_equal(u, v, PP, certificate=True).certificate

@@ -7,10 +7,12 @@ doubled edge and an extra square in criterion 5, planted faults in
 criterion 13's action checks (a short ball, a lift that compares
 spellings, odd orbit distances, with invalid elements built past the
 `PureElement` constructor), one wrong table entry for criteria 1, 2,
-4, 7, 8 and 9, equality certificates that do not replay for criteria
-1 and 2, planted objects for criteria 6 to 12, criterion 7's side count,
-distinct labels and label set, and the work one ``verify-all`` run
-does in its costliest stages."""
+4, 7, 8 and 9, a short sphere and each fault of criterion 1's length-2
+and length-4 lists, equality certificates that do not replay for
+criteria 1 and 2, planted objects for criteria 6 to 12, criterion 7's
+side count, distinct labels and label set, the work one ``verify-all``
+run does in its costliest stages, and the alphabets a warm run
+compares (none)."""
 
 import itertools
 import sys
@@ -293,6 +295,24 @@ def test_verify_all_work_counts(monkeypatch):
     assert (calls["sort in 6"], calls["geodesic in 6"]) == (0, 0)
     assert (calls["sort in 7"], calls["geodesic in 7"]) == (31, 220)
     assert (calls["sort in 13"], calls["geodesic in 13"]) == (67, 939)
+
+
+def test_verify_all_compares_no_alphabets_once_warm(monkeypatch):
+    # every alphabet check tests `is` first, and the route to the Tietze
+    # oracle compares forms before alphabets; with alphabets first, each
+    # of its 24 queries in a run compared two distinct ones.  A cold run
+    # compares one pair, when it builds the first engine
+    assert all(r.passed for r in verify.run_all())
+    real, callers = Alphabet.__eq__, Counter()
+
+    def eq(self, other):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Alphabet, "__eq__", eq)
+    results = verify.run_all()
+    assert all(r.passed for r in results), [r.details for r in results if not r.passed]
+    assert callers == Counter()
 
 
 def _plant_ball(monkeypatch, edges=None, faces=None):
@@ -839,6 +859,18 @@ def _with_entry(table, key, value):
         # an inverse's short word, then its parity
         (2, "TRANSLATION_INVERSES", "g1", (17, 1), "g1^-1 does not match short word 17"),
         (2, "TRANSLATION_INVERSES", "g2", (11, 1), "g2^-1 does not match short word 11"),
+        # the length-2 list with one spelling twice
+        (1, "SPHERE2_WORDS", 0, "s13 s23", "length-2 list does not cover the sphere"),
+        # the repeated spelling's second entry made the unlisted element,
+        # then another listed spelling
+        (1, "SPHERE4_WORDS", 8, "s13 s24 s12 s23", "length-4 list should repeat one spelling"),
+        (1, "SPHERE4_WORDS", 8, "s13 s23 s34 s12",
+         "unexpected repeated spelling ['s13 s23 s34 s12']"),
+        # the first entry made another spelling of a listed element, then
+        # the unlisted element, whose place its own element takes
+        (1, "SPHERE4_WORDS", 0, "s34 s13 s23 s24", "length-4 spellings collide"),
+        (1, "SPHERE4_WORDS", 0, "s13 s24 s12 s23",
+         "unlisted length-4 elements {'s12 s13 s12 s34'}"),
     ],
 )
 def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, key, value, message):
@@ -847,6 +879,26 @@ def test_a_mutated_table_entry_fails_its_criterion(monkeypatch, number, table, k
     result = verify.run_criterion(number)
     assert not result.passed
     assert result.details == message
+
+
+def test_a_length_4_list_one_entry_short_fails_criterion_1(monkeypatch):
+    monkeypatch.setattr(ref, "SPHERE4_WORDS", ref.SPHERE4_WORDS[:-1])
+    result = verify.run_criterion(1)
+    assert not result.passed
+    assert result.details == "length-4 list size"
+
+
+def test_a_sphere_one_element_short_fails_criterion_1(monkeypatch):
+    real = verify.sphere
+
+    def short(P, L):
+        level = real(P, L)
+        return level[:-1] if L == 3 else level
+
+    monkeypatch.setattr(verify, "sphere", short)
+    result = verify.run_criterion(1)
+    assert not result.passed
+    assert result.details == "sphere sizes [1, 5, 15, 39, 105]"
 
 
 def _truncated(result):

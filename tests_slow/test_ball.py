@@ -5,8 +5,8 @@
 The radius-8 ball of J4' is checked field by field against the ball
 built the plain way (`complex_helpers.plain_ball`), and `cactus45
 complex --radius 8` is run as a child process (`launcher.run_cli`) with
-its time and peak RSS bounded.  Times are for one run on a 2-core host
-with Python 3.11.
+its time and peak RSS bounded.  Times are for runs on a 2-core host with
+Python 3.11.
 """
 
 import json
@@ -30,8 +30,8 @@ def test_the_radius_eight_ball_equals_the_plain_ball():
 
 
 def test_the_cli_builds_the_radius_eight_ball_in_bounded_time_and_memory():
-    """Measured at 1.5-2.5 s and 24 MB peak RSS; the bounds leave room
-    for a slower or busier host."""
+    """Measured at 1.1-1.3 s and 25 MB peak RSS over three runs; the
+    bounds leave room for a slower or busier host."""
     child = run_cli("complex", "--radius", "8")
     assert child.returncode == 0, child.stderr
     results = json.loads(child.stdout)["results"]
