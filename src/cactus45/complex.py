@@ -11,7 +11,7 @@ all of its faces are present.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .rewrite import system_for
 from .words import Presentation, Word, shortlex_key
@@ -52,7 +52,7 @@ class TilingReport(NamedTuple):
 class CayleyBall:
     """A ball of the Cayley complex: `vertices` maps each vertex to its
     distance from the identity and lists them in shortlex order, sphere
-    by sphere, the order of the walk that built them."""
+    by sphere, the order in which they were built."""
 
     def __init__(
         self,
@@ -102,16 +102,14 @@ def _construct(P: Presentation, radius: int) -> CayleyBall:
     sys = system_for(P)
     vertices: Dict[Word, int] = {}
     words: Dict[Tuple[int, ...], Word] = {}
-    states: List[Optional[int]] = []
-    # the spheres S_0 .. S_radius off one walk of the engine, each in
-    # shortlex order, so a vertex's place in `vertices` is its rank
-    for L, level in enumerate(islice(sys.walk(), radius + 1)):
-        for t, s in level:
+    # the spheres S_0 .. S_radius off the engine, each in shortlex
+    # order, so a vertex's place in `vertices` is its rank
+    for L, level in enumerate(islice(sys.spheres(), radius + 1)):
+        for t in level:
             words[t] = v = Word._from_codes(P.alphabet, t)
             vertices[v] = L
-            states.append(s)
     rank = {v: i for i, v in enumerate(vertices)}
-    neighbor, edges = _neighbors(P, sys, vertices, words, states, radius)
+    neighbor, edges = _neighbors(P, sys, vertices, words, radius)
 
     # edges and faces are built once each, but every relator form is a
     # rotation of a square or of its reverse: each square is still traced
@@ -149,38 +147,32 @@ def _construct(P: Presentation, radius: int) -> CayleyBall:
     return CayleyBall(P, radius, vertices, neighbor, tuple(edges), faces, frozenset(interior))
 
 
-def _neighbors(P, sys, vertices, words, states, radius):
+def _neighbors(P, sys, vertices, words, radius):
     """Each vertex's neighbours, in letter order, and each edge once,
     from its shorter end: the letters are involutions and every relator
-    has even length, so an edge joins two consecutive spheres.  A letter
-    g in the row of v's state is the tree edge to v·g, spelled v then g;
-    a right descent's edge was met from its shorter end; any other
-    letter, a non-tree edge, goes to the engine, except on the last
-    sphere, where it leaves the ball.  With no rows (state None) every
-    letter goes to the engine."""
-    automaton, names = sys.automaton, P.alphabet.names()
-    if automaton is not None:
-        letters = [{z for z, _ in row} for row in automaton.rows]
+    has even length, so an edge joins two consecutive spheres.  A right
+    descent's edge was met from its shorter end, which recorded it in
+    `down`; on the last sphere every other letter leaves the ball.
+    Normal forms are closed under prefixes, so v·g, spelled v then g,
+    is a tree edge exactly when that spelling is a vertex; only the
+    other letters, the non-tree edges, go to the engine."""
+    names = P.alphabet.names()
     neighbor: Dict[Word, Dict[str, Word]] = {}
     edges: List[Tuple[Word, Word, str]] = []
     down: Dict[Word, Dict[int, Word]] = {}  # v: {g: v·g} for v·g shorter
-    for (v, L), s in zip(vertices.items(), states):
-        if s is None:
-            up, descents, last = (), (), False
-        else:
-            up, descents, last = letters[s], automaton.descents[s], L == radius
-        t, below, nbrs = v.codes, down.pop(v, None), {}
+    for v, L in vertices.items():
+        t, below, nbrs = v.codes, down.pop(v, {}), {}
         for g in range(sys.n):
-            if g in descents:
+            if g in below:
                 u = below[g]
-            elif last:
+            elif L == radius:
                 continue
-            elif g in up:
-                u = words[t + (g,)]
             else:
-                u = words.get(sys.normal_form(t + (g,), start=L))
+                u = words.get(t + (g,))
                 if u is None:
-                    continue
+                    u = words.get(sys.normal_form(t + (g,), start=L))
+                    if u is None:
+                        continue
             nbrs[names[g]] = u
             if vertices[u] > L:
                 edges.append((v, u, names[g]))

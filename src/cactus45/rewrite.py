@@ -45,9 +45,8 @@ Spheres are neither sunk nor sorted: the shortlex language is regular
 (Cannon 1984, Niblo-Reeves 1998).  Its automaton, read off the flip
 table, is numbered on first use and kept on the presentation
 (`RewriteSystem.automaton`): each state has a row of (letter, next
-state) pairs and its set of right descents.  `walk` gives each normal
-form with its state, and Cayley balls read their tree edges off the
-rows (`complex._construct`).  No level outlives its call.
+state) pairs.  `spheres` walks the rows, and a form's state lives
+only inside that walk.  No level outlives its call.
 
 J4 adds the full reversal s14, whose link with the other generators has
 triangles, so its Cayley complex is not CAT(0).  Its elements split as
@@ -61,7 +60,7 @@ Every answer is exact: no operation is cut off by a search limit.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .words import EQUAL, PROVEN_UNEQUAL, Move, Presentation, Record, Verdict, Word
 from .words import _codes_over, replay
@@ -144,11 +143,9 @@ class Automaton(NamedTuple):
     """The shortlex automaton of an engine, states numbered from 0, the
     empty word's.  rows[s] lists the letters z, in increasing order, for
     which t·z is a normal form when t is one in state s, each with the
-    state of t·z; descents[s] is the set of right descents of such a t,
-    the letters z with |t·z| < |t|."""
+    state of t·z."""
 
     rows: Tuple[Tuple[Tuple[int, int], ...], ...]
-    descents: Tuple[FrozenSet[int], ...]
 
 
 class RewriteSystem:
@@ -271,8 +268,9 @@ class RewriteSystem:
 
     @property
     def automaton(self) -> Automaton:
-        """The shortlex automaton, numbered: built on first use, by a
-        walk or `accepts`, and kept on the presentation (`_automaton`)."""
+        """The shortlex automaton, numbered: built on first use, by
+        `spheres` or `accepts`, and kept on the presentation
+        (`_automaton`)."""
         return self.presentation.derived(_automaton)
 
     def accepts(self, t: Sequence[int]) -> int:
@@ -289,22 +287,16 @@ class RewriteSystem:
                 return k
         return len(t)
 
-    def walk(self) -> Iterator[List[Tuple[Tuple[int, ...], int]]]:
-        """The spheres S_0, S_1, ... in turn, each a list of (normal
-        form, automaton state) in shortlex order.  Letters are appended
-        off each state's row in increasing order, so each level is
-        already in shortlex order: nothing is sorted or deduplicated,
-        and no level outlives the next."""
-        rows, level = self.automaton.rows, [((), 0)]
-        while True:
-            yield level
-            level = [(t + (z,), nxt) for t, s in level for z, nxt in rows[s]]
-
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """The spheres S_0, S_1, ... in turn, each a list of normal forms
-        in shortlex order, off `walk`."""
-        for level in self.walk():
+        in shortlex order.  The walk holds each form with its automaton
+        state and appends letters off the state's row in increasing
+        order, so each level is already in shortlex order: nothing is
+        sorted or deduplicated, and no level outlives the next."""
+        rows, level = self.automaton.rows, [((), 0)]
+        while True:
             yield [t for t, _ in level]
+            level = [(t + (z,), nxt) for t, s in level for z, nxt in rows[s]]
 
 
 class SplitSystem:
@@ -363,13 +355,6 @@ class SplitSystem:
         # equal elements share p, and moves on u leave the trailing s14 alone
         return g1[1] == g2[1] and self._inner(trace, self.inner.lift, g1[0], g2[0])
 
-    automaton = None  # no rows until J4's states carry the phase of s14
-
-    def walk(self) -> Iterator[List[Tuple[Tuple[int, ...], None]]]:
-        """`spheres`, each normal form with the state None."""
-        for level in self.spheres():
-            yield [(t, None) for t in level]
-
     def spheres(self) -> Iterator[List[Tuple[int, ...]]]:
         """J4's spheres, read off the J4' spheres S'_L: |u · s14^p| is
         |u| + p, so S_L is the J4 images of S'_L and the normal forms of
@@ -409,7 +394,7 @@ def _automaton(P: Presentation) -> Automaton:
                 states.append(nxt)
             row.append((z, number[nxt]))
         rows.append(tuple(row))
-    return Automaton(tuple(rows), tuple(D for D, _ in states))
+    return Automaton(tuple(rows))
 
 
 def _engine(P: Presentation):

@@ -5,10 +5,11 @@ replay that rebuilds the whole word after every move (`apply`, with
 shared `words.replay`), the equality
 test that sank each word twice (once for its normal form, once more for
 the certificate's paths), the sink-and-sort sphere enumeration
-that the shortlex automaton replaced, and the row and descent set that
-automaton must hold at a normal form; the engine's sink and sort as
-they were before they were tuned (`plain_sink`, `plain_sort`); and the
-seeded relator walks that plant equal pairs for the tests.
+that the shortlex automaton replaced, and the row that automaton must
+hold at a normal form; the engine's sink and sort as they were before
+they were tuned (`plain_sink`, `plain_sort`); the seeded relator walks
+that plant equal pairs for the tests; and the pentagon right-angled
+Coxeter group, a second group whose Cayley complex is the {4,5} tiling.
 
 Moves come from the stored relators: a square x·x deletes or inserts an
 adjacent equal pair, and each rotation y1 y2 y3 y4 of a length-4
@@ -30,6 +31,8 @@ from cactus45.rewrite import EqualityCertificate, SplitSystem, system_for
 from cactus45.words import (
     EQUAL,
     PROVEN_UNEQUAL,
+    Alphabet,
+    Generator,
     Move,
     Presentation,
     Verdict,
@@ -178,17 +181,12 @@ def sink_and_sort_spheres(P: Presentation):
         })
 
 
-def row_and_descents(P: Presentation, t):
-    """What the shortlex automaton must hold at the normal form t, by
-    sinking and sorting each t·z whole: the letters z for which t·z is
-    its own normal form (its row), and those for which t·z is shorter
-    than t (its right descents)."""
+def automaton_row(P: Presentation, t):
+    """The letters of the shortlex automaton's row at the normal form t,
+    by sinking and sorting each t·z whole: the letters z for which t·z
+    is its own normal form."""
     sys = system_for(P)
-    forms = {z: sys.normal_form(t + (z,)) for z in range(sys.n)}
-    return (
-        {z for z, c in forms.items() if c == t + (z,)},
-        {z for z, c in forms.items() if len(c) < len(t)},
-    )
+    return {z for z in range(sys.n) if sys.normal_form(t + (z,)) == t + (z,)}
 
 
 def plain_sink(sys, t, trace=None):
@@ -389,3 +387,16 @@ def relator_walk(P, w, length, rng):
 def random_word(P, length, rng):
     names = P.alphabet.names()
     return Word(P.alphabet, [(rng.choice(names), 1) for _ in range(length)])
+
+
+def involutive(names, squares):
+    """The presentation on involutions `names` with every x x and the
+    given length-4 relators."""
+    alphabet = Alphabet([Generator(x, involutive=True) for x in names.split()])
+    texts = [f"{x} {x}" for x in names.split()] + squares
+    return Presentation(alphabet, [Word.parse(alphabet, t) for t in texts])
+
+
+# the right-angled Coxeter group of a pentagon, whose Davis complex is
+# also the {4,5} tiling
+PENTAGON = involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])

@@ -10,6 +10,7 @@ from cactus45 import (
     build_ball,
     canonical_form,
     check_tiling,
+    j4_presentation,
     j4prime_presentation,
     vertex_link,
 )
@@ -21,8 +22,10 @@ from cactus45.words import Alphabet, Generator, Presentation, Word, shortlex_key
 
 from complex_helpers import forget, plain_ball, radii_built, without_face
 from fixtures import FACES_AT_E
+from rewrite_oracle import PENTAGON
 
 P = j4prime_presentation()
+P4 = j4_presentation()
 
 
 def w(text):
@@ -221,26 +224,50 @@ def test_balls_nest():
 
 def test_the_ball_equals_the_plain_ball():
     # sink-and-sort spheres, canonical neighbours, both-ended edges and
-    # neighbour-walked squares, all ordered by the oracle's shortlex key
-    ball, plain = _construct(P, 4), plain_ball(P, 4)
-    assert list(ball.vertices.items()) == list(plain.vertices.items())
-    assert ball.neighbor == plain.neighbor
-    assert ball.edges == plain.edges
-    assert ball.faces == plain.faces
-    assert ball.interior == plain.interior
-    assert (len(ball.edges), len(ball.faces), len(ball.interior)) == (225, 60, 21)
+    # neighbour-walked squares, all ordered by the oracle's shortlex key,
+    # for J4', for J4 on its split engine, and for the pentagon group
+    for Q, counts in ((P, (225, 60, 21)), (P4, (366, 160, 27)), (PENTAGON, (225, 60, 21))):
+        ball, plain = _construct(Q, 4), plain_ball(Q, 4)
+        assert list(ball.vertices.items()) == list(plain.vertices.items())
+        assert ball.neighbor == plain.neighbor
+        assert ball.edges == plain.edges
+        assert ball.faces == plain.faces
+        assert ball.interior == plain.interior
+        assert (len(ball.edges), len(ball.faces), len(ball.interior)) == counts
+
+
+def _count_normal_forms(monkeypatch, Q, calls):
+    """Count, in calls, each `normal_form` call of Q's engine, and apart
+    those made inside `complex._neighbors`."""
+    engine = type(system_for(Q))
+    normal_form, neighbors, stepping = engine.normal_form, complex_module._neighbors, [False]
+
+    def counted_normal_form(self, t, start=0):
+        calls["normal_form"] += 1
+        calls["normal_form in neighbors"] += stepping[0]
+        return normal_form(self, t, start)
+
+    def counted_neighbors(*args):
+        stepping[0] = True
+        try:
+            return neighbors(*args)
+        finally:
+            stepping[0] = False
+
+    monkeypatch.setattr(engine, "normal_form", counted_normal_form)
+    monkeypatch.setattr(complex_module, "_neighbors", counted_neighbors)
 
 
 def test_the_ball_builds_each_face_once_and_sorts_on_ranks(monkeypatch):
     # every square is still traced from each corner both ways, 3,730 of
     # the 3,790 normal forms, but each of the 60 faces is built once, and
     # nothing outside `Face.from_cycle` asks for a shortlex key: ranks
-    # come off the walk's order.  The neighbours read each tree edge off
-    # the automaton's rows and each descent off its shorter end, so they
+    # come off the spheres' order.  The neighbours read each tree edge
+    # off the vertex table and each descent off its shorter end, so they
     # put only the 60 non-tree edges (225 edges less 165 tree edges) to
     # the engine, where reading every neighbour off it took 830 calls
     forget(monkeypatch, P, _construct)
-    calls, building, stepping = Counter(), [], [False]
+    calls, building = Counter(), []
     from_cycle = Face.from_cycle.__func__
 
     def counted_from_cycle(cls, cycle):
@@ -256,27 +283,24 @@ def test_the_ball_builds_each_face_once_and_sorts_on_ranks(monkeypatch):
             calls["shortlex_key"] += 1
         return shortlex_key(v)
 
-    engine = type(system_for(P))
-    normal_form, neighbors = engine.normal_form, complex_module._neighbors
-
-    def counted_normal_form(self, t, start=0):
-        calls["normal_form"] += 1
-        calls["normal_form in neighbors"] += stepping[0]
-        return normal_form(self, t, start)
-
-    def counted_neighbors(*args):
-        stepping[0] = True
-        try:
-            return neighbors(*args)
-        finally:
-            stepping[0] = False
-
     monkeypatch.setattr(Face, "from_cycle", classmethod(counted_from_cycle))
     monkeypatch.setattr(complex_module, "shortlex_key", counted_key)
-    monkeypatch.setattr(engine, "normal_form", counted_normal_form)
-    monkeypatch.setattr(complex_module, "_neighbors", counted_neighbors)
+    _count_normal_forms(monkeypatch, P, calls)
     assert len(build_ball(P, 4).faces) == 60
     assert calls == {"from_cycle": 60, "normal_form": 3790, "normal_form in neighbors": 60}
+
+
+def test_a_j4_ball_puts_only_its_non_tree_edges_to_the_engine(monkeypatch):
+    # a tree edge is a vertex spelled v then g, on J4's split engine as
+    # on J4', so the neighbours make 140 calls, 366 edges less 226 tree
+    # edges, where sending every letter to the engine took 1,362; the
+    # square traces make the other 10,120
+    forget(monkeypatch, P4, _construct)
+    calls = Counter()
+    _count_normal_forms(monkeypatch, P4, calls)
+    ball = build_ball(P4, 4)
+    assert (len(ball.vertices), len(ball.edges)) == (227, 366)
+    assert calls == {"normal_form": 10260, "normal_form in neighbors": 140}
 
 
 def test_build_ball_keeps_each_radius_it_builds(monkeypatch):

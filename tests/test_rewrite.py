@@ -35,9 +35,11 @@ from complex_helpers import plain_ball
 
 import rewrite_oracle
 from rewrite_oracle import (
+    PENTAGON,
     apply,
     expected_route,
     flip_at_random,
+    involutive,
     inverted,
     oracle_for,
     random_word,
@@ -365,18 +367,8 @@ def test_full_group_spheres_match_closure_oracle():
     assert [len(sphere(P4, L)) for L in range(6)] == [1, 6, 20, 55, 145, 380]
 
 
-def _involutive(names, squares):
-    """The presentation on involutions `names` with every x x and the
-    given length-4 relators."""
-    alphabet = Alphabet([Generator(x, involutive=True) for x in names.split()])
-    texts = [f"{x} {x}" for x in names.split()] + squares
-    return Presentation(alphabet, [Word.parse(alphabet, t) for t in texts])
-
-
-# the right-angled Coxeter group of a pentagon, whose Davis complex is
-# also the {4,5} tiling, and Z/2 x Z/2 free product Z/2
-PENTAGON = _involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])
-KLEIN_FREE = _involutive("a b c", ["a b a b"])
+# Z/2 x Z/2 free product Z/2
+KLEIN_FREE = involutive("a b c", ["a b a b"])
 
 
 @pytest.mark.parametrize(
@@ -391,23 +383,23 @@ def test_sphere_walk_equals_sink_and_sort(P, top):
 
 
 def _automaton_faults(P, top):
-    """The normal forms of S_0 .. S_top at which the automaton's row or
-    descent set differs from the sink-and-sort oracle's, each with the
-    field that differs; the states are the walk's, and the walk's levels
-    must be the oracle's spheres.  Also the states no level meets."""
+    """The normal forms of S_0 .. S_top at which the automaton's row
+    differs from the sink-and-sort oracle's; each form's state is read
+    off the rows from state 0, and the engine's levels must be the
+    oracle's spheres.  Also the states no level meets."""
     engine = system_for(P)
-    automaton, levels = engine.automaton, rewrite_oracle.sink_and_sort_spheres(P)
-    faults, unmet = [], set(range(len(automaton.rows)))
-    for L, level in enumerate(itertools.islice(engine.walk(), top + 1)):
-        if [t for t, _ in level] != next(levels):
+    rows, levels = engine.automaton.rows, rewrite_oracle.sink_and_sort_spheres(P)
+    faults, unmet = [], set(range(len(rows)))
+    for L, level in enumerate(itertools.islice(engine.spheres(), top + 1)):
+        if level != next(levels):
             faults.append((L, "level"))
-        for t, s in level:
+        for t in level:
+            s = 0
+            for z in t:
+                s = dict(rows[s])[z]
             unmet.discard(s)
-            row, descents = rewrite_oracle.row_and_descents(P, t)
-            if {z for z, _ in automaton.rows[s]} != row:
+            if {z for z, _ in rows[s]} != rewrite_oracle.automaton_row(P, t):
                 faults.append((t, "row"))
-            if automaton.descents[s] != descents:
-                faults.append((t, "descents"))
     return faults, unmet
 
 
@@ -417,9 +409,8 @@ def _automaton_faults(P, top):
 def test_the_automaton_rows_are_the_normal_form_extensions(P, states):
     # state 0 is the empty word's; every state is met by length 6
     automaton = system_for(P).automaton
-    assert len(automaton.rows) == len(automaton.descents) == states
+    assert len(automaton.rows) == states
     assert [z for z, _ in automaton.rows[0]] == list(range(len(P.alphabet)))
-    assert automaton.descents[0] == frozenset()
     assert all([z for z, _ in row] == sorted(z for z, _ in row) for row in automaton.rows)
     assert _automaton_faults(P, 6) == ([], set())
 
@@ -450,7 +441,7 @@ def test_accepts_reads_the_longest_normal_form_prefix():
 
 
 def test_the_automaton_is_built_once_and_never_for_equality():
-    Q = _involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])
+    Q = involutive("p q r s t", ["p q p q", "q r q r", "r s r s", "s t s t", "t p t p"])
     p, q = Q.word("p"), Q.word("q")
 
     def built():
@@ -620,7 +611,7 @@ def test_planted_fake_relator_is_rejected():
 
 # a square whose letters are not two commuting ones: a b a c turns
 # a b into c a, so the table's two entries differ from the pair itself
-BENT = _involutive("a b c", ["a b a c"])
+BENT = involutive("a b c", ["a b a c"])
 
 
 @pytest.mark.parametrize("P", [PP, BENT, KLEIN_FREE], ids=["j4p", "bent", "klein-free"])
@@ -647,7 +638,7 @@ def test_flip_table_of_the_bent_square():
 def test_a_pair_on_two_squares_is_refused():
     # a b lies on a b a b and on a b c b
     with pytest.raises(ValueError, match=r"letters \(0, 1\) lie on two squares"):
-        RewriteSystem(_involutive("a b c", ["a b a b", "a b c b"]))
+        RewriteSystem(involutive("a b c", ["a b a b", "a b c b"]))
 
 
 def test_engine_rejects_complexes_that_are_not_cat0():

@@ -9,7 +9,9 @@ spellings, odd orbit distances, with invalid elements built past the
 `PureElement` constructor), one wrong table entry for criteria 1, 2,
 4, 7, 8 and 9, a short sphere and each fault of criterion 1's length-2
 and length-4 lists, equality certificates that do not replay for
-criteria 1 and 2, planted objects for criteria 6 to 12, criterion 7's
+criteria 1 and 2, planted objects for criteria 6 to 12, criterion 6's
+printed edge length and face angles, each count and table match of
+criterion 9, criterion 7's
 side count, distinct labels and label set, the work one ``verify-all``
 run does in its costliest stages, and the alphabets a warm run
 compares (none)."""
@@ -772,6 +774,107 @@ def test_criterion_6_fails_an_edge_length_off_the_half_edge_identity(monkeypatch
     result = verify.run_criterion(6)
     assert not result.passed
     assert result.details == "edge length departs from closed form"
+
+
+def test_criterion_6_fails_an_edge_length_that_prints_off_the_table(monkeypatch):
+    # R itself, so the closed form holds, printed one unit up in the
+    # sixth place
+    R = geometry.edge_length_45()
+
+    class Misprinted(float):
+        def __format__(self, spec):
+            return format(float(self) + 1e-6, spec)
+
+    monkeypatch.setattr(verify, "edge_length_45", lambda: Misprinted(R))
+    result = verify.run_criterion(6)
+    assert not result.passed
+    assert result.details == "edge length 1.253740"
+
+
+def test_criterion_6_fails_a_face_angle_off_two_fifths_of_pi(monkeypatch):
+    # every embedded edge keeps its length; each face's first corner
+    # reads 1e-3 wide
+    class Skewed(geometry.HPolygon):
+        def interior_angles(self):
+            first, *rest = super().interior_angles()
+            return [first + 1e-3, *rest]
+
+    monkeypatch.setattr(verify, "HPolygon", Skewed)
+    result = verify.run_criterion(6)
+    assert not result.passed
+    assert result.details == "face angle deviation 1.00e-03"
+
+
+def _planted_domain(monkeypatch, **fields):
+    """Criterion 9's result on the fundamental domain with these fields
+    replaced."""
+    planted = fundamental_domain()._replace(**fields)
+    monkeypatch.setattr(verify, "fundamental_domain", lambda: planted)
+    return verify.run_criterion(9)
+
+
+def test_a_lost_corner_cycle_fails_criterion_9(monkeypatch):
+    result = _planted_domain(monkeypatch, cycles=fundamental_domain().cycles[:-1])
+    assert not result.passed
+    assert result.details == "5 corner cycles"
+
+
+def test_a_cycle_walked_twice_fails_criterion_9(monkeypatch):
+    # the multiplicity alone is planted: the angles still sum to 2pi
+    first, *rest = fundamental_domain().cycles
+    result = _planted_domain(monkeypatch, cycles=(first._replace(nu=2), *rest))
+    assert not result.passed
+    assert result.details == "cycle multiplicity differs from 1"
+
+
+def test_a_five_term_row_read_from_another_corner_fails_criterion_9(monkeypatch):
+    # the corners start one place on, the generators where they were
+    row = ref.FIVE_TERM_CYCLE
+    vs = row["vertices"]
+    monkeypatch.setattr(ref, "FIVE_TERM_CYCLE", dict(row, vertices=vs[1:] + vs[:1]))
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == "five-term cycle differs from the table"
+
+
+def test_a_three_term_cycle_lost_to_a_second_five_term_one_fails_criterion_9(monkeypatch):
+    # still six cycles, but four of three terms
+    cycles = fundamental_domain().cycles
+    five = next(c for c in cycles if len(c.generators) == 5)
+    dropped = next(i for i, c in enumerate(cycles) if len(c.generators) == 3)
+    result = _planted_domain(monkeypatch, cycles=_with_entry(cycles, dropped, five))
+    assert not result.passed
+    assert result.details == "expected five three-term cycles"
+
+
+def test_a_three_term_row_with_a_foreign_corner_fails_criterion_9(monkeypatch):
+    # row 1's last corner taken from row 2: no computed cycle has them all
+    first, second = ref.THREE_TERM_CYCLES[:2]
+    planted = dict(first, vertices=first["vertices"][:2] + second["vertices"][2:])
+    monkeypatch.setattr(ref, "THREE_TERM_CYCLES", _with_entry(ref.THREE_TERM_CYCLES, 0, planted))
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == "cycle with corners ('s13 s34', 's24 s34', 's12 s23')"
+
+
+def test_a_three_term_row_with_other_angles_fails_criterion_9(monkeypatch):
+    # row 1's angles (3, 4, 3) in fifths made (3, 3, 3)
+    first = ref.THREE_TERM_CYCLES[0]
+    planted = dict(first, fifths=(3, 3, 3))
+    monkeypatch.setattr(ref, "THREE_TERM_CYCLES", _with_entry(ref.THREE_TERM_CYCLES, 0, planted))
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert result.details == "angle classes of cycle ('s13 s34', 's24 s34', 's34 s23')"
+
+
+def test_a_seventh_relator_fails_criterion_9(monkeypatch):
+    # the six cycle relators all present, and the first one's square too
+    pres = fundamental_domain().presentation
+    first = pres.relators[0]
+    planted = Presentation(pres.alphabet, [*pres.relators, first * first])
+    result = _planted_domain(monkeypatch, presentation=planted)
+    assert not result.passed
+    assert result.details == "7 relators"
 
 
 def test_criterion_9_decides_each_angle_sum_exactly(monkeypatch):
